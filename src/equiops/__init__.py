@@ -6,6 +6,9 @@ equivariants, dynamics of equivariant rational maps, and the
 non-commutative matrix-valued generalization.
 """
 
+# the one version string: report.VERSION and the package metadata read it
+__version__ = "1.0.0"
+
 from .cyclotomic import (Cyclo, DEFAULT_ORDER, imag_unit, rational, sqrt2,
                          sqrt3, sqrt5, zeta)
 from .divisors import (Divisor, Place, pole_divisor,
@@ -37,5 +40,3 @@ from .qseries import (QSeries, delta_series, eisenstein, eta, eta_product,
                       series_eval, verify_j_relation)
 from .ratfn import RatFn
 from .report import Report, emit_report, run_suite
-
-__version__ = "1.0.0"

@@ -5,6 +5,15 @@ modulo the N-th cyclotomic polynomial, with a common integer denominator.
 The representation is canonical: equal field elements have identical
 coefficient vectors.  The default order N = 120 contains i, sqrt(2),
 sqrt(3), sqrt(5) and all third, fourth, fifth and eighth roots of unity.
+
+Rational lane.  Every element records at construction whether it is
+rational.  When all operands of +, -, *, /, negation or inverse are
+rational, the result is computed on the two integers n/d alone: one gcd,
+then the cached zero tail of the coefficient vector is appended, so no
+phi(N)-entry vector is built or walked.  A lane-built element is
+indistinguishable from a normalised one: the same `num`, `den`, `order`,
+hash, equality and repr as `Cyclo(order, [n], d)`.  Irrational operands
+always take the general vector path.
 """
 
 from __future__ import annotations
@@ -57,6 +66,12 @@ def totient(n):
 
 
 @lru_cache(maxsize=None)
+def _zero_tail(n):
+    """The phi(n) - 1 zero coefficients that follow a rational element's n/d."""
+    return (0,) * (totient(n) - 1)
+
+
+@lru_cache(maxsize=None)
 def _reduction_rows(n):
     """zeta^k on the power basis, for k = deg .. 2*deg-2 (needed after products)."""
     phi_n = cyclotomic_polynomial(n)
@@ -83,7 +98,7 @@ def _reduction_rows(n):
 class Cyclo:
     """An element of Q(zeta_N), immutable and hashable."""
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("order", "num", "den", "_rat")
 
     def __init__(self, order, num, den=1, _normalized=False):
         d = totient(order)
@@ -110,6 +125,7 @@ class Cyclo:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rat", not any(num[1:]))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
@@ -117,12 +133,27 @@ class Cyclo:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _ratio(order, n, d):
+        """The rational n/d for ints n and d != 0: one gcd, no vector walk."""
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        self = _new(Cyclo)
+        _set_order(self, order)
+        _set_num(self, (n,) + _zero_tail(order))
+        _set_den(self, d)
+        _set_rat(self, True)
+        return self
+
+    @staticmethod
     def from_rational(value, order=DEFAULT_ORDER):
-        f = Fraction(value)
-        d = totient(order)
-        num = [0] * d
-        num[0] = f.numerator
-        return Cyclo(order, num, f.denominator)
+        if type(value) is int:
+            return Cyclo._ratio(order, value, 1)
+        f = value if isinstance(value, Fraction) else Fraction(value)
+        return Cyclo._ratio(order, f.numerator, f.denominator)
 
     @staticmethod
     def zeta_pow(k, order=DEFAULT_ORDER):
@@ -161,11 +192,11 @@ class Cyclo:
 
     @property
     def is_zero(self):
-        return not any(self.num)
+        return self._rat and not self.num[0]
 
     @property
     def is_rational(self):
-        return not any(self.num[1:])
+        return self._rat
 
     def as_fraction(self):
         if not self.is_rational:
@@ -181,6 +212,9 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._rat and o._rat:
+            return Cyclo._ratio(self.order, self.num[0] * o.den + o.num[0] * self.den,
+                                self.den * o.den)
         if self.den == o.den:
             return Cyclo(self.order, [a + b for a, b in zip(self.num, o.num)], self.den)
         return Cyclo(
@@ -192,28 +226,36 @@ class Cyclo:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._rat:
+            return Cyclo._ratio(self.order, -self.num[0], self.den)
         return Cyclo(self.order, tuple(-c for c in self.num), self.den, _normalized=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._rat and o._rat:
+            return Cyclo._ratio(self.order, self.num[0] * o.den - o.num[0] * self.den,
+                                self.den * o.den)
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
-        if self.is_rational:
+        if self._rat:
             r = self.num[0]
-            if r == 0:
-                return Cyclo.from_rational(0, self.order)
+            if o._rat or r == 0:
+                return Cyclo._ratio(self.order, r * b[0], self.den * o.den)
             return Cyclo(self.order, [r * c for c in b], self.den * o.den)
-        if o.is_rational:
+        if o._rat:
             r = o.num[0]
             if r == 0:
                 return Cyclo.from_rational(0, self.order)
@@ -241,9 +283,8 @@ class Cyclo:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if self.is_rational:
-            f = 1 / self.as_fraction()
-            return Cyclo.from_rational(f, self.order)
+        if self._rat:
+            return Cyclo._ratio(self.order, self.den, self.num[0])
         # extended Euclid in Q[x] against Phi_N
         phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         a = [Fraction(c, self.den) for c in self.num]
@@ -291,16 +332,20 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_rational:
-            f = o.as_fraction()
-            if f == 0:
+        if o._rat:
+            n = o.num[0]
+            if n == 0:
                 raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-            return Cyclo(self.order, [c * f.denominator for c in self.num], self.den * f.numerator)
+            if self._rat:
+                return Cyclo._ratio(self.order, self.num[0] * o.den, self.den * n)
+            return Cyclo(self.order, [c * o.den for c in self.num], self.den * n)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o * self.inverse()
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, k):
         if k < 0:
@@ -343,6 +388,14 @@ class Cyclo:
         from .parsing import cyclo_literal
 
         return cyclo_literal(self)
+
+
+_new = object.__new__
+# slot setters: build lane elements without the immutability guard
+_set_order = Cyclo.order.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
+_set_rat = Cyclo._rat.__set__
 
 
 def rational(value, order=DEFAULT_ORDER):

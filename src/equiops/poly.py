@@ -1,9 +1,17 @@
 """Univariate polynomials over a cyclotomic field.
 
-Coefficient lists are stored low degree first with no trailing zeros.
-GCDs use an integer primitive-remainder sequence when every coefficient
-is rational (the common case) and monic Euclid with content control
-otherwise.
+Coefficient lists are stored low degree first with no trailing zeros, as a
+tuple of `Cyclo`; every coefficient has the polynomial's field order.
+
+Rational lane.  When both operands have only rational coefficients (the
+common case), multiplication, division with remainder and the gcd run on
+Python int lists: each operand is written once as an int list over a
+common denominator, the kernel works on ints (a convolution, a
+pseudo-division by the leading coefficient, a primitive remainder
+sequence), and each output coefficient becomes one rational `Cyclo`.  The
+results are the same `Poly` values the general path computes.  Any
+irrational coefficient sends the operation down the general `Cyclo` path,
+and the gcd there is monic Euclid with content control.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational
 
 
 class Poly:
@@ -19,9 +27,14 @@ class Poly:
 
     def __init__(self, coeffs, order=DEFAULT_ORDER):
         cs = []
+        field = None
         for c in coeffs:
             if isinstance(c, Cyclo):
-                order = c.order
+                if field is None:
+                    field = order = c.order
+                elif c.order != field:
+                    raise CycloError("mixed cyclotomic orders in one polynomial: %d vs %d"
+                                     % (field, c.order))
                 cs.append(c)
             else:
                 cs.append(Fraction(c))
@@ -83,9 +96,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return self.coeffs[0] if self.coeffs else rational(0, self.order)
 
-    def is_rational_poly(self):
-        return all(c.is_rational for c in self.coeffs)
-
     def __bool__(self):
         return not self.is_zero
 
@@ -132,7 +142,10 @@ class Poly:
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -147,6 +160,15 @@ class Poly:
         if len(b) == 1:
             c = b[0]
             return Poly([c * x for x in a], self.order)
+        ints = _int_forms(self, o)
+        if ints is not None:
+            (fa, da), (fb, db) = ints
+            out = [0] * (len(fa) + len(fb) - 1)
+            for i, ai in enumerate(fa):
+                if ai:
+                    for j, bj in enumerate(fb):
+                        out[i + j] += ai * bj
+            return _from_ints(out, da * db, self.order)
         out = [rational(0, self.order)] * (len(a) + len(b) - 1)
         nz_b = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero]
         for i, ai in enumerate(a):
@@ -186,6 +208,25 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(self.order), self
+        ints = _int_forms(self, other)
+        if ints is not None:
+            # pseudo-division: lc^e * fa = q * fb + r over the integers,
+            # e = deg a - deg b + 1, so every quotient step divides exactly
+            (fa, da), (fb, db) = ints
+            n = len(fb) - 1
+            lc = fb[-1]
+            scale = lc ** (len(fa) - n)
+            rem = [v * scale for v in fa]
+            q = [0] * (len(fa) - n)
+            for i in range(len(q) - 1, -1, -1):
+                c = rem[i + n]
+                if c:
+                    c //= lc
+                    q[i] = c * db
+                    for j, bj in enumerate(fb):
+                        rem[i + j] -= c * bj
+            den = da * scale
+            return _from_ints(q, den, self.order), _from_ints(rem[:n], den, self.order)
         inv_lead = other.leading.inverse()
         rem = list(self.coeffs)
         db = other.degree
@@ -301,8 +342,9 @@ class Poly:
             return b.monic()
         if b.is_zero:
             return a.monic()
-        if a.is_rational_poly() and b.is_rational_poly():
-            return _gcd_rational(a, b)
+        ints = _int_forms(a, b)
+        if ints is not None:
+            return _gcd_rational(ints[0][0], ints[1][0], a.order)
         if a.degree < b.degree:
             a, b = b, a
         a = a.rational_content_normalized()
@@ -343,23 +385,46 @@ class Poly:
         return poly_literal(self)
 
 
-def _to_int_poly(p):
-    """Primitive integer coefficient list proportional to p."""
-    den_l = 1
+def _int_form(p):
+    """(ints, den) with p.coeffs[i] == ints[i] / den, or None when p has an
+    irrational coefficient."""
+    den = 1
     for c in p.coeffs:
-        den_l = den_l * c.den // _int_gcd(den_l, c.den)
-    ints = [c.num[0] * (den_l // c.den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+        if not c.is_rational:
+            return None
+        if den % c.den:
+            den = den * c.den // _int_gcd(den, c.den)
+    return [c.num[0] * (den // c.den) for c in p.coeffs], den
 
 
-def _gcd_rational(a, b):
-    """Primitive PRS over the integers for rational-coefficient polynomials."""
-    fa, fb = _to_int_poly(a), _to_int_poly(b)
+def _int_forms(a, b):
+    """Int forms of two nonzero polynomials over one field, or None unless
+    both are all-rational."""
+    if a.order != b.order:
+        raise CycloError("mismatched cyclotomic orders: %d vs %d" % (a.order, b.order))
+    fa = _int_form(a)
+    if fa is None:
+        return None
+    fb = _int_form(b)
+    if fb is None:
+        return None
+    return fa, fb
+
+
+def _from_ints(ints, den, order):
+    """The polynomial with coefficients ints[i] / den; den != 0."""
+    ratio = Cyclo._ratio
+    return Poly([ratio(order, v, den) for v in ints], order)
+
+
+def _primitive(ints):
+    g = _int_gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _gcd_rational(fa, fb, order):
+    """Monic gcd of two nonzero int polynomials by a primitive PRS."""
+    fa, fb = _primitive(fa), _primitive(fb)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -374,19 +439,5 @@ def _gcd_rational(a, b):
                 rem[dr - db + j] -= lr * fb[j]
             while rem and rem[-1] == 0:
                 rem.pop()
-        g = 0
-        for v in rem:
-            g = _int_gcd(g, v)
-        if g > 1:
-            rem = [v // g for v in rem]
-        fa, fb = fb, rem
-    g = 0
-    for v in fa:
-        g = _int_gcd(g, v)
-    if g > 1:
-        fa = [v // g for v in fa]
-    if fa and fa[-1] < 0:
-        fa = [-v for v in fa]
-    order = a.order
-    out = Poly([Fraction(v) for v in fa], order)
-    return out.monic()
+        fa, fb = fb, _primitive(rem)
+    return _from_ints(fa, fa[-1], order)

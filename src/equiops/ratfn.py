@@ -57,10 +57,6 @@ class RatFn:
     def infinity(order=DEFAULT_ORDER):
         return RatFn(Poly.one(order), Poly.zero(order), reduce=False)
 
-    @staticmethod
-    def from_pair(num, den):
-        return RatFn(num, den)
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -100,7 +96,9 @@ class RatFn:
         return (self.num * o.den) == (o.num * self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # unreduced values compare equal to their reduced form, which is canonical
+        r = RatFn(self.num, self.den)
+        return hash((r.num, r.den))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -138,7 +136,10 @@ class RatFn:
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -160,6 +161,8 @@ class RatFn:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, k):
@@ -279,8 +282,3 @@ def _series_div(a, b, n, order):
                 acc = acc - b[j] * out[k - j]
         out.append(acc * inv0)
     return out
-
-
-def ratfn_normalize(num, den):
-    """Reduced rational function from a numerator/denominator pair."""
-    return RatFn(num, den)

@@ -11,11 +11,10 @@ import os
 import random
 import time
 
+from . import __version__ as VERSION
 from . import configs as _configs_pkg
 from .cyclotomic import rational
 from .ratfn import RatFn
-
-VERSION = "1.0.0"
 
 ENV_CONFIG_DIR = "EQUIOPS_CONFIG_DIR"
 

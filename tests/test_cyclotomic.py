@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equiops.cyclotomic import (Cyclo, DEFAULT_ORDER, imag_unit, rational,
-                                sqrt2, sqrt3, sqrt5, zeta)
+from equiops.cyclotomic import (Cyclo, CycloError, DEFAULT_ORDER, imag_unit,
+                                rational, sqrt2, sqrt3, sqrt5, zeta)
 
 ORDER = DEFAULT_ORDER
 
@@ -20,6 +20,105 @@ def small_cyclo():
                            st.integers(-9, 9),
                            st.integers(1, 9)),
                  max_size=4))
+
+
+def fractions():
+    return st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+def normalised(value):
+    """The reference element: the normalising constructor on a full vector."""
+    f = Fraction(value)
+    return Cyclo(ORDER, [f.numerator], f.denominator)
+
+
+def assert_same_element(c, value):
+    ref = normalised(value)
+    assert (c.order, c.num, c.den) == (ref.order, ref.num, ref.den)
+    assert hash(c) == hash(ref)
+    assert c == ref and repr(c) == repr(ref)
+    assert c.is_rational and ref.is_rational
+    assert c.is_zero == (value == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractions(), fractions(), st.integers(-9, 9))
+def test_rational_lane_matches_normalising_constructor(x, y, k):
+    a, b = rational(x), rational(y)
+    assert_same_element(a, x)
+    assert_same_element(rational(k), k)
+    assert_same_element(a + b, x + y)
+    assert_same_element(a - b, x - y)
+    assert_same_element(a * b, x * y)
+    assert_same_element(-a, -x)
+    assert_same_element(a + k, x + k)
+    assert_same_element(k - a, k - x)
+    assert_same_element(a * k, x * k)
+    assert_same_element(a ** 3, x ** 3)
+    if y:
+        assert_same_element(b.inverse(), 1 / y)
+        assert_same_element(a / b, x / y)
+        assert_same_element(k / b, k / y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    if k:
+        assert_same_element(a / k, x / k)
+
+
+def test_rational_lane_negative_divisors():
+    assert_same_element(rational(Fraction(-3, 4)).inverse(), Fraction(-4, 3))
+    assert_same_element(rational(6) / rational(-4), Fraction(-3, 2))
+    assert_same_element(rational(0) / rational(-5), 0)
+    assert_same_element(rational(Fraction(-2, 9)) / -6, Fraction(1, 27))
+    assert_same_element(Cyclo._ratio(ORDER, 10, -4), Fraction(-5, 2))
+    assert_same_element(Cyclo._ratio(ORDER, 0, -7), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cyclo(), fractions())
+def test_mixed_operands_match_reference(a, x):
+    # one rational and one irrational operand: compare with vectors built
+    # by the normalising constructor
+    p, q = x.numerator, x.denominator
+    r = rational(x)
+    total = Cyclo(ORDER, [a.num[0] * q + p * a.den] + [c * q for c in a.num[1:]],
+                  a.den * q)
+    product = Cyclo(ORDER, [c * p for c in a.num], a.den * q)
+    assert a + r == total and r + a == total
+    assert hash(a + r) == hash(total)
+    assert (a + r).is_rational == a.is_rational
+    assert a - r == total - 2 * r
+    assert r - a == -(a - r)
+    assert a * r == product and r * a == product
+    assert (a * r).is_rational == (p == 0 or a.is_rational)
+    if p:
+        assert (a / r) * r == a
+    if not a.is_zero:
+        assert (r / a) * a == r
+
+
+def test_lane_rejects_mixed_orders():
+    with pytest.raises(CycloError):
+        rational(1, 60) + rational(1, 120)
+    with pytest.raises(CycloError):
+        rational(1, 60) * rational(2, 120)
+    with pytest.raises(CycloError):
+        rational(1, 60) / rational(2, 120)
+
+
+def test_reflected_ops_return_not_implemented():
+    two = rational(2)
+    assert two.__rtruediv__(1.5) is NotImplemented
+    assert two.__rsub__(1.5) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 / two
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 - two
+    assert 3 / two == rational(Fraction(3, 2))
+    assert 3 - two == rational(1)
 
 
 @settings(max_examples=60, deadline=None)

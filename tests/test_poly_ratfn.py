@@ -1,10 +1,14 @@
 """Polynomial and rational-function arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equiops.cyclotomic import rational, sqrt2
+from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
+                                sqrt5, zeta)
+from equiops.moebius import Moebius, moebius_apply
 from equiops.parsing import parse_poly, parse_ratfn
 from equiops.poly import Poly
 from equiops.ratfn import RatFn
@@ -89,3 +93,160 @@ def test_cyclotomic_coefficients():
     p = parse_poly("z^4 - 2*(zeta^15+zeta^105)*z")
     root_scale = sqrt2()
     assert p.coeffs[1] == -(root_scale + root_scale)
+
+
+# -- rational lane against a Fraction-list oracle and the Cyclo path --------
+
+def frac_lists(min_size, max_size):
+    return st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)),
+                    min_size=min_size, max_size=max_size).filter(
+                        lambda cs: cs[-1] != 0)
+
+
+def oracle_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def oracle_divmod(a, b):
+    rem = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return q, rem[:len(b) - 1]
+
+
+def assert_coeffs(p, fracs):
+    """p has exactly the coefficients fracs, as normalised Cyclo elements."""
+    while fracs and fracs[-1] == 0:
+        fracs = fracs[:-1]
+    ref = [Cyclo(p.order, [f.numerator], f.denominator) for f in fracs]
+    assert [(c.num, c.den, hash(c)) for c in p.coeffs] == \
+        [(c.num, c.den, hash(c)) for c in ref]
+
+
+def assert_divmod_identity(a, b):
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    return q, r
+
+
+def assert_gcd_identity(a, b, c):
+    """gcd(a c, b c) is monic, divides both products and is divisible by c."""
+    g = (a * c).gcd(b * c)
+    assert g.is_monic
+    assert ((a * c) % g).is_zero and ((b * c) % g).is_zero
+    assert (g % c).is_zero
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(frac_lists(1, 7), frac_lists(1, 5))
+def test_rational_mul_divmod_match_fraction_oracle(fa, fb):
+    a, b = Poly(fa), Poly(fb)
+    assert_coeffs(a * b, oracle_mul(fa, fb))
+    assert_coeffs(b * a, oracle_mul(fa, fb))
+    q, r = assert_divmod_identity(a, b)
+    if len(fa) >= len(fb):
+        oq, orem = oracle_divmod(fa, fb)
+        assert_coeffs(q, oq)
+        assert_coeffs(r, orem)
+    else:
+        assert q.is_zero and r == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(frac_lists(1, 4), frac_lists(1, 4), frac_lists(2, 3))
+def test_rational_gcd_identities(fa, fb, fc):
+    assert_gcd_identity(Poly(fa), Poly(fb), Poly(fc))
+
+
+def field_coeffs():
+    """Coefficients from Q, Q(sqrt 5), Q(i) and zeta_120^k mixes."""
+    surd = st.sampled_from([rational(1), sqrt5(), imag_unit(), zeta(120, 7),
+                            zeta(120, 1) + zeta(120, 31), sqrt5() * imag_unit()])
+    return st.builds(lambda s, x, y: s * rational(x) + rational(y), surd,
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def field_polys(min_size, max_size):
+    return st.lists(field_coeffs(), min_size=min_size, max_size=max_size).filter(
+        lambda cs: not cs[-1].is_zero).map(Poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_polys(1, 5), field_polys(1, 4), frac_lists(1, 4))
+def test_irrational_divmod_identities(a, b, fr):
+    r = Poly(fr)
+    assert_divmod_identity(a, b)
+    # one operand rational, the other not
+    assert_divmod_identity(a, r)
+    assert_divmod_identity(r, b)
+    assert (a * r) == (r * a)
+    q, rem = (a * r).divmod(r)
+    assert q == a and rem.is_zero
+
+
+@settings(max_examples=15, deadline=None)
+@given(field_polys(1, 3), field_polys(1, 3), field_polys(2, 3))
+def test_irrational_gcd_identities(a, b, c):
+    assert_gcd_identity(a, b, c)
+
+
+# -- field orders -------------------------------------------------------------
+
+def test_poly_rejects_mixed_orders():
+    with pytest.raises(CycloError):
+        Poly([rational(1, 60), rational(2, 120)])
+    assert Poly([rational(1, 60), 2]).order == 60
+    p60 = Poly([rational(1, 60)])
+    p120 = Poly([rational(1, 120), rational(1, 120)])
+    q60 = Poly([rational(1, 60), rational(3, 60)])
+    with pytest.raises(CycloError):
+        p60 * p120
+    with pytest.raises(CycloError):
+        q60 * p120
+    with pytest.raises(CycloError):
+        q60.divmod(p120)
+    with pytest.raises(CycloError):
+        (q60 * q60).divmod(p120)
+    with pytest.raises(CycloError):
+        q60 + p120
+    with pytest.raises(CycloError):
+        q60.gcd(p120)
+
+
+# -- operator protocol and the hash/eq contract ---------------------------------
+
+def test_reflected_ops_return_not_implemented():
+    p = parse_poly("z + 1")
+    f = parse_ratfn("1/(z + 1)")
+    assert p.__rsub__(1.5) is NotImplemented
+    assert f.__rsub__(1.5) is NotImplemented
+    assert f.__rtruediv__(1.5) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 - p
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 / f
+    assert 1 - p == parse_poly("-z")
+    assert 2 / f == parse_ratfn("2*z + 2")
+
+
+def test_ratfn_hash_matches_equality_on_unreduced_values():
+    f = parse_ratfn("(z^2 - 3)/(2*z + 1)")
+    g = moebius_apply(Moebius(2, 0, 0, 2), f, reduce=False)
+    assert g.den != f.den  # really unreduced
+    assert g == f
+    assert hash(g) == hash(f)
+    assert len({f, g}) == 1
+    h = RatFn(f.num * parse_poly("z - 4"), f.den * parse_poly("z - 4"), reduce=False)
+    assert h == f and hash(h) == hash(f)
+    assert len({f, g, h, parse_ratfn("z")}) == 2
