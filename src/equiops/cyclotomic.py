@@ -14,6 +14,18 @@ phi(N)-entry vector is built or walked.  A lane-built element is
 indistinguishable from a normalised one: the same `num`, `den`, `order`,
 hash, equality and repr as `Cyclo(order, [n], d)`.  Irrational operands
 always take the general vector path.
+
+Inverse by a norm tower.  Gal(Q(zeta_N)/Q) is (Z/N)^*, sigma_k acting as
+zeta -> zeta^k.  Each order caches a chain of subgroups of prime index p
+per step, the step generated by one sigma_k.  An irrational element's
+integer vector b goes down the chain: a step with sigma_k(b) == b is
+skipped (b already lies in the smaller fixed field, which makes Q(i) and
+Q(sqrt5) elements cheap), otherwise the cofactor
+c = sigma_k(b) sigma_k^2(b) ... sigma_k^(p-1)(b) is collected and b
+becomes b*c.  At the bottom b is the rational norm, and the inverse is the
+product of the cofactors over it.  All of it is integer arithmetic, with
+sigma_k read from one cached table of zeta^j, 0 <= j < N; the same table
+gives `zeta_pow` and the reduction rows of products.
 """
 
 from __future__ import annotations
@@ -72,27 +84,104 @@ def _zero_tail(n):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n):
-    """zeta^k on the power basis, for k = deg .. 2*deg-2 (needed after products)."""
+def _zeta_powers(n):
+    """zeta^j for 0 <= j < n on the power basis, as sparse rows ((t, c), ...).
+
+    Built in one shift-and-reduce sweep: zeta^(j+1) is zeta^j shifted up one
+    place, a coefficient carried past zeta^(d-1) folded back in through
+    zeta^d = zeta^d - Phi_n(zeta), a combination of lower powers.
+    """
     phi_n = cyclotomic_polynomial(n)
     d = len(phi_n) - 1
+    top = [-c for c in phi_n[:d]]
+    cur = [1] + [0] * (d - 1)
     rows = []
-    # x^d = -(phi - x^d)
-    cur = [-c for c in phi_n[:d]]
-    rows.append(tuple(cur))
-    for _ in range(d - 2):
-        prev = rows[-1]
-        nxt = [0] * d
-        for j, c in enumerate(prev):
-            if c:
-                if j + 1 < d:
-                    nxt[j + 1] += c
-                else:
-                    top = rows[0]
-                    for t, ct in enumerate(top):
-                        nxt[t] += c * ct
-        rows.append(tuple(nxt))
+    for _ in range(n):
+        rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            cur = [a + carry * r for a, r in zip(cur, top)]
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(n):
+    """Sparse rows of zeta^k, for k = deg .. 2*deg-2 (needed after products)."""
+    d = totient(n)
+    powers = _zeta_powers(n)
+    return tuple(powers[k % n] for k in range(d, 2 * d - 1))
+
+
+@lru_cache(maxsize=None)
+def _galois_tower(n):
+    """Steps (k, p) of a chain {1} = H_0 < H_1 < ... < H_r = (Z/n)^*.
+
+    H_(i+1) is generated by H_i and sigma_k: zeta -> zeta^k, and has prime
+    index p over H_i (sigma_k^p lies in H_i).
+    """
+    sub = {1 % n}
+    steps = []
+    for g in range(2, n):
+        if gcd(g, n) != 1:
+            continue
+        while g not in sub:
+            m, x = 1, g
+            while x not in sub:
+                x = x * g % n
+                m += 1
+            p = next(q for q in range(2, m + 1) if m % q == 0)
+            k = pow(g, m // p, n)
+            sub = {s * pow(k, i, n) % n for s in sub for i in range(p)}
+            steps.append((k, p))
+    return tuple(steps)
+
+
+def _mul_vec(a, b, n):
+    """Product of two power-basis integer vectors of Q(zeta_n), reduced mod Phi_n."""
+    d = len(a)
+    conv = [0] * (2 * d - 1)
+    nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in nz_b:
+                conv[i + j] += ai * bj
+    out = conv[:d]
+    for c, row in zip(conv[d:], _reduction_rows(n)):
+        if c:
+            for t, rt in row:
+                out[t] += c * rt
+    return out
+
+
+@lru_cache(maxsize=None)
+def _constant_rows(n):
+    """(m, c) for each m < 2*deg - 1 whose zeta^m has constant coefficient c != 0."""
+    d = totient(n)
+    powers = _zeta_powers(n)
+    return tuple((m, c) for m in range(2 * d - 1)
+                 for t, c in powers[m % n] if t == 0)
+
+
+def _constant_of_product(a, b, n):
+    """The constant coefficient of the product of a and b, alone."""
+    d = len(a)
+    total = 0
+    for m, c in _constant_rows(n):
+        lo, hi = max(0, m - d + 1), min(m, d - 1)
+        total += c * sum(a[i] * b[m - i] for i in range(lo, hi + 1))
+    return total
+
+
+def _conjugate(a, k, n):
+    """sigma_k(a) for the automorphism zeta -> zeta^k, on an integer vector."""
+    powers = _zeta_powers(n)
+    out = [0] * len(a)
+    for j, aj in enumerate(a):
+        if aj:
+            for t, c in powers[j * k % n]:
+                out[t] += aj * c
+    return out
 
 
 class Cyclo:
@@ -130,6 +219,10 @@ class Cyclo:
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor: the guard above blocks slot restore
+        return (Cyclo, (self.order, self.num, self.den, True))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -158,26 +251,10 @@ class Cyclo:
     @staticmethod
     def zeta_pow(k, order=DEFAULT_ORDER):
         """zeta_N^k as a field element."""
-        k %= order
-        d = totient(order)
-        if k < d:
-            num = [0] * d
-            num[k] = 1
-            return Cyclo(order, tuple(num), 1, _normalized=True)
-        # reduce x^k mod Phi_N by repeated multiplication of a basis row
-        e = Cyclo.zeta_pow(d - 1, order)
-        for _ in range(k - (d - 1)):
-            e = e._mul_zeta()
-        return e
-
-    def _mul_zeta(self):
-        d = len(self.num)
-        shifted = [0] + list(self.num[: d - 1])
-        top = self.num[d - 1]
-        if top:
-            row = _reduction_rows(self.order)[0]
-            shifted = [s + top * r for s, r in zip(shifted, row)]
-        return Cyclo(self.order, shifted, self.den)
+        num = [0] * totient(order)
+        for t, c in _zeta_powers(order)[k % order]:
+            num[t] = c
+        return Cyclo(order, tuple(num), 1, _normalized=True)
 
     # -- helpers ------------------------------------------------------
 
@@ -260,23 +337,7 @@ class Cyclo:
             if r == 0:
                 return Cyclo.from_rational(0, self.order)
             return Cyclo(self.order, [r * c for c in a], self.den * o.den)
-        d = len(a)
-        conv = [0] * (2 * d - 1)
-        nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in nz_b:
-                    conv[i + j] += ai * bj
-        rows = _reduction_rows(self.order)
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - d]
-                for t, rt in enumerate(row):
-                    if rt:
-                        out[t] += c * rt
-        return Cyclo(self.order, out, self.den * o.den)
+        return Cyclo(self.order, _mul_vec(a, b, self.order), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -285,48 +346,28 @@ class Cyclo:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
         if self._rat:
             return Cyclo._ratio(self.order, self.den, self.num[0])
-        # extended Euclid in Q[x] against Phi_N
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.num]
-        while a and a[-1] == 0:
-            a.pop()
-        r0, r1 = phi_n, a
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            # r0 = q*r1 + r2
-            r2 = list(r0)
-            q = [Fraction(0)] * max(1, len(r2) - len(r1) + 1)
-            inv_lead = 1 / r1[-1]
-            for i in range(len(r2) - 1, len(r1) - 2, -1):
-                c = r2[i] * inv_lead
-                if c:
-                    q[i - (len(r1) - 1)] = c
-                    for j, rj in enumerate(r1):
-                        r2[i - (len(r1) - 1) + j] -= c * rj
-            while r2 and r2[-1] == 0:
-                r2.pop()
-            s2 = list(s0)
-            ql = len(q)
-            s2 += [Fraction(0)] * max(0, ql + len(s1) - 1 - len(s2))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s2[i + j] -= qi * sj
-            while s2 and s2[-1] == 0:
-                s2.pop()
-            if not r2:
-                # r1 is the gcd; must be a nonzero constant
-                c = r1[0]
-                inv_poly = [s / c for s in s1]
-                break
-            r0, r1 = r1, r2
-            s0, s1 = s1, s2
-        d = totient(self.order)
-        den = 1
-        for f in inv_poly:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in inv_poly] + [0] * (d - len(inv_poly))
-        return Cyclo(self.order, num, den)
+        # Norm tower: down each step (k, p) of the Galois chain, b <- b * c
+        # with c = sigma_k(b) ... sigma_k^(p-1)(b), until b is the rational
+        # norm of num; then num^-1 is the product of the cofactors c over it.
+        n = self.order
+        steps = _galois_tower(n)
+        b = list(self.num)
+        cof = None
+        for i, (k, p) in enumerate(steps):
+            s = _conjugate(b, k, n)
+            if s == b:
+                continue  # b already lies in the fixed field of the next step
+            c = s
+            for _ in range(p - 2):
+                s = _conjugate(s, k, n)
+                c = _mul_vec(c, s, n)
+            cof = c if cof is None else _mul_vec(cof, c, n)
+            if i == len(steps) - 1:
+                # b * c is the rational norm: its constant coefficient is all
+                b = [_constant_of_product(b, c, n)]
+            else:
+                b = _mul_vec(b, c, n)
+        return Cyclo(n, [self.den * c for c in cof], b[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)

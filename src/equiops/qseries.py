@@ -129,7 +129,10 @@ class QSeries:
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -183,7 +186,10 @@ class QSeries:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def __pow__(self, k):
         if k < 0:

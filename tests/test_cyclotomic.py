@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiops.cyclotomic import (Cyclo, CycloError, DEFAULT_ORDER, imag_unit,
-                                rational, sqrt2, sqrt3, sqrt5, zeta)
+                                rational, sqrt2, sqrt3, sqrt5, totient, zeta)
 
 ORDER = DEFAULT_ORDER
 
@@ -142,6 +142,89 @@ def test_multiplicative_inverse(a):
             a.inverse()
     else:
         assert (a * a.inverse() == rational(1))
+
+
+# -- the norm-tower inverse at orders with phi(N) a power of 2 and not ------
+
+INVERSE_ORDERS = (3, 4, 5, 7, 8, 9, 12, 15, 21, 24, 60, 120)
+SURDS = ((8, sqrt2), (12, sqrt3), (5, sqrt5), (4, imag_unit))
+
+
+def nonzero_fractions():
+    return fractions().filter(bool)
+
+
+@st.composite
+def subfield_elements(draw, order):
+    """a + b*g for a surd or a root of unity g, sometimes plus c*h for a
+    second generator h (an element of a degree-4 subfield)."""
+    gens = [make(order) for need, make in SURDS if order % need == 0]
+    gens.append(zeta(order, draw(st.integers(1, order - 1))))
+    terms = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2))
+    x = rational(draw(fractions()), order)
+    for g in terms:
+        x = x + g * rational(draw(nonzero_fractions()), order)
+    return x
+
+
+@st.composite
+def dense_elements(draw, order):
+    """A full coefficient vector with one coefficient of at least 200 bits."""
+    d = totient(order)
+    big = st.integers(-2 ** 256, 2 ** 256)
+    num = draw(st.lists(big, min_size=d - 1, max_size=d - 1))
+    num.insert(draw(st.integers(0, d - 1)),
+               draw(st.integers(2 ** 200, 2 ** 256)) * draw(st.sampled_from((1, -1))))
+    return Cyclo(order, num, draw(st.integers(1, 2 ** 256)))
+
+
+@st.composite
+def field_pairs(draw):
+    order = draw(st.sampled_from(INVERSE_ORDERS))
+    kinds = st.one_of(subfield_elements(order).filter(bool), dense_elements(order))
+    return draw(kinds), draw(kinds)
+
+
+def assert_canonical(c):
+    ref = Cyclo(c.order, list(c.num), c.den)
+    assert (c.num, c.den) == (ref.num, ref.den)
+    assert hash(c) == hash(ref) and repr(c) == repr(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_pairs())
+def test_norm_tower_inverse(pair):
+    a, b = pair
+    one = rational(1, a.order)
+    inv = a.inverse()
+    assert a * inv == one and inv * a == one
+    assert_canonical(inv)
+    assert inv.is_rational == a.is_rational
+    # the inverse of a dense 200-bit element of Q(zeta_120) has 8000-bit
+    # coefficients, and inverting that back takes seconds
+    if a.order != 120 or max(abs(c) for c in a.num).bit_length() < 200:
+        assert inv.inverse() == a
+    assert a / b == a * b.inverse()
+    assert_canonical(a / b)
+
+
+@pytest.mark.parametrize("order", INVERSE_ORDERS)
+def test_inverse_of_zero_raises(order):
+    for zero in (rational(0, order), Cyclo(order, [0] * totient(order), 5)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            zeta(order) / zero
+
+
+def test_zeta_powers_wrap_around():
+    for order in INVERSE_ORDERS:
+        z = zeta(order)
+        acc = rational(1, order)
+        for k in range(2 * order + 1):
+            assert Cyclo.zeta_pow(k, order) == acc
+            assert Cyclo.zeta_pow(-k, order) * acc == 1
+            acc = acc * z
 
 
 def test_primitive_root_order():

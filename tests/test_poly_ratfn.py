@@ -1,5 +1,7 @@
 """Polynomial and rational-function arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -238,6 +240,21 @@ def test_reflected_ops_return_not_implemented():
         1.5 / f
     assert 1 - p == parse_poly("-z")
     assert 2 / f == parse_ratfn("2*z + 2")
+
+
+@pytest.mark.parametrize("value", [
+    rational(Fraction(-7, 3)),
+    sqrt5() * rational(Fraction(2, 9)) + imag_unit(),
+    parse_poly("z^3 - (zeta^15+zeta^105)*z + 1/2"),
+    parse_ratfn("(z^2 - zeta)/(3*z + 1)"),
+], ids=["rational", "irrational", "poly", "ratfn"])
+def test_values_survive_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
+        if isinstance(value, Cyclo):
+            assert copied.is_rational == value.is_rational
 
 
 def test_ratfn_hash_matches_equality_on_unreduced_values():

@@ -113,3 +113,15 @@ def test_qseries_arithmetic_truncation():
     assert prod.coefficient(0) == rational(1)
     assert all(prod.coefficient(Fraction(k, 2)).is_zero
                for k in range(1, 4))
+
+
+def test_reflected_ops_return_not_implemented():
+    s = QSeries.constant(2, 5) + QSeries.q_power(1, 5)
+    assert s.__rsub__(1.5) is NotImplemented
+    assert s.__rtruediv__(1.5) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand.*'float' and 'QSeries'"):
+        1.5 - s
+    with pytest.raises(TypeError, match="unsupported operand.*'float' and 'QSeries'"):
+        1.5 / s
+    assert (1 - s) + s == QSeries.constant(1, 5)
+    assert ((3 / s) * s - 3).is_zero
