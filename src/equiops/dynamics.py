@@ -113,10 +113,6 @@ def iteration_map(f, method):
     raise ValueError("method must be 'newton' or 'halley'")
 
 
-def _poly_norm(coeffs):
-    return max(abs(c) for c in coeffs)
-
-
 def _backward_error(coeffs, z):
     """|P(z)| relative to sum |a_k| |z|^k, the Horner roundoff scale."""
     az = abs(z)

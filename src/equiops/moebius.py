@@ -9,7 +9,6 @@ makes is re-checked at load time, so configs are data, never trusted code.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
 from .parsing import parse_cyclo, parse_poly
@@ -48,21 +47,6 @@ class Moebius:
 
     def inverse(self):
         return Moebius(self.d, -self.b, -self.c, self.a, self.order)
-
-    def apply_value(self, x):
-        """Image of a point (Cyclo or 'inf')."""
-        if isinstance(x, str):
-            if x != INF:
-                raise ValueError(x)
-            if self.c.is_zero:
-                return INF
-            return self.a / self.c
-        if not isinstance(x, Cyclo):
-            x = rational(x, self.order)
-        den = self.c * x + self.d
-        if den.is_zero:
-            return INF
-        return (self.a * x + self.b) / den
 
     def as_ratfn(self):
         return RatFn(
@@ -313,27 +297,3 @@ def _validate_config(raw, src="<config>"):
         forms.append(InvariantForm(row["name"], poly, weight, chars))
 
     return GroupConfig(name, order, generators, rho_generators, forms)
-
-
-def config_to_raw(cfg):
-    """Serializable dict matching the config file layout."""
-    from .parsing import cyclo_literal, poly_literal
-
-    def row(m):
-        return [cyclo_literal(x) for x in (m.a, m.b, m.c, m.d)]
-
-    return {
-        "name": cfg.name,
-        "cyclotomic_order": cfg.order,
-        "generators": [row(g) for g in cfg.generators],
-        "rho_generators": [row(g) for g in cfg.rho_generators],
-        "invariants": [
-            {
-                "name": f.name,
-                "poly": poly_literal(f.poly),
-                "weight": f.weight,
-                "characters": [cyclo_literal(c) for c in f.characters],
-            }
-            for f in cfg.forms
-        ],
-    }

@@ -108,10 +108,6 @@ class NCPoly:
         """Set of word weights present, weight(word) = sum of indices."""
         return {sum(w) for w in self.terms}
 
-    @property
-    def is_homogeneous(self):
-        return len(self.weights()) <= 1
-
     def weight(self):
         ws = self.weights()
         if len(ws) != 1:

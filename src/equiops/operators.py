@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
-from .divisors import Divisor, Place
+from . import series
+from .cyclotomic import DEFAULT_ORDER, rational
+from .divisors import Place
 from .poly import Poly
-from .ratfn import INF, RatFn
+from .ratfn import RatFn
 
 
 class FormCoeff:
@@ -344,27 +345,28 @@ def _residue_value(ring, num, u, s, mult):
     """Coefficient of t^(mult-1) in num(x+t) / (u(x+t) (s(x+t)/t)^mult),
     computed in ring[[t]] with x the residue class of z."""
     n = mult  # series length needed
-    num_s = _shift_series(ring, num, n)
-    u_s = _shift_series(ring, u, n)
-    s_s = _shift_series(ring, s, n + 1)
+    zero = Poly.zero(ring.order)
     # s(x+t) has zero constant term; divide by t
-    s_div_t = s_s[1:]
-    den_series = _series_mul_ring(ring, u_s, _series_pow_ring(ring, s_div_t, mult, n), n)
-    series = _series_div_ring(ring, num_s, den_series, n)
-    return series[n - 1]
+    s_div_t = {k - 1: c for k, c in _shift_series(ring, s, n + 1).items() if k}
+    den = _shift_series(ring, u, n)
+    for _ in range(mult):
+        den = series.mul(den, s_div_t, n, ring.mul)
+    value = series.div(_shift_series(ring, num, n), den, n, ring.mul,
+                       ring.inverse(den.get(0, zero)))
+    return value.get(n - 1, zero)
 
 
 def _shift_series(ring, p, n):
-    """First n Taylor coefficients of p(x + t) as elements of the ring."""
+    """First n Taylor coefficients of p(x + t) as a sparse series over
+    the ring."""
     # Horner in t: repeatedly divide by (z - x), i.e. synthetic shift
     coeffs = [ring.reduce(Poly([c], ring.order)) for c in p.coeffs]
     x = ring.reduce(Poly.x(ring.order))
-    out = []
+    out = {}
     work = list(coeffs)
-    for _ in range(n):
+    for k in range(n):
         if not work:
-            out.append(Poly.zero(ring.order))
-            continue
+            break
         # evaluate work at x, and divide synthetically
         acc = Poly.zero(ring.order)
         new = []
@@ -373,37 +375,8 @@ def _shift_series(ring, p, n):
             new.append(acc)
         new.pop()
         new.reverse()
-        out.append(ring.reduce(acc))
+        acc = ring.reduce(acc)
+        if not acc.is_zero:
+            out[k] = acc
         work = [ring.reduce(w) for w in new]
-    return out
-
-
-def _series_mul_ring(ring, a, b, n):
-    zero = Poly.zero(ring.order)
-    out = [zero] * n
-    for i, ai in enumerate(a[:n]):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b[: n - i]):
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ring.mul(ai, bj)
-    return out
-
-
-def _series_pow_ring(ring, a, k, n):
-    out = [Poly.one(ring.order)] + [Poly.zero(ring.order)] * (n - 1)
-    for _ in range(k):
-        out = _series_mul_ring(ring, out, a, n)
-    return out
-
-
-def _series_div_ring(ring, a, b, n):
-    inv0 = ring.inverse(b[0])
-    out = []
-    for k in range(n):
-        acc = a[k] if k < len(a) else Poly.zero(ring.order)
-        for j in range(1, k + 1):
-            if j < len(b) and not b[j].is_zero and not out[k - j].is_zero:
-                acc = acc - ring.mul(b[j], out[k - j])
-        out.append(ring.mul(acc, inv0))
     return out

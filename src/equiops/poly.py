@@ -62,10 +62,6 @@ class Poly:
     def constant(c, order=DEFAULT_ORDER):
         return Poly((c,), order)
 
-    @staticmethod
-    def monomial(degree, coeff=1, order=DEFAULT_ORDER):
-        return Poly([0] * degree + [coeff], order)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -195,13 +191,6 @@ class Poly:
     def scale(self, c):
         return self * Poly.constant(c, self.order)
 
-    def shift_degree(self, k):
-        """Multiply by z^k."""
-        if self.is_zero:
-            return self
-        zero = rational(0, self.order)
-        return Poly((zero,) * k + self.coeffs, self.order)
-
     def divmod(self, other):
         """Quotient and remainder; requires other nonzero."""
         if other.is_zero:
@@ -283,15 +272,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * zp + Poly.constant(c, self.order)
         return acc
-
-    def reversed_coeffs(self, degree=None):
-        """z^d * self(1/z) for d = degree (default the polynomial degree)."""
-        d = self.degree if degree is None else degree
-        if d < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        zero = rational(0, self.order)
-        cs = list(reversed(self.coeffs)) + [zero] * (d - self.degree)
-        return Poly(cs, self.order)
 
     def compose_mobius(self, a, b, c, d):
         """Numerator of self((a z + b)/(c z + d)); denominator is (c z + d)^degree."""

@@ -2,15 +2,17 @@
 
 Each check returns (ok, detail) where detail is a short human-readable
 witness string.  All algebra is exact; randomness only selects inputs.
+The P1-P7 suite is defined once, as the seeded draw `identity_inputs` and
+the ordered table `IDENTITY_CHECKS`; the report and the tests iterate it.
 """
 
-import random
+from collections import namedtuple
 
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import (Divisor, quadratic_differential_poles,
                        ramification_divisor)
-from .moebius import (Moebius, cross_ratio, form_character,
-                      form_invariance_check, moebius_apply)
+from .moebius import (Moebius, cross_ratio, form_invariance_check,
+                      moebius_apply)
 from .operators import (FormCoeff, d_operator, dd_deformation_h,
                         deform_corollary, phi_operator, pre_schwarzian,
                         rankin_cohen, schwarzian)
@@ -47,6 +49,22 @@ def random_moebius(rng, order=DEFAULT_ORDER):
             return Moebius(a, b, c, d, order)
         except ValueError:
             continue
+
+
+# Inputs of one P1-P7 run: maps f and w, a Moebius m, an invariant h and a
+# form alpha of weight k.
+IdentityInputs = namedtuple("IdentityInputs", "f w m h alpha k")
+
+
+def identity_inputs(rng, f_degree):
+    """Seeded draw of the P1-P7 inputs; f has degree at most f_degree."""
+    f = random_ratfn(rng, f_degree)
+    w = random_ratfn(rng, 3)
+    m = random_moebius(rng)
+    h = RatFn(random_poly(rng, 2), random_poly(rng, 1))
+    alpha = random_poly(rng, 4)
+    k = rng.choice([-4, -6, -12, 3, 5])
+    return IdentityInputs(f, w, m, h, alpha, k)
 
 
 def check_duality(f):
@@ -134,6 +152,18 @@ def check_critical_identity(alpha, k, order=DEFAULT_ORDER):
     return lhs == rhs, "critical identity zero=%s" % (lhs == rhs)
 
 
+# The P1-P7 suite: (check id, check of one IdentityInputs), in report order.
+IDENTITY_CHECKS = (
+    ("P1.duality", lambda x: check_duality(x.f)),
+    ("P2.cocycle", lambda x: check_cocycle(x.f, x.w)),
+    ("P3.equivariance", lambda x: check_equivariance(x.f, x.m)),
+    ("P4.dd", lambda x: check_dd_identity(x.f)),
+    ("P5.inversion", lambda x: check_inversion(x.f, x.h)),
+    ("P6.ramification", lambda x: check_ramification(x.f)),
+    ("P7.critical", lambda x: check_critical_identity(x.alpha, x.k)),
+)
+
+
 def check_bracket_closure(config, name_a, name_b, n):
     """P8: the Rankin-Cohen bracket of two configured forms is again a
     form of weight k + l + 2n with the product character."""
@@ -153,3 +183,4 @@ def check_bracket_closure(config, name_a, name_b, n):
         if not ok:
             return False, "bracket fails invariance: %s" % (witness,)
     return True, "[%s,%s]_%d has weight %d" % (name_a, name_b, n, weight)
+

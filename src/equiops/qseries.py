@@ -2,20 +2,24 @@
 
 Exponents live in (1/M)Z for a per-series denominator M; arithmetic tracks
 the truncation order pessimistically so a vanishing residual is a proof up
-to the reported order.  Named series cover the eta function and its
-rescalings, Eisenstein series, the modular j function and the level 2..5
-hauptmoduln, and the Rogers-Ramanujan continued fraction.
+to the reported order.  The coefficient map is a sparse series in the
+integer numerators, so products and reciprocals run on the truncated
+product and division of `equiops.series` with no conversion.  Named series
+cover the eta function and its rescalings, Eisenstein series, the modular
+j function and the level 2..5 hauptmoduln, and the Rogers-Ramanujan
+continued fraction.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
+from . import series
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational, sqrt2
 from .parsing import cyclo_literal
-from .poly import Poly
 
 _INF = Fraction(10**9)
 
@@ -140,14 +144,8 @@ class QSeries:
             return NotImplemented
         a, b = self._common(o)
         trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-        tn = trunc * a.M
-        out = {}
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                k = k1 + k2
-                if k >= tn:
-                    continue
-                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        out = series.mul(a.coeffs, b.coeffs, math.ceil(trunc * a.M),
+                         operator.mul)
         return QSeries(a.M, out, trunc, a.order)
 
     __rmul__ = __mul__
@@ -155,29 +153,15 @@ class QSeries:
     def inverse(self):
         """Reciprocal; the leading term must be known and nonzero."""
         v, lead = self.leading()
-        inv_lead = lead.inverse()
-        # write self = lead q^v (1 + r); invert the unit part
-        n_terms = self.trunc - v  # known length of the unit part
-        unit = {k - int(v * self.M): c * inv_lead for k, c in self.coeffs.items()}
-        out = {0: rational(1, self.order)}
-        # Newton-free triangular solve: out * unit = 1 up to q^n_terms
-        keys = sorted(unit)
-        limit = n_terms * self.M
-        out_keys = [0]
-        for k in range(1, int(limit)):
-            acc = None
-            for j in keys:
-                if j == 0 or j > k:
-                    continue
-                c = out.get(k - j)
-                if c is None:
-                    continue
-                term = unit[j] * c
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                out[k] = -acc
-        shifted = {k - int(v * self.M): c * inv_lead for k, c in out.items()}
-        return QSeries(self.M, shifted, n_terms - v, self.order)
+        # self = q^v u with u(0) = lead; 1/u is known below q^(trunc - v)
+        shift = int(v * self.M)
+        n_terms = self.trunc - v
+        unit = {k - shift: c for k, c in self.coeffs.items()}
+        out = series.div({0: rational(1, self.order)}, unit,
+                         math.ceil(n_terms * self.M), operator.mul,
+                         lead.inverse())
+        return QSeries(self.M, {k - shift: c for k, c in out.items()},
+                       n_terms - v, self.order)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -8,8 +8,10 @@ always obtained through the chart z -> 1/w.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+from . import series
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
 from .poly import Poly
 
@@ -260,7 +262,10 @@ class RatFn:
         den = self.den.taylor_shift(p)
         if den.is_zero or den.coeffs[0].is_zero:
             raise ZeroDivisionError("pole at the expansion point")
-        return _series_div(list(num.coeffs), list(den.coeffs), n_terms, self.order)
+        out = series.div(_sparse(num.coeffs), _sparse(den.coeffs), n_terms,
+                         operator.mul, den.coeffs[0].inverse())
+        zero = rational(0, self.order)
+        return [out.get(k, zero) for k in range(n_terms)]
 
     def __repr__(self):
         from .parsing import ratfn_literal
@@ -268,17 +273,7 @@ class RatFn:
         return ratfn_literal(self)
 
 
-def _series_div(a, b, n, order):
-    """Power series a/b to n terms; b[0] invertible."""
-    zero = rational(0, order)
-    a = list(a) + [zero] * max(0, n - len(a))
-    b = list(b) + [zero] * max(0, n - len(b))
-    inv0 = b[0].inverse()
-    out = []
-    for k in range(n):
-        acc = a[k]
-        for j in range(1, k + 1):
-            if not b[j].is_zero and not out[k - j].is_zero:
-                acc = acc - b[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
+
+def _sparse(coeffs):
+    """Dense coefficient list as a sparse series {exponent: coefficient}."""
+    return {k: c for k, c in enumerate(coeffs) if not c.is_zero}

@@ -122,33 +122,20 @@ def _suite_identities(collector, seed, count=20):
     from . import properties as pr
     rng = random.Random(seed)
     for i in range(count):
-        f = pr.random_ratfn(rng, 5)
-        w = pr.random_ratfn(rng, 3)
-        m = pr.random_moebius(rng)
-        h = RatFn(pr.random_poly(rng, 2), pr.random_poly(rng, 1))
-        alpha = pr.random_poly(rng, 4)
-        k = rng.choice([-4, -6, -12, 3, 5])
-        collector.run("identities.%02d.P1.duality" % i,
-                      lambda f=f: pr.check_duality(f))
-        collector.run("identities.%02d.P2.cocycle" % i,
-                      lambda f=f, w=w: pr.check_cocycle(f, w))
-        collector.run("identities.%02d.P3.equivariance" % i,
-                      lambda f=f, m=m: pr.check_equivariance(f, m))
-        collector.run("identities.%02d.P4.dd" % i,
-                      lambda f=f: pr.check_dd_identity(f))
-        collector.run("identities.%02d.P5.inversion" % i,
-                      lambda f=f, h=h: pr.check_inversion(f, h))
-        collector.run("identities.%02d.P6.ramification" % i,
-                      lambda f=f: pr.check_ramification(f))
-        collector.run("identities.%02d.P7.critical" % i,
-                      lambda a=alpha, k=k: pr.check_critical_identity(a, k))
+        x = pr.identity_inputs(rng, 5)
+        for check_id, check in pr.IDENTITY_CHECKS:
+            collector.run("identities.%02d.%s" % (i, check_id),
+                          lambda check=check, x=x: check(x))
 
 
 def _suite_klein(collector, cfg_dir=None):
+    from itertools import combinations_with_replacement
+
     from .moebius import equivariance_check
     from .operators import klein_vector_field, phi_operator
     from .parsing import parse_ratfn
     from .poly import Poly
+    from .properties import check_bracket_closure
 
     cfg = _load_config("A5", cfg_dir)
     v5 = cfg.vertex_form.poly
@@ -192,6 +179,18 @@ def _suite_klein(collector, cfg_dir=None):
                     return False, "phi(%s) fails: %s" % (form.name, witness)
             return True, "phi of every invariant is equivariant"
         collector.run("klein.equivariance.%s" % name, equivariant)
+
+        def brackets(cfg=cfg):
+            pairs = list(combinations_with_replacement(
+                [form.name for form in cfg.forms], 2))
+            for a, b in pairs:
+                for n in (1, 2):
+                    ok, detail = check_bracket_closure(cfg, a, b, n)
+                    if not ok:
+                        return False, detail
+            return True, ("Rankin-Cohen brackets [a,b]_n of %d form pairs, "
+                          "n = 1, 2, are forms" % len(pairs))
+        collector.run("klein.bracket.%s" % name, brackets)
 
 
 def _suite_dynamics(collector, cfg_dir=None):

@@ -105,16 +105,9 @@ def test_criterion_4_operator_identity_suite():
     rng = random.Random(SEED + 4)
     ok = True
     for _ in range(100):
-        f = pr.random_ratfn(rng, rng.randint(2, 6))
-        w = pr.random_ratfn(rng, 3)
-        m = pr.random_moebius(rng)
-        h = RatFn(pr.random_poly(rng, 2), pr.random_poly(rng, 1))
-        alpha = pr.random_poly(rng, 4)
-        k = rng.choice([-4, -6, -12, 3, 5])
-        for good, _ in (pr.check_duality(f), pr.check_cocycle(f, w),
-                        pr.check_equivariance(f, m), pr.check_dd_identity(f),
-                        pr.check_inversion(f, h), pr.check_ramification(f),
-                        pr.check_critical_identity(alpha, k)):
+        x = pr.identity_inputs(rng, rng.randint(2, 6))
+        for _, check in pr.IDENTITY_CHECKS:
+            good, _ = check(x)
             ok = ok and good
     _verdict(4, ok, time.perf_counter() - start, 120,
              "duality, cocycle, equivariance, D*D, inversion, ramification "

@@ -92,10 +92,7 @@ def test_identities_on_irrational_maps(field, index):
         den_degree = 1 if field == "sqrt5_ratfn" else 0
         f, w, m, h, alpha, k = field_inputs(rng, gen, den_degree)
     assert not all(c.is_rational for c in f.num.coeffs + f.den.coeffs)
-    for name, (ok, detail) in (
-            ("P1", pr.check_duality(f)), ("P2", pr.check_cocycle(f, w)),
-            ("P3", pr.check_equivariance(f, m)),
-            ("P4", pr.check_dd_identity(f)), ("P5", pr.check_inversion(f, h)),
-            ("P6", pr.check_ramification(f)),
-            ("P7", pr.check_critical_identity(alpha, k))):
-        assert ok, (name, detail)
+    x = pr.IdentityInputs(f, w, m, h, alpha, k)
+    for check_id, check in pr.IDENTITY_CHECKS:
+        ok, detail = check(x)
+        assert ok, (check_id, detail)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from equiops.cyclotomic import rational
 from equiops.lift import legendrian_lift_series
 from equiops.operators import d_operator
@@ -46,3 +48,16 @@ def test_second_projection_recovers_dual():
         pi2 = lift.pi2_series()
         target = list(fhat.taylor(p, 8))[:len(pi2)]
         assert pi2[:len(target)] == target
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_lift_rejects_orders_below_three(n):
+    with pytest.raises(ValueError, match="at least 3"):
+        legendrian_lift_series(parse_ratfn("z^3 + z"), p=rational(1), n=n)
+
+
+def test_lift_at_the_smallest_order():
+    lift = legendrian_lift_series(parse_ratfn("z^3 + z"), p=rational(1), n=3)
+    assert [len(row) for row in lift.contact_residuals()] == [1, 1, 1, 1]
+    assert all(c.is_zero for r in lift.contact_residuals() for c in r)
+    assert lift.determinant() == [rational(-4), rational(0)]

@@ -14,12 +14,14 @@ from equiops.operators import (FormCoeff, d_operator, dd_deformation_h,
                                rankin_cohen, schwarzian)
 from equiops.parsing import parse_poly, parse_ratfn
 from equiops.poly import Poly
-from equiops.properties import (check_cocycle, check_critical_identity,
+from equiops.properties import (check_bracket_closure, check_cocycle,
+                                check_critical_identity,
                                 check_dd_identity, check_duality,
                                 check_equivariance, check_inversion,
                                 check_ramification, random_moebius,
                                 random_poly, random_ratfn)
 from equiops.ratfn import RatFn
+from equiops.report import _load_config
 
 RNG_SEED = 20260826
 
@@ -67,6 +69,21 @@ def test_rankin_cohen_bracket_example():
     bracket = rankin_cohen(v4, -6, v4, -6, 2)
     vv = parse_ratfn("30*(z^5 - z)*(20*z^3) - 25*(5*z^4 - 1)^2")
     assert bracket == vv
+
+
+def test_bracket_closure_vanishing_and_nonvanishing():
+    # P8 on the tetrahedral forms: [v3,f3]_2 vanishes, and [v3,f3]_1 is the
+    # Jacobian of the vertex and face quartics, a multiple of the edge form
+    cfg = _load_config("A4")
+    assert check_bracket_closure(cfg, "v3", "f3", 2) == (
+        True, "[v3,f3]_2 vanishes")
+    assert check_bracket_closure(cfg, "v3", "f3", 1) == (
+        True, "[v3,f3]_1 has weight -6")
+    v3, f3, e3 = (cfg.form(name) for name in ("v3", "f3", "e3"))
+    bracket = rankin_cohen(RatFn(v3.poly), v3.weight, RatFn(f3.poly),
+                           f3.weight, 1)
+    assert bracket.num.monic() == e3.poly.monic()
+    assert e3.weight == v3.weight + f3.weight + 2
 
 
 def test_identities_on_seeded_samples():

@@ -125,3 +125,14 @@ def test_reflected_ops_return_not_implemented():
         1.5 / s
     assert (1 - s) + s == QSeries.constant(1, 5)
     assert ((3 / s) * s - 3).is_zero
+
+
+def test_inverse_keeps_last_term_when_trunc_times_m_is_fractional():
+    # trunc * M = 3/2: the term q^(1/3) lies below the truncation q^(1/2)
+    s = QSeries(3, {0: rational(2), 1: rational(1)}, Fraction(1, 2))
+    inv = s.inverse()
+    assert inv.trunc == Fraction(1, 2)
+    assert inv.coefficient(0) == rational(Fraction(1, 2))
+    assert inv.coefficient(Fraction(1, 3)) == rational(Fraction(-1, 4))
+    assert s * inv == 1
+
