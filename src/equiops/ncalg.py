@@ -4,9 +4,17 @@ Free algebra over generators p_1, p_2, ... (the matrix pre-Schwarzian and
 its higher companions), the derivation and q-composition producing the S_n
 hierarchy, evaluation on matrices of rational functions, the generalized
 Moebius action, and the non-commutative D operator and its deformations.
+
+Each concept has one implementation: one determinant (`_det`) for `MatFn`
+and `GenMoebius`, one singularity check (`MatFn.inverse` raises
+`ZeroDivisionError`), one table of p_k(f) per evaluation
+(`phi_generators`), and one Phi path (`nc_phi_deform`), shared by the
+Theorem-2 operators and the deformation family (Phi with H = 1/t).
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, rational
 from .poly import Poly
@@ -16,9 +24,7 @@ from .ratfn import RatFn
 
 
 def _coeff_is_zero(c):
-    if isinstance(c, RatFn):
-        return c.is_zero
-    if isinstance(c, Cyclo):
+    if isinstance(c, (RatFn, Cyclo)):
         return c.is_zero
     return c == 0
 
@@ -86,12 +92,7 @@ class NCPoly:
                 terms[w] = terms.get(w, 0) + c1 * c2
         return NCPoly(terms)
 
-    def __rmul__(self, other):
-        # scalar * NCPoly (scalars commute with coefficients)
-        return NCPoly({w: other * c for w, c in self.terms.items()})
-
-    def scale(self, c):
-        return NCPoly({w: coeff * c for w, coeff in self.terms.items()})
+    __rmul__ = __mul__  # scalars commute with coefficients
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -228,6 +229,25 @@ def s_poly(n):
 # -- matrices of rational functions ----------------------------------
 
 
+def _minor(rows, i, j):
+    """The list matrix rows without row i and column j."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+
+
+def _det(rows):
+    """Determinant of a square list matrix of Cyclo or RatFn entries, by
+    Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * _det(_minor(rows, 0, j))
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def _as_ratfn(value, order):
     if isinstance(value, RatFn):
         return value
@@ -294,14 +314,11 @@ class MatFn:
                          self.order)
         if other.size != self.size:
             raise ValueError("size mismatch")
-        n = self.size
-        return MatFn([[sum((self.rows[i][k] * other.rows[k][j]
-                            for k in range(n)),
-                           RatFn.constant(rational(0, self.order), self.order))
-                       for j in range(n)] for i in range(n)], self.order)
+        cols = list(zip(*other.rows))
+        return MatFn([[reduce(add, map(mul, row, col)) for col in cols]
+                      for row in self.rows], self.order)
 
-    def __rmul__(self, other):
-        return MatFn.scalar(other, self.size, self.order) * self
+    __rmul__ = __mul__  # scalars commute with the entries
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -315,36 +332,25 @@ class MatFn:
         return MatFn([[e.derivative() for e in row] for row in self.rows],
                      self.order)
 
-    def _minor(self, i, j):
-        rows = [[e for jj, e in enumerate(row) if jj != j]
-                for ii, row in enumerate(self.rows) if ii != i]
-        return MatFn(rows, self.order)
-
     def det(self):
-        n = self.size
-        if n == 1:
-            return self.rows[0][0]
-        total = RatFn.constant(rational(0, self.order), self.order)
-        for j in range(n):
-            cof = self.rows[0][j] * self._minor(0, j).det()
-            total = total + (cof if j % 2 == 0 else -cof)
-        return total
+        return _det(self.rows)
 
     def inverse(self):
-        """Adjugate inverse; raises on identically singular matrices."""
+        """Adjugate inverse; raises ZeroDivisionError on identically
+        singular matrices."""
         d = self.det()
         if d.is_zero:
             raise ZeroDivisionError("matrix is singular over the function field")
-        n = self.size
         dinv = d.inverse()
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = self._minor(j, i).det() if n > 1 else _as_ratfn(1, self.order)
-                if (i + j) % 2:
-                    cof = -cof
-                adj[i][j] = cof * dinv
-        return MatFn(adj, self.order)
+        n = self.size
+        if n == 1:
+            return MatFn([[dinv]], self.order)
+
+        def cofactor(i, j):
+            c = _det(_minor(self.rows, j, i))
+            return -c if (i + j) % 2 else c
+        return MatFn([[cofactor(i, j) * dinv for j in range(n)]
+                      for i in range(n)], self.order)
 
     @property
     def is_zero(self):
@@ -360,22 +366,6 @@ class MatFn:
 def _cyclo_matrix(rows, order):
     return [[c if isinstance(c, Cyclo) else rational(c, order) for c in row]
             for row in rows]
-
-
-def _cyclo_mat_det(rows):
-    """Determinant of a square Cyclo matrix by fraction-free expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [[e for jj, e in enumerate(row) if jj != j]
-                 for row in rows[1:]]
-        term = rows[0][j] * _cyclo_mat_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
 
 
 class GenMoebius:
@@ -397,7 +387,7 @@ class GenMoebius:
             raise ValueError("blocks must be square of equal size")
         full = [self.a[i] + self.b[i] for i in range(self.size)] + \
                [self.c[i] + self.d[i] for i in range(self.size)]
-        if _cyclo_mat_det(full).is_zero:
+        if _det(full).is_zero:
             raise ValueError("block matrix is not invertible")
 
     @staticmethod
@@ -412,9 +402,6 @@ class GenMoebius:
         zero = [[0] * size for _ in range(size)]
         return GenMoebius(zero, one, one, zero, order)
 
-    def _block_matfn(self, block):
-        return MatFn(block, self.order)
-
     def __repr__(self):
         return "GenMoebius(size=%d)" % self.size
 
@@ -423,14 +410,8 @@ def gen_moebius_apply(t, f):
     """(a f + b)(c f + d)^{-1} as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
-    a = t._block_matfn(t.a)
-    b = t._block_matfn(t.b)
-    c = t._block_matfn(t.c)
-    d = t._block_matfn(t.d)
-    denom = c * f + d
-    if denom.det().is_zero:
-        raise ZeroDivisionError("c f + d is singular over the function field")
-    return (a * f + b) * denom.inverse()
+    a, b, c, d = (MatFn(block, t.order) for block in (t.a, t.b, t.c, t.d))
+    return (a * f + b) * (c * f + d).inverse()
 
 
 # -- evaluation of the free algebra ----------------------------------
@@ -439,8 +420,6 @@ def gen_moebius_apply(t, f):
 def phi_generators(f, count):
     """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} for k = 1..count."""
     fdot = f.derivative()
-    if fdot.det().is_zero:
-        raise ZeroDivisionError("f is not regular: fdot is singular")
     dinv = fdot.inverse()
     half = Fraction(-1, 2)
     out = {}
@@ -450,21 +429,10 @@ def phi_generators(f, count):
         out[k] = (dinv * deriv) * half
     return out
 
+
 def nc_eval(p, f):
     """Evaluate a free-algebra element on a matrix function."""
-    p = _coerce_nc(p)
-    gens = phi_generators(f, p.max_generator())
-    total = MatFn.zero(f.size, f.order)
-    for word, coeff in p.terms.items():
-        acc = MatFn.identity(f.size, f.order)
-        for k in word:
-            acc = acc * gens[k]
-        if isinstance(coeff, (int, Fraction, Cyclo, RatFn)):
-            acc = acc * coeff
-        else:
-            raise TypeError("unsupported coefficient %r" % (coeff,))
-        total = total + acc
-    return total
+    return NCExpr("poly", value=_coerce_nc(p)).eval(f)
 
 
 # -- operators --------------------------------------------------------
@@ -474,31 +442,30 @@ def nc_d_operator(f):
     """D f = f - 2 fdot fddot^{-1} fdot."""
     fdot = f.derivative()
     fddot = fdot.derivative()
-    if fddot.det().is_zero:
-        raise ZeroDivisionError("degenerate (affine-type) input: fddot singular")
     return f - (fdot * fddot.inverse() * fdot) * 2
 
 
 def nc_phi_deform(f, h):
-    """Phi_X H at f: f + fdot [H(f) + p_1(f)]^{-1}."""
-    fdot = f.derivative()
-    bracket = nc_eval(h, f) + nc_eval(NCPoly.generator(1), f)
-    if bracket.det().is_zero:
-        raise ZeroDivisionError("H(f) + p1(f) is singular over the function field")
-    return f + fdot * bracket.inverse()
+    """Phi_X H at f: f + fdot [H(f) + p_1(f)]^{-1}.
+
+    H is a free-algebra element (or a scalar) or a substituted NCExpr;
+    H + p_1 is evaluated in one pass.
+    """
+    bracket = _coerce_expr(h + NCPoly.generator(1)).eval(f)
+    return f + f.derivative() * bracket.inverse()
 
 
 def deform_family(f, t):
-    """f_t = f + t fdot [1 - (t/2) fdot^{-1} fddot]^{-1}; f_0 = f."""
+    """f_t = f + t fdot [1 - (t/2) fdot^{-1} fddot]^{-1}; f_0 = f.
+
+    Since -(1/2) fdot^{-1} fddot = p_1, the bracket is t (1/t + p_1), so
+    f_t is Phi_X H with the constant H = 1/t.
+    """
     t = _as_ratfn(t, f.order)
-    fdot = f.derivative()
-    if fdot.det().is_zero:
-        raise ZeroDivisionError("f is not regular: fdot is singular")
-    bracket = MatFn.identity(f.size, f.order) - \
-        (fdot.inverse() * fdot.derivative()) * (t * Fraction(1, 2))
-    if bracket.det().is_zero:
-        raise ZeroDivisionError("deformation bracket is singular")
-    return f + (fdot * bracket.inverse()) * t
+    if t.is_zero:
+        phi_generators(f, 0)  # f must be regular at t = 0 as well
+        return f
+    return nc_phi_deform(f, t.inverse())
 
 
 # -- expressions over X_0, X_1, ... and the Theorem-2 substitution ----
@@ -546,32 +513,49 @@ class NCExpr:
         """
         if self.kind == "var":
             return NCExpr("poly", value=s_poly(self.value + 1))
-        if self.kind == "scalar":
+        if self.kind in ("scalar", "poly"):
             return self
         return NCExpr(self.kind, tuple(a.substitute() for a in self.args))
 
-    def eval(self, f):
+    def _max_generator(self):
         if self.kind == "poly":
-            return nc_eval(self.value, f)
+            return self.value.max_generator()
+        return max((a._max_generator() for a in self.args), default=-1)
+
+    def eval(self, f):
+        """The matrix function at f; the p_k(f) table is built once for
+        the whole tree."""
+        count = self._max_generator()
+        return self._eval(f, phi_generators(f, count) if count >= 0 else None)
+
+    def _eval(self, f, gens):
+        if self.kind == "poly":
+            terms = []
+            for word, coeff in self.value.terms.items():
+                if not isinstance(coeff, (int, Fraction, Cyclo, RatFn)):
+                    raise TypeError("unsupported coefficient %r" % (coeff,))
+                terms.append(reduce(mul, [gens[k] for k in word]) * coeff
+                             if word else MatFn.scalar(coeff, f.size, f.order))
+            return reduce(add, terms) if terms else MatFn.zero(f.size, f.order)
         if self.kind == "var":
             raise ValueError("evaluate after substitute()")
         if self.kind == "scalar":
             return MatFn.scalar(self.value, f.size, f.order)
         if self.kind == "sum":
-            return self.args[0].eval(f) + self.args[1].eval(f)
+            return self.args[0]._eval(f, gens) + self.args[1]._eval(f, gens)
         if self.kind == "prod":
-            return self.args[0].eval(f) * self.args[1].eval(f)
+            return self.args[0]._eval(f, gens) * self.args[1]._eval(f, gens)
         if self.kind == "inv":
-            inner = self.args[0].eval(f)
-            if inner.det().is_zero:
-                raise ZeroDivisionError("inverse of a singular expression")
-            return inner.inverse()
+            return self.args[0]._eval(f, gens).inverse()
         raise ValueError(self.kind)
 
 
 def _coerce_expr(value):
+    """An NCExpr; free-algebra elements become 'poly' leaves."""
     if isinstance(value, NCExpr):
         return value
+    if isinstance(value, NCPoly):
+        return NCExpr("poly", value=value)
     return NCExpr.scalar(value)
 
 
@@ -586,11 +570,7 @@ class Theorem2Operator:
         self.substituted = expr.substitute()
 
     def apply(self, f):
-        fdot = f.derivative()
-        bracket = self.substituted.eval(f) + nc_eval(NCPoly.generator(1), f)
-        if bracket.det().is_zero:
-            raise ZeroDivisionError("operator bracket is singular")
-        return f + fdot * bracket.inverse()
+        return nc_phi_deform(f, self.substituted)
 
 
 def theorem2_substitute(expr):

@@ -4,6 +4,8 @@ Each check returns (ok, detail) where detail is a short human-readable
 witness string.  All algebra is exact; randomness only selects inputs.
 The P1-P7 suite is defined once, as the seeded draw `identity_inputs` and
 the ordered table `IDENTITY_CHECKS`; the report and the tests iterate it.
+The ncalg suite is defined the same way, by `ncalg_inputs` and
+`NCALG_CHECKS`.
 """
 
 from collections import namedtuple
@@ -13,6 +15,8 @@ from .divisors import (Divisor, quadratic_differential_poles,
                        ramification_divisor)
 from .moebius import (Moebius, cross_ratio, form_invariance_check,
                       moebius_apply)
+from .ncalg import (GenMoebius, MatFn, deform_family, gen_moebius_apply,
+                    nc_d_operator, nc_eval, nc_phi_deform, s_poly)
 from .operators import (FormCoeff, d_operator, dd_deformation_h,
                         deform_corollary, phi_operator, pre_schwarzian,
                         rankin_cohen, schwarzian)
@@ -184,3 +188,56 @@ def check_bracket_closure(config, name_a, name_b, n):
             return False, "bracket fails invariance: %s" % (witness,)
     return True, "[%s,%s]_%d has weight %d" % (name_a, name_b, n, weight)
 
+
+def random_gen_moebius(rng):
+    """Generalized Moebius map: four 2x2 blocks, entries in [-3, 3]."""
+    while True:
+        blocks = [[[rational(rng.randint(-3, 3)) for _ in range(2)]
+                   for _ in range(2)] for _ in range(4)]
+        try:
+            return GenMoebius(*blocks)
+        except ValueError:
+            continue
+
+
+def random_matfn(rng, degree):
+    """2x2 polynomial matrix f with fdot and fddot regular; each entry has
+    degree `degree()`, drawn before its coefficients."""
+    while True:
+        f = MatFn([[random_poly(rng, degree()) for _ in range(2)]
+                   for _ in range(2)])
+        fdot = f.derivative()
+        if not fdot.det().is_zero and not fdot.derivative().det().is_zero:
+            return f
+
+
+def ncalg_inputs(rng, degree):
+    """Seeded draw of one ncalg run: (T, f), T first."""
+    return random_gen_moebius(rng), random_matfn(rng, degree)
+
+
+def check_nc_equivariance(op, t, f):
+    """op(T f) = T op(f) for the generalized Moebius action of T."""
+    ok = op(gen_moebius_apply(t, f)) == gen_moebius_apply(t, op(f))
+    return ok, "equivariant=%s" % ok
+
+
+def check_semi_invariance(poly, t, f):
+    """poly(T f) = (c f + d) poly(f) (c f + d)^{-1} for T = (a, b; c, d)."""
+    cfd = MatFn(t.c) * f + MatFn(t.d)
+    ok = nc_eval(poly, gen_moebius_apply(t, f)) == \
+        cfd * nc_eval(poly, f) * cfd.inverse()
+    return ok, "semi-invariant=%s" % ok
+
+
+# The ncalg suite: (check id, check of one (T, f)), in report order.
+NCALG_CHECKS = (
+    ("D", lambda t, f: check_nc_equivariance(nc_d_operator, t, f)),
+    ("S1", lambda t, f: check_semi_invariance(s_poly(1), t, f)),
+    ("phi_S1", lambda t, f: check_nc_equivariance(
+        lambda g: nc_phi_deform(g, s_poly(1)), t, f)),
+    ("phi_S2", lambda t, f: check_nc_equivariance(
+        lambda g: nc_phi_deform(g, s_poly(2)), t, f)),
+    ("family", lambda t, f: check_nc_equivariance(
+        lambda g: deform_family(g, 2), t, f)),
+)

@@ -13,7 +13,6 @@ import time
 
 from . import __version__ as VERSION
 from . import configs as _configs_pkg
-from .cyclotomic import rational
 from .ratfn import RatFn
 
 ENV_CONFIG_DIR = "EQUIOPS_CONFIG_DIR"
@@ -258,6 +257,7 @@ def _suite_qseries(collector, order=10):
 
 def _suite_ncalg(collector, seed, count=6):
     from . import ncalg as nc
+    from . import properties as pr
 
     def golden():
         s1 = nc.s_poly(1).canonical_text()
@@ -279,51 +279,11 @@ def _suite_ncalg(collector, seed, count=6):
     collector.run("ncalg.homogeneity", homogeneous)
 
     rng = random.Random(seed)
-
-    def rand_block():
-        return [[rational(rng.randint(-3, 3)) for _ in range(2)]
-                for _ in range(2)]
-
-    def rand_t():
-        while True:
-            try:
-                return nc.GenMoebius(rand_block(), rand_block(),
-                                     rand_block(), rand_block())
-            except ValueError:
-                continue
-
-    def rand_f():
-        from . import properties as pr
-        while True:
-            f = nc.MatFn([[pr.random_poly(rng, rng.randint(2, 3))
-                           for _ in range(2)] for _ in range(2)])
-            if f.derivative().det().is_zero:
-                continue
-            if f.derivative().derivative().det().is_zero:
-                continue
-            return f
-
     for i in range(count):
-        t = rand_t()
-        f = rand_f()
-
-        def equichecks(t=t, f=f):
-            tf = nc.gen_moebius_apply(t, f)
-            if nc.nc_d_operator(tf) != nc.gen_moebius_apply(
-                    t, nc.nc_d_operator(f)):
-                return False, "D not equivariant"
-            cfd = nc.MatFn(t.c) * f + nc.MatFn(t.d)
-            s1f = nc.nc_eval(nc.s_poly(1), f)
-            if nc.nc_eval(nc.s_poly(1), tf) != cfd * s1f * cfd.inverse():
-                return False, "S1 not semi-invariant"
-            if nc.nc_phi_deform(tf, nc.s_poly(1)) != nc.gen_moebius_apply(
-                    t, nc.nc_phi_deform(f, nc.s_poly(1))):
-                return False, "Phi(S1) not equivariant"
-            if nc.deform_family(tf, 2) != nc.gen_moebius_apply(
-                    t, nc.deform_family(f, 2)):
-                return False, "deform_family not equivariant"
-            return True, "D, S1, Phi(S1), family all equivariant"
-        collector.run("ncalg.%02d.equivariance" % i, equichecks)
+        t, f = pr.ncalg_inputs(rng, lambda: rng.randint(2, 3))
+        for check_id, check in pr.NCALG_CHECKS:
+            collector.run("ncalg.%02d.%s" % (i, check_id),
+                          lambda check=check, t=t, f=f: check(t, f))
 
 
 def run_suite(name, seed=0, order=10, count=None, cfg_dir=None):

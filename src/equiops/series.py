@@ -29,6 +29,9 @@ def div(a, b, limit, times, inv0):
     `inv0`; terms of a below exponent 0 are ignored.
     """
     tail = sorted((j, c) for j, c in b.items() if j > 0)
+    if not tail:  # a constant divisor: no recurrence, only a scaling
+        out = {k: times(a[k], inv0) for k in sorted(a) if 0 <= k < limit}
+        return {k: c for k, c in out.items() if not c.is_zero}
     out = {}
     for k in range(limit):
         acc = a.get(k)

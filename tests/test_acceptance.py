@@ -170,47 +170,16 @@ def test_criterion_8_ncalg():
 
     rng = random.Random(SEED + 8)
 
-    def rand_t():
-        while True:
-            blocks = [[[rational(rng.randint(-3, 3)) for _ in range(2)]
-                       for _ in range(2)] for _ in range(4)]
-            try:
-                return nc.GenMoebius(*blocks)
-            except ValueError:
-                continue
-
-    def rand_f():
-        while True:
-            f = nc.MatFn([[pr.random_poly(rng, 2)
-                           for _ in range(2)] for _ in range(2)])
-            if f.derivative().det().is_zero:
-                continue
-            if f.derivative().derivative().det().is_zero:
-                continue
-            return f
-
     # the hierarchy images coincide with the phi-deformations: checking
     # Phi(S1)/Phi(S2) equivariance below then covers both images
-    f0 = rand_f()
+    f0 = pr.random_matfn(rng, lambda: 2)
     op0 = nc.theorem2_substitute(nc.NCExpr.var(0))
     op1 = nc.theorem2_substitute(nc.NCExpr.var(1))
     ok = ok and op0.apply(f0) == nc.nc_phi_deform(f0, nc.s_poly(1))
     ok = ok and op1.apply(f0) == nc.nc_phi_deform(f0, nc.s_poly(2))
     for _ in range(20):
-        t = rand_t()
-        f = rand_f()
-        tf = nc.gen_moebius_apply(t, f)
-        ok = ok and nc.nc_d_operator(tf) == nc.gen_moebius_apply(
-            t, nc.nc_d_operator(f))
-        cfd = nc.MatFn(t.c) * f + nc.MatFn(t.d)
-        ok = ok and nc.nc_eval(nc.s_poly(1), tf) == \
-            cfd * nc.nc_eval(nc.s_poly(1), f) * cfd.inverse()
-        ok = ok and nc.nc_phi_deform(tf, nc.s_poly(1)) == \
-            nc.gen_moebius_apply(t, nc.nc_phi_deform(f, nc.s_poly(1)))
-        ok = ok and nc.nc_phi_deform(tf, nc.s_poly(2)) == \
-            nc.gen_moebius_apply(t, nc.nc_phi_deform(f, nc.s_poly(2)))
-        ok = ok and nc.deform_family(tf, 2) == nc.gen_moebius_apply(
-            t, nc.deform_family(f, 2))
+        t, f = pr.ncalg_inputs(rng, lambda: 2)
+        ok = ok and all(check(t, f)[0] for _, check in pr.NCALG_CHECKS)
     _verdict(8, ok, time.perf_counter() - start, 120,
              "S1/S2 verbatim, S3 phi2^2 coefficient 8 (reported), and exact "
              "equivariance of D, S1, Phi(S1), the deformation family and "

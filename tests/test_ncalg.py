@@ -7,40 +7,21 @@ import pytest
 from equiops.cyclotomic import rational
 from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, deform_family,
                            gen_moebius_apply, nc_d_operator, nc_derive,
-                           nc_eval, nc_phi_deform, q_compose_step, s_poly,
-                           theorem2_substitute)
+                           nc_eval, nc_phi_deform, phi_generators,
+                           q_compose_step, s_poly, theorem2_substitute)
 from equiops.operators import schwarzian
 from equiops.parsing import parse_ratfn
 from equiops.poly import Poly
-from equiops.properties import random_poly
+from equiops.properties import (NCALG_CHECKS, check_semi_invariance,
+                                ncalg_inputs, random_gen_moebius,
+                                random_matfn)
 from equiops.ratfn import RatFn
 
 SEED = 4242
 
 
-def rand_blocks(rng):
-    return [[rational(rng.randint(-3, 3)) for _ in range(2)]
-            for _ in range(2)]
-
-
-def rand_gen_moebius(rng):
-    while True:
-        try:
-            return GenMoebius(rand_blocks(rng), rand_blocks(rng),
-                              rand_blocks(rng), rand_blocks(rng))
-        except ValueError:
-            continue
-
-
 def rand_matfn(rng):
-    while True:
-        f = MatFn([[random_poly(rng, rng.randint(2, 3)) for _ in range(2)]
-                   for _ in range(2)])
-        if f.derivative().det().is_zero:
-            continue
-        if f.derivative().derivative().det().is_zero:
-            continue
-        return f
+    return random_matfn(rng, lambda: rng.randint(2, 3))
 
 
 def test_derivation_rule():
@@ -118,6 +99,81 @@ def test_matfn_inverse():
         singular.inverse()
 
 
+def test_matfn_det_and_inverse_1x1():
+    f = MatFn([[parse_ratfn("z^2 + 1")]])
+    assert f.det() == parse_ratfn("z^2 + 1")
+    assert f.inverse() == MatFn([[parse_ratfn("1/(z^2 + 1)")]])
+    assert f * f.inverse() == MatFn.identity(1)
+    with pytest.raises(ZeroDivisionError):
+        MatFn([[0]]).inverse()
+
+
+def test_matfn_det_and_inverse_3x3():
+    entries = [["z", "1", "2*z"], ["z^2", "z - 1", "3"], ["1", "z^3", "z + 2"]]
+    f = MatFn([[parse_ratfn(e) for e in row] for row in entries])
+    (a, b, c), (d, e, g), (h, i, j) = f.rows
+    # rule of Sarrus
+    assert f.det() == a * e * j + b * g * h + c * d * i - \
+        c * e * h - b * d * j - a * g * i
+    assert f * f.inverse() == MatFn.identity(3)
+    assert f.inverse() * f == MatFn.identity(3)
+    rows = f.rows[:2] + [[x + y for x, y in zip(f.rows[0], f.rows[1])]]
+    singular = MatFn(rows)
+    assert singular.det().is_zero
+    with pytest.raises(ZeroDivisionError):
+        singular.inverse()
+
+
+def test_gen_moebius_1x1_and_2x2_blocks():
+    f = parse_ratfn("z^2 + 3")
+    t = GenMoebius([[rational(2)]], [[rational(0)]],
+                   [[rational(0)]], [[rational(1)]])
+    assert gen_moebius_apply(t, MatFn([[f]])).rows[0][0] == f * 2
+    with pytest.raises(ValueError):
+        GenMoebius([[1]], [[1]], [[1]], [[1]])  # singular block matrix
+    rng = random.Random(SEED + 6)
+    g = rand_matfn(rng)
+    a = [[1, 2], [0, 3]]
+    zero = [[0, 0], [0, 0]]
+    one = [[1, 0], [0, 1]]
+    assert gen_moebius_apply(GenMoebius(a, zero, zero, one), g) == \
+        MatFn(a) * g
+    assert gen_moebius_apply(GenMoebius(one, a, zero, one), g) == \
+        g + MatFn(a)
+    with pytest.raises(ValueError):
+        GenMoebius(one, one, one, one)
+
+
+# f = z^2 has p1 = -1/(2z); every entry of FLAT has derivative 1, so its
+# fdot is singular.
+Z2 = MatFn([[parse_ratfn("z^2")]])
+FLAT = MatFn([[parse_ratfn("z")] * 2] * 2)
+
+SINGULAR_INPUTS = {
+    "nc_eval": lambda: nc_eval(s_poly(1), FLAT),
+    "phi_generators": lambda: phi_generators(FLAT, 2),
+    "gen_moebius_apply": lambda: gen_moebius_apply(GenMoebius.inversion(2),
+                                                   FLAT),
+    "nc_d_operator": lambda: nc_d_operator(MatFn(
+        [[parse_ratfn("z"), 1], [2, parse_ratfn("z + 3")]])),
+    "nc_phi_deform": lambda: nc_phi_deform(Z2, -NCPoly.generator(1)),
+    "deform_family.fdot": lambda: deform_family(FLAT, 2),
+    "deform_family.fdot_at_0": lambda: deform_family(FLAT, 0),
+    "deform_family.bracket": lambda: deform_family(Z2, parse_ratfn("2*z")),
+    "NCExpr.inverse": lambda: NCExpr.scalar(0).inverse().eval(Z2),
+    "Theorem2Operator.apply.fdot": lambda: theorem2_substitute(
+        NCExpr.var(0)).apply(FLAT),
+    "Theorem2Operator.apply.bracket": lambda: theorem2_substitute(
+        NCExpr.scalar(parse_ratfn("1/(2*z)"))).apply(Z2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SINGULAR_INPUTS))
+def test_singular_input_raises(site):
+    with pytest.raises(ZeroDivisionError):
+        SINGULAR_INPUTS[site]()
+
+
 def test_gen_moebius_special_cases():
     rng = random.Random(SEED + 1)
     f = rand_matfn(rng)
@@ -160,17 +216,12 @@ def test_deform_family_endpoints():
 def test_equivariance_and_semi_invariance():
     rng = random.Random(SEED + 3)
     for _ in range(3):
-        t = rand_gen_moebius(rng)
-        f = rand_matfn(rng)
-        tf = gen_moebius_apply(t, f)
-        assert nc_d_operator(tf) == gen_moebius_apply(t, nc_d_operator(f))
-        cfd = MatFn(t.c) * f + MatFn(t.d)
-        for poly in (s_poly(1), s_poly(2)):
-            assert nc_eval(poly, tf) == cfd * nc_eval(poly, f) * cfd.inverse()
-        assert nc_phi_deform(tf, s_poly(1)) == gen_moebius_apply(
-            t, nc_phi_deform(f, s_poly(1)))
-        assert deform_family(tf, 2) == gen_moebius_apply(
-            t, deform_family(f, 2))
+        t, f = ncalg_inputs(rng, lambda: rng.randint(2, 3))
+        for check_id, check in NCALG_CHECKS:
+            ok, detail = check(t, f)
+            assert ok, (check_id, detail)
+        ok, detail = check_semi_invariance(s_poly(2), t, f)
+        assert ok, detail
 
 
 def test_phi_deform_zero_is_d():
@@ -186,9 +237,16 @@ def test_theorem2_images():
     assert op0.apply(f) == nc_phi_deform(f, s_poly(1))
     op1 = theorem2_substitute(NCExpr.var(1))
     assert op1.apply(f) == nc_phi_deform(f, s_poly(2))
-    t = rand_gen_moebius(rng)
+    t = random_gen_moebius(rng)
     tf = gen_moebius_apply(t, f)
     assert op1.apply(tf) == gen_moebius_apply(t, op1.apply(f))
+
+
+def test_free_algebra_element_as_expression_leaf():
+    rng = random.Random(SEED + 7)
+    f = rand_matfn(rng)
+    expr = (NCExpr.var(0) + NCPoly.generator(1)).substitute()
+    assert expr.eval(f) == nc_eval(s_poly(1) + NCPoly.generator(1), f)
 
 
 def test_gauge_bridge_scalar():

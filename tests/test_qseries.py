@@ -127,6 +127,15 @@ def test_reflected_ops_return_not_implemented():
     assert ((3 / s) * s - 3).is_zero
 
 
+def test_inverse_of_a_constant_is_a_constant():
+    # poly_of_series builds constants known to q^(10^9); their inverse
+    # must not walk every exponent below the truncation
+    inv = QSeries.constant(2, 10**9).inverse()
+    assert inv.trunc == 10**9
+    assert inv.coeffs == {0: rational(Fraction(1, 2))}
+    assert inv == QSeries.constant(Fraction(1, 2), 10**9)
+
+
 def test_inverse_keeps_last_term_when_trunc_times_m_is_fractional():
     # trunc * M = 3/2: the term q^(1/3) lies below the truncation q^(1/2)
     s = QSeries(3, {0: rational(2), 1: rational(1)}, Fraction(1, 2))
