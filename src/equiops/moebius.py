@@ -13,7 +13,7 @@ import json
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
 from .parsing import parse_cyclo, parse_poly
 from .poly import Poly
-from .ratfn import INF, RatFn
+from .ratfn import INF, RatFn, _canonical, _mobius_arg_terms
 
 
 class Moebius:
@@ -69,29 +69,38 @@ class Moebius:
         return "Moebius(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
 
-def compose_after(f, m, reduce=True):
+def compose_after(f, m):
     """f(m) as a rational function: precompose with the Moebius map."""
-    return f.compose_mobius_arg(m.a, m.b, m.c, m.d, reduce=reduce)
+    return f.compose_mobius_arg(m.a, m.b, m.c, m.d)
 
 
-def moebius_apply(m, f, reduce=True):
-    """m . f = (a f + b)/(c f + d), postcomposition."""
-    num = f.num.scale(m.a) + f.den.scale(m.b)
-    den = f.num.scale(m.c) + f.den.scale(m.d)
-    return RatFn(num, den, reduce=reduce)
+def _apply_terms(m, f):
+    """Numerator and denominator of (a f + b)/(c f + d), not normalised."""
+    return (f.num.scale(m.a) + f.den.scale(m.b),
+            f.num.scale(m.c) + f.den.scale(m.d))
+
+
+def moebius_apply(m, f):
+    """m . f = (a f + b)/(c f + d), postcomposition.
+
+    An invertible matrix keeps num and den of a reduced f coprime, so the
+    result needs no gcd.
+    """
+    return _canonical(*_apply_terms(m, f))
 
 
 def equivariance_residual(f, m, rho_m=None):
     """Zero iff f(m z) = rho(m) . f(z).
 
-    Returned as a pair of cross products whose vanishing expresses the
-    identity; no gcd is ever taken, so this stays cheap at large degree.
+    Returned as the cross product of the two sides' numerators and
+    denominators, which vanishes exactly when the identity holds; no gcd
+    and no normalisation is ever taken, so this stays cheap at large degree.
     """
     if rho_m is None:
         rho_m = m
-    lhs = compose_after(f, m, reduce=False)
-    rhs = moebius_apply(rho_m, f, reduce=False)
-    return lhs.num * rhs.den - rhs.num * lhs.den
+    ln, ld = _mobius_arg_terms(f, m.a, m.b, m.c, m.d)
+    rn, rd = _apply_terms(rho_m, f)
+    return ln * rd - rn * ld
 
 
 def is_equivariant(f, m, rho_m=None):

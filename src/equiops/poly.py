@@ -189,7 +189,9 @@ class Poly:
         return result
 
     def scale(self, c):
-        return self * Poly.constant(c, self.order)
+        if not isinstance(c, Cyclo):
+            c = rational(c, self.order)
+        return Poly([c * x for x in self.coeffs], self.order)
 
     def divmod(self, other):
         """Quotient and remainder; requires other nonzero."""

@@ -1,9 +1,29 @@
 """Reduced rational functions on the sphere, with divisor queries.
 
 A RatFn is a quotient num/den of polynomials over Q(zeta_N) with
-gcd(num, den) = 1 and den monic.  The constant infinity is (1, 0) and is
-flagged degenerate by `is_infinity`.  Behavior at the point at infinity is
-always obtained through the chart z -> 1/w.
+gcd(num, den) = 1 and den monic; zero is 0/1.  The constant infinity is
+(1, 0) and is flagged degenerate by `is_infinity`.  Behavior at the point
+at infinity is always obtained through the chart z -> 1/w.
+
+Arithmetic keeps that invariant without reducing a full-size result
+(Henrici's method; Knuth, TAOCP vol. 2, 4.5.1).  Because both operands are
+reduced, the gcds run on their halves:
+
+* (a/b)(c/d) divides out gcd(a, d) and gcd(c, b) before it multiplies, and
+  division is the product with d/c;
+* a/b + c/d takes g = gcd(b, d).  With b = g b1, d = g d1, the numerator
+  t = a d1 + c b1 is prime to b1 and d1, so only gcd(t, g) can cancel, and
+  for g = 1 the sum (a d + c b)/(b d) is already reduced;
+* a power or reciprocal of a coprime pair is coprime, and so is the image
+  of a reduced map under an invertible Moebius map, before or after it;
+  these only rescale so that den is monic;
+* the derivative of a/b is (a' e - a b'/g)/(b e) with g = gcd(b, b') and
+  e = b/g, and it is reduced as it stands: in characteristic 0 every
+  irreducible p with p^m || b has p^(m-1) || g, so p divides e exactly
+  once and divides neither a nor b'/g, hence not the numerator.
+
+A reduced value is canonical, so every result equals the full reduction
+`RatFn(num, den)` of the unreduced one, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -19,6 +39,10 @@ INF = "inf"
 
 
 class RatFn:
+    """num/den, reduced.  `RatFn(num, den)` reduces any pair by one gcd;
+    `RatFn(num, den, reduce=False)` is the trusted constructor for a pair
+    that is already coprime with den monic (or den zero, for infinity)."""
+
     __slots__ = ("num", "den", "order")
 
     def __init__(self, num, den=None, reduce=True):
@@ -37,10 +61,7 @@ class RatFn:
             if g.degree >= 1:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            if not den.is_monic:
-                inv = den.leading.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
+            num, den = _monic(num, den)
         self.num = num
         self.den = den
         self.order = num.order
@@ -122,7 +143,16 @@ class RatFn:
         if o is None:
             return NotImplemented
         self._check_finite(o)
-        return RatFn(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _gcd(b, d)
+        if g is None:
+            return _canonical(a * d + c * b, b * d)
+        b1, d1 = b.exact_div(g), d.exact_div(g)
+        t = a * d1 + c * b1
+        h = _gcd(t, g)
+        if h is None:
+            return _canonical(t, b1 * d)
+        return _canonical(t.exact_div(h), b1 * d.exact_div(h))
 
     __radd__ = __add__
 
@@ -148,7 +178,7 @@ class RatFn:
         if o is None:
             return NotImplemented
         self._check_finite(o)
-        return RatFn(self.num * o.num, self.den * o.den)
+        return _product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -159,7 +189,7 @@ class RatFn:
         self._check_finite(o)
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return RatFn(self.num * o.den, self.den * o.num)
+        return _product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -170,7 +200,7 @@ class RatFn:
     def __pow__(self, k):
         if k < 0:
             return (1 / self) ** (-k)
-        return RatFn(self.num ** k, self.den ** k)
+        return RatFn(self.num ** k, self.den ** k, reduce=False)
 
     def inverse(self):
         """Reciprocal 1/f (not compositional inverse)."""
@@ -178,18 +208,20 @@ class RatFn:
             return RatFn.constant(0, self.order)
         if self.is_zero:
             return RatFn.infinity(self.order)
-        return RatFn(self.den, self.num)
+        return _canonical(self.den, self.num)
 
     # -- calculus -----------------------------------------------------
 
     def derivative(self):
-        """Formal d/dz."""
+        """Formal d/dz, reduced without a gcd of the result (see the module
+        docstring)."""
         if self.is_infinity:
             raise ArithmeticError("derivative of the constant infinity")
-        return RatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        a, b = self.num, self.den
+        db = b.derivative()
+        g = _gcd(b, db)
+        e, dq = (b, db) if g is None else (b.exact_div(g), db.exact_div(g))
+        return _canonical(a.derivative() * e - a * dq, b * e)
 
     def wronskian_poly(self):
         """num' * den - num * den'; its zeros are the finite ramification points."""
@@ -197,8 +229,13 @@ class RatFn:
 
     # -- composition and evaluation -----------------------------------
 
-    def compose(self, g, reduce=True):
-        """self(g(z)) for a rational g."""
+    def compose(self, g):
+        """self(g(z)) for a rational g.
+
+        Substituting a reduced g into the coprime binary forms of self keeps
+        them coprime (their resultant is a power of Res(self) times a power
+        of Res(g)), so the result needs no gcd.
+        """
         g = self._coerce(g)
         if g.is_infinity:
             return RatFn.constant(self.eval_at_infinity_symbol(), self.order)
@@ -216,17 +253,11 @@ class RatFn:
                 if not c.is_zero:
                     acc = acc + (p_pows[i] * pq_pows[deg - i]).scale(c)
             return acc
-        return RatFn(substitute(self.num), substitute(self.den), reduce=reduce)
+        return _canonical(substitute(self.num), substitute(self.den))
 
-    def compose_mobius_arg(self, a, b, c, d, reduce=True):
-        """self((a z + b)/(c z + d))."""
-        deg = max(self.num.degree, self.den.degree)
-        num = self.num.compose_mobius(a, b, c, d)
-        den = self.den.compose_mobius(a, b, c, d)
-        low = Poly((d, c), self.order)
-        num = num * low ** (deg - self.num.degree)
-        den = den * low ** (deg - self.den.degree)
-        return RatFn(num, den, reduce=reduce)
+    def compose_mobius_arg(self, a, b, c, d):
+        """self((a z + b)/(c z + d)) for an invertible matrix; no gcd."""
+        return _canonical(*_mobius_arg_terms(self, a, b, c, d))
 
     def __call__(self, x):
         """Evaluate at a Cyclo/Fraction/int/complex value or the symbol 'inf'."""
@@ -272,6 +303,52 @@ class RatFn:
 
         return ratfn_literal(self)
 
+
+
+def _monic(num, den):
+    """(num, den) rescaled so that den is monic; a zero den is left as is."""
+    if den.is_zero or den.is_monic:
+        return num, den
+    inv = den.leading.inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+def _canonical(num, den):
+    """The RatFn of a coprime pair: a rescale at most, and 0/1 for zero."""
+    if num.is_zero:
+        return RatFn(num, Poly.one(num.order), reduce=False)
+    return RatFn(*_monic(num, den), reduce=False)
+
+
+def _gcd(p, q):
+    """gcd(p, q), or None when it is 1.  An operand of degree below 1 gives
+    None without a gcd: a constant has gcd 1, and where an operand is zero
+    (a zero sum or product, the derivative of a constant den) the caller's
+    result needs no cancellation."""
+    if p.degree < 1 or q.degree < 1:
+        return None
+    g = p.gcd(q)
+    return g if g.degree >= 1 else None
+
+
+def _product(a, b, c, d):
+    """(a/b)(c/d) for coprime pairs (a, b) and (c, d) with b, d nonzero."""
+    g1, g2 = _gcd(a, d), _gcd(c, b)
+    if g1 is not None:
+        a, d = a.exact_div(g1), d.exact_div(g1)
+    if g2 is not None:
+        c, b = c.exact_div(g2), b.exact_div(g2)
+    return _canonical(a * c, b * d)
+
+
+def _mobius_arg_terms(f, a, b, c, d):
+    """Numerator and denominator of f((a z + b)/(c z + d)), both homogenised
+    to the degree of f and not normalised."""
+    deg = max(f.num.degree, f.den.degree)
+    low = Poly((d, c), f.order)
+    num = f.num.compose_mobius(a, b, c, d) * low ** (deg - f.num.degree)
+    den = f.den.compose_mobius(a, b, c, d) * low ** (deg - f.den.degree)
+    return num, den
 
 
 def _sparse(coeffs):

@@ -9,6 +9,8 @@ divisor's constant term.  Coefficients need only `+`, `-`, unary `-` and
 period residues both have.
 """
 
+from heapq import heapify, heappop, heappush
+
 
 def mul(a, b, limit, times):
     """a * b below exponent `limit`."""
@@ -26,14 +28,19 @@ def div(a, b, limit, times, inv0):
     """a / b at the exponents 0 .. limit - 1 by the triangular recurrence.
 
     b has no negative exponent and its constant term b[0] has inverse
-    `inv0`; terms of a below exponent 0 are ignored.
+    `inv0`; terms of a below exponent 0 are ignored.  Only exponents that
+    can carry a term are visited, in increasing order from a heap: those of
+    a's support, and k + j for a quotient term at k and a divisor term at
+    j > 0.  So the cost follows the number of terms, not `limit`, and a
+    constant divisor only scales a.
     """
     tail = sorted((j, c) for j, c in b.items() if j > 0)
-    if not tail:  # a constant divisor: no recurrence, only a scaling
-        out = {k: times(a[k], inv0) for k in sorted(a) if 0 <= k < limit}
-        return {k: c for k, c in out.items() if not c.is_zero}
     out = {}
-    for k in range(limit):
+    todo = [k for k in a if 0 <= k < limit]
+    heapify(todo)
+    queued = set(todo)
+    while todo:
+        k = heappop(todo)
         acc = a.get(k)
         for j, bj in tail:
             if j > k:
@@ -46,4 +53,11 @@ def div(a, b, limit, times, inv0):
             c = times(acc, inv0)
             if not c.is_zero:
                 out[k] = c
+                for j, _ in tail:
+                    n = k + j
+                    if n >= limit:
+                        break
+                    if n not in queued:
+                        queued.add(n)
+                        heappush(todo, n)
     return out

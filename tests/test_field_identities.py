@@ -13,6 +13,7 @@ from equiops import properties as pr
 from equiops.cyclotomic import imag_unit, rational, sqrt5, zeta
 from equiops.moebius import Moebius
 from equiops.operators import d_operator, schwarzian
+from equiops.parsing import parse_ratfn
 from equiops.poly import Poly
 from equiops.ratfn import RatFn
 
@@ -96,3 +97,12 @@ def test_identities_on_irrational_maps(field, index):
     for check_id, check in pr.IDENTITY_CHECKS:
         ok, detail = check(x)
         assert ok, (check_id, detail)
+
+
+def test_cocycle_on_one_zeta_coefficient_and_a_degree_2_w():
+    # P2 on this pair spent seconds in gcds of full-size unreduced results
+    # over Q(zeta_120); arithmetic on reduced halves takes a fraction of one
+    f = RatFn(Poly([rational(0), rational(2) + zeta(120) * rational(2), rational(2)]))
+    w = parse_ratfn("(-3*z^2 - 2*z - 1)/(z^2 - 4*z)")
+    ok, detail = pr.check_cocycle(f, w)
+    assert ok, detail

@@ -259,7 +259,7 @@ def test_values_survive_pickle_and_deepcopy(value):
 
 def test_ratfn_hash_matches_equality_on_unreduced_values():
     f = parse_ratfn("(z^2 - 3)/(2*z + 1)")
-    g = moebius_apply(Moebius(2, 0, 0, 2), f, reduce=False)
+    g = RatFn(f.num.scale(2), f.den.scale(2), reduce=False)
     assert g.den != f.den  # really unreduced
     assert g == f
     assert hash(g) == hash(f)
@@ -267,3 +267,124 @@ def test_ratfn_hash_matches_equality_on_unreduced_values():
     h = RatFn(f.num * parse_poly("z - 4"), f.den * parse_poly("z - 4"), reduce=False)
     assert h == f and hash(h) == hash(f)
     assert len({f, g, h, parse_ratfn("z")}) == 2
+
+
+# -- Henrici arithmetic against the full-reduction oracle ----------------------
+
+def henrici_poly(rng, degree, gen):
+    """Small rational coefficients and a non-monic rational leading one.
+    When gen is given, one coefficient below the leading one (or the
+    constant, for degree 0) becomes a + b*gen."""
+    cs = [rational(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+          for _ in range(degree + 1)]
+    cs[-1] = rational(rng.choice((1, 2, -3, Fraction(1, 2))))
+    if gen is not None:
+        cs[rng.randrange(max(degree, 1))] += gen * rational(rng.choice((-2, -1, 1, 2)))
+    return Poly(cs)
+
+
+def henrici_pair(rng, gen, degree=2):
+    """Two reduced maps whose nums and dens share planted factors s and t."""
+    s, t = henrici_poly(rng, 1, gen), henrici_poly(rng, 1, None)
+    factors = [Poly.one(), s, t, s * s, s * t][:degree + 3]  # s*t only at degree 2
+
+    def side():
+        return henrici_poly(rng, rng.randint(0, degree), gen) * rng.choice(factors)
+    return RatFn(side(), side()), RatFn(side(), side())
+
+
+def henrici_moebius(rng, gen):
+    while True:
+        try:
+            return Moebius(*(henrici_poly(rng, 0, gen).coeffs[0] for _ in range(4)))
+        except ValueError:
+            continue
+
+
+def assert_canonical(got, num, den):
+    """got is the full reduction RatFn(num, den): same parts, repr and hash."""
+    want = RatFn(num, den)
+    assert type(got) is RatFn
+    assert got.num == want.num and got.den == want.den
+    assert got.den.is_monic
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+
+
+def check_against_full_reduction(f, g):
+    a, b, c, d = f.num, f.den, g.num, g.den
+    assert_canonical(f + g, a * d + c * b, b * d)
+    assert_canonical(f - g, a * d - c * b, b * d)
+    e = g - f  # f + e = g cancels the factors of b that d lacks: gcd(t, g) > 1
+    assert_canonical(f + e, a * e.den + e.num * b, b * e.den)
+    assert_canonical(f * g, a * c, b * d)
+    assert_canonical(f ** 3, a ** 3, b ** 3)
+    assert_canonical(f ** 0, Poly.one(), Poly.one())
+    assert_canonical(f.derivative(), a.derivative() * b - a * b.derivative(), b * b)
+    if g:
+        assert_canonical(f / g, a * d, b * c)
+        assert_canonical(g.inverse(), d, c)
+        assert_canonical(g ** -2, d * d, c * c)
+    for zero in (f - f, f * 0, 0 * g, g - g):
+        assert_canonical(zero, Poly.zero(), Poly.one())
+
+
+# (name, generator, pairs, degree): the oracle's own gcd over Q(zeta_120) is
+# slow, so the zeta data is smaller
+HENRICI_FIELDS = [("rational", None, 30, 2), ("sqrt5", sqrt5(), 6, 2),
+                  ("imag", imag_unit(), 6, 2), ("zeta", zeta(120, 1), 2, 1),
+                  ("zeta7", zeta(120, 7), 2, 1)]
+
+
+@pytest.mark.parametrize("name,gen,pairs,degree", HENRICI_FIELDS,
+                         ids=[case[0] for case in HENRICI_FIELDS])
+def test_ratfn_arithmetic_matches_full_reduction(name, gen, pairs, degree):
+    rng = random.Random("henrici:" + name)
+    for _ in range(pairs):
+        f, g = henrici_pair(rng, gen, degree)
+        check_against_full_reduction(f, g)
+        check_against_full_reduction(g, f)
+
+
+@pytest.mark.parametrize("name,gen", [case[:2] for case in HENRICI_FIELDS[:3]],
+                         ids=[case[0] for case in HENRICI_FIELDS[:3]])
+def test_derivative_with_repeated_denominator_factors(name, gen):
+    # den = s^3 t: gcd(den, den') = s^2 and the result needs no further gcd
+    rng = random.Random("henrici-derivative:" + name)
+    for _ in range(8):
+        s, t = henrici_poly(rng, 1, gen), henrici_poly(rng, rng.randint(1, 2), None)
+        f = RatFn(henrici_poly(rng, rng.randint(0, 3), gen), s ** 3 * t)
+        a, b = f.num, f.den
+        assert_canonical(f.derivative(), a.derivative() * b - a * b.derivative(), b * b)
+
+
+def test_moebius_images_match_full_reduction():
+    rng = random.Random("henrici-moebius")
+    for gen in (None, sqrt5(), imag_unit()):
+        for _ in range(6):
+            f, g = henrici_pair(rng, gen)
+            m = henrici_moebius(rng, gen)
+            num = f.num.scale(m.a) + f.den.scale(m.b)
+            den = f.num.scale(m.c) + f.den.scale(m.d)
+            assert_canonical(moebius_apply(m, f), num, den)
+            h = f.compose_mobius_arg(m.a, m.b, m.c, m.d)
+            assert_canonical(h, h.num, h.den)
+            assert h == f.compose(m.as_ratfn())
+            fg = f.compose(g)
+            assert_canonical(fg, fg.num, fg.den)
+
+
+def test_ratfn_edge_cases_keep_their_errors():
+    f = parse_ratfn("(2*z + 1)/(z - 3)")
+    zero, inf = RatFn.constant(0), RatFn.infinity()
+    with pytest.raises(ZeroDivisionError):
+        f / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    with pytest.raises(ArithmeticError):
+        f * inf
+    with pytest.raises(ArithmeticError):
+        inf.derivative()
+    assert zero.inverse().is_infinity and inf.inverse() == zero
+    assert (inf ** 2).is_infinity and inf ** 0 == 1
+    assert repr(f.inverse()) == repr(RatFn(f.den, f.num))

@@ -136,6 +136,16 @@ def test_inverse_of_a_constant_is_a_constant():
     assert inv == QSeries.constant(Fraction(1, 2), 10**9)
 
 
+def test_inverse_visits_only_reachable_exponents():
+    # 1/(1 - q^1000) to q^(10^6): 1000 terms, found without walking the
+    # 10^6 exponents below the truncation
+    s = QSeries(1, {0: rational(1), 1000: rational(-1)}, 10**6)
+    inv = s.inverse()
+    assert inv.trunc == 10**6
+    assert inv.coeffs == {1000 * k: rational(1) for k in range(1000)}
+    assert s * inv == 1
+
+
 def test_inverse_keeps_last_term_when_trunc_times_m_is_fractional():
     # trunc * M = 3/2: the term q^(1/3) lies below the truncation q^(1/2)
     s = QSeries(3, {0: rational(2), 1: rational(1)}, Fraction(1, 2))
