@@ -98,7 +98,6 @@ def _cmd_klein(args):
     from .moebius import equivariance_check
     from .operators import phi_operator
     from .parsing import poly_literal, ratfn_literal
-    from .poly import Poly
     from .ratfn import RatFn
     from .report import _load_config
 
@@ -107,7 +106,7 @@ def _cmd_klein(args):
         cfg.name, len(cfg.generators), len(cfg.forms)))
     failures = 0
     for form in cfg.forms:
-        op = phi_operator(RatFn(form.poly, Poly.one(cfg.order)), form.weight)
+        op = phi_operator(RatFn(form.poly), form.weight)
         ok, _ = equivariance_check(
             op, list(zip(cfg.generators, cfg.rho_generators)))
         if not ok:

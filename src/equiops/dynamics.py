@@ -59,7 +59,7 @@ class CxMap:
 
     def __init__(self, ratfn):
         if isinstance(ratfn, Poly):
-            ratfn = RatFn(ratfn, Poly.one(ratfn.order), ratfn.order)
+            ratfn = RatFn(ratfn)
         self.num = _complex_coeffs(ratfn.num)
         self.den = _complex_coeffs(ratfn.den)
 
@@ -100,7 +100,7 @@ class CxMap:
 def iteration_map(f, method):
     """Exact Newton or Halley iteration map of a polynomial or rational f."""
     if isinstance(f, Poly):
-        f = RatFn(f, Poly.one(f.order), f.order)
+        f = RatFn(f)
     if f.is_constant:
         raise ValueError("iteration map of a constant function")
     z = RatFn.x(f.order)
@@ -131,9 +131,9 @@ def poly_roots(p, tol=1e-10):
     Raises NonConvergenceError (with partial results) after the iteration cap.
     """
     if isinstance(p, RatFn):
-        if not p.den.is_constant:
+        if p.den.degree != 0:
             raise ValueError("poly_roots needs a polynomial")
-        p = p.num.scale(p.den.constant_value().inverse())
+        p = p.num
     coeffs = _complex_coeffs(p)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

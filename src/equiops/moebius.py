@@ -13,7 +13,7 @@ import json
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
 from .parsing import parse_cyclo, parse_poly
 from .poly import Poly
-from .ratfn import INF, RatFn, _canonical, _mobius_arg_terms
+from .ratfn import INF, RatFn, _canonical, _substituted
 
 
 class Moebius:
@@ -49,10 +49,8 @@ class Moebius:
         return Moebius(self.d, -self.b, -self.c, self.a, self.order)
 
     def as_ratfn(self):
-        return RatFn(
-            Poly((self.b, self.a), self.order),
-            Poly((self.d, self.c), self.order),
-        )
+        # an invertible matrix gives a coprime pair, so no gcd is needed
+        return _canonical(*_linear_pair(self))
 
     def is_projectively(self, other):
         """Equal in PGL2: rows proportional."""
@@ -69,9 +67,14 @@ class Moebius:
         return "Moebius(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
 
+def _linear_pair(m):
+    """(a z + b, c z + d): numerator and denominator of m."""
+    return Poly((m.b, m.a), m.order), Poly((m.d, m.c), m.order)
+
+
 def compose_after(f, m):
     """f(m) as a rational function: precompose with the Moebius map."""
-    return f.compose_mobius_arg(m.a, m.b, m.c, m.d)
+    return f.compose(m.as_ratfn())
 
 
 def _apply_terms(m, f):
@@ -98,7 +101,7 @@ def equivariance_residual(f, m, rho_m=None):
     """
     if rho_m is None:
         rho_m = m
-    ln, ld = _mobius_arg_terms(f, m.a, m.b, m.c, m.d)
+    ln, ld = _substituted(f, *_linear_pair(m))
     rn, rd = _apply_terms(rho_m, f)
     return ln * rd - rn * ld
 
@@ -113,27 +116,11 @@ def form_character(poly, weight, m):
     weight is negative for the forms handled here, and -weight >= deg poly.
     Returns None when poly is not relatively invariant under m.
     """
-    d = poly.degree
-    transformed = poly.compose_mobius(m.a, m.b, m.c, m.d)
-    # poly(mz) (cz+d)^(-weight) = transformed * (cz+d)^(-weight-d), and the
-    # right side must be chi * poly exactly
-    if d != -weight:
-        low = Poly((m.d, m.c), poly.order)
-        transformed = transformed * low ** (-weight - d)
-    lead_t = None
-    for k in range(transformed.degree, -1, -1):
-        if not transformed.coeffs[k].is_zero:
-            lead_t = (k, transformed.coeffs[k])
-            break
-    if lead_t is None or transformed.degree != poly.degree:
+    transformed = poly.substitute(*_linear_pair(m), -weight)
+    if transformed.is_zero or transformed.degree != poly.degree:
         return None
-    k, ct = lead_t
-    if poly.coeffs[k].is_zero:
-        return None
-    chi = ct / poly.coeffs[k]
-    if transformed == poly.scale(chi):
-        return chi
-    return None
+    chi = transformed.leading / poly.leading
+    return chi if transformed == poly.scale(chi) else None
 
 
 def cross_ratio(a, b, c, d, order=DEFAULT_ORDER):
@@ -179,13 +166,8 @@ def form_invariance_check(alpha, weight, chi, m):
     if isinstance(alpha, RatFn):
         if alpha.den.degree != 0:
             raise ValueError("invariant forms must be polynomial")
-        alpha = alpha.num.scale(alpha.den.coeffs[0].inverse())
-    d = alpha.degree
-    transformed = alpha.compose_mobius(m.a, m.b, m.c, m.d)
-    if d != -weight:
-        low = Poly((m.d, m.c), alpha.order)
-        transformed = transformed * low ** (-weight - d)
-    residual = transformed - alpha.scale(chi)
+        alpha = alpha.num
+    residual = alpha.substitute(*_linear_pair(m), -weight) - alpha.scale(chi)
     if residual.is_zero:
         return True, None
     return False, residual

@@ -252,7 +252,7 @@ def _as_ratfn(value, order):
     if isinstance(value, RatFn):
         return value
     if isinstance(value, Poly):
-        return RatFn(value, Poly.one(order))
+        return RatFn(value)
     return RatFn.constant(rational(value, order) if not isinstance(value, Cyclo)
                           else value, order)
 

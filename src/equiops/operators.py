@@ -80,7 +80,7 @@ class DResult(RatFn):
     __slots__ = ("degenerate",)
 
     def __init__(self, value, degenerate):
-        super().__init__(value.num, value.den, reduce=False)
+        self.num, self.den, self.order = value.num, value.den, value.order
         self.degenerate = degenerate
 
 

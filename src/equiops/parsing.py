@@ -124,7 +124,7 @@ def parse_poly(text, order=DEFAULT_ORDER):
     f = parse_ratfn(text, order)
     if f.den.degree != 0:
         raise ParseError("not a polynomial: %s" % text)
-    return f.num.scale(f.den.coeffs[0].inverse())
+    return f.num
 
 
 def parse_cyclo(text, order=DEFAULT_ORDER):

@@ -1,7 +1,13 @@
 """Univariate polynomials over a cyclotomic field.
 
 Coefficient lists are stored low degree first with no trailing zeros, as a
-tuple of `Cyclo`; every coefficient has the polynomial's field order.
+tuple of `Cyclo`; every coefficient has the polynomial's field order.  That
+form is canonical, so equality and hashing compare the coefficient tuples.
+
+Composition.  `substitute(p, q, degree)` is the one substitution kernel: the
+binary form sum c_i p^i q^(degree - i), by Horner in p.  Evaluation at a
+polynomial, the Taylor shift, Moebius images of forms and `RatFn.compose`
+all call it.
 
 Rational lane.  When both operands have only rational coefficients (the
 common case), multiplication, division with remainder and the gcd run on
@@ -23,6 +29,9 @@ from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational
 
 
 class Poly:
+    """A polynomial over Q(zeta_order), canonical: equal values have equal
+    coefficient tuples."""
+
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=DEFAULT_ORDER):
@@ -253,10 +262,7 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation at a Cyclo/Fraction/int/complex or Poly."""
         if isinstance(x, Poly):
-            acc = Poly.zero(self.order)
-            for c in reversed(self.coeffs):
-                acc = acc * x + Poly.constant(c, self.order)
-            return acc
+            return self.substitute(x, 1, self.degree)
         if isinstance(x, complex):
             acc = 0j
             for c in reversed(self.coeffs):
@@ -267,30 +273,34 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def taylor_shift(self, p):
-        """Coefficients of self(z + p)."""
-        acc = Poly.zero(self.order)
-        zp = Poly((p, 1), self.order)
-        for c in reversed(self.coeffs):
-            acc = acc * zp + Poly.constant(c, self.order)
-        return acc
+    def substitute(self, p, q, degree):
+        """The binary form of self of the given degree at (p : q):
+        sum c_i p^i q^(degree - i), for degree >= deg self.
 
-    def compose_mobius(self, a, b, c, d):
-        """Numerator of self((a z + b)/(c z + d)); denominator is (c z + d)^degree."""
-        if self.is_zero:
+        Horner in p with a table of powers of q, then one factor
+        q^(degree - deg self).  For q = 1 the table is skipped.  This is
+        every composition: self(p) is (p, 1, deg self), the Taylor shift is
+        (z + p, 1, deg self), and self((a z + b)/(c z + d)) (c z + d)^degree
+        is (a z + b, c z + d, degree).
+        """
+        n = self.degree
+        if degree < n:
+            raise ValueError("degree %d is below the polynomial's degree %d"
+                             % (degree, n))
+        if n < 0:
             return self
-        den = Poly((d, c), self.order)
-        num = Poly((b, a), self.order)
-        deg = self.degree
-        den_pows = [Poly.one(self.order)]
-        for _ in range(deg):
-            den_pows.append(den_pows[-1] * den)
+        unit = q == 1
+        q_pows = [Poly.one(self.order)]
+        for _ in range(0 if unit else n):
+            q_pows.append(q_pows[-1] * q)
         acc = Poly.constant(self.coeffs[-1], self.order)
-        for i in range(deg - 1, -1, -1):
-            acc = acc * num
-            ci = self.coeffs[i]
-            if not ci.is_zero:
-                acc = acc + den_pows[deg - i].scale(ci)
+        for i in range(n - 1, -1, -1):
+            acc = acc * p
+            c = self.coeffs[i]
+            if not c.is_zero:
+                acc = acc + (c if unit else q_pows[n - i].scale(c))
+        if degree > n:
+            acc = acc * q ** (degree - n)
         return acc
 
     # -- normalization, gcd -------------------------------------------

@@ -149,7 +149,7 @@ def check_ramification(f):
 def check_critical_identity(alpha, k, order=DEFAULT_ORDER):
     """P7: -(k+1) (phi_alpha)' (alpha')^2 = [alpha, alpha]_2."""
     phi = phi_operator(alpha, k)
-    alpha_r = RatFn(alpha, Poly.one(order)) if isinstance(alpha, Poly) else alpha
+    alpha_r = RatFn(alpha) if isinstance(alpha, Poly) else alpha
     ap = alpha_r.derivative()
     lhs = phi.derivative() * ap * ap * rational(-(k + 1), order)
     rhs = rankin_cohen(alpha_r, k, alpha_r, k, 2)
@@ -173,14 +173,12 @@ def check_bracket_closure(config, name_a, name_b, n):
     form of weight k + l + 2n with the product character."""
     fa = config.form(name_a)
     fb = config.form(name_b)
-    bracket = rankin_cohen(RatFn(fa.poly, Poly.one(config.order)), fa.weight,
-                           RatFn(fb.poly, Poly.one(config.order)), fb.weight,
-                           n)
+    bracket = rankin_cohen(RatFn(fa.poly), fa.weight, RatFn(fb.poly), fb.weight, n)
     if bracket.is_zero:
         return True, "[%s,%s]_%d vanishes" % (name_a, name_b, n)
     if not bracket.den.is_constant:
         return False, "bracket not polynomial"
-    poly = bracket.num.scale(bracket.den.constant_value().inverse())
+    poly = bracket.num
     weight = fa.weight + fb.weight + 2 * n
     for gen, ca, cb in zip(config.generators, fa.characters, fb.characters):
         ok, witness = form_invariance_check(poly, weight, ca * cb, gen)

@@ -23,7 +23,12 @@ reduced, the gcds run on their halves:
   once and divides neither a nor b'/g, hence not the numerator.
 
 A reduced value is canonical, so every result equals the full reduction
-`RatFn(num, den)` of the unreduced one, coefficient for coefficient.
+`RatFn(num, den)` of the unreduced one, coefficient for coefficient, and
+equality and hashing compare num and den structurally.  `RatFn(num, den)`
+is the one public constructor and always reduces; results already known to
+be reduced are only rescaled, by `_canonical`.  Every composition, by a
+rational map or a Moebius map, substitutes into the binary forms of num and
+den with `Poly.substitute`.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ INF = "inf"
 
 
 class RatFn:
-    """num/den, reduced.  `RatFn(num, den)` reduces any pair by one gcd;
-    `RatFn(num, den, reduce=False)` is the trusted constructor for a pair
-    that is already coprime with den monic (or den zero, for infinity)."""
+    """num/den, reduced with den monic.  `RatFn(num, den)` reduces any pair,
+    with a gcd only when both parts have degree >= 1.  Every value is
+    canonical, so equality and hashing compare num and den."""
 
     __slots__ = ("num", "den", "order")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         if not isinstance(num, Poly):
             num = Poly.constant(num) if not isinstance(num, (list, tuple)) else Poly(num)
         if den is None:
@@ -54,31 +59,25 @@ class RatFn:
             den = Poly.constant(den, num.order) if not isinstance(den, (list, tuple)) else Poly(den, num.order)
         if num.is_zero and den.is_zero:
             raise ZeroDivisionError("0/0 is not a rational function")
-        if den.is_zero:
-            num = Poly.one(num.order)
-        elif reduce:
-            g = num.gcd(den)
-            if g.degree >= 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            num, den = _monic(num, den)
-        self.num = num
-        self.den = den
+        g = _gcd(num, den)
+        if g is not None:
+            num, den = num.exact_div(g), den.exact_div(g)
+        self.num, self.den = _normal(num, den)
         self.order = num.order
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def x(order=DEFAULT_ORDER):
-        return RatFn(Poly.x(order), reduce=False)
+        return _canonical(Poly.x(order), Poly.one(order))
 
     @staticmethod
     def constant(c, order=DEFAULT_ORDER):
-        return RatFn(Poly.constant(c, order), reduce=False)
+        return _canonical(Poly.constant(c, order), Poly.one(order))
 
     @staticmethod
     def infinity(order=DEFAULT_ORDER):
-        return RatFn(Poly.one(order), Poly.zero(order), reduce=False)
+        return _canonical(Poly.one(order), Poly.zero(order))
 
     # -- queries ------------------------------------------------------
 
@@ -116,12 +115,10 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.num * o.den) == (o.num * self.den)
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # unreduced values compare equal to their reduced form, which is canonical
-        r = RatFn(self.num, self.den)
-        return hash((r.num, r.den))
+        return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -129,7 +126,7 @@ class RatFn:
         if isinstance(other, RatFn):
             return other
         if isinstance(other, Poly):
-            return RatFn(other, reduce=False)
+            return _canonical(other, Poly.one(other.order))
         if isinstance(other, (int, Fraction, Cyclo)):
             return RatFn.constant(other, self.order)
         return None
@@ -159,7 +156,7 @@ class RatFn:
     def __neg__(self):
         if self.is_infinity:
             return self
-        return RatFn(-self.num, self.den, reduce=False)
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -200,7 +197,7 @@ class RatFn:
     def __pow__(self, k):
         if k < 0:
             return (1 / self) ** (-k)
-        return RatFn(self.num ** k, self.den ** k, reduce=False)
+        return _canonical(self.num ** k, self.den ** k)
 
     def inverse(self):
         """Reciprocal 1/f (not compositional inverse)."""
@@ -239,25 +236,7 @@ class RatFn:
         g = self._coerce(g)
         if g.is_infinity:
             return RatFn.constant(self.eval_at_infinity_symbol(), self.order)
-        p, q = g.num, g.den
-        deg = max(self.num.degree, self.den.degree)
-        # homogenize both num and den of self to common degree
-        pq_pows = [Poly.one(self.order)]
-        p_pows = [Poly.one(self.order)]
-        for _ in range(deg):
-            pq_pows.append(pq_pows[-1] * q)
-            p_pows.append(p_pows[-1] * p)
-        def substitute(poly):
-            acc = Poly.zero(self.order)
-            for i, c in enumerate(poly.coeffs):
-                if not c.is_zero:
-                    acc = acc + (p_pows[i] * pq_pows[deg - i]).scale(c)
-            return acc
-        return _canonical(substitute(self.num), substitute(self.den))
-
-    def compose_mobius_arg(self, a, b, c, d):
-        """self((a z + b)/(c z + d)) for an invertible matrix; no gcd."""
-        return _canonical(*_mobius_arg_terms(self, a, b, c, d))
+        return _canonical(*_substituted(self, g.num, g.den))
 
     def __call__(self, x):
         """Evaluate at a Cyclo/Fraction/int/complex value or the symbol 'inf'."""
@@ -289,8 +268,8 @@ class RatFn:
 
     def taylor(self, p, n_terms):
         """Taylor coefficients at a point p where den(p) != 0."""
-        num = self.num.taylor_shift(p)
-        den = self.den.taylor_shift(p)
+        zp = Poly((p, 1), self.order)
+        num, den = self.num(zp), self.den(zp)
         if den.is_zero or den.coeffs[0].is_zero:
             raise ZeroDivisionError("pole at the expansion point")
         out = series.div(_sparse(num.coeffs), _sparse(den.coeffs), n_terms,
@@ -305,19 +284,26 @@ class RatFn:
 
 
 
-def _monic(num, den):
-    """(num, den) rescaled so that den is monic; a zero den is left as is."""
-    if den.is_zero or den.is_monic:
+def _normal(num, den):
+    """(num, den) rescaled so that den is monic, with 0/1 for zero and 1/0
+    for infinity."""
+    if num.is_zero:
+        return num, Poly.one(num.order)
+    if den.is_zero:
+        return Poly.one(num.order), den
+    if den.is_monic:
         return num, den
     inv = den.leading.inverse()
     return num.scale(inv), den.scale(inv)
 
 
 def _canonical(num, den):
-    """The RatFn of a coprime pair: a rescale at most, and 0/1 for zero."""
-    if num.is_zero:
-        return RatFn(num, Poly.one(num.order), reduce=False)
-    return RatFn(*_monic(num, den), reduce=False)
+    """The RatFn of a coprime pair (den zero for infinity), built without
+    __init__ and with no gcd: a rescale at most."""
+    self = object.__new__(RatFn)
+    self.num, self.den = _normal(num, den)
+    self.order = num.order
+    return self
 
 
 def _gcd(p, q):
@@ -341,14 +327,11 @@ def _product(a, b, c, d):
     return _canonical(a * c, b * d)
 
 
-def _mobius_arg_terms(f, a, b, c, d):
-    """Numerator and denominator of f((a z + b)/(c z + d)), both homogenised
-    to the degree of f and not normalised."""
+def _substituted(f, p, q):
+    """Numerator and denominator of f(p/q), both homogenised to the degree
+    of f and not normalised."""
     deg = max(f.num.degree, f.den.degree)
-    low = Poly((d, c), f.order)
-    num = f.num.compose_mobius(a, b, c, d) * low ** (deg - f.num.degree)
-    den = f.den.compose_mobius(a, b, c, d) * low ** (deg - f.den.degree)
-    return num, den
+    return f.num.substitute(p, q, deg), f.den.substitute(p, q, deg)
 
 
 def _sparse(coeffs):

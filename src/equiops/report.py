@@ -133,7 +133,6 @@ def _suite_klein(collector, cfg_dir=None):
     from .moebius import equivariance_check
     from .operators import klein_vector_field, phi_operator
     from .parsing import parse_ratfn
-    from .poly import Poly
     from .properties import check_bracket_closure
 
     cfg = _load_config("A5", cfg_dir)
@@ -171,7 +170,7 @@ def _suite_klein(collector, cfg_dir=None):
         def equivariant(cfg=cfg):
             for form in cfg.forms:
                 op = phi_operator(
-                    RatFn(form.poly, Poly.one(cfg.order)), form.weight)
+                    RatFn(form.poly), form.weight)
                 ok, witness = equivariance_check(
                     op, list(zip(cfg.generators, cfg.rho_generators)))
                 if not ok:

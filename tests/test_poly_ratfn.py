@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
                                 sqrt5, zeta)
-from equiops.moebius import Moebius, moebius_apply
+from equiops.moebius import Moebius, compose_after, moebius_apply
 from equiops.parsing import parse_poly, parse_ratfn
 from equiops.poly import Poly
-from equiops.ratfn import RatFn
+from equiops.ratfn import INF, RatFn
 
 
 def rand_poly(rng, deg):
@@ -259,14 +259,68 @@ def test_values_survive_pickle_and_deepcopy(value):
 
 def test_ratfn_hash_matches_equality_on_unreduced_values():
     f = parse_ratfn("(z^2 - 3)/(2*z + 1)")
-    g = RatFn(f.num.scale(2), f.den.scale(2), reduce=False)
-    assert g.den != f.den  # really unreduced
+    g = RatFn(f.num.scale(2), f.den.scale(2))
     assert g == f
     assert hash(g) == hash(f)
     assert len({f, g}) == 1
-    h = RatFn(f.num * parse_poly("z - 4"), f.den * parse_poly("z - 4"), reduce=False)
+    h = RatFn(f.num * parse_poly("z - 4"), f.den * parse_poly("z - 4"))
     assert h == f and hash(h) == hash(f)
     assert len({f, g, h, parse_ratfn("z")}) == 2
+
+
+def test_ratfn_hash_and_equality_are_structural(monkeypatch):
+    # every value is canonical, so neither needs a gcd or a cross product
+    f = RatFn(parse_poly("z^5 + zeta^7*z^2 - 3"), parse_poly("2*z^4 + zeta*z + 1"))
+    g = RatFn(f.num, f.den)
+    others = [f + 1, RatFn.x(), f.inverse()]
+    want = hash((f.num, f.den))
+
+    def forbidden(*args):
+        raise AssertionError("hash or == ran polynomial arithmetic")
+    monkeypatch.setattr(Poly, "gcd", forbidden)
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    assert hash(f) == hash(g) == want
+    assert f == g and not f != g
+    assert all(f != o for o in others) and f != 0
+    assert len({f, g, *others}) == 4
+
+
+# -- one substitution kernel ---------------------------------------------------
+
+def substitute_poly(rng, degree, gen):
+    """Small rational coefficients, with a + b*gen mixed in when gen is given;
+    degree -1 is the zero polynomial."""
+    cs = [rational(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+          for _ in range(degree + 1)]
+    if degree >= 0:
+        cs[-1] = rational(rng.choice((1, -2, Fraction(1, 3))))
+        if gen is not None:
+            cs[rng.randrange(degree + 1)] += gen * rational(rng.choice((-1, 1, 2)))
+    return Poly(cs)
+
+
+@pytest.mark.parametrize("gen", [None, sqrt5(), imag_unit(),
+                                 rational(2) + zeta(120, 7) * rational(3)],
+                         ids=["rational", "sqrt5", "imag", "zeta7"])
+def test_substitute_matches_evaluation(gen):
+    # P.substitute(p, q, D)(x) = P(p(x)/q(x)) q(x)^D wherever q(x) != 0;
+    # q is 1, a constant or linear in turn
+    rng = random.Random("substitute")
+    points = [rational(Fraction(n, 3)) for n in (-5, -1, 0, 2, 7)]
+    for trial in range(12):
+        P = substitute_poly(rng, trial % 5 - 1, gen)  # zero, constant, ... quartic
+        p = substitute_poly(rng, rng.randint(0, 2), gen)
+        q = Poly.one() if trial % 3 == 0 else substitute_poly(rng, trial % 3 - 1, gen)
+        for D in {max(P.degree, 0), max(P.degree, 0) + rng.randint(1, 2)}:
+            S = P.substitute(p, q, D)
+            for x in points:
+                qx = q(x)
+                if qx.is_zero:
+                    continue
+                assert S(x) == P(p(x) / qx) * qx ** D
+        assert P(p) == P.substitute(p, Poly.one(), P.degree)
+    with pytest.raises(ValueError):
+        parse_poly("z^2").substitute(Poly.x(), Poly.one(), 1)
 
 
 # -- Henrici arithmetic against the full-reduction oracle ----------------------
@@ -367,9 +421,14 @@ def test_moebius_images_match_full_reduction():
             num = f.num.scale(m.a) + f.den.scale(m.b)
             den = f.num.scale(m.c) + f.den.scale(m.d)
             assert_canonical(moebius_apply(m, f), num, den)
-            h = f.compose_mobius_arg(m.a, m.b, m.c, m.d)
+            h = compose_after(f, m)
             assert_canonical(h, h.num, h.den)
             assert h == f.compose(m.as_ratfn())
+            for x in (rational(n) for n in (-2, 0, 1, 5)):
+                mx = m.as_ratfn()(x)
+                if mx == INF or f.den(mx).is_zero:
+                    continue
+                assert h(x) == f(mx)
             fg = f.compose(g)
             assert_canonical(fg, fg.num, fg.den)
 
