@@ -11,9 +11,9 @@ Run: python demos/icosahedral_map.py
 from equiops.dynamics import cycle_report, poly_roots
 from equiops.operators import klein_vector_field, phi_operator
 from equiops.parsing import poly_literal, ratfn_literal
-from equiops.report import _load_config
+from equiops.report import load_config
 
-cfg = _load_config("A5")
+cfg = load_config("A5")
 v5 = cfg.vertex_form.poly
 f5 = cfg.form("f5").poly
 e5 = cfg.form("e5").poly

@@ -17,7 +17,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .report import (SUITES, config_hash, emit_report, run_suite)
+from .properties import GROUP_NAMES, SUITES, klein_cycles, phi_images
+from .report import emit_report, load_config, run_suite
 
 
 def _add_config_dir(parser):
@@ -42,7 +43,7 @@ def build_parser():
     _add_config_dir(p)
 
     p = sub.add_parser("klein", help="polyhedral group summary and checks")
-    p.add_argument("--group", required=True, choices=("A4", "S4", "A5"))
+    p.add_argument("--group", required=True, choices=GROUP_NAMES)
     _add_config_dir(p)
 
     p = sub.add_parser("cycles", help="cycle report for an equivariant map")
@@ -95,20 +96,13 @@ def _cmd_verify(args):
 
 
 def _cmd_klein(args):
-    from .moebius import equivariance_check
-    from .operators import phi_operator
     from .parsing import poly_literal, ratfn_literal
-    from .ratfn import RatFn
-    from .report import _load_config
 
-    cfg = _load_config(args.group, args.config_dir)
+    cfg = load_config(args.group, args.config_dir)
     print("group %s: %d generators, %d invariant forms" % (
         cfg.name, len(cfg.generators), len(cfg.forms)))
     failures = 0
-    for form in cfg.forms:
-        op = phi_operator(RatFn(form.poly), form.weight)
-        ok, _ = equivariance_check(
-            op, list(zip(cfg.generators, cfg.rho_generators)))
+    for form, op, (ok, _) in phi_images(cfg):
         if not ok:
             failures += 1
         print("  %s (weight %d): %s" % (form.name, form.weight,
@@ -119,22 +113,14 @@ def _cmd_klein(args):
 
 
 def _cmd_cycles(args):
-    from .dynamics import cycle_report, iteration_map, poly_roots
-    from .operators import klein_vector_field
+    from .dynamics import cycle_report, iteration_map
     from .parsing import parse_poly
-    from .report import _load_config
 
     if args.map_name == "klein":
-        cfg = _load_config("A5", args.config_dir)
-        rmap = klein_vector_field(cfg.vertex_form.poly, 12)
-        points = poly_roots(cfg.form("f5").poly, tol=1e-10)
-        period = 2
+        report = klein_cycles(load_config("A5", args.config_dir), args.tol)
     else:
-        target = parse_poly("z^2 - 1")
-        rmap = iteration_map(target, args.map_name)
-        points = [1 + 0j, -1 + 0j]
-        period = 1
-    report = cycle_report(rmap, points, period, tol=args.tol)
+        rmap = iteration_map(parse_poly("z^2 - 1"), args.map_name)
+        report = cycle_report(rmap, [1 + 0j, -1 + 0j], 1, tol=args.tol)
     print(report.text())
     return 0 if report.passed else 1
 
@@ -184,7 +170,7 @@ def _cmd_report(args):
     emit_report(report, args.out)
     print("wrote %s (%s, config %s)" % (
         args.out, "pass" if report.passed else "FAIL",
-        config_hash(args.config_dir)[:12]))
+        report.confighash[:12]))
     return 0 if report.passed else 1
 
 

@@ -358,25 +358,14 @@ def _residue_value(ring, num, u, s, mult):
 
 def _shift_series(ring, p, n):
     """First n Taylor coefficients of p(x + t) as a sparse series over
-    the ring."""
-    # Horner in t: repeatedly divide by (z - x), i.e. synthetic shift
-    coeffs = [ring.reduce(Poly([c], ring.order)) for c in p.coeffs]
-    x = ring.reduce(Poly.x(ring.order))
+    the ring: coefficient k is p^(k)/k! reduced mod s."""
     out = {}
-    work = list(coeffs)
+    factorial = 1
     for k in range(n):
-        if not work:
-            break
-        # evaluate work at x, and divide synthetically
-        acc = Poly.zero(ring.order)
-        new = []
-        for c in reversed(work):
-            acc = ring.mul(acc, x) + c
-            new.append(acc)
-        new.pop()
-        new.reverse()
-        acc = ring.reduce(acc)
-        if not acc.is_zero:
-            out[k] = acc
-        work = [ring.reduce(w) for w in new]
+        if k:
+            p = p.derivative()
+            factorial *= k
+        c = ring.reduce(p)
+        if not c.is_zero:
+            out[k] = c.scale(Fraction(1, factorial))
     return out

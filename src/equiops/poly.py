@@ -243,10 +243,16 @@ class Poly:
         return Poly(q, self.order), Poly(rem[:db], self.order)
 
     def __floordiv__(self, other):
-        return self.divmod(self._coerce(other))[0]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.divmod(o)[0]
 
     def __mod__(self, other):
-        return self.divmod(self._coerce(other))[1]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.divmod(o)[1]
 
     def exact_div(self, other):
         q, r = self.divmod(other)

@@ -235,7 +235,10 @@ class RatFn:
         """
         g = self._coerce(g)
         if g.is_infinity:
-            return RatFn.constant(self.eval_at_infinity_symbol(), self.order)
+            value = self.eval_at_infinity_symbol()
+            if value == INF:
+                return RatFn.infinity(self.order)
+            return RatFn.constant(value, self.order)
         return _canonical(*_substituted(self, g.num, g.den))
 
     def __call__(self, x):

@@ -7,7 +7,8 @@ import shutil
 import pytest
 
 from equiops.cli import main
-from equiops.report import config_dir as packaged_config_dir
+from equiops.properties import SUITES, suite_checks
+from equiops.report import config_dir as packaged_config_dir, load_config
 
 
 def run(capsys, *argv):
@@ -22,6 +23,17 @@ def test_verify_klein_suite(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert lines[-1].startswith("suite klein: pass")
     assert all(" pass " in ln or ln.startswith("suite") for ln in lines)
+
+
+def test_verify_all_runs_every_suite(capsys):
+    code, out = run(capsys, "verify", "all")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("suite all: pass (194 checks")
+    printed = sorted(line.split()[0] for line in lines[:-1])
+    listed = sorted(check_id for suite in SUITES[:-1]
+                    for check_id, _ in suite_checks(suite, load_config))
+    assert printed == listed
 
 
 def test_verify_qseries_suite(capsys):

@@ -7,14 +7,14 @@ import pytest
 
 from equiops.moebius import ConfigError, load_group_config
 from equiops.parsing import parse_cyclo
+from equiops.properties import GROUP_NAMES, SYZYGIES, check_syzygy
 from equiops.report import config_path
 
-GROUPS = {"A4": 3, "S4": 4, "A5": 5}
 
-
-@pytest.fixture(params=sorted(GROUPS))
+@pytest.fixture(params=sorted(GROUP_NAMES))
 def config(request):
-    return load_group_config(config_path(request.param)), GROUPS[request.param]
+    n, _ = SYZYGIES[request.param]
+    return load_group_config(config_path(request.param)), n
 
 
 def test_generators_unimodular(config):
@@ -31,12 +31,9 @@ def test_form_count_and_names(config):
 
 
 def test_syzygy(config):
-    cfg, n = config
-    v = cfg.vertex_form.poly
-    fface = cfg.form("f%d" % n).poly
-    e = cfg.form("e%d" % n).poly
-    constant = {3: "16*(zeta^15+zeta^105)", 4: "-108", 5: "1728"}[n]
-    assert e * e - fface ** 3 == (v ** n).scale(parse_cyclo(constant))
+    cfg, _ = config
+    assert check_syzygy(cfg) == (
+        True, "syzygy e^2 - f^3 = c v^n for %s" % cfg.name)
 
 
 def test_characters_are_roots_of_unity(config):
@@ -69,7 +66,7 @@ def test_validation_rejects_non_invariant_poly(tmp_path):
 def test_env_var_config_dir(tmp_path, monkeypatch):
     import shutil
     from equiops.report import config_dir
-    for name in GROUPS:
+    for name in GROUP_NAMES:
         shutil.copy(config_path(name), tmp_path / ("%s.config" % name))
     monkeypatch.setenv("EQUIOPS_CONFIG_DIR", os.fspath(tmp_path))
     assert config_dir() == os.fspath(tmp_path)

@@ -10,7 +10,7 @@ from equiops.moebius import (Moebius, compose_after, cross_ratio,
                              form_invariance_check, is_equivariant,
                              moebius_apply)
 from equiops.parsing import parse_poly, parse_ratfn
-from equiops.properties import random_moebius, random_ratfn
+from equiops.properties import KLEIN_MAP, random_moebius, random_ratfn
 from equiops.ratfn import RatFn
 
 
@@ -35,7 +35,7 @@ def test_inverse_and_projective_equality():
 
 
 def test_klein_map_is_equivariant_for_icosahedral_generator():
-    k = parse_ratfn("(z^11 + 66*z^6 - 11*z)/(-11*z^10 - 66*z^5 + 1)")
+    k = parse_ratfn(KLEIN_MAP)
     rot = Moebius(zeta(120, 12), rational(0), rational(0),
                   zeta(120, 120 - 12))
     assert is_equivariant(k, rot)

@@ -5,11 +5,12 @@ import pytest
 from equiops.cyclotomic import rational, sqrt2
 from equiops.parsing import (cyclo_literal, parse_cyclo, parse_poly,
                              parse_ratfn, poly_literal, ratfn_literal)
+from equiops.properties import KLEIN_MAP
 
 SAMPLES_RATFN = [
     "z",
     "(z^2 + 1)/(2*z)",
-    "(z^11 + 66*z^6 - 11*z)/(-11*z^10 - 66*z^5 + 1)",
+    KLEIN_MAP,
     "(zeta^30*z - 1)/(z + zeta^30)",
     "1/2",
     "(z^3 - (1/4)*z)/(z^2 - 7)",

@@ -64,6 +64,15 @@ def test_ratfn_compose():
     assert h == parse_ratfn("(z + 1)^2/(z - 1)^2")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("z^2 + 1", RatFn.infinity()),
+    ("1/(z^2 + 1)", RatFn.constant(rational(0))),
+    ("(2*z + 1)/(z - 3)", RatFn.constant(rational(2))),
+])
+def test_ratfn_compose_with_infinity(text, value):
+    assert parse_ratfn(text).compose(RatFn.infinity()) == value
+
+
 def test_derivative_quotient_rule():
     f = parse_ratfn("(z^3 + 1)/(z - 2)")
     g = parse_ratfn("z^2 + 3")
@@ -234,8 +243,14 @@ def test_reflected_ops_return_not_implemented():
     assert p.__rsub__(1.5) is NotImplemented
     assert f.__rsub__(1.5) is NotImplemented
     assert f.__rtruediv__(1.5) is NotImplemented
+    assert p.__floordiv__(1.5) is NotImplemented
+    assert p.__mod__(1.5) is NotImplemented
     with pytest.raises(TypeError, match="unsupported operand"):
         1.5 - p
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p // 1.5
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p % 1.5
     with pytest.raises(TypeError, match="unsupported operand"):
         1.5 / f
     assert 1 - p == parse_poly("-z")
