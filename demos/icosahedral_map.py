@@ -8,24 +8,21 @@ superattracting 2-cycles of K.
 Run: python demos/icosahedral_map.py
 """
 
-from equiops.dynamics import cycle_report, poly_roots
 from equiops.operators import klein_vector_field, phi_operator
 from equiops.parsing import poly_literal, ratfn_literal
+from equiops.properties import check_syzygy, klein_cycles
 from equiops.report import load_config
 
 cfg = load_config("A5")
 v5 = cfg.vertex_form.poly
-f5 = cfg.form("f5").poly
-e5 = cfg.form("e5").poly
 
 print("icosahedral vertex form   v5 =", poly_literal(v5))
 k = phi_operator(v5, -12)
 print("equivariant map  phi(v5,-12) =", ratfn_literal(k))
 print("vector-field construction agrees:", klein_vector_field(v5, 12) == k)
 
-syzygy = e5 * e5 - f5 * f5 * f5 - (v5 ** 5).scale(1728)
-print("syzygy e^2 - f^3 - 1728 v^5 == 0:", syzygy.is_zero)
+ok, detail = check_syzygy(cfg)
+print("%s:" % detail, ok)
 
-roots = poly_roots(f5, tol=1e-10)
 print()
-print(cycle_report(k, roots, 2, tol=1e-9).text())
+print(klein_cycles(cfg).text())

@@ -403,12 +403,18 @@ class Cyclo:
     # -- comparisons, hashing, conversion ------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Cyclo) and self._rat and other._rat:
+            # Q lies in every Q(zeta_N): rationals compare by value in any order
+            return self.num[0] == other.num[0] and self.den == other.den
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a rational element hashes like the Fraction it equals, in any order
+        if self._rat:
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
     def __complex__(self):

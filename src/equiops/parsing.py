@@ -181,15 +181,15 @@ def _join_signed(parts):
 
 
 def _coeff_prefix(c):
-    """Multiplier text for a coefficient, or '' / '-' for +-1."""
-    if c.is_rational:
-        fr = c.as_fraction()
-        if fr == 1:
+    """Multiplier text for a coefficient (a Fraction or an irrational Cyclo),
+    or '' / '-' for +-1."""
+    if isinstance(c, Fraction):
+        if c == 1:
             return ""
-        if fr == -1:
+        if c == -1:
             return "-"
-        lit = _frac_literal(fr)
-        if "/" in lit or fr < 0:
+        lit = _frac_literal(c)
+        if "/" in lit or c < 0:
             lit = "(%s)" % lit
         return lit + "*"
     return "(%s)*" % cyclo_literal(c)
@@ -198,13 +198,18 @@ def _coeff_prefix(c):
 def poly_literal(p):
     if p.is_zero:
         return "0"
+    if p.is_rational:  # read the ints, not the Cyclo view
+        ints, den = p.as_ints()
+        values = [Fraction(v, den) for v in ints]
+    else:
+        values = [c.as_fraction() if c.is_rational else c for c in p.coeffs]
     parts = []
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if c.is_zero:
+        c = values[k]
+        if not c:
             continue
         if k == 0:
-            lit = cyclo_literal(c)
+            lit = _frac_literal(c) if isinstance(c, Fraction) else cyclo_literal(c)
             if " " in lit and len(parts) > 0:
                 lit = "(%s)" % lit if not lit.startswith("-") else lit
             parts.append(lit)
@@ -217,10 +222,8 @@ def poly_literal(p):
 def ratfn_literal(f):
     if f.is_infinity:
         return "inf"
-    if f.den.degree == 0:
-        d = f.den.coeffs[0]
-        if d.is_rational and d.as_fraction() == 1:
-            return poly_literal(f.num)
+    if f.den == 1:
+        return poly_literal(f.num)
     num = poly_literal(f.num)
     den = poly_literal(f.den)
     if " " in num:

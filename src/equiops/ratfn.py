@@ -118,6 +118,9 @@ class RatFn:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # with den 1 the value equals its num, and a constant its value
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------

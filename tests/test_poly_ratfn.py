@@ -1,9 +1,11 @@
 """Polynomial and rational-function arithmetic."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,14 @@ def test_poly_rejects_mixed_orders():
         q60 + p120
     with pytest.raises(CycloError):
         q60.gcd(p120)
+    # the int kernels of rational data check the field too
+    x60, x120 = Poly.x(60), Poly.x(120)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a.divmod(b), lambda a, b: a.gcd(b),
+               lambda a, b: (a * a + 1).divmod(b), lambda a, b: a.scale(b.leading),
+               lambda a, b: a(b.leading)):
+        with pytest.raises(CycloError):
+            op(x60, x120)
 
 
 # -- operator protocol and the hash/eq contract ---------------------------------
@@ -262,14 +272,27 @@ def test_reflected_ops_return_not_implemented():
     sqrt5() * rational(Fraction(2, 9)) + imag_unit(),
     parse_poly("z^3 - (zeta^15+zeta^105)*z + 1/2"),
     parse_ratfn("(z^2 - zeta)/(3*z + 1)"),
-], ids=["rational", "irrational", "poly", "ratfn"])
+    Poly([Fraction(-3, 4), 0, Fraction(5, 10 ** 20 + 39)]),
+    Poly.zero(),
+    parse_ratfn("(2*z + 1)/(z^2/3 + 1)"),
+], ids=["rational", "irrational", "poly", "ratfn", "rational-poly", "zero-poly",
+        "rational-ratfn"])
 def test_values_survive_pickle_and_deepcopy(value):
+    def polys(v):
+        return [v] if isinstance(v, Poly) else [v.num, v.den] if isinstance(v, RatFn) else []
+    for p in polys(value)[:1]:
+        p.coeffs  # a view already built is copied along
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
         assert repr(copied) == repr(value)
         if isinstance(value, Cyclo):
             assert copied.is_rational == value.is_rational
+        for p, q in zip(polys(copied), polys(value)):
+            assert p.is_rational == q.is_rational and p.coeffs == q.coeffs
+            if q.is_rational:
+                assert p.as_ints() == q.as_ints()
+            assert p * p + p == q * q + q
 
 
 def test_ratfn_hash_matches_equality_on_unreduced_values():
@@ -462,3 +485,196 @@ def test_ratfn_edge_cases_keep_their_errors():
     assert zero.inverse().is_infinity and inf.inverse() == zero
     assert (inf ** 2).is_infinity and inf ** 0 == 1
     assert repr(f.inverse()) == repr(RatFn(f.den, f.num))
+
+
+# -- int storage against a Fraction reference ------------------------------------
+
+def frac_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def frac_add(a, b):
+    n = max(len(a), len(b))
+    return frac_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+
+def frac_mul(a, b):
+    return frac_trim(oracle_mul(a, b)) if a and b else []
+
+
+def frac_gcd(a, b):
+    """Monic gcd by Euclid over Q; [] only for two zeros."""
+    a, b = frac_trim(a), frac_trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, frac_trim(oracle_divmod(a, b)[1])
+    return [c / a[-1] for c in a] if a else []
+
+
+def frac_power(a, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = frac_mul(out, a)
+    return out
+
+
+def frac_substitute(a, p, q, degree):
+    """sum a_i p^i q^(degree - i)."""
+    out = []
+    for i, c in enumerate(a):
+        out = frac_add(out, [c * t for t in frac_mul(frac_power(p, i), frac_power(q, degree - i))])
+    return out
+
+
+def frac_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def seeded_fracs(rng, degree):
+    """Coefficients for degree -1 (zero) up: small, or with a large
+    denominator, and a leading coefficient of either sign."""
+    def coeff():
+        den = rng.choice((1, 1, 2, 3, 7, 10 ** 20 + 39))
+        return Fraction(rng.randint(-9, 9) * rng.choice((1, 1, 10 ** 18 + 3)), den)
+    out = [coeff() for _ in range(degree + 1)]
+    if out:
+        out[-1] = rng.choice((1, -1)) * Fraction(rng.randint(1, 7), rng.choice((1, 5, 10 ** 20 + 39)))
+    return out
+
+
+def assert_storage(p, fracs):
+    """p is int-stored and canonical, with exactly the coefficients fracs."""
+    ints, den = p.as_ints()
+    assert p.is_rational and den > 0
+    assert not ints or ints[-1] != 0
+    g = den
+    for v in ints:
+        g = math.gcd(g, v)
+    assert g == 1
+    assert [Fraction(v, den) for v in ints] == frac_trim(fracs)
+    assert_coeffs(p, frac_trim(fracs))
+
+
+FRACTION_POLYS = [(d, seed) for d in range(-1, 6) for seed in range(3)]
+
+
+@pytest.mark.parametrize("degree,seed", FRACTION_POLYS)
+def test_int_storage_matches_fraction_reference(degree, seed):
+    rng = random.Random("int-storage:%d:%d" % (degree, seed))
+    fa = seeded_fracs(rng, degree)
+    fb = seeded_fracs(rng, rng.randint(-1, 4))
+    a, b = Poly(fa), Poly(fb)
+    assert_storage(a, fa)
+    assert_storage(a + b, frac_add(fa, fb))
+    assert_storage(a - b, frac_add(fa, [-c for c in fb]))
+    assert_storage(-a, [-c for c in fa])
+    for c in (Fraction(0), Fraction(-3, 10 ** 20 + 39), 5, rational(Fraction(2, 7))):
+        assert_storage(a.scale(c), [Fraction(c.as_fraction() if isinstance(c, Cyclo) else c) * x
+                                    for x in fa])
+    assert_storage(a * b, frac_mul(fa, fb))
+    assert_storage(a.derivative(), [i * c for i, c in enumerate(fa)][1:])
+    if fa:
+        assert_storage(a.monic(), [c / fa[-1] for c in fa])
+    if fb:
+        q, r = a.divmod(b)
+        if len(fa) >= len(fb):
+            oq, orem = oracle_divmod(fa, fb)
+        else:
+            oq, orem = [], fa
+        assert_storage(q, oq)
+        assert_storage(r, orem)
+    if fa or fb:
+        assert_storage(a.gcd(b), frac_gcd(fa, fb))
+        assert_storage(a.gcd(a * b), frac_gcd(fa, frac_mul(fa, fb)))
+    p, q = seeded_fracs(rng, rng.randint(0, 2)), seeded_fracs(rng, rng.randint(-1, 1))
+    for extra in (0, 2):
+        D = max(degree, 0) + extra
+        assert_storage(a.substitute(Poly(p), Poly(q), D), frac_substitute(fa, p, q, D))
+    assert_storage(a(Poly(p)), frac_substitute(fa, p, [Fraction(1)], degree))
+    for x in (0, Fraction(-7, 3), Fraction(1, 10 ** 20 + 39), rational(5)):
+        value = a(x)
+        assert isinstance(value, Cyclo)
+        assert value == frac_eval(fa, x.as_fraction() if isinstance(x, Cyclo) else x)
+
+
+def test_promotion_matches_the_cyclo_path():
+    # a rational operand meets Q(sqrt5) and zeta data through its Cyclo view;
+    # the results are those of Cyclo arithmetic on the coefficient lists
+    rng = random.Random("promotion")
+    for gen in (sqrt5(), zeta(120, 7), imag_unit()):
+        for _ in range(4):
+            r = Poly(seeded_fracs(rng, rng.randint(1, 4)))
+            a = Poly([rational(rng.randint(-3, 3)) + gen * rational(rng.randint(-2, 2))
+                      for _ in range(rng.randint(1, 3))] + [gen])
+            assert r.is_rational and not a.is_rational
+            with pytest.raises(CycloError):
+                a.as_ints()
+            ra, rc = r.coeffs, a.coeffs
+            prod = [rational(0)] * (len(ra) + len(rc) - 1)
+            for i, x in enumerate(ra):
+                for j, y in enumerate(rc):
+                    prod[i + j] = prod[i + j] + x * y
+            assert (r * a).coeffs == tuple(prod) and (a * r) == (r * a)
+            total = [x + y for x, y in zip_longest(ra, rc, fillvalue=rational(0))]
+            assert (r + a) == Poly(total) and (a + r) == (r + a)
+            assert_divmod_identity(r * a + r, a)
+            assert_divmod_identity(a * a, r)
+            assert r.gcd(r * a) == r.monic()
+            assert (a * r).scale(rational(Fraction(-2, 3))) == a * r.scale(Fraction(-2, 3))
+            assert (r - r * 1).is_zero and (a * gen - a * gen).is_rational
+
+
+def test_rational_results_of_irrational_data_are_int_stored():
+    s5 = Poly([sqrt5(), 1])
+    conj = Poly([-sqrt5(), 1])
+    p = s5 * conj  # z^2 - 5
+    assert p.is_rational and p.as_ints() == ((-5, 0, 1), 1)
+    assert p == parse_poly("z^2 - 5") and hash(p) == hash(parse_poly("z^2 - 5"))
+    assert (s5 - Poly([sqrt5()])).as_ints() == ((0, 1), 1)
+    assert Poly([sqrt5(), sqrt5() * rational(2)]).monic().as_ints() == ((1, 2), 2)
+
+
+def test_equality_and_hash_across_constructions():
+    fr = [Fraction(-3, 4), Fraction(0), Fraction(5, 6), Fraction(1, 10 ** 20 + 39)]
+    built = [Poly(fr), Poly([rational(c) for c in fr]),
+             Poly([Cyclo(120, [c.numerator], c.denominator) for c in fr]),
+             Poly([rational(c) for c in fr] + [0, Fraction(0)]),
+             parse_poly("(1/%d)*z^3 + (5/6)*z^2 - 3/4" % (10 ** 20 + 39))]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert p.as_ints() == built[0].as_ints()
+    assert len(set(built)) == 1
+    assert Poly([2, 4]) != Poly([1, 2]) and Poly([Fraction(1, 2)]) != Poly([1])
+
+
+def test_constants_hash_like_the_fractions_they_equal():
+    pairs = [(rational(3), 3), (Poly.constant(3), 3), (RatFn.constant(3), 3),
+             (Poly.constant(rational(3)), rational(3)),
+             (rational(Fraction(-2, 9)), Fraction(-2, 9)),
+             (RatFn.constant(Fraction(-2, 9)), Fraction(-2, 9)),
+             (Poly.zero(), 0), (RatFn.x(), Poly.x())]
+    for value, other in pairs:
+        assert value == other and hash(value) == hash(other)
+    assert {rational(1): "one"}.get(1) == "one"
+    assert {3: "three"}.get(RatFn.constant(3)) == "three"
+    irrational = sqrt5() * rational(2)
+    assert Poly.constant(irrational) == irrational
+    assert hash(Poly.constant(irrational)) == hash(irrational)
+    # rationals, equal in every field order, compare and hash by value; so
+    # equal hashes never meet an == that raises for mixed orders
+    assert rational(3, 60) == rational(3, 120) == 3
+    assert len({rational(3, 60), rational(3, 120), 3, Poly.constant(3, 60)}) == 1
+    assert Poly.x(60) == Poly.x(120) and hash(Poly.x(60)) == hash(Poly.x(120))
+    assert RatFn.constant(3, 60) == RatFn.constant(3, 120)
+    with pytest.raises(CycloError):
+        zeta(60) == zeta(120)
+    with pytest.raises(CycloError):
+        Poly([zeta(60)]) == Poly([zeta(120)])
