@@ -37,6 +37,8 @@ class Moebius:
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other):
+        if not isinstance(other, Moebius):
+            return NotImplemented
         return Moebius(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,

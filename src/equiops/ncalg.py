@@ -23,6 +23,10 @@ from .ratfn import RatFn
 # -- free algebra -----------------------------------------------------
 
 
+# the scalars of NCPoly and MatFn; other operands get NotImplemented
+_SCALARS = (int, Fraction, Cyclo, Poly, RatFn)
+
+
 def _coeff_is_zero(c):
     if isinstance(c, (RatFn, Cyclo)):
         return c.is_zero
@@ -66,6 +70,8 @@ class NCPoly:
 
     def __add__(self, other):
         other = _coerce_nc(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
             terms[word] = terms.get(word, 0) + coeff
@@ -77,14 +83,22 @@ class NCPoly:
         return NCPoly({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce_nc(other))
+        other = _coerce_nc(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_nc(other) + (-self)
+        other = _coerce_nc(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, NCPoly):
+        if isinstance(other, _SCALARS):
             return NCPoly({w: c * other for w, c in self.terms.items()})
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -95,8 +109,9 @@ class NCPoly:
     __rmul__ = __mul__  # scalars commute with coefficients
 
     def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            other = _coerce_nc(other)
+        other = _coerce_nc(other)
+        if other is None:
+            return NotImplemented
         return (self - other).is_zero
 
     def __hash__(self):
@@ -152,9 +167,19 @@ class NCPoly:
 
 
 def _coerce_nc(value):
+    """An NCPoly, a scalar as a constant one, or None for anything else."""
     if isinstance(value, NCPoly):
         return value
-    return NCPoly({(): value})
+    if isinstance(value, _SCALARS):
+        return NCPoly({(): value})
+    return None
+
+
+def _as_nc(value):
+    p = _coerce_nc(value)
+    if p is None:
+        raise TypeError("not a free-algebra element or scalar: %r" % (value,))
+    return p
 
 
 def _word_text(word):
@@ -192,7 +217,7 @@ def nc_derive(p):
     Forced by p_k = -(1/2) fdot^{-1} f^{(k+1)} and the matrix product
     rule d(fdot^{-1}) = -fdot^{-1} fddot fdot^{-1}.
     """
-    p = _coerce_nc(p)
+    p = _as_nc(p)
     result = NCPoly.zero()
     for word, coeff in p.terms.items():
         for i, k in enumerate(word):
@@ -205,7 +230,7 @@ def nc_derive(p):
 
 def q_compose_step(h):
     """One q-composition step: X o_q H = d(H) - (p_1 H - H p_1)."""
-    h = _coerce_nc(h)
+    h = _as_nc(h)
     p1 = NCPoly.generator(1)
     return nc_derive(h) - (p1 * h - h * p1)
 
@@ -288,12 +313,16 @@ class MatFn:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return MatFn([[self.rows[i][j] + other.rows[i][j]
                        for j in range(self.size)] for i in range(self.size)],
                      self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return MatFn([[self.rows[i][j] - other.rows[i][j]
                        for j in range(self.size)] for i in range(self.size)],
                      self.order)
@@ -306,12 +335,16 @@ class MatFn:
             if other.size != self.size:
                 raise ValueError("size mismatch")
             return other
-        return MatFn.scalar(other, self.size, self.order)
+        if isinstance(other, _SCALARS):
+            return MatFn.scalar(other, self.size, self.order)
+        return None
 
     def __mul__(self, other):
-        if not isinstance(other, MatFn):
+        if isinstance(other, _SCALARS):
             return MatFn([[e * other for e in row] for row in self.rows],
                          self.order)
+        if not isinstance(other, MatFn):
+            return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
         cols = list(zip(*other.rows))
@@ -322,6 +355,8 @@ class MatFn:
 
     def __eq__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return all(self.rows[i][j] == other.rows[i][j]
                    for i in range(self.size) for j in range(self.size))
 
@@ -432,7 +467,7 @@ def phi_generators(f, count):
 
 def nc_eval(p, f):
     """Evaluate a free-algebra element on a matrix function."""
-    return NCExpr("poly", value=_coerce_nc(p)).eval(f)
+    return NCExpr("poly", value=_as_nc(p)).eval(f)
 
 
 # -- operators --------------------------------------------------------
@@ -532,7 +567,7 @@ class NCExpr:
         if self.kind == "poly":
             terms = []
             for word, coeff in self.value.terms.items():
-                if not isinstance(coeff, (int, Fraction, Cyclo, RatFn)):
+                if not isinstance(coeff, _SCALARS):
                     raise TypeError("unsupported coefficient %r" % (coeff,))
                 terms.append(reduce(mul, [gens[k] for k in word]) * coeff
                              if word else MatFn.scalar(coeff, f.size, f.order))

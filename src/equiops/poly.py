@@ -1,26 +1,30 @@
 """Univariate polynomials over a cyclotomic field.
 
-Storage.  Each polynomial has one canonical storage, chosen by its data.
-With only rational coefficients it is FLINT's fmpq_poly layout: an int
-tuple `ints`, low degree first with no trailing zeros, over one
-denominator `den` > 0 with gcd(content(ints), den) = 1; zero is ((), 1).
-With any irrational coefficient it is a tuple of `Cyclo`, every one of the
-polynomial's field order.  `coeffs` reads the `Cyclo` tuple either way: for
-rational data it is a view built on first use.  Both storages are
-canonical, so equality and hashing compare them directly; a constant
-hashes like its value, and so a rational one like its `Fraction`.
+Storage.  Every polynomial has one layout, `(items, den)`: coefficient i is
+items[i] / den, low degree first with no trailing zeros, and zero is
+((), 1).  With only rational coefficients the items are ints and den > 0 is
+prime to their content, FLINT's fmpq_poly layout.  With any irrational
+coefficient the items are the `Cyclo` coefficients themselves, all of the
+polynomial's field order, over den = 1.  `coeffs` reads the `Cyclo` tuple
+either way: the items, or for ints a view built on first use.  One
+normaliser, `_canonical`, brings every result to this layout and stores a
+result whose values all come out rational as ints, so equal values have
+equal storage: equality and hashing compare (items, den) directly, and a
+constant hashes like its value, so a rational one like its `Fraction`.
 
-Rational lane.  When every operand is rational, add, sub, neg, scale, mul
-(a convolution), divmod (a pseudo-division), gcd (a primitive remainder
-sequence), monic, derivative and substitute read and write (ints, den) and
-build no `Cyclo`.  A rational operand that meets an irrational one takes the
-general `Cyclo` path through its view, and a result whose coefficients all
-come out rational is stored as ints again, so both paths give the same
-values.  One pseudo-division serves divmod on both storages and the
-remainder sequence: over the integers a step scales the remainder by
-lead / gcd(top, lead), no more than exact division needs; over Q(zeta) it
-divides by the leading coefficient.  The gcd over Q(zeta) is monic Euclid
-with content control.
+One path per operation.  Add, neg, scale, mul (a convolution), derivative
+and substitute read and write (items, den) alone: ints and `Cyclo` mix in
+one list, and `_canonical` sorts out the result, so rational data builds
+no `Cyclo`.  A pseudo-division serves divmod and the gcd, and only its step
+depends on the storage: over Z it scales the remainder by
+lead / gcd(top, lead), no more than exact division needs; over Q(zeta)
+divmod subtracts top / lead times the divisor.  The gcd is one primitive
+remainder sequence over Z or Z[zeta] (Brown-Collins; Knuth, TAOCP vol. 2,
+4.6.1): every remainder is made primitive, ints divided by their content
+and `Cyclo` items scaled to integer vectors of content 1, a step over
+Z[zeta] multiplies by the divisor's lead instead of dividing by it, and
+the result is made monic at the end.  No field inverse is taken before
+that, and the coefficients stay near the size of the operands.
 
 Composition.  `substitute(p, q, degree)` is the one substitution kernel: the
 binary form sum c_i p^i q^(degree - i), by Horner in p.  Evaluation at a
@@ -31,7 +35,7 @@ all call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational
 
@@ -40,23 +44,24 @@ class Poly:
     """A polynomial over Q(zeta_order), canonical: equal values have equal
     storage."""
 
-    # _ints/_den for rational data (_coeffs then caches the Cyclo view);
-    # _ints None and _coeffs the Cyclo tuple otherwise
-    __slots__ = ("_ints", "_den", "_coeffs", "order", "degree")
+    # coefficient i is _items[i] / _den, see the module docstring; _coeffs
+    # caches the Cyclo tuple
+    __slots__ = ("_items", "_den", "_coeffs", "order", "degree")
 
     def __init__(self, coeffs, order=DEFAULT_ORDER):
         cs = list(coeffs)
         field = None
-        for i, c in enumerate(cs):
+        for c in cs:
             if isinstance(c, Cyclo):
                 if field is None:
                     field = order = c.order
                 elif c.order != field:
                     raise CycloError("mixed cyclotomic orders in one polynomial: %d vs %d"
                                      % (field, c.order))
-            elif not isinstance(c, int):
-                cs[i] = Fraction(c)
-        _store(self, cs, order)
+        cs = [c if isinstance(c, (int, Cyclo)) else rational(c, order) for c in cs]
+        p = _canonical(cs, 1, order)
+        self._items, self._den, self._coeffs, self.order, self.degree = \
+            p._items, p._den, None, p.order, p.degree
 
     # -- constructors --------------------------------------------------
 
@@ -74,7 +79,10 @@ class Poly:
 
     @staticmethod
     def constant(c, order=DEFAULT_ORDER):
-        return Poly((c,), order)
+        if isinstance(c, Cyclo):
+            order = c.order  # its field, as in Poly([c])
+        r = _ratio_of(c, order)
+        return _canonical([c], 1, order) if r is None else _canonical([r[0]], r[1], order)
 
     # -- basic queries ------------------------------------------------
 
@@ -83,19 +91,23 @@ class Poly:
         """The coefficients as a tuple of `Cyclo`, low degree first."""
         cs = self._coeffs
         if cs is None:
-            ratio, order, den = Cyclo._ratio, self.order, self._den
-            cs = self._coeffs = tuple([ratio(order, v, den) for v in self._ints])
+            cs = self._coeffs = tuple(map(self._value, range(self.degree + 1)))
         return cs
+
+    def _value(self, i):
+        """Coefficient i as a `Cyclo`."""
+        v = self._items[i]
+        return v if isinstance(v, Cyclo) else Cyclo._ratio(self.order, v, self._den)
 
     @property
     def is_rational(self):
-        return self._ints is not None
+        return not self._items or isinstance(self._items[-1], int)
 
     def as_ints(self):
         """(ints, den) with coefficient i equal to ints[i] / den."""
-        if self._ints is None:
+        if not self.is_rational:
             raise CycloError("not a rational polynomial")
-        return self._ints, self._den
+        return self._items, self._den
 
     @property
     def is_zero(self):
@@ -109,22 +121,16 @@ class Poly:
     def leading(self):
         if self.degree < 0:
             raise ValueError("zero polynomial has no leading coefficient")
-        if self._ints is None:
-            return self._coeffs[-1]
-        return Cyclo._ratio(self.order, self._ints[-1], self._den)
+        return self._value(-1)
 
     @property
     def is_monic(self):
-        if self._ints is None:
-            return self._coeffs[-1] == 1
-        return self.degree >= 0 and self._ints[-1] == self._den
+        return self.degree >= 0 and self._items[-1] == self._den
 
     def constant_value(self):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        if self._ints is None:
-            return self._coeffs[0]
-        return Cyclo._ratio(self.order, self._ints[0] if self._ints else 0, self._den)
+        return self._value(0) if self._items else rational(0, self.order)
 
     def __bool__(self):
         return not self.is_zero
@@ -133,17 +139,16 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._ints is not None and o._ints is not None:
-            # rational data compares by value in any field order, like Cyclo
-            return self._ints == o._ints and self._den == o._den
-        _same_field(self, o)
-        return self._ints is None and o._ints is None and self._coeffs == o._coeffs
+        # rational data compares by value in any field order, like Cyclo
+        if self.order != o.order and not (self.is_rational and o.is_rational):
+            _same_field(self, o)
+        return self._den == o._den and self._items == o._items
 
     def __hash__(self):
         # a constant hashes like its value, as it compares equal to it
         if self.degree <= 0:
             return hash(self.constant_value())
-        return hash(self._coeffs if self._ints is None else (self._ints, self._den))
+        return hash((self._items, self._den))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -163,27 +168,23 @@ class Poly:
         if self.degree < 0:
             return o
         _same_field(self, o)
-        a, b, den = self._ints, o._ints, self._den
-        if a is None or b is None:
-            a, b, den = self.coeffs, o.coeffs, None
-        elif den != o._den:
-            g = _int_gcd(den, o._den)
-            a = [v * (o._den // g) for v in a]
+        a, b, den, d = self._items, o._items, self._den, o._den
+        if den != d:
+            g = _int_gcd(den, d)
+            a = [v * (d // g) for v in a]
             b = [v * (den // g) for v in b]
-            den = den // g * o._den
+            den = den // g * d
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return _from_coeffs(out, self.order) if den is None else _canonical(out, den, self.order)
+        return _canonical(out, den, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._ints is None:
-            return _from_coeffs([-c for c in self._coeffs], self.order)
-        return _make(tuple([-v for v in self._ints]), self._den, self.order)
+        return _make(tuple([-v for v in self._items]), self._den, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -204,9 +205,7 @@ class Poly:
         if self.degree < 0 or o.degree < 0:
             return Poly.zero(self.order)
         _same_field(self, o)
-        if self._ints is not None and o._ints is not None:
-            return _canonical(_conv(self._ints, o._ints), self._den * o._den, self.order)
-        return _from_coeffs(_conv(self.coeffs, o.coeffs, rational(0, self.order)), self.order)
+        return _canonical(_conv(self._items, o._items), self._den * o._den, self.order)
 
     __rmul__ = __mul__
 
@@ -224,13 +223,10 @@ class Poly:
         return result
 
     def scale(self, c):
-        if self._ints is not None:
-            r = _ratio_of(c, self.order)
-            if r is not None:
-                return _canonical([v * r[0] for v in self._ints], self._den * r[1], self.order)
-        if not isinstance(c, Cyclo):
-            c = rational(c, self.order)
-        return _from_coeffs([c * x for x in self.coeffs], self.order)
+        r = _ratio_of(c, self.order)
+        if r is None:
+            return _canonical([v * c for v in self._items], self._den, self.order)
+        return _canonical([v * r[0] for v in self._items], self._den * r[1], self.order)
 
     def divmod(self, other):
         """Quotient and remainder; requires other nonzero."""
@@ -239,15 +235,17 @@ class Poly:
         if self.degree < other.degree:
             return Poly.zero(self.order), self
         _same_field(self, other)
-        fa, fb = self._ints, other._ints
-        if fa is not None and fb is not None:
-            q, rem, scale = _pseudo_divmod(fa, fb, _int_step(fb[-1]))
-            db, den = other._den, self._den * scale
-            return (_canonical([v * db for v in q], den, self.order),
-                    _canonical(rem, den, self.order))
-        inv = other.leading.inverse()
-        q, rem, _ = _pseudo_divmod(self.coeffs, other.coeffs, lambda top: (1, top * inv))
-        return _from_coeffs(q, self.order), _from_coeffs(rem, self.order)
+        fa, fb = self._items, other._items
+        lead = fb[-1]
+        if isinstance(lead, int) and isinstance(fa[-1], int):
+            step = _int_step
+        else:
+            inv = (lead if isinstance(lead, Cyclo) else rational(lead, self.order)).inverse()
+            step = lambda top, lead: (1, top * inv)  # noqa: E731
+        q, rem, scale = _pseudo_divmod(fa, fb, step)
+        db, den = other._den, self._den * scale
+        return (_canonical([v * db for v in q], den, self.order),
+                _canonical(rem, den, self.order))
 
     def __floordiv__(self, other):
         o = self._coerce(other)
@@ -270,9 +268,7 @@ class Poly:
     # -- calculus, evaluation -----------------------------------------
 
     def derivative(self):
-        if self._ints is None:
-            return _from_coeffs([c * i for i, c in enumerate(self._coeffs)][1:], self.order)
-        return _canonical([v * i for i, v in enumerate(self._ints)][1:], self._den, self.order)
+        return _canonical([v * i for i, v in enumerate(self._items)][1:], self._den, self.order)
 
     def __call__(self, x):
         """Horner evaluation at a Cyclo/Fraction/int/complex or Poly."""
@@ -311,69 +307,27 @@ class Poly:
         acc = Poly.zero(self.order)
         for i in range(n, -1, -1):
             acc = acc * p
-            c = self._coefficient(i)
+            c = _canonical([self._items[i]], self._den, self.order)
             if c:
                 acc = acc + (c if unit else q_pows[n - i] * c)
         if degree > n:
             acc = acc * q ** (degree - n)
         return acc
 
-    def _coefficient(self, i):
-        """Coefficient i as a constant polynomial."""
-        if self._ints is None:
-            return Poly((self._coeffs[i],), self.order)
-        return _canonical([self._ints[i]], self._den, self.order)
-
     # -- normalization, gcd -------------------------------------------
 
     def monic(self):
-        if self.is_zero or self.is_monic:
+        if self.degree < 0 or self.is_monic:
             return self
-        a = self._ints
-        if a is None:
-            inv = self.leading.inverse()
-            return _from_coeffs([c * inv for c in self._coeffs], self.order)
-        # ints / lead, over gcd(content, lead) = content, signed so den > 0
-        lead = a[-1]
-        g = _content(a, lead)
-        if lead < 0:
-            g = -g
-        return _make(tuple([v // g for v in a]), lead // g, self.order)
-
-    def rational_content_normalized(self):
-        """Divide by a positive rational making integer data small; zero stays zero."""
-        if self.degree < 0:
-            return self
-        num_g = 0
-        den_l = 1
-        for c in self.coeffs:
-            for n in c.num:
-                num_g = _int_gcd(num_g, n)
-            den_l = den_l * c.den // _int_gcd(den_l, c.den)
-        factor = Fraction(den_l, num_g)
-        if factor == 1:
-            return self
-        return _from_coeffs([c * factor for c in self.coeffs], self.order)
+        return _monic(self._items, self.order)
 
     def gcd(self, other):
-        a, b = self, other
-        if a.is_zero:
-            return b.monic()
-        if b.is_zero:
-            return a.monic()
-        _same_field(a, b)
-        if a._ints is not None and b._ints is not None:
-            ints, lead = _gcd_rational(a._ints, b._ints)
-            return _make(ints, lead, a.order)
-        if a.degree < b.degree:
-            a, b = b, a
-        a = a.rational_content_normalized()
-        b = b.rational_content_normalized()
-        while not b.is_zero:
-            b = b.monic()
-            _, r = a.divmod(b)
-            a, b = b, r.rational_content_normalized()
-        return a.monic()
+        if self.degree < 0:
+            return other.monic()
+        if other.degree < 0:
+            return self.monic()
+        _same_field(self, other)
+        return _monic(_gcd_prs(self._items, other._items, self.order), self.order)
 
     def squarefree_decomposition(self):
         """Yun's algorithm: list of (factor, multiplicity), factors monic squarefree."""
@@ -408,59 +362,53 @@ class Poly:
 _new = object.__new__
 
 
-def _make(ints, den, order):
-    """The rational polynomial of a canonical (ints, den)."""
+def _make(items, den, order):
+    """The polynomial of a canonical (items, den)."""
     p = _new(Poly)
-    p._ints, p._den, p._coeffs, p.order, p.degree = ints, den, None, order, len(ints) - 1
+    p._items, p._den, p._coeffs, p.order, p.degree = items, den, None, order, len(items) - 1
     return p
 
 
-def _canonical(ints, den, order):
-    """The rational polynomial ints / den, for an int list and den != 0."""
-    while ints and not ints[-1]:
-        ints.pop()
-    if not ints:
+def _canonical(items, den, order):
+    """The polynomial items / den, for ints and `Cyclo` elements of the order
+    (a list, or a tuple without trailing zeros) and an int den != 0."""
+    while items and not items[-1]:
+        items.pop()
+    if not items:
         return _make((), 1, order)
-    if den < 0:
-        den = -den
-        ints = [-v for v in ints]
-    if den != 1:
-        g = _content(ints, den)
-        if g != 1:
-            den //= g
-            ints = [v // g for v in ints]
-    return _make(tuple(ints), den, order)
-
-
-def _store(p, cs, order):
-    """Fill p with the canonical storage of the coefficient list cs: ints,
-    Fractions and `Cyclo` elements of the order."""
-    while cs and not cs[-1]:
-        cs.pop()
-    p.order, p.degree = order, len(cs) - 1
-    pairs, den = [], 1
-    for c in cs:
-        if isinstance(c, Cyclo):
-            if not c.is_rational:
-                p._ints = p._den = None
-                p._coeffs = tuple([c if isinstance(c, Cyclo) else rational(c, order) for c in cs])
-                return p
-            n, d = c.num[0], c.den
-        elif isinstance(c, int):
-            n, d = c, 1
+    if not isinstance(items[-1], Cyclo):
+        try:
+            g = _int_gcd(den, *items)
+        except TypeError:  # a Cyclo item below an int lead
+            pass
         else:
-            n, d = c.numerator, c.denominator
-        pairs.append((n, d))
-        if den % d:
-            den = den * d // _int_gcd(den, d)
-    # reduced terms over their lcm: the content is prime to den
-    p._ints, p._den, p._coeffs = tuple([n * (den // d) for n, d in pairs]), den, None
-    return p
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                items = [v // g for v in items]
+            return _make(tuple(items), den, order)
+    for v in items:
+        if isinstance(v, Cyclo) and not v.is_rational:
+            break
+    else:  # all values rational: ints over one denominator
+        m = _int_lcm(*[v.den for v in items if isinstance(v, Cyclo)])
+        return _canonical([v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+                           for v in items], den * m, order)
+    if den != 1:
+        inv = Cyclo._ratio(order, 1, den)
+        items = [inv * v for v in items]
+    return _make(tuple([v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1)
+                        for v in items]), 1, order)
 
 
-def _from_coeffs(cs, order):
-    """The polynomial of a coefficient list, as `_store` takes it."""
-    return _store(_new(Poly), cs, order)
+def _monic(items, order):
+    """The monic polynomial of a nonzero item list of one storage."""
+    lead = items[-1]
+    if isinstance(lead, Cyclo):
+        inv = lead.inverse()
+        return _canonical([v * inv for v in items], 1, order)
+    return _canonical(items, lead, order)
 
 
 def _same_field(a, b):
@@ -469,76 +417,76 @@ def _same_field(a, b):
 
 
 def _ratio_of(x, order):
-    """(n, d) with x == n / d for an int, a Fraction or a rational `Cyclo`;
-    None for anything else."""
+    """(n, d) with x == n / d for an int, a Fraction or a rational `Cyclo` of
+    the order; None for an irrational one."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, Cyclo):
-        if not x.is_rational:
-            return None
         if x.order != order:
             raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, x.order))
-        return x.num[0], x.den
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return None
+        return (x.num[0], x.den) if x.is_rational else None
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator, x.denominator
 
 
-def _content(ints, g=0):
-    """gcd(g, content of ints), stopping at 1."""
-    for v in ints:
-        g = _int_gcd(g, v)
-        if g == 1:
-            break
-    return g
-
-
-def _conv(a, b, zero=0):
-    """The product of two nonzero coefficient sequences, ints or `Cyclo`,
-    summed onto `zero`."""
+def _conv(a, b):
+    """The product of two nonzero coefficient sequences of ints or `Cyclo`."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        c = b[0]
-        return [v * c for v in a]
-    out = [zero] * (len(a) + len(b) - 1)
-    for j, bj in enumerate(b):
-        if bj:
-            for i, ai in enumerate(a, j):
-                out[i] += ai * bj
+    out = [v * b[0] for v in a]
+    if len(b) > 1:
+        out += [0] * (len(b) - 1)
+        for j in range(1, len(b)):
+            bj = b[j]
+            if bj:
+                for i, ai in enumerate(a, j):
+                    out[i] += ai * bj
     return out
 
 
-def _primitive(ints):
-    """The primitive part of a nonzero int polynomial, with positive lead."""
-    g = _content(ints)
-    if ints[-1] < 0:
+def _primitive(items, order):
+    """A nonzero item list over its content, in one storage: ints divided by
+    their gcd with a positive lead, or else `Cyclo` elements (ints among them
+    read as rationals) scaled to integer vectors of content 1."""
+    try:
+        g = _int_gcd(*items)
+    except TypeError:  # a Cyclo item
+        cs = [v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1) for v in items]
+        m = _int_lcm(*[c.den for c in cs])
+        vecs = [[n * (m // c.den) for n in c.num] for c in cs]
+        g = _int_gcd(*[n for vec in vecs for n in vec])
+        return [Cyclo(order, tuple([n // g for n in vec]), 1, _normalized=True)
+                for vec in vecs]
+    if items[-1] < 0:
         g = -g
-    return [v // g for v in ints] if g != 1 else ints
+    return [v // g for v in items] if g != 1 else items
 
 
-def _int_step(lead):
-    """The step of an int pseudo-division by a divisor with this lead: the
-    least (m, c) with m top = c lead, so numbers grow only as needed."""
-    def step(top):
-        g = _int_gcd(top, lead)
-        return lead // g, top // g
-    return step
+def _int_step(top, lead):
+    """The step of an int pseudo-division: the least (m, c) with
+    m top = c lead, so numbers grow only as needed."""
+    g = _int_gcd(top, lead)
+    return lead // g, top // g
+
+
+def _ring_step(top, lead):
+    """The step of a pseudo-division over Z[zeta]: lead rem - top x^k fb."""
+    return lead, top
 
 
 def _pseudo_divmod(fa, fb, step):
     """(q, rem, scale) with scale fa = q fb + rem and deg rem < deg fb, for
-    coefficient lists with deg fa >= deg fb: ints or `Cyclo`.  Each step
-    takes (m, c) = step(top) for the top coefficient of rem and sets
+    item lists with deg fa >= deg fb.  Each step takes (m, c) =
+    step(top, lead) for the top item of rem and the lead of fb and sets
     rem <- m rem - c x^k fb; over a field m is 1 and c is top / lead."""
     n = len(fb) - 1
-    low = fb[:-1]
+    low, lead = fb[:-1], fb[-1]
     rem, q, scale = list(fa), [], 1
     while len(rem) > n:
         top = rem.pop()
         c = 0
         if top:
-            m, c = step(top)
+            m, c = step(top, lead)
             if m != 1:
                 rem = [v * m for v in rem]
                 q = [v * m for v in q]
@@ -550,17 +498,18 @@ def _pseudo_divmod(fa, fb, step):
     return q, rem, scale
 
 
-def _gcd_rational(fa, fb):
-    """The monic gcd of two nonzero int polynomials by a primitive PRS, as
-    canonical (ints, lead)."""
-    fa, fb = _primitive(fa), _primitive(fb)
+def _gcd_prs(fa, fb, order):
+    """A gcd of two nonzero item lists, up to a unit, by a primitive
+    remainder sequence: over Z for ints, over Z[zeta] otherwise."""
+    fa, fb = _primitive(fa, order), _primitive(fb, order)
     if len(fa) < len(fb):
         fa, fb = fb, fa
+    step = _int_step if isinstance(fa[-1], int) and isinstance(fb[-1], int) else _ring_step
     while len(fb) > 1:
-        rem = _pseudo_divmod(fa, fb, _int_step(fb[-1]))[1]
+        rem = _pseudo_divmod(fa, fb, step)[1]
         while rem and not rem[-1]:
             rem.pop()
         if not rem:
-            return tuple(fb), fb[-1]
-        fa, fb = fb, _primitive(rem)
-    return (1,), 1
+            return fb
+        fa, fb = fb, _primitive(rem, order)
+    return [1]

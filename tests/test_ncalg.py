@@ -5,6 +5,7 @@ import random
 import pytest
 
 from equiops.cyclotomic import rational
+from equiops.moebius import Moebius
 from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, deform_family,
                            gen_moebius_apply, nc_d_operator, nc_derive,
                            nc_eval, nc_phi_deform, phi_generators,
@@ -255,3 +256,29 @@ def test_gauge_bridge_scalar():
     s1 = nc_eval(s_poly(1), f).rows[0][0]
     assert nc_eval(s_poly(2), f).rows[0][0] == s1.derivative()
     assert nc_eval(s_poly(3), f).rows[0][0] == s1.derivative().derivative()
+
+
+BINARY = {"__add__": lambda v, o: v + o, "__sub__": lambda v, o: v - o,
+          "__rsub__": lambda v, o: o - v, "__mul__": lambda v, o: v * o}
+
+
+@pytest.mark.parametrize("value, op, other", [
+    (NCPoly.one(), "__eq__", None),
+    (NCPoly.one(), "__add__", "a"),
+    (NCPoly.one(), "__sub__", "a"),
+    (NCPoly.one(), "__rsub__", "a"),
+    (NCPoly.one(), "__mul__", "a"),
+    (MatFn.identity(2), "__eq__", None),
+    (MatFn.identity(2), "__add__", "a"),
+    (MatFn.identity(2), "__sub__", "a"),
+    (MatFn.identity(2), "__mul__", 1.5),
+    (Moebius.identity(), "__mul__", "a"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_unsupported_operands_return_not_implemented(value, op, other):
+    assert getattr(value, op)(other) is NotImplemented
+    if op == "__eq__":
+        assert (value == other) is False and value != other
+        assert other not in [value] and value not in [other]
+    else:
+        with pytest.raises(TypeError):
+            BINARY[op](value, other)

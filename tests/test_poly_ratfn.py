@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
                                 sqrt5, zeta)
@@ -208,8 +208,65 @@ def test_irrational_divmod_identities(a, b, fr):
     assert q == a and rem.is_zero
 
 
+# -- gcd against monic Euclid, over Q(zeta), Q(zeta^7), Q(sqrt 5) and Q(i) ----
+
+GCD_FIELDS = {"zeta": zeta(120, 1), "zeta7": zeta(120, 7), "sqrt5": sqrt5(),
+              "i": imag_unit()}
+
+
+def seeded_field_poly(rng, degree, gen):
+    cs = [rational(rng.randint(-3, 3)) + gen * rational(rng.randint(-3, 3))
+          for _ in range(degree)]
+    return Poly(cs + [rational(rng.randint(1, 3)) + gen * rational(rng.randint(1, 3))])
+
+
+def cubic_shape(name):
+    """(a, b, g) of degrees 5, 4 and 3 over a field: a g and b g have
+    degrees 8 and 7 and the cubic common factor g."""
+    rng = random.Random("gcd-shape:" + name)
+    return tuple(seeded_field_poly(rng, d, GCD_FIELDS[name]) for d in (5, 4, 3))
+
+
+def euclid_gcd(a, b):
+    """The monic gcd of two nonzero `Cyclo` coefficient lists by monic
+    Euclid, the reference for `Poly.gcd`."""
+    def trim(cs):
+        while cs and cs[-1].is_zero:
+            cs = cs[:-1]
+        return cs
+    a, b = trim(a), trim(b)
+    while b:
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]
+        while len(a) >= len(b):
+            t, k = a[-1], len(a) - len(b)
+            a = trim([c - t * b[i - k] if i >= k else c for i, c in enumerate(a)])
+        a, b = b, a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS))
+def test_gcd_matches_monic_euclid(name):
+    a, b, g = cubic_shape(name)
+    rng = random.Random("gcd-mixed:" + name)
+    r, s = (Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                 + [Fraction(rng.randint(1, 5), rng.randint(1, 4))]) for d in (2, 3))
+    # the cubic shape, coprime operands, and rational x irrational operands
+    # with a rational or an irrational common factor
+    for p, q in [(a * g, b * g), (a, b), (r * s, a * s), (r * g, a * g)]:
+        got = p.gcd(q)
+        assert got.coeffs == tuple(euclid_gcd(list(p.coeffs), list(q.coeffs)))
+        assert got == q.gcd(p) and got.is_monic
+    assert (a * g).gcd(b * g).degree >= 3
+
+
 @settings(max_examples=15, deadline=None)
 @given(field_polys(1, 3), field_polys(1, 3), field_polys(2, 3))
+@example(*cubic_shape("zeta"))
+@example(*cubic_shape("zeta7"))
+@example(*cubic_shape("sqrt5"))
+@example(*cubic_shape("i"))
 def test_irrational_gcd_identities(a, b, c):
     assert_gcd_identity(a, b, c)
 
@@ -678,3 +735,5 @@ def test_constants_hash_like_the_fractions_they_equal():
         zeta(60) == zeta(120)
     with pytest.raises(CycloError):
         Poly([zeta(60)]) == Poly([zeta(120)])
+    with pytest.raises(CycloError):
+        Poly([zeta(60), 1]) == Poly([zeta(120)])
