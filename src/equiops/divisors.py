@@ -42,8 +42,7 @@ class Place:
     @staticmethod
     def bundle(poly):
         """Monic squarefree polynomial; degree-1 bundles collapse to points."""
-        if not poly.is_monic:
-            poly = poly.monic()
+        poly = poly.monic()
         if poly.degree == 1:
             return Place(Place.POINT, -poly.coeffs[0])
         return Place(Place.BUNDLE, poly)
@@ -158,8 +157,6 @@ class Divisor:
             if p.kind == Place.AT_INFINITY:
                 inf_mult += m
                 continue
-            if order is None and p.kind == Place.POINT:
-                order = p.data.order
             if order is None:
                 order = p.data.order
             polys.append((p.as_poly(order), m))
@@ -173,10 +170,10 @@ class Divisor:
             for f in factors:
                 if rem.degree < 1:
                     break
-                g = rem.gcd(f)
+                g, rest, _ = rem.gcd_cofactors(f)
                 if g.degree >= 1:
                     out[f] = out.get(f, 0) + m
-                    rem = rem.exact_div(g)
+                    rem = rest
         return {k: v for k, v in out.items() if v != 0}
 
     def __eq__(self, other):
@@ -198,10 +195,10 @@ def _refine(polys):
         f = work.pop()
         split = False
         for i, g in enumerate(done):
-            h = f.gcd(g)
+            h, f1, g1 = f.gcd_cofactors(g)
             if h.degree >= 1:
                 done.pop(i)
-                for piece in (h, g.exact_div(h), f.exact_div(h)):
+                for piece in (h, g1, f1):
                     if piece.degree >= 1:
                         work.append(piece)
                 split = True

@@ -531,10 +531,16 @@ class NCExpr:
         return NCExpr("scalar", value=value)
 
     def __add__(self, other):
-        return NCExpr("sum", (self, _coerce_expr(other)))
+        return _combine("sum", self, other)
+
+    def __radd__(self, other):
+        return _combine("sum", other, self)
 
     def __mul__(self, other):
-        return NCExpr("prod", (self, _coerce_expr(other)))
+        return _combine("prod", self, other)
+
+    def __rmul__(self, other):  # non-commutative: other stays on the left
+        return _combine("prod", other, self)
 
     def inverse(self):
         return NCExpr("inv", (self,))
@@ -586,12 +592,18 @@ class NCExpr:
 
 
 def _coerce_expr(value):
-    """An NCExpr; free-algebra elements become 'poly' leaves."""
+    """An NCExpr, a free-algebra element or scalar as a leaf, else None."""
     if isinstance(value, NCExpr):
         return value
     if isinstance(value, NCPoly):
         return NCExpr("poly", value=value)
-    return NCExpr.scalar(value)
+    return NCExpr.scalar(value) if isinstance(value, _SCALARS) else None
+
+
+def _combine(kind, left, right):
+    """NCExpr(kind, (left, right)) of two coercible operands, else NotImplemented."""
+    a, b = _coerce_expr(left), _coerce_expr(right)
+    return NotImplemented if a is None or b is None else NCExpr(kind, (a, b))
 
 
 class Theorem2Operator:

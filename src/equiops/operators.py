@@ -305,11 +305,11 @@ def _split_by_integer_values(piece, period, bound):
     for c in range(-bound, bound + 1):
         if rest.degree < 1:
             break
-        locus = rest.gcd(period - Poly.constant(rational(c, piece.order),
-                                               piece.order))
+        locus, others, _ = rest.gcd_cofactors(
+            period - Poly.constant(rational(c, piece.order), piece.order))
         if locus.degree >= 1:
-            out.append((Place.bundle(locus.monic()), rational(c, piece.order)))
-            rest = rest.exact_div(locus)
+            out.append((Place.bundle(locus), rational(c, piece.order)))
+            rest = others
     if rest.degree >= 1:
         out.append((Place.bundle(rest.monic()), period % rest))
     return out

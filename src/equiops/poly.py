@@ -18,13 +18,19 @@ one list, and `_canonical` sorts out the result, so rational data builds
 no `Cyclo`.  A pseudo-division serves divmod and the gcd, and only its step
 depends on the storage: over Z it scales the remainder by
 lead / gcd(top, lead), no more than exact division needs; over Q(zeta)
-divmod subtracts top / lead times the divisor.  The gcd is one primitive
-remainder sequence over Z or Z[zeta] (Brown-Collins; Knuth, TAOCP vol. 2,
-4.6.1): every remainder is made primitive, ints divided by their content
-and `Cyclo` items scaled to integer vectors of content 1, a step over
-Z[zeta] multiplies by the divisor's lead instead of dividing by it, and
-the result is made monic at the end.  No field inverse is taken before
-that, and the coefficients stay near the size of the operands.
+divmod subtracts top / lead times the divisor.
+
+Gcd.  `gcd_cofactors(b)` gives (g, a / g, b / g), g monic, and every
+reduction by a gcd goes through it; `gcd` is its first part.  Over Z it is
+GCDHEU (Char, Geddes and Gonnet 1989; Liao and Fateman 1995): both
+primitive parts are evaluated at xi >= 2 min(|a|, |b|) + 29 (max-norms),
+the symmetric xi-adic digits of one integer gcd of the values give a
+candidate, and the candidate is taken only if it divides both operands
+exactly, those quotients being the cofactors.  Else xi grows; after six
+tries, and over Z[zeta] always, the gcd is a primitive remainder sequence
+(Brown-Collins; Knuth, TAOCP vol. 2, 4.6.1) whose remainders are made
+primitive, with a step over Z[zeta] that multiplies by the divisor's lead,
+so no field inverse is taken before the final `monic`.
 
 Composition.  `substitute(p, q, degree)` is the one substitution kernel: the
 binary form sum c_i p^i q^(degree - i), by Horner in p.  Evaluation at a
@@ -35,7 +41,7 @@ all call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational
 
@@ -322,31 +328,41 @@ class Poly:
         return _monic(self._items, self.order)
 
     def gcd(self, other):
-        if self.degree < 0:
-            return other.monic()
-        if other.degree < 0:
-            return self.monic()
+        """The monic gcd; over Z the first part of `gcd_cofactors`."""
+        if self.degree < 0 or other.degree < 0:
+            return (other if self.degree < 0 else self).monic()
         _same_field(self, other)
+        if self.is_rational and other.is_rational:
+            return self.gcd_cofactors(other)[0]
         return _monic(_gcd_prs(self._items, other._items, self.order), self.order)
+
+    def gcd_cofactors(self, other):
+        """(g, self / g, other / g) for the monic gcd g of two polynomials,
+        not both zero: over Z by GCDHEU, whose check divides out the
+        cofactors, otherwise the gcd and then exact division."""
+        if self.degree >= 0 and other.degree >= 0 and self.is_rational and other.is_rational:
+            _same_field(self, other)
+            h, qa, qb = _gcd_heuristic(self._items, other._items)
+            if len(h) == 1:
+                return Poly.one(self.order), self, other
+            lead = h[-1]
+            return (_canonical(h, lead, self.order),
+                    _canonical([v * lead for v in qa], self._den, self.order),
+                    _canonical([v * lead for v in qb], other._den, self.order))
+        g = self.gcd(other)
+        return (g, self, other) if g.degree == 0 else (g, self.exact_div(g), other.exact_div(g))
 
     def squarefree_decomposition(self):
         """Yun's algorithm: list of (factor, multiplicity), factors monic squarefree."""
         if self.degree < 1:
             return []
         p = self.monic()
-        dp = p.derivative()
-        a = p.gcd(dp)
-        out = []
-        b = p.exact_div(a)
-        c = dp.exact_div(a)
-        i = 1
+        _, b, c = p.gcd_cofactors(p.derivative())
+        out, i = [], 1
         while b.degree >= 1:
-            d = c - b.derivative()
-            f = b.gcd(d)
+            f, b, c = b.gcd_cofactors(c - b.derivative())
             if f.degree >= 1:
                 out.append((f, i))
-            b = b.exact_div(f)
-            c = d.exact_div(f)
             i += 1
         return out
 
@@ -496,6 +512,47 @@ def _pseudo_divmod(fa, fb, step):
         q.append(c)
     q.reverse()
     return q, rem, scale
+
+
+def _xi_start(norm):
+    """The first xi of GCDHEU for the smaller max-norm of its operands."""
+    return 2 * norm + 29
+
+
+def _horner(items, xi):
+    acc = 0
+    for v in reversed(items):
+        acc = acc * xi + v
+    return acc
+
+
+def _int_quotient(fa, fb):
+    """fa / fb for int lists, fb primitive with a positive lead, or None
+    unless fb divides fa: then it does over Z (Gauss), so no step of the
+    pseudo-division rescales."""
+    q, rem, _ = _pseudo_divmod(fa, fb, _int_step)
+    return None if any(rem) else q
+
+
+def _gcd_heuristic(fa, fb):
+    """(h, fa / h, fb / h) for two nonzero int lists, h their primitive gcd
+    with a positive lead, by GCDHEU (see the module docstring)."""
+    pa, pb = _primitive(fa, None), _primitive(fb, None)
+    xi = _xi_start(min(max(map(abs, pa)), max(map(abs, pb))))
+    for _ in range(6):
+        v, h, half = _int_gcd(_horner(pa, xi), _horner(pb, xi)), [], (xi - 1) // 2
+        while v:  # symmetric digits, in (-xi/2, xi/2]
+            v, d = divmod(v + half, xi)
+            h.append(d - half)
+        h = _primitive(h, None)  # the values are nonzero: xi is above every root
+        if len(h) == 1:
+            return h, fa, fb
+        qa, qb = _int_quotient(fa, h), _int_quotient(fb, h)
+        if qa is not None and qb is not None:
+            return h, qa, qb
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    h = _gcd_prs(pa, pb, None)
+    return h, _int_quotient(fa, h), _int_quotient(fb, h)
 
 
 def _gcd_prs(fa, fb, order):

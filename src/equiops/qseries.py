@@ -37,10 +37,8 @@ class QSeries:
         self.M = M
         self.order = order
         self.trunc = Fraction(trunc)
-        self.coeffs = {
-            k: c for k, c in coeffs.items()
-            if not c.is_zero and Fraction(k, M) < self.trunc
-        }
+        limit = math.ceil(self.trunc * M)  # k / M < trunc for ints k < limit
+        self.coeffs = {k: c for k, c in coeffs.items() if k < limit and not c.is_zero}
 
     # -- constructors -------------------------------------------------
 

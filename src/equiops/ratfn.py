@@ -7,13 +7,16 @@ at infinity is always obtained through the chart z -> 1/w.
 
 Arithmetic keeps that invariant without reducing a full-size result
 (Henrici's method; Knuth, TAOCP vol. 2, 4.5.1).  Because both operands are
-reduced, the gcds run on their halves:
+reduced, the gcds run on their halves, each one `Poly.gcd_cofactors` call
+that also returns both quotients by the gcd (over Z the exact divisions
+that check GCDHEU's candidate), so nothing is divided twice:
 
 * (a/b)(c/d) divides out gcd(a, d) and gcd(c, b) before it multiplies, and
   division is the product with d/c;
 * a/b + c/d takes g = gcd(b, d).  With b = g b1, d = g d1, the numerator
-  t = a d1 + c b1 is prime to b1 and d1, so only gcd(t, g) can cancel, and
-  for g = 1 the sum (a d + c b)/(b d) is already reduced;
+  t = a d1 + c b1 is prime to b1 and d1, so only h = gcd(t, g) can cancel,
+  leaving (t/h)/(b1 d1 (g/h)), and for g = 1 the sum (a d + c b)/(b d) is
+  already reduced;
 * a power or reciprocal of a coprime pair is coprime, and so is the image
   of a reduced map under an invertible Moebius map, before or after it;
   these only rescale so that den is monic;
@@ -59,9 +62,7 @@ class RatFn:
             den = Poly.constant(den, num.order) if not isinstance(den, (list, tuple)) else Poly(den, num.order)
         if num.is_zero and den.is_zero:
             raise ZeroDivisionError("0/0 is not a rational function")
-        g = _gcd(num, den)
-        if g is not None:
-            num, den = num.exact_div(g), den.exact_div(g)
+        _, num, den = _cancel(num, den)
         self.num, self.den = _normal(num, den)
         self.order = num.order
 
@@ -144,15 +145,11 @@ class RatFn:
             return NotImplemented
         self._check_finite(o)
         a, b, c, d = self.num, self.den, o.num, o.den
-        g = _gcd(b, d)
-        if g is None:
+        g, b1, d1 = _cancel(b, d)
+        if g is None or g.degree < 1:
             return _canonical(a * d + c * b, b * d)
-        b1, d1 = b.exact_div(g), d.exact_div(g)
-        t = a * d1 + c * b1
-        h = _gcd(t, g)
-        if h is None:
-            return _canonical(t, b1 * d)
-        return _canonical(t.exact_div(h), b1 * d.exact_div(h))
+        _, t, g1 = _cancel(a * d1 + c * b1, g)
+        return _canonical(t, b1 * d1 * g1)
 
     __radd__ = __add__
 
@@ -218,9 +215,7 @@ class RatFn:
         if self.is_infinity:
             raise ArithmeticError("derivative of the constant infinity")
         a, b = self.num, self.den
-        db = b.derivative()
-        g = _gcd(b, db)
-        e, dq = (b, db) if g is None else (b.exact_div(g), db.exact_div(g))
+        _, e, dq = _cancel(b, b.derivative())
         return _canonical(a.derivative() * e - a * dq, b * e)
 
     def wronskian_poly(self):
@@ -312,24 +307,17 @@ def _canonical(num, den):
     return self
 
 
-def _gcd(p, q):
-    """gcd(p, q), or None when it is 1.  An operand of degree below 1 gives
-    None without a gcd: a constant has gcd 1, and where an operand is zero
-    (a zero sum or product, the derivative of a constant den) the caller's
-    result needs no cancellation."""
-    if p.degree < 1 or q.degree < 1:
-        return None
-    g = p.gcd(q)
-    return g if g.degree >= 1 else None
+def _cancel(p, q):
+    """`p.gcd_cofactors(q)`, but (None, p, q) if an operand has degree < 1:
+    a constant has gcd 1, and where one is zero (a zero sum or product, the
+    derivative of a constant den) no cancellation is needed."""
+    return p.gcd_cofactors(q) if p.degree >= 1 and q.degree >= 1 else (None, p, q)
 
 
 def _product(a, b, c, d):
     """(a/b)(c/d) for coprime pairs (a, b) and (c, d) with b, d nonzero."""
-    g1, g2 = _gcd(a, d), _gcd(c, b)
-    if g1 is not None:
-        a, d = a.exact_div(g1), d.exact_div(g1)
-    if g2 is not None:
-        c, b = c.exact_div(g2), b.exact_div(g2)
+    _, a, d = _cancel(a, d)
+    _, c, b = _cancel(c, b)
     return _canonical(a * c, b * d)
 
 

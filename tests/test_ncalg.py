@@ -282,3 +282,31 @@ def test_unsupported_operands_return_not_implemented(value, op, other):
     else:
         with pytest.raises(TypeError):
             BINARY[op](value, other)
+
+
+EXPR_OPS = {"__add__": lambda e, o: e + o, "__radd__": lambda e, o: o + e,
+            "__mul__": lambda e, o: e * o, "__rmul__": lambda e, o: o * e}
+
+
+@pytest.mark.parametrize("op", sorted(EXPR_OPS))
+@pytest.mark.parametrize("other", ["a", 1.5, None], ids=lambda x: type(x).__name__)
+def test_expression_rejects_unsupported_operands(op, other):
+    e = NCExpr.var(0)
+    assert getattr(e, op)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        EXPR_OPS[op](e, other)
+
+
+def test_expression_reflected_operators_keep_the_left_operand_left():
+    rng = random.Random(SEED + 8)
+    f = rand_matfn(rng)
+    p1, e = NCPoly.generator(1), NCExpr.var(0).substitute()
+    p1_f, e_f = nc_eval(p1, f), e.eval(f)
+    assert p1_f * e_f != e_f * p1_f  # the order shows on this f
+    assert (p1 + e).eval(f) == p1_f + e_f
+    assert (p1 * e).eval(f) == p1_f * e_f
+    assert (e * p1).eval(f) == e_f * p1_f
+    r = parse_ratfn("1/(2*z)")
+    assert (r * e).eval(f) == MatFn.scalar(r, f.size, f.order) * e_f
+    assert (2 + e).eval(f) == MatFn.scalar(2, f.size, f.order) + e_f
+    assert (p1 * e).args[0].kind == "poly" and (r * e).args[0].kind == "scalar"

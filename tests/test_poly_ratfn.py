@@ -10,6 +10,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from equiops import poly as poly_module
 from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
                                 sqrt5, zeta)
 from equiops.moebius import Moebius, compose_after, moebius_apply
@@ -737,3 +738,95 @@ def test_constants_hash_like_the_fractions_they_equal():
         Poly([zeta(60)]) == Poly([zeta(120)])
     with pytest.raises(CycloError):
         Poly([zeta(60), 1]) == Poly([zeta(120)])
+
+
+# -- the gcd kernel: GCDHEU with cofactors ------------------------------------
+
+def heu_ints(rng, degree, size):
+    """An int list of the degree, coefficients up to size, lead of either sign."""
+    return ([rng.randint(-size, size) for _ in range(degree)]
+            + [rng.choice((-1, 1)) * rng.randint(1, size)])
+
+
+def int_mul(a, b):
+    return [int(v) for v in oracle_mul(a, b)]
+
+
+def heu_pairs():
+    """(name, fa, fb) int-list pairs: coprime, with a common factor, one
+    dividing the other, constants, and coefficients up to 10^30."""
+    rng = random.Random("gcdheu")
+    out = [("constants", [-6], [4]), ("constant-and-poly", [-7], [3, 0, -2]),
+           ("poly-and-constant", [9, -3, 6], [-15]), ("content-only", [4, -8, 12], [-6, 18])]
+    for size in (3, 10 ** 6, 10 ** 30):
+        for i in range(4):
+            g, a, b = (heu_ints(rng, rng.randint(lo, 3), size) for lo in (1, 0, 0))
+            ag, bg = int_mul(a, g), int_mul(b, g)
+            out += [("coprime-%d-%d" % (size, i), a, b),
+                    ("common-%d-%d" % (size, i), ag, bg),
+                    ("divides-%d-%d" % (size, i), g, ag),
+                    ("divided-%d-%d" % (size, i), int_mul(ag, b), ag),
+                    ("negated-%d-%d" % (size, i), [-v for v in ag], bg)]
+    return out
+
+
+HEU_PAIRS = heu_pairs()
+
+
+@pytest.mark.parametrize("name, fa, fb", HEU_PAIRS, ids=[name for name, _, _ in HEU_PAIRS])
+def test_gcd_heuristic_matches_prs_and_monic_euclid(name, fa, fb):
+    h, qa, qb = poly_module._gcd_heuristic(fa, fb)
+    assert h == poly_module._gcd_prs(fa, fb, None)
+    assert int_mul(h, qa) == fa and int_mul(h, qb) == fb
+    a, b = Poly([Fraction(v, 3) for v in fa]), Poly(fb)
+    ref = frac_gcd([Fraction(v) for v in fa], [Fraction(v) for v in fb])
+    for p, q in ((a, b), (b, a)):
+        g, u, v = p.gcd_cofactors(q)
+        assert_storage(g, ref)
+        assert p.gcd(q) == g and g.is_monic
+        assert g * u == p and g * v == q
+
+
+def test_gcd_cofactors_with_zero_operands():
+    zero = Poly.zero()
+    for p in (Poly([Fraction(3, 2), 0, -3]), Poly([sqrt5(), 0, -3])):
+        assert p.gcd_cofactors(zero) == (p.monic(), Poly.constant(-3), zero)
+        assert zero.gcd_cofactors(p) == (p.monic(), zero, Poly.constant(-3))
+    assert zero.gcd(zero).is_zero
+    with pytest.raises(ZeroDivisionError):
+        zero.gcd_cofactors(zero)
+    assert Poly.constant(5).gcd_cofactors(zero) == (Poly.one(), 5, 0)
+
+
+@pytest.mark.parametrize("name", ["rational"] + sorted(GCD_FIELDS))
+def test_gcd_cofactors_multiply_back(name):
+    if name == "rational":
+        rng = random.Random("cofactors")
+        a, b, g = (Poly(seeded_fracs(rng, d)) for d in (5, 4, 3))
+    else:
+        a, b, g = cubic_shape(name)
+    for p, q in [(a * g, b * g), (a, b), (g, a * g), (a * g, g), (a * g, -(b * g))]:
+        h, u, v = p.gcd_cofactors(q)
+        assert h == p.gcd(q) and h.is_monic
+        assert h * u == p and h * v == q
+        assert u == p.exact_div(h) and v == q.exact_div(h)
+    assert (a * g).gcd_cofactors(b * g)[0].degree >= 3
+
+
+def test_gcd_falls_back_to_prs_when_every_xi_fails(monkeypatch):
+    big = 10 ** 30
+    g = Poly([big + 7, -3 * big, 1])
+    a, b = Poly([5, 1]) * g, Poly([-2, 0, 3]) * g
+    expected = (a.gcd(b), a.exact_div(a.gcd(b)), b.exact_div(a.gcd(b)))
+    prs, calls = poly_module._gcd_prs, []
+
+    def counted_prs(fa, fb, order):
+        calls.append(order)
+        return prs(fa, fb, order)
+    # xi = 2 and its five growths are far below the coefficients, so no
+    # candidate divides and the remainder sequence decides
+    monkeypatch.setattr(poly_module, "_xi_start", lambda norm: 2)
+    monkeypatch.setattr(poly_module, "_gcd_prs", counted_prs)
+    assert a.gcd_cofactors(b) == expected
+    assert calls == [None]
+    assert expected[0] == g.monic()

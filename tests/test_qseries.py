@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from equiops.cyclotomic import rational, sqrt2
-from equiops.qseries import (QSeries, delta_series, eisenstein, eta,
+from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
                              hauptmodul, heins_value, j_series,
                              ramanujan_check, rogers_ramanujan, rr_equals_j5,
                              series_eval, verify_j_relation)
@@ -155,3 +155,14 @@ def test_inverse_keeps_last_term_when_trunc_times_m_is_fractional():
     assert inv.coefficient(Fraction(1, 3)) == rational(Fraction(-1, 4))
     assert s * inv == 1
 
+
+@pytest.mark.parametrize("M, trunc", [
+    (1, 5), (3, Fraction(7, 2)), (4, Fraction(5, 3)), (6, Fraction(-1, 2)),
+    (5, 0), (2, _INF), (7, _INF)])
+def test_truncation_filter_keeps_exponents_below_trunc(M, trunc):
+    # the integer bound k < ceil(trunc * M) keeps exactly the k / M < trunc
+    edge = int(_INF) * M
+    coeffs = {k: rational(k % 5 - 2) for k in list(range(-25, 40)) + [edge - 1, edge]}
+    s = QSeries(M, coeffs, trunc)
+    assert s.coeffs == {k: c for k, c in coeffs.items()
+                        if not c.is_zero and Fraction(k, M) < Fraction(trunc)}
