@@ -2,12 +2,17 @@
 
 Exponents live in (1/M)Z for a per-series denominator M; arithmetic tracks
 the truncation order pessimistically so a vanishing residual is a proof up
-to the reported order.  The coefficient map is a sparse series in the
-integer numerators, so products and reciprocals run on the truncated
-product and division of `equiops.series` with no conversion.  Named series
-cover the eta function and its rescalings, Eisenstein series, the modular
-j function and the level 2..5 hauptmoduln, and the Rogers-Ramanujan
-continued fraction.
+to the reported order.  Named series cover the eta function and its
+rescalings, Eisenstein series, the modular j function and the level 2..5
+hauptmoduln, and the Rogers-Ramanujan continued fraction.
+
+Storage is that of a `Poly`, (items, den): the term at q^(k/M) is
+items[k] / den, ints over den > 0 prime to their content for rational data,
+the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at level 3).
+The normaliser `_canonical` stores all-rational results as ints, so equal
+values have equal storage.  Products run `series.mul` on the items and
+reciprocals `series.div_ints` (`series.div` with a field inverse on `Cyclo`
+items), so rational data meets `Cyclo` only in the `coeffs` view.
 """
 
 from __future__ import annotations
@@ -20,44 +25,60 @@ from fractions import Fraction
 from . import series
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational, sqrt2
 from .parsing import cyclo_literal
+from .poly import _ratio_of
 
 _INF = Fraction(10**9)
 
 
 class QSeries:
-    """Finite q-expansion: coefficient map plus truncation order.
+    """Finite q-expansion: coefficients plus truncation order.
 
     coeffs maps integer numerators k to Cyclo values, the term being
     coeff * q^(k/M); exponents >= trunc are unknown.
     """
 
-    __slots__ = ("M", "coeffs", "trunc", "order")
+    # the term at k/M is _items[k] / _den, see the module docstring; _coeffs
+    # caches the Cyclo view
+    __slots__ = ("M", "_items", "_den", "_coeffs", "trunc", "order")
 
     def __init__(self, M, coeffs, trunc, order=DEFAULT_ORDER):
-        self.M = M
-        self.order = order
-        self.trunc = Fraction(trunc)
-        limit = math.ceil(self.trunc * M)  # k / M < trunc for ints k < limit
-        self.coeffs = {k: c for k, c in coeffs.items() if k < limit and not c.is_zero}
+        items = {k: c if isinstance(c, (int, Cyclo)) else rational(c, order)
+                 for k, c in coeffs.items()}
+        s = _canonical(M, items, 1, Fraction(trunc), order)
+        self.M, self._items, self._den, self._coeffs, self.trunc, self.order = \
+            M, s._items, s._den, None, s.trunc, order
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(trunc, M=1, order=DEFAULT_ORDER):
-        return QSeries(M, {}, trunc, order)
+        return _make(M, {}, 1, Fraction(trunc), order)
 
     @staticmethod
     def constant(c, trunc, M=1, order=DEFAULT_ORDER):
-        if not isinstance(c, Cyclo):
-            c = rational(c, order)
-        return QSeries(M, {0: c}, trunc, order)
+        r = _ratio_of(c, order)
+        items, den = ({0: c}, 1) if r is None else ({0: r[0]}, r[1])
+        return _canonical(M, items, den, Fraction(trunc), order)
 
     @staticmethod
     def q_power(e, trunc, order=DEFAULT_ORDER):
         e = Fraction(e)
-        return QSeries(e.denominator, {e.numerator: rational(1, order)}, trunc, order)
+        return _canonical(e.denominator, {e.numerator: 1}, 1, Fraction(trunc), order)
 
     # -- structure ----------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The coefficients as a map {k: Cyclo}, for the terms at q^(k/M)."""
+        cs = self._coeffs
+        if cs is None:
+            cs = self._coeffs = {k: self._value(k) for k in self._items}
+        return cs
+
+    def _value(self, k):
+        """The coefficient at q^(k/M) as a `Cyclo`."""
+        v = self._items.get(k, 0)
+        return v if isinstance(v, Cyclo) else Cyclo._ratio(self.order, v, self._den)
 
     def rescaled(self, M):
         """Same series with exponent denominator M (a multiple of self.M)."""
@@ -66,39 +87,38 @@ class QSeries:
         if M % self.M:
             raise ValueError("new denominator must be a multiple")
         r = M // self.M
-        return QSeries(M, {k * r: c for k, c in self.coeffs.items()}, self.trunc, self.order)
+        return _make(M, {k * r: v for k, v in self._items.items()}, self._den,
+                     self.trunc, self.order)
 
     def _common(self, other):
-        M = self.M * other.M // math.gcd(self.M, other.M)
+        M = math.lcm(self.M, other.M)
         return self.rescaled(M), other.rescaled(M)
 
     @property
     def valuation(self):
         """Exponent of the lowest known term; trunc for the zero series."""
-        if not self.coeffs:
-            return self.trunc
-        return Fraction(min(self.coeffs), self.M)
+        return Fraction(min(self._items), self.M) if self._items else self.trunc
 
     def coefficient(self, e):
         e = Fraction(e)
         if e >= self.trunc:
             raise ValueError("coefficient beyond truncation order")
-        if (e * self.M).denominator != 1:
-            return rational(0, self.order)
-        return self.coeffs.get(int(e * self.M), rational(0, self.order))
+        k = e * self.M
+        return self._value(int(k)) if k.denominator == 1 else rational(0, self.order)
 
     def leading(self):
-        if not self.coeffs:
+        if not self._items:
             raise ValueError("no known terms")
-        k = min(self.coeffs)
-        return Fraction(k, self.M), self.coeffs[k]
+        k = min(self._items)
+        return Fraction(k, self.M), self._value(k)
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._items
 
     def truncated(self, trunc):
-        return QSeries(self.M, self.coeffs, min(self.trunc, Fraction(trunc)), self.order)
+        return _canonical(self.M, self._items, self._den,
+                          min(self.trunc, Fraction(trunc)), self.order)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -114,27 +134,30 @@ class QSeries:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        out = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return QSeries(a.M, out, min(a.trunc, b.trunc), a.order)
+        x, y, den, d = a._items, b._items, a._den, b._den
+        if den != d:
+            g = math.gcd(den, d)
+            x = {k: v * (d // g) for k, v in x.items()}
+            y = {k: v * (den // g) for k, v in y.items()}
+            den = den // g * d
+        out = dict(x)
+        for k, v in y.items():
+            out[k] = out[k] + v if k in out else v
+        return _canonical(a.M, out, den, min(a.trunc, b.trunc), a.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.M, {k: -c for k, c in self.coeffs.items()}, self.trunc, self.order)
+        return _make(self.M, {k: -v for k, v in self._items.items()}, self._den,
+                     self.trunc, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -142,89 +165,115 @@ class QSeries:
             return NotImplemented
         a, b = self._common(o)
         trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-        out = series.mul(a.coeffs, b.coeffs, math.ceil(trunc * a.M),
-                         operator.mul)
-        return QSeries(a.M, out, trunc, a.order)
+        out = series.mul(a._items, b._items, math.ceil(trunc * a.M), operator.mul)
+        return _canonical(a.M, out, a._den * b._den, trunc, a.order)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Reciprocal; the leading term must be known and nonzero."""
-        v, lead = self.leading()
+        if not self._items:
+            raise ValueError("no known terms")
+        shift = min(self._items)
+        v = Fraction(shift, self.M)
         # self = q^v u with u(0) = lead; 1/u is known below q^(trunc - v)
-        shift = int(v * self.M)
         n_terms = self.trunc - v
-        unit = {k - shift: c for k, c in self.coeffs.items()}
-        out = series.div({0: rational(1, self.order)}, unit,
-                         math.ceil(n_terms * self.M), operator.mul,
-                         lead.inverse())
-        return QSeries(self.M, {k - shift: c for k, c in out.items()},
-                       n_terms - v, self.order)
+        limit = math.ceil(n_terms * self.M)
+        unit = {k - shift: c for k, c in self._items.items()}
+        lead = unit[0]
+        if isinstance(lead, Cyclo):  # den is 1
+            out, den = series.div({0: 1}, unit, limit, operator.mul, lead.inverse()), 1
+        else:
+            out, den = series.div_ints({0: self._den}, unit, limit)
+        return _canonical(self.M, {k - shift: c for k, c in out.items()}, den,
+                          n_terms - v, self.order)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = None
-        base = self
-        first = True
+        result, base = None, self
         while k:
             if k & 1:
-                result = base if first else result * base
-                first = False
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        if first:
-            return QSeries.constant(1, self.trunc, 1, self.order)
-        return result
+        return QSeries.constant(1, self.trunc, 1, self.order) if result is None else result
 
     def q_derivative(self):
         """q d/dq, term by term."""
-        out = {
-            k: c * rational(Fraction(k, self.M), self.order)
-            for k, c in self.coeffs.items()
-        }
-        return QSeries(self.M, out, self.trunc, self.order)
+        return _canonical(self.M, {k: v * k for k, v in self._items.items()},
+                          self._den * self.M, self.trunc, self.order)
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_zero
+        return NotImplemented if o is None else (self - o).is_zero
 
     def __hash__(self):
         raise TypeError("unhashable (mutually truncated comparisons)")
 
     # -- output -------------------------------------------------------
 
+    def terms(self):
+        """(exponent, `Cyclo` coefficient) pairs, ascending exponents."""
+        return [(Fraction(k, self.M), self._value(k)) for k in sorted(self._items)]
+
     def export_lines(self):
         """One line per term: `num/den coefficient`, ascending exponents."""
-        lines = []
-        for k in sorted(self.coeffs):
-            e = Fraction(k, self.M)
-            lines.append("%d/%d %s" % (e.numerator, e.denominator,
-                                       cyclo_literal(self.coeffs[k])))
-        return lines
+        return ["%d/%d %s" % (e.numerator, e.denominator, cyclo_literal(c))
+                for e, c in self.terms()]
 
     def __repr__(self):
-        shown = []
-        for k in sorted(self.coeffs)[:6]:
-            e = Fraction(k, self.M)
-            shown.append("%s q^(%s)" % (cyclo_literal(self.coeffs[k]), e))
-        tail = " + ..." if len(self.coeffs) > 6 else ""
+        shown = ["%s q^(%s)" % (cyclo_literal(c), e) for e, c in self.terms()[:6]]
+        tail = " + ..." if len(self._items) > 6 else ""
         return "QSeries(%s%s; O(q^%s))" % (" + ".join(shown) or "0", tail, self.trunc)
+
+
+_new = object.__new__
+
+
+def _make(M, items, den, trunc, order):
+    """The series of a canonical (items, den)."""
+    s = _new(QSeries)
+    s.M, s._items, s._den, s._coeffs, s.trunc, s.order = M, items, den, None, trunc, order
+    return s
+
+
+def _canonical(M, items, den, trunc, order):
+    """The series sum items[k] / den q^(k/M) + O(q^trunc), for a dict of
+    ints and `Cyclo` elements of the order and an int den != 0."""
+    limit = math.ceil(trunc * M)  # k / M < trunc for ints k < limit
+    items = {k: v for k, v in items.items() if v and k < limit}
+    values = items.values()
+    try:
+        g = math.gcd(den, *values)
+    except TypeError:  # a Cyclo value
+        pass
+    else:
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            items = {k: v // g for k, v in items.items()}
+        return _make(M, items, den, trunc, order)
+    ratios = [v for v in values if isinstance(v, Cyclo)]
+    if all(v.is_rational for v in ratios):  # ints over one denominator
+        m = math.lcm(*[v.den for v in ratios])
+        return _canonical(M, {k: v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+                              for k, v in items.items()}, den * m, trunc, order)
+    if den != 1:
+        inv = Cyclo._ratio(order, 1, den)
+        items = {k: inv * v for k, v in items.items()}
+    return _make(M, {k: v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1)
+                     for k, v in items.items()}, 1, trunc, order)
 
 
 # -- named series -----------------------------------------------------
@@ -236,16 +285,12 @@ def eta_product(exponent_of, trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
     M = s.denominator
     limit = Fraction(trunc)
     result = QSeries.constant(1, limit, M, order)
-    n = 1
-    while n * s < limit:
+    for n in range(1, math.ceil(limit / s)):  # n s < limit
         e = exponent_of(n)
         if e:
-            factor = QSeries(
-                (n * s).denominator,
-                {0: rational(1, order), (n * s).numerator: rational(-1, order)},
-                limit, order)
+            f = n * s
+            factor = _canonical(f.denominator, {0: 1, f.numerator: -1}, 1, limit, order)
             result = result * factor ** e if e > 0 else result * factor.inverse() ** (-e)
-        n += 1
     return result
 
 
@@ -267,31 +312,19 @@ def bernoulli(n):
 
 
 def _sigma(n, k):
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+    """The divisor sum sigma_k(n), divisors found in pairs (d, n/d)."""
+    return sum(e ** k for e in {e for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                                for e in (d, n // d)})
 
 
 def eisenstein(weight, trunc, order=DEFAULT_ORDER):
     """E_{2k} = 1 - (4k/B_{2k}) sum sigma_{2k-1}(n) q^n."""
     if weight % 2 or weight < 2:
         raise ValueError("even weight >= 2 required")
-    k = weight // 2
-    c = Fraction(-4 * k, 1) / bernoulli(weight)
-    limit = Fraction(trunc)
-    coeffs = {0: rational(1, order)}
-    n = 1
-    while n < limit:
-        coeffs[n] = rational(c * _sigma(n, weight - 1), order)
-        n += 1
-    return QSeries(1, coeffs, limit, order)
+    c = Fraction(-2 * weight) / bernoulli(weight)
+    items = {n: c.numerator * _sigma(n, weight - 1) for n in range(1, math.ceil(trunc))}
+    items[0] = c.denominator
+    return _canonical(1, items, c.denominator, Fraction(trunc), order)
 
 
 def delta_series(trunc, order=DEFAULT_ORDER):
@@ -300,18 +333,12 @@ def delta_series(trunc, order=DEFAULT_ORDER):
 
 def j_series(trunc, order=DEFAULT_ORDER):
     t = Fraction(trunc) + 2
-    e4 = eisenstein(4, t, order)
-    e6 = eisenstein(6, t, order)
-    num = e4 ** 3 * 1728
-    den = e4 ** 3 - e6 ** 2
-    return (num / den).truncated(trunc)
+    cube = eisenstein(4, t, order) ** 3
+    return (cube * 1728 / (cube - eisenstein(6, t, order) ** 2)).truncated(trunc)
 
 
 def kronecker5(n):
-    r = n % 5
-    if r == 0:
-        return 0
-    return 1 if r in (1, 4) else -1
+    return (0, 1, -1, -1, 1)[n % 5]
 
 
 def hauptmodul(level, trunc, order=DEFAULT_ORDER):
@@ -327,11 +354,8 @@ def hauptmodul(level, trunc, order=DEFAULT_ORDER):
     if level == 3:
         pad = t + 2
         s2 = sqrt2(order)
-        quot = (eta(pad, order, Fraction(1, 3)) ** 3
-                / eta(pad, order, 3) ** 3)
-        scale = QSeries.constant(-s2 * rational(Fraction(1, 6), order), pad, 1, order)
-        shift = QSeries.constant(-s2 * rational(Fraction(1, 2), order), pad, 1, order)
-        return (scale * quot + shift).truncated(t)
+        quot = eta(pad, order, Fraction(1, 3)) ** 3 / eta(pad, order, 3) ** 3
+        return (quot * (-s2 / 6) - s2 / 2).truncated(t)
     if level == 4:
         pre = QSeries.q_power(Fraction(1, 4), t + 1, order) * 2
         prod = eta_product(lambda n: 2 if n % 2 else 0, t + 1, order)
@@ -354,9 +378,7 @@ def j_relation_data(level, order=DEFAULT_ORDER):
     if level == 2:
         return rational(256, order), poly("z^2 - z + 1"), poly("z^2 - z")
     if level == 3:
-        s2 = sqrt2(order)
-        k3 = rational(-54, order) * s2
-        return k3, poly("z^4 - 2*(zeta^15+zeta^105)*z"), poly("z^3 + (zeta^15+zeta^105)/4")
+        return rational(-54, order) * sqrt2(order), poly("z^4 - 2*(zeta^15+zeta^105)*z"), poly("z^3 + (zeta^15+zeta^105)/4")
     if level == 4:
         return rational(16, order), poly("z^8 + 14*z^4 + 1"), poly("z^5 - z")
     if level == 5:
@@ -388,9 +410,7 @@ def verify_j_relation(level, trunc, order=DEFAULT_ORDER):
 def ramanujan_check(trunc, order=DEFAULT_ORDER):
     """Residuals of the three Ramanujan derivative identities in q d/dq."""
     t = Fraction(trunc)
-    e2 = eisenstein(2, t, order)
-    e4 = eisenstein(4, t, order)
-    e6 = eisenstein(6, t, order)
+    e2, e4, e6 = (eisenstein(w, t, order) for w in (2, 4, 6))
     r1 = e2.q_derivative() - (e2 * e2 - e4) * Fraction(1, 12)
     r2 = e4.q_derivative() - (e2 * e4 - e6) * Fraction(1, 3)
     r3 = e6.q_derivative() - (e2 * e6 - e4 * e4) * Fraction(1, 2)
@@ -418,10 +438,7 @@ def rogers_ramanujan(trunc, depth=None, order=DEFAULT_ORDER):
     while stable < 2:
         d *= 2
         cur = build(d)
-        if (cur - prev).is_zero:
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if (cur - prev).is_zero else 0
         prev = cur
         if d > 4096:
             raise RuntimeError("continued fraction failed to stabilize")
@@ -443,23 +460,14 @@ def series_eval(s, tau, tail_bound=1e-12):
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    total = 0.0
-    last_mag = 0.0
-    for k in sorted(s.coeffs):
-        e = Fraction(k, s.M)
-        term = complex(s.coeffs[k]) * _cpow(q, e)
-        total += term
-        last_mag = abs(term)
+    terms = [complex(c) * cmath.exp(complex(e) * cmath.log(q)) for e, c in s.terms()]
     r = abs(q) ** (1.0 / s.M)
-    tail = last_mag * r / (1 - r) if r < 1 else float("inf")
+    last = abs(terms[-1]) if terms else 0.0
+    tail = last * r / (1 - r) if r < 1 else float("inf")
     if tail > tail_bound:
         raise ValueError("tail estimate %.3g above bound %.3g; extend the series"
                          % (tail, tail_bound))
-    return total
-
-
-def _cpow(q, e):
-    return cmath.exp(complex(e) * cmath.log(q))
+    return sum(terms, 0.0)
 
 
 def heins_value(tau, terms=40, tail_bound=1e-8, order=DEFAULT_ORDER):

@@ -273,6 +273,11 @@ class RatFn:
         num, den = self.num(zp), self.den(zp)
         if den.is_zero or den.coeffs[0].is_zero:
             raise ZeroDivisionError("pole at the expansion point")
+        if num.is_rational and den.is_rational:  # (a / da) / (b / db) = db a / (da b)
+            (a, da), (b, db) = num.as_ints(), den.as_ints()
+            out, d = series.div_ints(_sparse(a), _sparse(b), n_terms)
+            return [Cyclo._ratio(self.order, out.get(k, 0) * db, d * da)
+                    for k in range(n_terms)]
         out = series.div(_sparse(num.coeffs), _sparse(den.coeffs), n_terms,
                          operator.mul, den.coeffs[0].inverse())
         zero = rational(0, self.order)
@@ -316,6 +321,8 @@ def _cancel(p, q):
 
 def _product(a, b, c, d):
     """(a/b)(c/d) for coprime pairs (a, b) and (c, d) with b, d nonzero."""
+    if a.degree < 0 or c.degree < 0:  # 0/1 at once, without forming b d
+        return _canonical(Poly.zero(a.order), Poly.one(a.order))
     _, a, d = _cancel(a, d)
     _, c, b = _cancel(c, b)
     return _canonical(a * c, b * d)
@@ -330,4 +337,4 @@ def _substituted(f, p, q):
 
 def _sparse(coeffs):
     """Dense coefficient list as a sparse series {exponent: coefficient}."""
-    return {k: c for k, c in enumerate(coeffs) if not c.is_zero}
+    return {k: c for k, c in enumerate(coeffs) if c}

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from equiops import poly as poly_module
+from equiops import poly as poly_module, series
 from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
                                 sqrt5, zeta)
 from equiops.moebius import Moebius, compose_after, moebius_apply
@@ -87,6 +88,48 @@ def test_taylor_coefficients():
     coeffs = f.taylor(rational(1), 5)
     expected = [0, 2, -1, 1, -1]
     assert [c for c in coeffs] == [rational(v) for v in expected]
+
+
+def taylor_reference(f, p, n):
+    """Taylor coefficients by series.div on the Cyclo coefficient view."""
+    zp = Poly((p, 1), f.order)
+    num, den = f.num(zp), f.den(zp)
+    sparse = lambda q: {k: c for k, c in enumerate(q.coeffs) if not c.is_zero}
+    out = series.div(sparse(num), sparse(den), n, operator.mul,
+                     den.coeffs[0].inverse())
+    return [out.get(k, rational(0, f.order)) for k in range(n)]
+
+
+@pytest.mark.parametrize("text, point", [
+    ("(z^2 - 1)/z", 1), ("(z^3 + 1)/(3*z - 2)", 0),
+    ("(2*z^4 - 7*z + 5)/(6*z^2 + 4*z + 9)", Fraction(-5, 3)),
+    ("(z^5 + 1/7)/(z^3 - 12)", Fraction(1, 2)), ("z^3 - 4*z", Fraction(3, 5)),
+    ("1/(z^2 + 3)^3", 0), ("(z - 1)^2/(z + 2)^4", 2), ("0", 3)])
+def test_taylor_on_ints_matches_the_cyclo_path(text, point):
+    # the integer division of div_ints against the field division, with
+    # constant terms den(p) that are no unit and several sizes
+    f = parse_ratfn(text)
+    p = rational(point)
+    for n in (1, 2, 9):
+        assert f.taylor(p, n) == taylor_reference(f, p, n)
+    g = f * Poly([sqrt5(), 1])  # an irrational map keeps the field division
+    assert g.taylor(p, 6) == taylor_reference(g, p, 6)
+
+
+def test_product_with_a_zero_factor_is_zero_over_one(monkeypatch):
+    f = parse_ratfn("(z^2 + 3)/(2*z - 7)")
+    zero = RatFn.constant(0)
+    products = []
+    multiply = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or multiply(p, q))
+    for r in (zero * f, f * zero, zero / f, f * 0, 0 * f):
+        assert r.num.is_zero and r.den == Poly.one()
+        assert (r.num._items, r.num._den, r.den._items, r.den._den) == ((), 1, (1,), 1)
+        assert r == RatFn(0) and hash(r) == hash(RatFn(0))
+    assert not products  # no product of the denominators is formed
+    h = parse_ratfn("(z + zeta)/(z^2 - 5)", 60)
+    r = RatFn.constant(0, 60) * h
+    assert r.is_zero and r.order == 60 and r.den == Poly.one(60)
 
 
 def test_evaluate_at_infinity():

@@ -1,10 +1,14 @@
 """Modular q-series: eta, Eisenstein, j, hauptmoduln and their relations."""
 
+import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 
-from equiops.cyclotomic import rational, sqrt2
+from equiops import series
+from equiops.cyclotomic import Cyclo, rational, sqrt2
 from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
                              hauptmodul, heins_value, j_series,
                              ramanujan_check, rogers_ramanujan, rr_equals_j5,
@@ -166,3 +170,129 @@ def test_truncation_filter_keeps_exponents_below_trunc(M, trunc):
     s = QSeries(M, coeffs, trunc)
     assert s.coeffs == {k: c for k, c in coeffs.items()
                         if not c.is_zero and Fraction(k, M) < Fraction(trunc)}
+
+
+# -- storage: ints over one denominator, Cyclo once irrational -------------
+
+NAMED_TRUNC = 5
+
+
+def named_series():
+    t = NAMED_TRUNC
+    named = {"eta": eta(t), "eta_q3": eta(t, scale=3),
+             "eta_third": eta(t, scale=Fraction(1, 3)),
+             "delta": delta_series(t), "j": j_series(t),
+             "rogers_ramanujan": rogers_ramanujan(t)}
+    for weight in (2, 4, 6):
+        named["E%d" % weight] = eisenstein(weight, t)
+    for level in (2, 3, 4, 5):
+        named["j%d" % level] = hauptmodul(level, t)
+    return named
+
+
+NAMED = named_series()
+
+
+def reference_pair(a, b):
+    """The Cyclo dicts of a and b over their common exponent denominator."""
+    M = math.lcm(a.M, b.M)
+    return (M, {k * (M // a.M): c for k, c in a.coeffs.items()},
+            {k * (M // b.M): c for k, c in b.coeffs.items()})
+
+
+def assert_canonical(s):
+    items, den = s._items, s._den
+    assert all(items.values()) and all(Fraction(k, s.M) < s.trunc for k in items)
+    if all(type(v) is int for v in items.values()):
+        assert den > 0 and math.gcd(den, *items.values()) == 1
+    else:
+        assert den == 1 and all(isinstance(v, Cyclo) for v in items.values())
+        assert not all(v.is_rational for v in items.values())
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_series_storage_is_canonical(name):
+    s = NAMED[name]
+    assert_canonical(s)
+    assert (name == "j3") == any(not c.is_rational for c in s.coeffs.values())
+
+
+PAIRS = [(a, b) for a in sorted(NAMED) for b in ("eta", "E2", "j", "j3", "j5",
+                                                 "rogers_ramanujan")]
+
+
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_products_match_cyclo_reference(a, b):
+    # the product of the storage against series.mul on the Cyclo view
+    x, y = NAMED[a], NAMED[b]
+    M, cx, cy = reference_pair(x, y)
+    trunc = min(x.trunc + y.valuation, y.trunc + x.valuation)
+    want = series.mul(cx, cy, math.ceil(trunc * M), operator.mul)
+    got = x * y
+    assert_canonical(got)
+    assert (got.M, got.trunc) == (M, trunc)
+    assert got.coeffs == want
+    assert (y * x).coeffs == want
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_reciprocals_match_cyclo_reference(name):
+    # the reciprocal of the storage against series.div on the Cyclo view
+    s = NAMED[name]
+    v, lead = s.leading()
+    shift = int(v * s.M)
+    unit = {k - shift: c for k, c in s.coeffs.items()}
+    out = series.div({0: rational(1)}, unit, math.ceil((s.trunc - v) * s.M),
+                     operator.mul, lead.inverse())
+    got = s.inverse()
+    assert_canonical(got)
+    assert got.trunc == s.trunc - 2 * v
+    assert got.coeffs == {k - shift: c for k, c in out.items()}
+    assert s * got == 1
+
+
+def test_rational_results_of_irrational_data_are_int_stored():
+    s2 = sqrt2()
+    root = QSeries(1, {1: s2}, 5)
+    assert root._den == 1 and root._items == {1: s2}
+    square = root * root
+    built = QSeries.q_power(2, 6) * 2
+    assert square == built
+    assert (square.M, square._items, square._den, square.trunc) == \
+        (built.M, built._items, built._den, built.trunc) == (1, {2: 2}, 1, 6)
+    assert type(square._items[2]) is int
+    half = QSeries(1, {1: s2 * rational(Fraction(1, 2))}, 5) ** 2
+    assert (half._items, half._den) == ({2: 1}, 2)
+    # sqrt2 - sqrt2 q cancels against its Cyclo view down to ints
+    mixed = QSeries(1, {0: s2, 1: rational(3)}, 5) - QSeries.constant(s2, 5)
+    assert (mixed._items, mixed._den) == ({1: 3}, 1)
+
+
+def test_public_constructor_normalises_any_coefficients():
+    a = QSeries(2, {0: Fraction(3, 4), 1: 6, 3: rational(Fraction(-9, 2)),
+                    4: rational(0), 20: rational(1)}, 4)
+    assert (a._items, a._den) == ({0: 3, 1: 24, 3: -18}, 4)
+    assert a.coeffs == {0: rational(Fraction(3, 4)), 1: rational(6),
+                        3: rational(Fraction(-9, 2))}
+    assert a.coefficient(Fraction(1, 2)) == rational(6)
+    assert a.coefficient(1).is_zero and a.coefficient(Fraction(1, 3)).is_zero
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_div_ints_matches_fraction_recurrence(seed):
+    # non-unit, negative and content-carrying constant terms, gaps in the
+    # support, and numerator terms below exponent 0
+    rng = random.Random(seed)
+    g = rng.choice([1, 2, 6])
+    b = {0: g * rng.choice([1, -1, 2, -3, 12])}
+    b.update({j: g * rng.randint(-9, 9) for j in rng.sample(range(1, 9), 4)})
+    b = {j: v for j, v in b.items() if v}
+    a = {k: rng.randint(-20, 20) for k in rng.sample(range(-2, 9), 5)}
+    limit = rng.randint(1, 12)
+    c, d = series.div_ints(a, b, limit)
+    want = {}
+    for k in range(limit):
+        acc = Fraction(a.get(k, 0)) - sum(b[j] * want.get(k - j, 0) for j in b if j)
+        want[k] = acc / b[0]
+    assert {k: Fraction(v, d) for k, v in c.items()} == \
+        {k: v for k, v in want.items() if v}
