@@ -222,17 +222,17 @@ class QSeries:
 
     # -- output -------------------------------------------------------
 
-    def terms(self):
+    def _terms(self):
         """(exponent, `Cyclo` coefficient) pairs, ascending exponents."""
         return [(Fraction(k, self.M), self._value(k)) for k in sorted(self._items)]
 
     def export_lines(self):
         """One line per term: `num/den coefficient`, ascending exponents."""
         return ["%d/%d %s" % (e.numerator, e.denominator, cyclo_literal(c))
-                for e, c in self.terms()]
+                for e, c in self._terms()]
 
     def __repr__(self):
-        shown = ["%s q^(%s)" % (cyclo_literal(c), e) for e, c in self.terms()[:6]]
+        shown = ["%s q^(%s)" % (cyclo_literal(c), e) for e, c in self._terms()[:6]]
         tail = " + ..." if len(self._items) > 6 else ""
         return "QSeries(%s%s; O(q^%s))" % (" + ".join(shown) or "0", tail, self.trunc)
 
@@ -460,7 +460,7 @@ def series_eval(s, tau, tail_bound=1e-12):
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    terms = [complex(c) * cmath.exp(complex(e) * cmath.log(q)) for e, c in s.terms()]
+    terms = [complex(c) * cmath.exp(complex(e) * cmath.log(q)) for e, c in s._terms()]
     r = abs(q) ** (1.0 / s.M)
     last = abs(terms[-1]) if terms else 0.0
     tail = last * r / (1 - r) if r < 1 else float("inf")
