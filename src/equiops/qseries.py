@@ -1,18 +1,21 @@
 """Truncated q-expansions with exact cyclotomic coefficients.
 
-Exponents live in (1/M)Z for a per-series denominator M; arithmetic tracks
-the truncation order pessimistically so a vanishing residual is a proof up
-to the reported order.  Named series cover the eta function and its
-rescalings, Eisenstein series, the modular j function and the level 2..5
-hauptmoduln, and the Rogers-Ramanujan continued fraction.
+`QSeries` is the one truncated-series value, for q-expansions and for the
+Taylor series in t = z - p of the Legendrian lift.  Exponents live in
+(1/M)Z for a per-series denominator M; arithmetic tracks the truncation
+order pessimistically so a vanishing residual is a proof up to the
+reported order.  Named series cover the eta function and its rescalings,
+Eisenstein series, the modular j function and the level 2..5 hauptmoduln,
+and the Rogers-Ramanujan continued fraction.
 
 Storage is that of a `Poly`, (items, den): the term at q^(k/M) is
 items[k] / den, ints over den > 0 prime to their content for rational data,
 the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at level 3).
 The normaliser `_canonical` stores all-rational results as ints, so equal
-values have equal storage.  Products run `series.mul` on the items and
-reciprocals `series.div_ints` (`series.div` with a field inverse on `Cyclo`
-items), so rational data meets `Cyclo` only in the `coeffs` view.
+values have equal storage.  Products run `series.mul` on the items; a
+quotient, reciprocals included, is one triangular pass, `series.div_ints`
+on ints or `series.div` with a field inverse on `Cyclo` items, so rational
+data meets `Cyclo` only in the `coeffs` and `dense` views.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import operator
 from fractions import Fraction
 
 from . import series
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational, sqrt2
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational, sqrt2
 from .parsing import cyclo_literal
 from .poly import _ratio_of
 
@@ -42,6 +45,8 @@ class QSeries:
     __slots__ = ("M", "_items", "_den", "_coeffs", "trunc", "order")
 
     def __init__(self, M, coeffs, trunc, order=DEFAULT_ORDER):
+        if any(isinstance(c, Cyclo) and c.order != order for c in coeffs.values()):
+            raise CycloError("mismatched cyclotomic orders in one series")
         items = {k: c if isinstance(c, (int, Cyclo)) else rational(c, order)
                  for k, c in coeffs.items()}
         s = _canonical(M, items, 1, Fraction(trunc), order)
@@ -65,6 +70,12 @@ class QSeries:
         e = Fraction(e)
         return _canonical(e.denominator, {e.numerator: 1}, 1, Fraction(trunc), order)
 
+    @staticmethod
+    def of_poly(p, trunc=_INF):
+        """The `Poly` p in q, known below q^trunc (exactly by default)."""
+        items, den = p.as_ints() if p.is_rational else (p.coeffs, 1)
+        return _canonical(1, dict(enumerate(items)), den, Fraction(trunc), p.order)
+
     # -- structure ----------------------------------------------------
 
     @property
@@ -74,6 +85,12 @@ class QSeries:
         if cs is None:
             cs = self._coeffs = {k: self._value(k) for k in self._items}
         return cs
+
+    def dense(self, n):
+        """The coefficients at q^(k/M) for k = 0 .. n - 1, as `Cyclo`."""
+        if n > _limit(self.trunc, self.M):
+            raise ValueError("coefficient beyond truncation order")
+        return [self._value(k) for k in range(n)]
 
     def _value(self, k):
         """The coefficient at q^(k/M) as a `Cyclo`."""
@@ -165,36 +182,44 @@ class QSeries:
             return NotImplemented
         a, b = self._common(o)
         trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-        out = series.mul(a._items, b._items, math.ceil(trunc * a.M), operator.mul)
-        return _canonical(a.M, out, a._den * b._den, trunc, a.order)
+        out = series.mul(a._items, b._items, _limit(trunc, a.M), operator.mul)
+        return _normalised(a.M, out, a._den * b._den, trunc, a.order)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Reciprocal; the leading term must be known and nonzero."""
-        if not self._items:
-            raise ValueError("no known terms")
-        shift = min(self._items)
-        v = Fraction(shift, self.M)
-        # self = q^v u with u(0) = lead; 1/u is known below q^(trunc - v)
-        n_terms = self.trunc - v
-        limit = math.ceil(n_terms * self.M)
-        unit = {k - shift: c for k, c in self._items.items()}
-        lead = unit[0]
-        if isinstance(lead, Cyclo):  # den is 1
-            out, den = series.div({0: 1}, unit, limit, operator.mul, lead.inverse()), 1
-        else:
-            out, den = series.div_ints({0: self._den}, unit, limit)
-        return _canonical(self.M, {k - shift: c for k, c in out.items()}, den,
-                          n_terms - v, self.order)
+        return QSeries.constant(1, _INF, 1, self.order) / self
 
     def __truediv__(self, other):
+        """Quotient in one triangular pass; other's leading term must be known."""
         o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
+        if o is None:
+            return NotImplemented
+        a, b = self._common(o)
+        if not b._items:
+            raise ValueError("no known terms")
+        sb = min(b._items)
+        sa = min(a._items, default=sb)
+        vb = Fraction(sb, a.M)
+        # that of a times 1/b, which is known below q^(b.trunc - 2 vb)
+        trunc = min(a.trunc - vb, b.trunc - 2 * vb + a.valuation)
+        # a / b = q^((sa - sb) / M) x / y with x(0), y(0) != 0 (the kernels
+        # ignore exponents below 0); a's den goes to the result
+        x = {k - sa: v * b._den for k, v in a._items.items()}
+        y = {j - sb: v for j, v in b._items.items()}
+        limit = _limit(trunc, a.M) - sa + sb
+        lead = y[0]  # storage is all ints or all Cyclo, so one value tells
+        if isinstance(lead, Cyclo) or isinstance(next(iter(x.values()), 0), Cyclo):
+            out, den = series.div(x, y, limit, operator.mul, rational(1, a.order) / lead), 1
+        else:
+            out, den = series.div_ints(x, y, limit)
+        return _normalised(a.M, {k + sa - sb: c for k, c in out.items()},
+                           den * a._den, trunc, a.order)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, k):
         if k < 0:
@@ -207,6 +232,11 @@ class QSeries:
             if k:
                 base = base * base
         return QSeries.constant(1, self.trunc, 1, self.order) if result is None else result
+
+    def derivative(self):
+        """d/dq, term by term."""
+        return _canonical(self.M, {k - self.M: v * k for k, v in self._items.items()},
+                          self._den * self.M, self.trunc - 1, self.order)
 
     def q_derivative(self):
         """q d/dq, term by term."""
@@ -240,6 +270,11 @@ class QSeries:
 _new = object.__new__
 
 
+def _limit(trunc, M):
+    """ceil(trunc * M): k / M < trunc exactly for the ints k below it."""
+    return -(-trunc.numerator * M // trunc.denominator)
+
+
 def _make(M, items, den, trunc, order):
     """The series of a canonical (items, den)."""
     s = _new(QSeries)
@@ -250,8 +285,13 @@ def _make(M, items, den, trunc, order):
 def _canonical(M, items, den, trunc, order):
     """The series sum items[k] / den q^(k/M) + O(q^trunc), for a dict of
     ints and `Cyclo` elements of the order and an int den != 0."""
-    limit = math.ceil(trunc * M)  # k / M < trunc for ints k < limit
-    items = {k: v for k, v in items.items() if v and k < limit}
+    limit = _limit(trunc, M)
+    return _normalised(M, {k: v for k, v in items.items() if v and k < limit},
+                       den, trunc, order)
+
+
+def _normalised(M, items, den, trunc, order):
+    """`_canonical` of nonzero items below trunc, as the kernels return them."""
     values = items.values()
     try:
         g = math.gcd(den, *values)
@@ -267,8 +307,8 @@ def _canonical(M, items, den, trunc, order):
     ratios = [v for v in values if isinstance(v, Cyclo)]
     if all(v.is_rational for v in ratios):  # ints over one denominator
         m = math.lcm(*[v.den for v in ratios])
-        return _canonical(M, {k: v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
-                              for k, v in items.items()}, den * m, trunc, order)
+        return _normalised(M, {k: v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+                               for k, v in items.items()}, den * m, trunc, order)
     if den != 1:
         inv = Cyclo._ratio(order, 1, den)
         items = {k: inv * v for k, v in items.items()}
@@ -290,7 +330,7 @@ def eta_product(exponent_of, trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
         if e:
             f = n * s
             factor = _canonical(f.denominator, {0: 1, f.numerator: -1}, 1, limit, order)
-            result = result * factor ** e if e > 0 else result * factor.inverse() ** (-e)
+            result = result * factor ** e if e > 0 else result / factor ** -e
     return result
 
 

@@ -36,10 +36,8 @@ den with `Poly.substitute`.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
-from . import series
 from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
 from .poly import Poly
 
@@ -269,19 +267,18 @@ class RatFn:
 
     def taylor(self, p, n_terms):
         """Taylor coefficients at a point p where den(p) != 0."""
+        return self.taylor_series(p, n_terms).dense(n_terms)
+
+    def taylor_series(self, p, n_terms):
+        """The Taylor expansion at a point p where den(p) != 0, a `QSeries`
+        in t = z - p known below t^n_terms."""
+        from .qseries import QSeries  # qseries imports parsing, which imports ratfn
+
         zp = Poly((p, 1), self.order)
-        num, den = self.num(zp), self.den(zp)
-        if den.is_zero or den.coeffs[0].is_zero:
+        den = QSeries.of_poly(self.den(zp))
+        if den.valuation:
             raise ZeroDivisionError("pole at the expansion point")
-        if num.is_rational and den.is_rational:  # (a / da) / (b / db) = db a / (da b)
-            (a, da), (b, db) = num.as_ints(), den.as_ints()
-            out, d = series.div_ints(_sparse(a), _sparse(b), n_terms)
-            return [Cyclo._ratio(self.order, out.get(k, 0) * db, d * da)
-                    for k in range(n_terms)]
-        out = series.div(_sparse(num.coeffs), _sparse(den.coeffs), n_terms,
-                         operator.mul, den.coeffs[0].inverse())
-        zero = rational(0, self.order)
-        return [out.get(k, zero) for k in range(n_terms)]
+        return QSeries.of_poly(self.num(zp), n_terms) / den
 
     def __repr__(self):
         from .parsing import ratfn_literal
@@ -334,7 +331,3 @@ def _substituted(f, p, q):
     deg = max(f.num.degree, f.den.degree)
     return f.num.substitute(p, q, deg), f.den.substitute(p, q, deg)
 
-
-def _sparse(coeffs):
-    """Dense coefficient list as a sparse series {exponent: coefficient}."""
-    return {k: c for k, c in enumerate(coeffs) if c}

@@ -12,6 +12,9 @@ residues, which both define `__bool__`.
 Rational data stays in integers: `div_ints` divides two integer series
 with no field inverse, by a substitution that makes the divisor's constant
 term 1 and returns the quotient as ints over one denominator.
+
+Callers: `QSeries` products and quotients (so `RatFn` Taylor series and
+the Legendrian lift too) and the period residues of `equiops.operators`.
 """
 
 from heapq import heapify, heappop, heappush

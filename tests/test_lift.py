@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from equiops.cyclotomic import rational
+from equiops.cyclotomic import rational, sqrt5
 from equiops.lift import legendrian_lift_series
-from equiops.operators import d_operator
+from equiops.operators import FormCoeff, d_operator
 from equiops.parsing import parse_ratfn
+from equiops.poly import Poly
 from equiops.properties import random_ratfn
+from equiops.ratfn import RatFn
 
 
 def test_lift_contact_and_duality_example():
@@ -61,3 +63,39 @@ def test_lift_at_the_smallest_order():
     assert [len(row) for row in lift.contact_residuals()] == [1, 1, 1, 1]
     assert all(c.is_zero for r in lift.contact_residuals() for c in r)
     assert lift.determinant() == [rational(-4), rational(0)]
+
+
+@pytest.mark.parametrize("theta", [None, "z^2 + 1", "1/(z + 4)"])
+def test_lift_on_irrational_data(theta):
+    # f = z^3 + sqrt5 z keeps every entry on the Cyclo storage
+    f = RatFn(Poly([0, sqrt5(), 0, 1]))
+    form = None if theta is None else FormCoeff(parse_ratfn(theta))
+    p = rational(1)
+    lift = legendrian_lift_series(f, form, p=p, n=8)
+    assert any(not c.is_rational for c in lift.psi1)
+    for residual in lift.contact_residuals():
+        assert len(residual) == 6 and all(c.is_zero for c in residual)
+    mc = lift.mc_form()
+    assert mc[1][0] == [rational(1)] + [rational(0)] * 5
+    det = lift.determinant()
+    fdot = (form or FormCoeff.dz()).xderiv(f)
+    assert det == [-fdot(p)] + [rational(0)] * 6
+    assert lift.pi2_series() == d_operator(f, form).taylor(p, 7)
+
+
+def test_lift_rejects_a_form_vanishing_at_p():
+    # fdot = (z + z^3)/z is 1 at 0, but theta = z dz vanishes there
+    f = parse_ratfn("z^2/2 + z^4/4")
+    with pytest.raises(ZeroDivisionError, match="theta vanishes at p"):
+        legendrian_lift_series(f, FormCoeff(parse_ratfn("z")), p=0, n=5)
+
+
+def test_pi2_rejects_a_pole_of_the_dual():
+    # phi(0) = 0 for z^3 + z, so psidot2(0) = 0 and D f has a pole at 0
+    f = parse_ratfn("z^3 + z")
+    lift = legendrian_lift_series(f, p=0, n=5)
+    assert all(c.is_zero for r in lift.contact_residuals() for c in r)
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        lift.pi2_series()
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        d_operator(f).taylor(rational(0), 4)

@@ -110,8 +110,9 @@ def test_taylor_on_ints_matches_the_cyclo_path(text, point):
     # constant terms den(p) that are no unit and several sizes
     f = parse_ratfn(text)
     p = rational(point)
-    for n in (1, 2, 9):
+    for n in (0, 1, 2, 9):
         assert f.taylor(p, n) == taylor_reference(f, p, n)
+        assert f.taylor_series(p, n).trunc == n
     g = f * Poly([sqrt5(), 1])  # an irrational map keeps the field division
     assert g.taylor(p, 6) == taylor_reference(g, p, 6)
 

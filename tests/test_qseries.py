@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from equiops import series
-from equiops.cyclotomic import Cyclo, rational, sqrt2
+from equiops.cyclotomic import Cyclo, CycloError, rational, sqrt2, sqrt5
 from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
                              hauptmodul, heins_value, j_series,
                              ramanujan_check, rogers_ramanujan, rr_equals_j5,
@@ -235,6 +235,27 @@ def test_products_match_cyclo_reference(a, b):
     assert (y * x).coeffs == want
 
 
+@pytest.mark.parametrize("a, b", PAIRS)
+def test_quotients_match_the_reciprocal_product(a, b):
+    # one triangular pass against the product with the reciprocal
+    x, y = NAMED[a], NAMED[b]
+    want = x * y.inverse()
+    got = x / y
+    assert_canonical(got)
+    assert (got.M, got.trunc) == (want.M, want.trunc)
+    assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("b", ["j", "j3"])
+def test_quotient_of_zero(b):
+    y = NAMED[b]
+    got = QSeries.zero(4) / y
+    want = QSeries.zero(4) * y.inverse()
+    assert got.is_zero and want.is_zero
+    assert (got.M, got.trunc) == (want.M, want.trunc)
+    assert got.trunc == 4 - y.valuation
+
+
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_reciprocals_match_cyclo_reference(name):
     # the reciprocal of the storage against series.div on the Cyclo view
@@ -296,3 +317,24 @@ def test_div_ints_matches_fraction_recurrence(seed):
         want[k] = acc / b[0]
     assert {k: Fraction(v, d) for k, v in c.items()} == \
         {k: v for k, v in want.items() if v}
+
+
+def test_constructor_rejects_coefficients_of_another_field():
+    with pytest.raises(CycloError, match="mismatched cyclotomic orders"):
+        QSeries(1, {0: sqrt5(60), 1: sqrt5(120)}, 5)
+    with pytest.raises(CycloError, match="mismatched cyclotomic orders"):
+        QSeries(1, {0: sqrt5(60)}, 5)
+    s = QSeries(1, {0: sqrt5(60), 1: 2}, 5, 60)
+    assert s.order == 60 and s.coefficient(0) == sqrt5(60)
+
+
+def test_derivative_and_dense_view():
+    # 3 q^-1 + q^(1/2)/2 + 5 q^2 + O(q^4)
+    s = QSeries(2, {-2: 3, 1: Fraction(1, 2), 4: 5}, 4)
+    d = s.derivative()
+    assert d.trunc == 3
+    assert d.coeffs == {-4: rational(-3), -1: rational(Fraction(1, 4)), 2: rational(10)}
+    assert s.dense(5) == [0, rational(Fraction(1, 2)), 0, 0, rational(5)]
+    assert len(s.dense(8)) == 8
+    with pytest.raises(ValueError, match="beyond truncation"):
+        s.dense(9)
