@@ -1,31 +1,29 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are represented on the power basis 1, zeta, ..., zeta^(phi(N)-1)
-modulo the N-th cyclotomic polynomial, with a common integer denominator.
-The representation is canonical: equal field elements have identical
-coefficient vectors.  The default order N = 120 contains i, sqrt(2),
-sqrt(3), sqrt(5) and all third, fourth, fifth and eighth roots of unity.
+Conductor storage.  An element of Q(zeta_N) is stored at a conductor m | N:
+phi(m) ints on the power basis of Q(zeta_m), zeta_m = zeta_N^(N/m), over
+one positive denominator prime to their content.  `order` is N, the field
+the user works in, and operands of different orders are rejected.  Operands
+of different conductors are embedded into their lcm, and a result keeps
+that conductor with no search, except that a zero tail makes it rational:
+the rational lane is the case m = 1, n/d stored as (n,) over d, so +, -, *,
+/ and inverse of rationals are one gcd.  The least conductor is searched
+for only where data enters, the public constructor `Cyclo(order, num, den)`
+and the parser's constants, one prime at a time; `zeta_pow` knows it.  At
+N = 120, i, sqrt(2), sqrt(3), sqrt(5) and zeta_3 live at conductors 4, 8,
+12, 5 and 3.  `num` is the vector at N, built on first read; Z[zeta_N]
+meets Q(zeta_m) in Z[zeta_m], so den is the same at every conductor and
+(order, num, den) is canonical: hashing, equality and printing use it.
 
-Rational lane.  Every element records at construction whether it is
-rational.  When all operands of +, -, *, /, negation or inverse are
-rational, the result is computed on the two integers n/d alone: one gcd,
-then the cached zero tail of the coefficient vector is appended, so no
-phi(N)-entry vector is built or walked.  A lane-built element is
-indistinguishable from a normalised one: the same `num`, `den`, `order`,
-hash, equality and repr as `Cyclo(order, [n], d)`.  Irrational operands
-always take the general vector path.
-
-Inverse by a norm tower.  Gal(Q(zeta_N)/Q) is (Z/N)^*, sigma_k acting as
-zeta -> zeta^k.  Each order caches a chain of subgroups of prime index p
-per step, the step generated by one sigma_k.  An irrational element's
+Inverse by a norm tower.  Gal(Q(zeta_m)/Q) is (Z/m)^*, sigma_k acting as
+zeta -> zeta^k.  Each conductor caches a chain of subgroups of prime index
+p per step, the step generated by one sigma_k.  An irrational element's
 integer vector b goes down the chain: a step with sigma_k(b) == b is
-skipped (b already lies in the smaller fixed field, which makes Q(i) and
-Q(sqrt5) elements cheap), otherwise the cofactor
-c = sigma_k(b) sigma_k^2(b) ... sigma_k^(p-1)(b) is collected and b
-becomes b*c.  At the bottom b is the rational norm, and the inverse is the
-product of the cofactors over it.  All of it is integer arithmetic, with
-sigma_k read from one cached table of zeta^j, 0 <= j < N; the same table
-gives `zeta_pow` and the reduction rows of products.
+skipped (b lies in the smaller fixed field already), otherwise the cofactor
+c = sigma_k(b) ... sigma_k^(p-1)(b) is collected and b becomes b*c.  At the
+bottom b is the rational norm, and the inverse is the product of the
+cofactors over it.  Conjugates, products, embeddings and `zeta_pow` all
+read one cached table of zeta^j, 0 <= j < m.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 DEFAULT_ORDER = 120
 
@@ -42,33 +40,19 @@ class CycloError(ArithmeticError):
     pass
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (den monic). Lists, low degree first."""
-    num = list(num)
-    d = len(den) - 1
-    q = [0] * max(0, len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            q[i - d] = c
-            for j in range(d + 1):
-                num[i - d + j] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Integer coefficient list (low degree first) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1, divided by Phi_d for d | n, d < n
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            assert not r
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            q = [0] * (len(poly) - k)
+            for i in range(len(poly) - 1, k - 1, -1):  # den is monic
+                q[i - k] = c = poly[i]
+                for j in range(k + 1):
+                    poly[i - k + j] -= c * den[j]
             poly = q
     return tuple(poly)
 
@@ -78,23 +62,12 @@ def totient(n):
 
 
 @lru_cache(maxsize=None)
-def _zero_tail(n):
-    """The phi(n) - 1 zero coefficients that follow a rational element's n/d."""
-    return (0,) * (totient(n) - 1)
-
-
-@lru_cache(maxsize=None)
 def _zeta_powers(n):
-    """zeta^j for 0 <= j < n on the power basis, as sparse rows ((t, c), ...).
-
-    Built in one shift-and-reduce sweep: zeta^(j+1) is zeta^j shifted up one
-    place, a coefficient carried past zeta^(d-1) folded back in through
-    zeta^d = zeta^d - Phi_n(zeta), a combination of lower powers.
-    """
+    """zeta^j for 0 <= j < n on the power basis, as sparse rows ((t, c), ...):
+    each is the last shifted up, a carry past zeta^(d-1) reduced by Phi_n."""
     phi_n = cyclotomic_polynomial(n)
-    d = len(phi_n) - 1
-    top = [-c for c in phi_n[:d]]
-    cur = [1] + [0] * (d - 1)
+    top = [-c for c in phi_n[:-1]]
+    cur = [1] + [0] * (len(top) - 1)
     rows = []
     for _ in range(n):
         rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
@@ -109,17 +82,13 @@ def _zeta_powers(n):
 def _reduction_rows(n):
     """Sparse rows of zeta^k, for k = deg .. 2*deg-2 (needed after products)."""
     d = totient(n)
-    powers = _zeta_powers(n)
-    return tuple(powers[k % n] for k in range(d, 2 * d - 1))
+    return tuple(_zeta_powers(n)[k % n] for k in range(d, 2 * d - 1))
 
 
 @lru_cache(maxsize=None)
 def _galois_tower(n):
-    """Steps (k, p) of a chain {1} = H_0 < H_1 < ... < H_r = (Z/n)^*.
-
-    H_(i+1) is generated by H_i and sigma_k: zeta -> zeta^k, and has prime
-    index p over H_i (sigma_k^p lies in H_i).
-    """
+    """Steps (k, p) of a chain {1} = H_0 < ... < H_r = (Z/n)^*: H_(i+1) is
+    generated by H_i and sigma_k, and has prime index p over H_i."""
     sub = {1 % n}
     steps = []
     for g in range(2, n):
@@ -137,6 +106,22 @@ def _galois_tower(n):
     return tuple(steps)
 
 
+def _accumulate(out, v, rows):
+    """out + sum_j v_j rows_j, in place, for sparse rows ((t, c), ...)."""
+    for vj, row in zip(v, rows):
+        if vj:
+            for t, c in row:
+                out[t] += vj * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _power_rows(n, k, count):
+    """The rows of zeta_n^(j k), j < count: sigma_k, or the embedding of
+    Q(zeta_(n/k)) for k | n."""
+    return tuple(_zeta_powers(n)[j * k % n] for j in range(count))
+
+
 def _mul_vec(a, b, n):
     """Product of two power-basis integer vectors of Q(zeta_n), reduced mod Phi_n."""
     d = len(a)
@@ -146,82 +131,73 @@ def _mul_vec(a, b, n):
         if ai:
             for j, bj in nz_b:
                 conv[i + j] += ai * bj
-    out = conv[:d]
-    for c, row in zip(conv[d:], _reduction_rows(n)):
-        if c:
-            for t, rt in row:
-                out[t] += c * rt
-    return out
-
-
-@lru_cache(maxsize=None)
-def _constant_rows(n):
-    """(m, c) for each m < 2*deg - 1 whose zeta^m has constant coefficient c != 0."""
-    d = totient(n)
-    powers = _zeta_powers(n)
-    return tuple((m, c) for m in range(2 * d - 1)
-                 for t, c in powers[m % n] if t == 0)
-
-
-def _constant_of_product(a, b, n):
-    """The constant coefficient of the product of a and b, alone."""
-    d = len(a)
-    total = 0
-    for m, c in _constant_rows(n):
-        lo, hi = max(0, m - d + 1), min(m, d - 1)
-        total += c * sum(a[i] * b[m - i] for i in range(lo, hi + 1))
-    return total
+    return _accumulate(conv[:d], conv[d:], _reduction_rows(n))
 
 
 def _conjugate(a, k, n):
     """sigma_k(a) for the automorphism zeta -> zeta^k, on an integer vector."""
-    powers = _zeta_powers(n)
-    out = [0] * len(a)
-    for j, aj in enumerate(a):
-        if aj:
-            for t, c in powers[j * k % n]:
-                out[t] += aj * c
-    return out
+    return _accumulate([0] * len(a), a, _power_rows(n, k, len(a)))
+
+
+def _lift(v, m, n):
+    """The vector v at conductor m as a vector at conductor n, for m | n."""
+    return v if m == n else _accumulate([0] * totient(n), v, _power_rows(n, n // m, len(v)))
+
+
+@lru_cache(maxsize=None)
+def _projector(d, m):
+    """(cols, rows, D): an element of Q(zeta_d) with vector x at m has the
+    vector v = x[cols] T at d, T = rows / D: Gauss-Jordan takes [E | I], E
+    the embedding, to [R | T] with R = T E the identity on cols."""
+    w = totient(m)
+    rows = [{t: Fraction(c) for t, c in row} | {w + j: Fraction(1)}
+            for j, row in enumerate(_power_rows(m, m // d, totient(d)))]
+    cols = []
+    for row in rows:
+        c = min(t for t, x in row.items() if x)  # below w: E has full rank
+        p = row[c]
+        row.update((t, x / p) for t, x in list(row.items()))
+        for other in rows:
+            f = other.get(c) if other is not row else 0
+            if f:
+                for t, x in row.items():
+                    other[t] = other.get(t, 0) - f * x
+        cols.append(c)
+    t_rows = [[(t - w, x) for t, x in row.items() if t >= w and x] for row in rows]
+    big = lcm(*[x.denominator for row in t_rows for _, x in row])
+    return tuple(cols), tuple(tuple((j, int(x * big)) for j, x in row) for row in t_rows), big
 
 
 class Cyclo:
     """An element of Q(zeta_N), immutable and hashable."""
 
-    __slots__ = ("order", "num", "den", "_rat")
+    # the ints _v at conductor _m over den; _num caches `num`
+    __slots__ = ("order", "_m", "_v", "den", "_num")
 
-    def __init__(self, order, num, den=1, _normalized=False):
-        d = totient(order)
-        if not _normalized:
-            num = list(num)
-            if len(num) < d:
-                num += [0] * (d - len(num))
-            elif len(num) > d:
-                raise ValueError("coefficient vector longer than phi(N)")
-            if den < 0:
-                den = -den
-                num = [-c for c in num]
-            elif den == 0:
-                raise ZeroDivisionError("zero denominator")
-            g = den
-            for c in num:
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                num = [c // g for c in num]
-            num = tuple(num)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_rat", not any(num[1:]))
+    def __new__(cls, order, num, den=1):
+        num, d = list(num), totient(order)
+        if len(num) > d:
+            raise ValueError("coefficient vector longer than phi(N)")
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        return _sized(_normal(order, order, num + [0] * (d - len(num)), den))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
     def __reduce__(self):
-        # rebuild through the constructor: the guard above blocks slot restore
-        return (Cyclo, (self.order, self.num, self.den, True))
+        # rebuild the stored form: the guard above blocks slot restore
+        return (_make, (self.order, self._m, self._v, self.den))
+
+    @property
+    def num(self):
+        """The coefficient vector on the power basis of Q(zeta_N)."""
+        try:
+            return self._num
+        except AttributeError:
+            num = tuple(_lift(self._v, self._m, self.order))
+            _set_num(self, num)
+            return num
 
     # -- constructors -------------------------------------------------
 
@@ -234,27 +210,25 @@ class Cyclo:
         if g != 1:
             n //= g
             d //= g
-        self = _new(Cyclo)
-        _set_order(self, order)
-        _set_num(self, (n,) + _zero_tail(order))
-        _set_den(self, d)
-        _set_rat(self, True)
-        return self
+        return _make(order, 1, (n,), d)
 
     @staticmethod
     def from_rational(value, order=DEFAULT_ORDER):
         if type(value) is int:
-            return Cyclo._ratio(order, value, 1)
+            return _make(order, 1, (value,), 1)
         f = value if isinstance(value, Fraction) else Fraction(value)
-        return Cyclo._ratio(order, f.numerator, f.denominator)
+        return _make(order, 1, (f.numerator,), f.denominator)
 
     @staticmethod
     def zeta_pow(k, order=DEFAULT_ORDER):
-        """zeta_N^k as a field element."""
-        num = [0] * totient(order)
-        for t, c in _zeta_powers(order)[k % order]:
-            num[t] = c
-        return Cyclo(order, tuple(num), 1, _normalized=True)
+        """zeta_N^k as a field element, at its conductor."""
+        g = gcd(k, order)
+        m, sign = order // g, 1
+        j = k // g % m
+        if m % 4 == 2:  # zeta_m^j = -zeta_(m/2)^((j + m/2)/2), j odd
+            m //= 2
+            j, sign = (j + m) // 2 % m, -1
+        return _normal(order, m, _accumulate([0] * totient(m), [sign], [_zeta_powers(m)[j]]), 1)
 
     # -- helpers ------------------------------------------------------
 
@@ -269,16 +243,16 @@ class Cyclo:
 
     @property
     def is_zero(self):
-        return self._rat and not self.num[0]
+        return self._m == 1 and not self._v[0]
 
     @property
     def is_rational(self):
-        return self._rat
+        return self._m == 1
 
     def as_fraction(self):
-        if not self.is_rational:
+        if self._m != 1:
             raise CycloError("not a rational element")
-        return Fraction(self.num[0], self.den)
+        return Fraction(self._v[0], self.den)
 
     def __bool__(self):
         return not self.is_zero
@@ -287,73 +261,46 @@ class Cyclo:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._rat and o._rat:
-            return Cyclo._ratio(self.order, self.num[0] * o.den + o.num[0] * self.den,
-                                self.den * o.den)
-        if self.den == o.den:
-            return Cyclo(self.order, [a + b for a, b in zip(self.num, o.num)], self.den)
-        return Cyclo(
-            self.order,
-            [a * o.den + b * self.den for a, b in zip(self.num, o.num)],
-            self.den * o.den,
-        )
+        return NotImplemented if o is None else _plus(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._rat:
-            return Cyclo._ratio(self.order, -self.num[0], self.den)
-        return Cyclo(self.order, tuple(-c for c in self.num), self.den, _normalized=True)
+        return _make(self.order, self._m, tuple([-c for c in self._v]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._rat and o._rat:
-            return Cyclo._ratio(self.order, self.num[0] * o.den - o.num[0] * self.den,
-                                self.den * o.den)
-        return self + (-o)
+        return NotImplemented if o is None else _plus(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else _plus(o, self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        if self._rat:
-            r = self.num[0]
-            if o._rat or r == 0:
-                return Cyclo._ratio(self.order, r * b[0], self.den * o.den)
-            return Cyclo(self.order, [r * c for c in b], self.den * o.den)
-        if o._rat:
-            r = o.num[0]
-            if r == 0:
-                return Cyclo.from_rational(0, self.order)
-            return Cyclo(self.order, [r * c for c in a], self.den * o.den)
-        return Cyclo(self.order, _mul_vec(a, b, self.order), self.den * o.den)
+        if self._m == 1 or o._m == 1:
+            x, y = (self, o) if self._m == 1 else (o, self)
+            r = x._v[0]
+            if y._m == 1 or not r:
+                return Cyclo._ratio(self.order, r * y._v[0], x.den * y.den)
+            return _normal(self.order, y._m, [r * c for c in y._v], x.den * y.den)
+        a, b, m = _common(self, o)
+        return _normal(self.order, m, _mul_vec(a, b, m), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if self._rat:
-            return Cyclo._ratio(self.order, self.den, self.num[0])
-        # Norm tower: down each step (k, p) of the Galois chain, b <- b * c
-        # with c = sigma_k(b) ... sigma_k^(p-1)(b), until b is the rational
-        # norm of num; then num^-1 is the product of the cofactors c over it.
-        n = self.order
-        steps = _galois_tower(n)
-        b = list(self.num)
-        cof = None
-        for i, (k, p) in enumerate(steps):
+        n = self._m
+        if n == 1:
+            if not self._v[0]:
+                raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
+            return Cyclo._ratio(self.order, self.den, self._v[0])
+        # down each step (k, p) of the Galois chain b <- b c, with
+        # c = sigma_k(b) ... sigma_k^(p-1)(b), to the rational norm b
+        b, cof = list(self._v), None
+        for k, p in _galois_tower(n):
             s = _conjugate(b, k, n)
             if s == b:
                 continue  # b already lies in the fixed field of the next step
@@ -362,62 +309,59 @@ class Cyclo:
                 s = _conjugate(s, k, n)
                 c = _mul_vec(c, s, n)
             cof = c if cof is None else _mul_vec(cof, c, n)
-            if i == len(steps) - 1:
-                # b * c is the rational norm: its constant coefficient is all
-                b = [_constant_of_product(b, c, n)]
-            else:
-                b = _mul_vec(b, c, n)
-        return Cyclo(n, [self.den * c for c in cof], b[0])
+            b = _mul_vec(b, c, n)
+        return _normal(self.order, n, [self.den * c for c in cof], b[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._rat:
-            n = o.num[0]
-            if n == 0:
-                raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-            if self._rat:
-                return Cyclo._ratio(self.order, self.num[0] * o.den, self.den * n)
-            return Cyclo(self.order, [c * o.den for c in self.num], self.den * n)
-        return self * o.inverse()
+        if self._m != 1 or o._m != 1:
+            return self * o.inverse()
+        if not o._v[0]:
+            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
+        return Cyclo._ratio(self.order, self._v[0] * o.den, self.den * o._v[0])
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyclo.from_rational(1, self.order)
-        base = self
+        result, base = Cyclo.from_rational(1, self.order), self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
             k >>= 1
+            base = base * base if k else base
         return result
 
     # -- comparisons, hashing, conversion ------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Cyclo) and self._rat and other._rat:
+        if isinstance(other, Cyclo) and self._m == 1 and other._m == 1:
             # Q lies in every Q(zeta_N): rationals compare by value in any order
-            return self.num[0] == other.num[0] and self.den == other.den
+            return self._v == other._v and self.den == other.den
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if self._m == o._m:
+            return self._v == o._v and self.den == o.den
+        if self.den != o.den or self._m == 1 or o._m == 1:
+            return False
+        a, b, _ = _common(self, o)
+        return list(a) == list(b)
 
     def __hash__(self):
         # a rational element hashes like the Fraction it equals, in any order
-        if self._rat:
-            return hash(Fraction(self.num[0], self.den))
+        if self._m == 1:
+            return hash(Fraction(self._v[0], self.den))
         return hash((self.order, self.num, self.den))
 
     def __complex__(self):
+        if self._m == 1:
+            return complex(self._v[0]) / self.den
         z = cmath.exp(2j * cmath.pi / self.order)
         acc = 0j
         p = 1 + 0j
@@ -438,11 +382,74 @@ class Cyclo:
 
 
 _new = object.__new__
-# slot setters: build lane elements without the immutability guard
-_set_order = Cyclo.order.__set__
-_set_num = Cyclo.num.__set__
-_set_den = Cyclo.den.__set__
-_set_rat = Cyclo._rat.__set__
+# slot setters: build elements without the immutability guard
+_set_order, _set_m, _set_v, _set_den, _set_num = (
+    s.__set__ for s in (Cyclo.order, Cyclo._m, Cyclo._v, Cyclo.den, Cyclo._num))
+
+
+def _make(order, m, v, den):
+    """The element of a stored form: the tuple v at conductor m over den."""
+    c = _new(Cyclo)
+    _set_order(c, order)
+    _set_m(c, m)
+    _set_v(c, v)
+    _set_den(c, den)
+    return c
+
+
+def _normal(order, m, vec, den):
+    """The element vec / den at conductor m (ints, den != 0) in lowest
+    terms; a zero tail makes it rational (m = 1)."""
+    if not any(vec[1:]):
+        return Cyclo._ratio(order, vec[0], den)
+    if den < 0:
+        den, vec = -den, [-c for c in vec]
+    g = den
+    for c in vec:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if g > 1:
+        den, vec = den // g, [c // g for c in vec]
+    return _make(order, m, tuple(vec), den)
+
+
+def _sized(c):
+    """c at the least conductor m that holds it, the search for data entering.
+    The conductors that hold an element are closed under gcd, so a prime p
+    for which m / p fails fails at every smaller m as well."""
+    x, m = c._v, c._m
+    for p in [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]:
+        while m % p == 0:
+            cols, rows, big = _projector(m // p, m)
+            v = [a // big for a in _accumulate([0] * len(cols), [x[i] for i in cols], rows)]
+            if list(_lift(v, m // p, m)) != list(x):  # the division was not exact
+                break
+            x, m = v, m // p
+    return c if m == c._m else _make(c.order, m, tuple(x), c.den)
+
+
+def _common(x, y):
+    """(a, b, m): the stored vectors of x and y at the lcm m of their conductors."""
+    if x._m == y._m:
+        return x._v, y._v, x._m
+    m = lcm(x._m, y._m)
+    return _lift(x._v, x._m, m), _lift(y._v, y._m, m), m
+
+
+def _plus(x, y, s):
+    """x + s y for s = 1 or -1."""
+    xd, yd = x.den, y.den
+    if x._m == 1 and y._m == 1:
+        return Cyclo._ratio(x.order, x._v[0] * yd + s * y._v[0] * xd, xd * yd)
+    a, b, m = _common(x, y)
+    if xd == yd:
+        vec = [p + q for p, q in zip(a, b)] if s > 0 else [p - q for p, q in zip(a, b)]
+    else:
+        vec = ([p * yd + q * xd for p, q in zip(a, b)] if s > 0
+               else [p * yd - q * xd for p, q in zip(a, b)])
+        xd *= yd
+    return _normal(x.order, m, vec, xd)
 
 
 def rational(value, order=DEFAULT_ORDER):
@@ -453,25 +460,25 @@ def zeta(order=DEFAULT_ORDER, power=1):
     return Cyclo.zeta_pow(power, order)
 
 
+def _twice_real(q, order, name):
+    """zeta_q + zeta_q^-1 in Q(zeta_N), which is sqrt(2) for q = 8 and sqrt(3) for q = 12."""
+    if order % q:
+        raise CycloError("%s requires %d | N" % (name, q))
+    return Cyclo.zeta_pow(order // q, order) + Cyclo.zeta_pow(-order // q, order)
+
+
 def sqrt2(order=DEFAULT_ORDER):
-    if order % 8:
-        raise CycloError("sqrt(2) requires 8 | N")
-    k = order // 8
-    return Cyclo.zeta_pow(k, order) + Cyclo.zeta_pow(-k, order)
+    return _twice_real(8, order, "sqrt(2)")
 
 
 def sqrt3(order=DEFAULT_ORDER):
-    if order % 12:
-        raise CycloError("sqrt(3) requires 12 | N")
-    k = order // 12
-    return Cyclo.zeta_pow(k, order) + Cyclo.zeta_pow(-k, order)
+    return _twice_real(12, order, "sqrt(3)")
 
 
 def sqrt5(order=DEFAULT_ORDER):
     if order % 5:
         raise CycloError("sqrt(5) requires 5 | N")
-    k = order // 5
-    z = Cyclo.zeta_pow(k, order)
+    z = Cyclo.zeta_pow(order // 5, order)
     return z - z * z - z ** 3 + z ** 4
 
 

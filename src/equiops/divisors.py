@@ -170,8 +170,10 @@ class Divisor:
             for f in factors:
                 if rem.degree < 1:
                     break
-                g, rest, _ = rem.gcd_cofactors(f)
-                if g.degree >= 1:
+                # the factors are pairwise coprime and cover q, so
+                # gcd(rem, f) is 1 or f: one division by f decides which
+                rest, r = rem.divmod(f)
+                if r.is_zero:
                     out[f] = out.get(f, 0) + m
                     rem = rest
         return {k: v for k, v in out.items() if v != 0}

@@ -13,7 +13,7 @@ returned as lists, coefficient k of t^k at index k.
 from __future__ import annotations
 
 from .cyclotomic import Cyclo, rational
-from .operators import _theta, pre_schwarzian, schwarzian
+from .operators import _pre_schwarzian, _schwarzian, _theta
 from .qseries import QSeries
 
 
@@ -49,19 +49,18 @@ class LiftSeries:
         (psidot carries one order less than psi)."""
         return self._det().dense(self.n - 1)
 
-    def _xderiv(self, a):
-        return a.derivative() / self._alpha
+    def _dots(self):
+        """The X-derivatives of psi1, psidot1, psi2, psidot2."""
+        return [e.derivative() / self._alpha for e in self._entries]
 
     def _mc(self):
         psi1, psidot1, psi2, psidot2 = self._entries
         det = self._det()
-        d11, d12, d21, d22 = (self._xderiv(e) for e in self._entries)
-
-        def entry(a, b, c, d):
-            # row of adj(L) times column of Ldot, over det
-            return (a * b - c * d) / det
-        return ((entry(psidot2, d11, psidot1, d21), entry(psidot2, d12, psidot1, d22)),
-                (entry(psi1, d21, psi2, d11), entry(psi1, d22, psi2, d12)))
+        d11, d12, d21, d22 = self._dots()
+        return ((_adj_row(psidot2, d11, psidot1, d21, det),
+                 _adj_row(psidot2, d12, psidot1, d22, det)),
+                (_adj_row(psi1, d21, psi2, d11, det),
+                 _adj_row(psi1, d22, psi2, d12, det)))
 
     def mc_form(self):
         """Entries of L^-1 (dL/dtheta), each a series of length n - 2.
@@ -82,12 +81,19 @@ class LiftSeries:
         """Diagonal Maurer-Cartan entries plus the column Schrodinger
         residuals psidotdot - q psi; all should vanish to truncation."""
         n = self.n - 2
-        mc = self._mc()
         q = self.q_potential.taylor_series(self.p, n)
         psi1, psidot1, psi2, psidot2 = self._entries
-        res = [mc[0][0], mc[1][1]] + [self._xderiv(psidot) - q * psi for psi, psidot
-                                      in ((psi1, psidot1), (psi2, psidot2))]
+        det = self._det()
+        d11, d12, d21, d22 = self._dots()
+        res = [_adj_row(psidot2, d11, psidot1, d21, det),
+               _adj_row(psi1, d22, psi2, d12, det),
+               d12 - q * psi1, d22 - q * psi2]
         return [r.dense(n) for r in res]
+
+
+def _adj_row(a, b, c, d, det):
+    """(a b - c d) / det: a row of adj(L) times a column of Ldot, over det."""
+    return (a * b - c * d) / det
 
 
 def legendrian_lift_series(f, theta=None, p=None, n=8):
@@ -113,8 +119,8 @@ def legendrian_lift_series(f, theta=None, p=None, n=8):
         raise ValueError("p is not a regular point of (f, theta)")
     if not isinstance(f(p), Cyclo):
         raise ValueError("f(p) must be finite; precompose with a Moebius move")
-    phi = pre_schwarzian(f, theta)
-    s = schwarzian(f, theta)
+    phi = _pre_schwarzian(fd, theta)
+    s = _schwarzian(phi, theta)
 
     alpha = theta.alpha.taylor_series(p, n)
     if alpha.valuation:

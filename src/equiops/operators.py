@@ -61,15 +61,23 @@ def pre_schwarzian(f, theta=None):
     fd = theta.xderiv(f)
     if fd.is_zero:
         raise ValueError("pre-Schwarzian of a constant")
-    fdd = theta.xderiv(fd)
-    return -fdd / (fd * 2)
+    return _pre_schwarzian(fd, theta)
+
+
+def _pre_schwarzian(fd, theta):
+    """phi from fd = X(f), nonzero."""
+    return -theta.xderiv(fd) / (fd * 2)
 
 
 def schwarzian(f, theta=None):
     """S = X(phi) + phi^2, the theta-coefficient of the quadratic
     differential S theta^2."""
     theta = _theta(theta, f.order)
-    phi = pre_schwarzian(f, theta)
+    return _schwarzian(pre_schwarzian(f, theta), theta)
+
+
+def _schwarzian(phi, theta):
+    """S from the pre-Schwarzian phi."""
     return theta.xderiv(phi) + phi * phi
 
 
@@ -305,11 +313,10 @@ def _split_by_integer_values(piece, period, bound):
     for c in range(-bound, bound + 1):
         if rest.degree < 1:
             break
-        locus, others, _ = rest.gcd_cofactors(
-            period - Poly.constant(rational(c, piece.order), piece.order))
+        locus = rest.gcd(period - Poly.constant(rational(c, piece.order), piece.order))
         if locus.degree >= 1:
             out.append((Place.bundle(locus), rational(c, piece.order)))
-            rest = others
+            rest = rest.exact_div(locus)
     if rest.degree >= 1:
         out.append((Place.bundle(rest.monic()), period % rest))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational, zeta
+from .cyclotomic import DEFAULT_ORDER, Cyclo, _sized, rational, zeta
 from .poly import Poly
 from .ratfn import RatFn
 
@@ -78,6 +78,7 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             return -self.factor()
+        root = self.peek() == "zeta"
         node = self.atom()
         if self.peek() == "^":
             self.take()
@@ -86,7 +87,9 @@ class _Parser:
                 self.take()
                 neg = True
             k = int(self.take())
-            node = node ** (-k if neg else k)
+            k = -k if neg else k
+            # zeta^k at its conductor; a product of zeta_N's would stay at N
+            node = RatFn.constant(zeta(self.order, k), self.order) if root else node ** k
         return node
 
     def atom(self):
@@ -131,7 +134,7 @@ def parse_cyclo(text, order=DEFAULT_ORDER):
     f = parse_ratfn(text, order)
     if not f.is_constant or f.is_infinity:
         raise ParseError("not a constant: %s" % text)
-    return f.constant_value()
+    return _sized(f.constant_value())
 
 
 # -- printers ---------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _normal, rational
 
 
 class Poly:
@@ -405,11 +405,11 @@ def _canonical(items, den, order):
                 items = [v // g for v in items]
             return _make(tuple(items), den, order)
     for v in items:
-        if isinstance(v, Cyclo) and not v.is_rational:
+        if isinstance(v, Cyclo) and v._m != 1:
             break
     else:  # all values rational: ints over one denominator
         m = _int_lcm(*[v.den for v in items if isinstance(v, Cyclo)])
-        return _canonical([v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+        return _canonical([v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
                            for v in items], den * m, order)
     if den != 1:
         inv = Cyclo._ratio(order, 1, den)
@@ -440,7 +440,7 @@ def _ratio_of(x, order):
     if isinstance(x, Cyclo):
         if x.order != order:
             raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, x.order))
-        return (x.num[0], x.den) if x.is_rational else None
+        return (x._v[0], x.den) if x._m == 1 else None
     x = x if isinstance(x, Fraction) else Fraction(x)
     return x.numerator, x.denominator
 
@@ -468,11 +468,12 @@ def _primitive(items, order):
         g = _int_gcd(*items)
     except TypeError:  # a Cyclo item
         cs = [v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1) for v in items]
-        m = _int_lcm(*[c.den for c in cs])
-        vecs = [[n * (m // c.den) for n in c.num] for c in cs]
+        # the stored vectors at the lcm conductor M: Z[zeta_M] meets each
+        # subfield in its own ring of integers, so the content is the same
+        M, m = _int_lcm(*[c._m for c in cs]), _int_lcm(*[c.den for c in cs])
+        vecs = [[n * (m // c.den) for n in _lift(c._v, c._m, M)] for c in cs]
         g = _int_gcd(*[n for vec in vecs for n in vec])
-        return [Cyclo(order, tuple([n // g for n in vec]), 1, _normalized=True)
-                for vec in vecs]
+        return [_normal(order, M, [n // g for n in vec], 1) for vec in vecs]
     if items[-1] < 0:
         g = -g
     return [v // g for v in items] if g != 1 else items

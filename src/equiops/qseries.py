@@ -307,7 +307,7 @@ def _normalised(M, items, den, trunc, order):
     ratios = [v for v in values if isinstance(v, Cyclo)]
     if all(v.is_rational for v in ratios):  # ints over one denominator
         m = math.lcm(*[v.den for v in ratios])
-        return _normalised(M, {k: v.num[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+        return _normalised(M, {k: v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
                                for k, v in items.items()}, den * m, trunc, order)
     if den != 1:
         inv = Cyclo._ratio(order, 1, den)
