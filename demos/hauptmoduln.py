@@ -21,7 +21,7 @@ for n in (2, 3, 4, 5):
         "0 (exact)" if residual.is_zero else repr(residual)))
 
 print()
-print("Rogers-Ramanujan fraction equals j5 to order 6:", qs.rr_equals_j5(6))
+print("Rogers-Ramanujan fraction equals j5 to order 6:", qs.rr_equals_j5(6).is_zero)
 value = qs.heins_value(1j)
 print("Schwarzian-quotient value at tau=i: %.10f%+.10fi (expected -i)"
       % (value.real, value.imag))

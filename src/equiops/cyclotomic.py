@@ -329,13 +329,7 @@ class Cyclo:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result, base = Cyclo.from_rational(1, self.order), self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            base = base * base if k else base
-        return result
+        return _power(self, k) if k else Cyclo.from_rational(1, self.order)
 
     # -- comparisons, hashing, conversion ------------------------------
 
@@ -450,6 +444,20 @@ def _plus(x, y, s):
                else [p * yd - q * xd for p, q in zip(a, b)])
         xd *= yd
     return _normal(x.order, m, vec, xd)
+
+
+def _power(base, k):
+    """base ** k for an int k >= 1 by square and multiply, the first factor
+    base itself, so a series keeps its truncation; None for k = 0.  The one
+    power kernel of `Cyclo`, `Poly` and `QSeries`."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def rational(value, order=DEFAULT_ORDER):

@@ -241,25 +241,49 @@ def load_group_config(path):
     character values, and the recorded weights against the degrees.
     """
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from exc
     return _validate_config(raw, path)
 
 
 def _validate_config(raw, src="<config>"):
-    try:
-        name = raw["name"]
-        order = int(raw["cyclotomic_order"])
-        gen_rows = raw["generators"]
-        rho_rows = raw.get("rho_generators", gen_rows)
-        inv_rows = raw["invariants"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("%s: missing field %s" % (src, exc))
+    """The GroupConfig of a parsed config; any malformed field raises a
+    ConfigError naming src."""
+    def need(ok, what):
+        if not ok:
+            raise ConfigError("%s: %s" % (src, what))
+
+    def checked(thunk):
+        # bad literals, singular matrices, weights below a form's degree
+        try:
+            return thunk()
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError("%s: %s" % (src, exc)) from exc
+
+    def parsed(parse, text):
+        need(isinstance(text, str), "%r is not a string" % (text,))
+        return checked(lambda: parse(text, order))
+
+    need(isinstance(raw, dict), "not a JSON object")
+    for key in ("name", "cyclotomic_order", "generators", "invariants"):
+        need(key in raw, "missing field %r" % key)
+    name, order = raw["name"], raw["cyclotomic_order"]
+    need(isinstance(name, str), "name is not a string")
+    need(type(order) is int and order > 0,
+         "cyclotomic_order is not a positive integer")
+    gen_rows = raw["generators"]
+    rho_rows = raw.get("rho_generators", gen_rows)
+    inv_rows = raw["invariants"]
+    need(all(isinstance(r, list) for r in (gen_rows, rho_rows, inv_rows)),
+         "generators, rho_generators and invariants must be lists")
 
     def mat(entries):
-        vals = [parse_cyclo(e, order) for e in entries]
-        if len(vals) != 4:
-            raise ConfigError("%s: matrix needs 4 entries" % src)
-        return Moebius(*vals, order=order)
+        need(isinstance(entries, list) and len(entries) == 4,
+             "matrix needs 4 entries")
+        vals = [parsed(parse_cyclo, e) for e in entries]
+        return checked(lambda: Moebius(*vals, order=order))
 
     generators = [mat(g) for g in gen_rows]
     rho_generators = [mat(g) for g in rho_rows]
@@ -268,24 +292,31 @@ def _validate_config(raw, src="<config>"):
 
     forms = []
     for row in inv_rows:
-        poly = parse_poly(row["poly"], order)
-        weight = int(row["weight"])
+        need(isinstance(row, dict)
+             and all(k in row for k in ("name", "poly", "weight")),
+             "an invariant needs name, poly and weight")
+        need(isinstance(row["name"], str), "invariant name is not a string")
+        need(type(row["weight"]) is int,
+             "weight of %s is not an integer" % row["name"])
+        poly, weight = parsed(parse_poly, row["poly"]), row["weight"]
         chars = []
         for g in generators:
-            chi = form_character(poly, weight, g)
+            chi = checked(lambda: form_character(poly, weight, g))
             if chi is None:
                 raise ConfigError(
                     "%s: %s is not invariant under a stated generator"
-                    % (src, row.get("name", "form")))
+                    % (src, row["name"]))
             if not chi.is_root_of_unity():
                 raise ConfigError(
                     "%s: character of %s is not a root of unity"
-                    % (src, row.get("name", "form")))
+                    % (src, row["name"]))
             chars.append(chi)
         stated = row.get("characters")
         if stated is not None:
+            need(isinstance(stated, list),
+                 "characters of %s is not a list" % row["name"])
             for chi, s in zip(chars, stated):
-                if chi != parse_cyclo(s, order):
+                if chi != parsed(parse_cyclo, s):
                     raise ConfigError("%s: recorded character is wrong" % src)
         forms.append(InvariantForm(row["name"], poly, weight, chars))
 

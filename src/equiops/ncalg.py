@@ -27,12 +27,6 @@ from .ratfn import RatFn
 _SCALARS = (int, Fraction, Cyclo, Poly, RatFn)
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, (RatFn, Cyclo)):
-        return c.is_zero
-    return c == 0
-
-
 class NCPoly:
     """Finite linear combination of words in the generators p_1, p_2, ...
 
@@ -46,7 +40,7 @@ class NCPoly:
     def __init__(self, terms=None):
         clean = {}
         for word, coeff in (terms or {}).items():
-            if not _coeff_is_zero(coeff):
+            if coeff:
                 clean[tuple(word)] = coeff
         self.terms = clean
 

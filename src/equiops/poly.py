@@ -7,10 +7,12 @@ prime to their content, FLINT's fmpq_poly layout.  With any irrational
 coefficient the items are the `Cyclo` coefficients themselves, all of the
 polynomial's field order, over den = 1.  `coeffs` reads the `Cyclo` tuple
 either way: the items, or for ints a view built on first use.  One
-normaliser, `_canonical`, brings every result to this layout and stores a
+normaliser, `_store`, brings every result to this layout and stores a
 result whose values all come out rational as ints, so equal values have
 equal storage: equality and hashing compare (items, den) directly, and a
 constant hashes like its value, so a rational one like its `Fraction`.
+The store is shared with `QSeries` (items a dict keyed by exponent):
+`_store`, the item view `_item` and the field check `_same_field` serve both.
 
 One path per operation.  Add, neg, scale, mul (a convolution), derivative
 and substitute read and write (items, den) alone: ints and `Cyclo` mix in
@@ -43,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _normal, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _normal, _power, rational
 
 
 class Poly:
@@ -97,13 +99,9 @@ class Poly:
         """The coefficients as a tuple of `Cyclo`, low degree first."""
         cs = self._coeffs
         if cs is None:
-            cs = self._coeffs = tuple(map(self._value, range(self.degree + 1)))
+            den, order = self._den, self.order
+            cs = self._coeffs = tuple([_item(v, den, order) for v in self._items])
         return cs
-
-    def _value(self, i):
-        """Coefficient i as a `Cyclo`."""
-        v = self._items[i]
-        return v if isinstance(v, Cyclo) else Cyclo._ratio(self.order, v, self._den)
 
     @property
     def is_rational(self):
@@ -127,7 +125,7 @@ class Poly:
     def leading(self):
         if self.degree < 0:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._value(-1)
+        return _item(self._items[-1], self._den, self.order)
 
     @property
     def is_monic(self):
@@ -136,7 +134,7 @@ class Poly:
     def constant_value(self):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self._value(0) if self._items else rational(0, self.order)
+        return _item(self._items[0] if self._items else 0, self._den, self.order)
 
     def __bool__(self):
         return not self.is_zero
@@ -175,11 +173,8 @@ class Poly:
             return o
         _same_field(self, o)
         a, b, den, d = self._items, o._items, self._den, o._den
-        if den != d:
-            g = _int_gcd(den, d)
-            a = [v * (d // g) for v in a]
-            b = [v * (den // g) for v in b]
-            den = den // g * d
+        if den != d:  # over den * d; the normaliser takes out the common part
+            a, b, den = [v * d for v in a], [v * den for v in b], den * d
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -218,15 +213,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k) if k else Poly.one(self.order)
 
     def scale(self, c):
         r = _ratio_of(c, self.order)
@@ -392,30 +379,42 @@ def _canonical(items, den, order):
         items.pop()
     if not items:
         return _make((), 1, order)
-    if not isinstance(items[-1], Cyclo):
+    items, den = _store(items, den, order)
+    return _make(tuple(items), den, order)
+
+
+def _store(values, den, order):
+    """The storage form of values / den, for a list of ints and `Cyclo`
+    elements of the order and an int den != 0: ints over a den > 0 prime to
+    their content, else the `Cyclo` values over 1.  The one normaliser of
+    `Poly` and `QSeries`; values that all come out rational are stored as
+    ints, so equal values have equal storage."""
+    if not values or not isinstance(values[-1], Cyclo):
         try:
-            g = _int_gcd(den, *items)
-        except TypeError:  # a Cyclo item below an int lead
+            g = _int_gcd(den, *values)
+        except TypeError:  # a Cyclo value below an int
             pass
         else:
             if den < 0:
                 g = -g
-            if g != 1:
-                den //= g
-                items = [v // g for v in items]
-            return _make(tuple(items), den, order)
-    for v in items:
+            return ([v // g for v in values], den // g) if g != 1 else (values, den)
+    for v in values:
         if isinstance(v, Cyclo) and v._m != 1:
             break
     else:  # all values rational: ints over one denominator
-        m = _int_lcm(*[v.den for v in items if isinstance(v, Cyclo)])
-        return _canonical([v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
-                           for v in items], den * m, order)
+        m = _int_lcm(*[v.den for v in values if isinstance(v, Cyclo)])
+        return _store([v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
+                       for v in values], den * m, order)
     if den != 1:
         inv = Cyclo._ratio(order, 1, den)
-        items = [inv * v for v in items]
-    return _make(tuple([v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1)
-                        for v in items]), 1, order)
+        values = [inv * v for v in values]
+    return [_item(v, 1, order) for v in values], 1
+
+
+def _item(v, den, order):
+    """The stored value v over den as a `Cyclo`: the item view of `Poly` and
+    `QSeries`."""
+    return v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, den)
 
 
 def _monic(items, order):
@@ -428,7 +427,8 @@ def _monic(items, order):
 
 
 def _same_field(a, b):
-    if a.order != b.order and a.degree >= 0 and b.degree >= 0:
+    """Reject two nonzero operands (`Poly` or `QSeries`) of different orders."""
+    if a.order != b.order and a and b:
         raise CycloError("mismatched cyclotomic orders: %d vs %d" % (a.order, b.order))
 
 
@@ -467,7 +467,7 @@ def _primitive(items, order):
     try:
         g = _int_gcd(*items)
     except TypeError:  # a Cyclo item
-        cs = [v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1) for v in items]
+        cs = [_item(v, 1, order) for v in items]
         # the stored vectors at the lcm conductor M: Z[zeta_M] meets each
         # subfield in its own ring of integers, so the content is the same
         M, m = _int_lcm(*[c._m for c in cs]), _int_lcm(*[c.den for c in cs])

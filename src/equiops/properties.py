@@ -371,7 +371,7 @@ def check_j_relation(n, order=10):
 
 
 def check_rogers_ramanujan():
-    return (qs.rr_equals_j5(6),
+    return (qs.rr_equals_j5(6).is_zero,
             "Rogers-Ramanujan fraction matches j5 to order 6")
 
 

@@ -8,14 +8,15 @@ reported order.  Named series cover the eta function and its rescalings,
 Eisenstein series, the modular j function and the level 2..5 hauptmoduln,
 and the Rogers-Ramanujan continued fraction.
 
-Storage is that of a `Poly`, (items, den): the term at q^(k/M) is
-items[k] / den, ints over den > 0 prime to their content for rational data,
-the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at level 3).
-The normaliser `_canonical` stores all-rational results as ints, so equal
-values have equal storage.  Products run `series.mul` on the items; a
-quotient, reciprocals included, is one triangular pass, `series.div_ints`
-on ints or `series.div` with a field inverse on `Cyclo` items, so rational
-data meets `Cyclo` only in the `coeffs` and `dense` views.
+The coefficient store belongs to `Poly` and is shared: the term at q^(k/M)
+is items[k] / den, ints over den > 0 prime to their content for rational
+data, the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at
+level 3).  `poly` normalises and reads the values and checks field orders;
+this module keeps exponents, truncation and the choice of division kernel.
+Products run `series.mul` on the items; a quotient, reciprocals included,
+is one triangular pass, `series.div_ints` on ints or `series.div` with a
+field inverse on `Cyclo` items, so rational data meets `Cyclo` only in the
+`coeffs` and `dense` views.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import operator
 from fractions import Fraction
 
 from . import series
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, rational, sqrt2
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _power, rational, sqrt2
 from .parsing import cyclo_literal
-from .poly import _ratio_of
+from .poly import _item, _ratio_of, _same_field, _store
 
 _INF = Fraction(10**9)
 
@@ -72,9 +73,9 @@ class QSeries:
 
     @staticmethod
     def of_poly(p, trunc=_INF):
-        """The `Poly` p in q, known below q^trunc (exactly by default)."""
-        items, den = p.as_ints() if p.is_rational else (p.coeffs, 1)
-        return _canonical(1, dict(enumerate(items)), den, Fraction(trunc), p.order)
+        """The `Poly` p in q, known below q^trunc (exactly by default): its
+        items, in the same store."""
+        return _canonical(1, dict(enumerate(p._items)), p._den, Fraction(trunc), p.order)
 
     # -- structure ----------------------------------------------------
 
@@ -94,8 +95,7 @@ class QSeries:
 
     def _value(self, k):
         """The coefficient at q^(k/M) as a `Cyclo`."""
-        v = self._items.get(k, 0)
-        return v if isinstance(v, Cyclo) else Cyclo._ratio(self.order, v, self._den)
+        return _item(self._items.get(k, 0), self._den, self.order)
 
     def rescaled(self, M):
         """Same series with exponent denominator M (a multiple of self.M)."""
@@ -108,6 +108,8 @@ class QSeries:
                      self.trunc, self.order)
 
     def _common(self, other):
+        """Both operands at one exponent denominator, in one field."""
+        _same_field(self, other)
         M = math.lcm(self.M, other.M)
         return self.rescaled(M), other.rescaled(M)
 
@@ -133,6 +135,9 @@ class QSeries:
     def is_zero(self):
         return not self._items
 
+    def __bool__(self):
+        return not self.is_zero
+
     def truncated(self, trunc):
         return _canonical(self.M, self._items, self._den,
                           min(self.trunc, Fraction(trunc)), self.order)
@@ -152,15 +157,13 @@ class QSeries:
             return NotImplemented
         a, b = self._common(o)
         x, y, den, d = a._items, b._items, a._den, b._den
-        if den != d:
-            g = math.gcd(den, d)
-            x = {k: v * (d // g) for k, v in x.items()}
-            y = {k: v * (den // g) for k, v in y.items()}
-            den = den // g * d
+        if den != d:  # over den * d; the normaliser takes out the common part
+            x, y, den = ({k: v * d for k, v in x.items()},
+                         {k: v * den for k, v in y.items()}, den * d)
         out = dict(x)
         for k, v in y.items():
             out[k] = out[k] + v if k in out else v
-        return _canonical(a.M, out, den, min(a.trunc, b.trunc), a.order)
+        return _canonical(a.M, out, den, min(a.trunc, b.trunc), (a or b).order)
 
     __radd__ = __add__
 
@@ -224,14 +227,7 @@ class QSeries:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return QSeries.constant(1, self.trunc, 1, self.order) if result is None else result
+        return _power(self, k) if k else QSeries.constant(1, self.trunc, 1, self.order)
 
     def derivative(self):
         """d/dq, term by term."""
@@ -292,28 +288,8 @@ def _canonical(M, items, den, trunc, order):
 
 def _normalised(M, items, den, trunc, order):
     """`_canonical` of nonzero items below trunc, as the kernels return them."""
-    values = items.values()
-    try:
-        g = math.gcd(den, *values)
-    except TypeError:  # a Cyclo value
-        pass
-    else:
-        if den < 0:
-            g = -g
-        if g != 1:
-            den //= g
-            items = {k: v // g for k, v in items.items()}
-        return _make(M, items, den, trunc, order)
-    ratios = [v for v in values if isinstance(v, Cyclo)]
-    if all(v.is_rational for v in ratios):  # ints over one denominator
-        m = math.lcm(*[v.den for v in ratios])
-        return _normalised(M, {k: v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
-                               for k, v in items.items()}, den * m, trunc, order)
-    if den != 1:
-        inv = Cyclo._ratio(order, 1, den)
-        items = {k: inv * v for k, v in items.items()}
-    return _make(M, {k: v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, 1)
-                     for k, v in items.items()}, 1, trunc, order)
+    values, den = _store(list(items.values()), den, order)
+    return _make(M, dict(zip(items, values)), den, trunc, order)
 
 
 # -- named series -----------------------------------------------------
@@ -457,32 +433,22 @@ def ramanujan_check(trunc, order=DEFAULT_ORDER):
     return r1, r2, r3
 
 
-def rogers_ramanujan(trunc, depth=None, order=DEFAULT_ORDER):
+def rogers_ramanujan(trunc, order=DEFAULT_ORDER):
     """The continued fraction q^(1/5)/(1 + q/(1 + q^2/(1 + ...))).
 
-    Depth is doubled until the expansion below `trunc` stabilizes twice.
+    Cut at depth d, the innermost level errs at q^(2d+1) and level k
+    multiplies the error by q^k, so the fraction first errs at
+    q^(1/5 + d(d-1)/2 + 2d + 1); d is the least depth that puts this at or
+    above `trunc`.
     """
     t = Fraction(trunc)
-
-    def build(d):
-        f = QSeries.constant(1, t, 1, order)
-        for k in range(d, 0, -1):
-            f = QSeries.q_power(k, t, order) / f + 1
-        return QSeries.q_power(Fraction(1, 5), t + Fraction(1, 5), order) / f
-
-    if depth is not None:
-        return build(depth).truncated(t)
-    d = max(4, int(t) + 1)
-    prev = build(d)
-    stable = 0
-    while stable < 2:
-        d *= 2
-        cur = build(d)
-        stable = stable + 1 if (cur - prev).is_zero else 0
-        prev = cur
-        if d > 4096:
-            raise RuntimeError("continued fraction failed to stabilize")
-    return prev.truncated(t)
+    d = 0
+    while Fraction(1, 5) + d * (d - 1) // 2 + 2 * d + 1 < t:
+        d += 1
+    f = QSeries.constant(1, t, 1, order)
+    for k in range(d, 0, -1):
+        f = QSeries.q_power(k, t, order) / f + 1
+    return (QSeries.q_power(Fraction(1, 5), t + Fraction(1, 5), order) / f).truncated(t)
 
 
 def rr_equals_j5(trunc, order=DEFAULT_ORDER):

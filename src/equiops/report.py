@@ -98,13 +98,16 @@ def emit_report(report, path):
 
 
 def _run_check(check_id, check):
-    """Run and time one check; a crashed check is a failed check."""
+    """Run and time one check; a crashed check, or one whose verdict is not
+    a bool, is a failed check."""
     start = time.perf_counter()
     try:
         ok, detail = check()
     except Exception as exc:
         ok, detail = False, "error: %r" % (exc,)
-    return CheckRecord(check_id, bool(ok), str(detail),
+    if type(ok) is not bool:
+        ok, detail = False, "error: verdict is %s, not bool" % type(ok).__name__
+    return CheckRecord(check_id, ok, str(detail),
                        time.perf_counter() - start)
 
 

@@ -6,9 +6,10 @@ import shutil
 
 import pytest
 
+from equiops import qseries
 from equiops.cli import main
 from equiops.properties import SUITES, suite_checks
-from equiops.report import config_dir as packaged_config_dir, load_config
+from equiops.report import _run_check, config_dir as packaged_config_dir, load_config
 
 
 def run(capsys, *argv):
@@ -40,6 +41,22 @@ def test_verify_qseries_suite(capsys):
     code, out = run(capsys, "verify", "qseries", "--order", "8")
     assert code == 0
     assert "suite qseries: pass" in out
+
+
+def test_nonzero_rogers_ramanujan_residual_fails_the_check(capsys, monkeypatch):
+    residual = qseries.QSeries.q_power(1, 6)
+    monkeypatch.setattr(qseries, "rr_equals_j5", lambda trunc: residual)
+    code, out = run(capsys, "verify", "qseries", "--order", "8")
+    assert code == 1
+    line = next(ln for ln in out.splitlines() if ln.startswith("qseries.rogers_ramanujan"))
+    assert line.split()[1] == "FAIL"
+
+
+def test_a_verdict_that_is_not_a_bool_fails_the_check():
+    record = _run_check("x", lambda: (qseries.QSeries.zero(6), "residual"))
+    assert not record.status
+    assert record.detail == "error: verdict is QSeries, not bool"
+    assert _run_check("x", lambda: (True, "ok")).status
 
 
 def test_verify_seed_determinism(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -72,3 +73,57 @@ def test_env_var_config_dir(tmp_path, monkeypatch):
     assert config_dir() == os.fspath(tmp_path)
     cfg = load_group_config(config_path("A5"))
     assert cfg.name == "A5"
+
+
+def _drop(key):
+    return lambda raw: raw["invariants"][0].pop(key)
+
+
+def _set(path, value):
+    def corrupt(raw):
+        *head, last = path
+        for key in head:
+            raw = raw[key]
+        raw[last] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop("poly"), _drop("weight"), _drop("name"),
+    lambda raw: raw.pop("generators"),
+    _set(("invariants", 0), "v3"),
+    _set(("invariants", 0, "weight"), "abc"),
+    _set(("invariants", 0, "weight"), 4),
+    _set(("invariants", 0, "poly"), 7),
+    _set(("invariants", 0, "poly"), "z^3 +"),
+    _set(("invariants", 0, "characters"), "1"),
+    _set(("generators",), "zeta^20"),
+    _set(("generators", 0), 5),
+    _set(("generators", 0), ["1", "0", "0"]),
+    _set(("generators", 0), ["1", "0", "0", "0"]),
+    _set(("generators", 0, 0), "1/0"),
+    _set(("cyclotomic_order",), 0),
+    _set(("cyclotomic_order",), -120),
+    _set(("cyclotomic_order",), "abc"),
+    _set(("cyclotomic_order",), 120.5),
+    _set(("name",), ["A4"]),
+    "{}", "[1, 2]", "{", "",
+], ids=["no poly", "no weight", "no name", "no generators", "row not an object",
+        "weight not an int", "weight above the degree", "poly not a string",
+        "poly unparsable", "characters not a list", "generators not a list",
+        "generator not a list", "three entries", "singular generator", "entry 1/0",
+        "order 0", "negative order", "order abc", "order not an int",
+        "name not a string", "empty object", "array", "not JSON", "empty file"])
+def test_malformed_configs_raise_config_error_naming_the_file(tmp_path, corrupt):
+    # corrupt edits the shipped A4 config in place, or is the file's text
+    if isinstance(corrupt, str):
+        text = corrupt
+    else:
+        with open(config_path("A4")) as handle:
+            raw = json.load(handle)
+        corrupt(raw)
+        text = json.dumps(raw)
+    bad = tmp_path / "A4.config"
+    bad.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(str(tmp_path))):
+        load_group_config(os.fspath(bad))

@@ -79,7 +79,7 @@ def test_level4_product_expansion():
 
 
 def test_rogers_ramanujan_is_j5():
-    assert rr_equals_j5(6)
+    assert rr_equals_j5(6).is_zero
 
 
 def test_rr_continued_fraction_head():
@@ -338,3 +338,44 @@ def test_derivative_and_dense_view():
     assert len(s.dense(8)) == 8
     with pytest.raises(ValueError, match="beyond truncation"):
         s.dense(9)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_arithmetic_rejects_series_of_another_field(op):
+    a = QSeries(1, {1: 1}, 5, 60)
+    b = QSeries(1, {0: sqrt2(120)}, 5, 120)
+    with pytest.raises(CycloError, match="mismatched cyclotomic orders"):
+        op(a, b)
+    with pytest.raises(CycloError, match="mismatched cyclotomic orders"):
+        op(b, a)
+
+
+def test_a_sum_with_zero_takes_the_field_of_the_other_term():
+    b = QSeries(1, {0: sqrt2(120)}, 5, 120)
+    assert (QSeries.zero(5, 1, 60) + b).order == (b + QSeries.zero(5, 1, 60)).order == 120
+
+
+def test_truth_value_is_nonzero():
+    assert QSeries.q_power(1, 5) and QSeries(1, {0: sqrt2()}, 5)
+    assert not QSeries.zero(5)
+    assert not QSeries.q_power(6, 5)  # beyond the truncation
+
+
+@pytest.mark.parametrize("trunc", list(range(1, 16)) + [Fraction(13, 2), Fraction(6, 5)])
+def test_rogers_ramanujan_depth_matches_a_deep_build(trunc):
+    t = Fraction(trunc)
+    f = QSeries.constant(1, t, 1)
+    for k in range(2 * int(t) + 8, 0, -1):
+        f = QSeries.q_power(k, t) / f + 1
+    deep = (QSeries.q_power(Fraction(1, 5), t + Fraction(1, 5)) / f).truncated(t)
+    got = rogers_ramanujan(trunc)
+    assert (got.M, got.trunc, got.export_lines()) == (deep.M, deep.trunc, deep.export_lines())
+
+
+def test_powers_keep_the_truncation():
+    s = QSeries(1, {-1: 2, 0: 1, 3: Fraction(1, 3)}, 4)
+    assert (s ** 3).trunc == (s * s * s).trunc == 2
+    assert (s ** 3).coeffs == (s * s * s).coeffs
+    assert s ** 1 is s
+    assert s ** 0 == QSeries.constant(1, 4)
+    assert (s ** -2 * s * s - 1).is_zero
