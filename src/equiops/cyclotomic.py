@@ -122,15 +122,17 @@ def _power_rows(n, k, count):
     return tuple(_zeta_powers(n)[j * k % n] for j in range(count))
 
 
-def _mul_vec(a, b, n):
-    """Product of two power-basis integer vectors of Q(zeta_n), reduced mod Phi_n."""
-    d = len(a)
+def _mul_vec(a, b, n, *pairs):
+    """a b plus the products of any further pairs of power-basis integer
+    vectors of Q(zeta_n), each b of length phi(n), reduced mod Phi_n once."""
+    d = len(b)
     conv = [0] * (2 * d - 1)
-    nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in nz_b:
-                conv[i + j] += ai * bj
+    for a, b in ((a, b),) + pairs:
+        nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in nz_b:
+                    conv[i + j] += ai * bj
     return _accumulate(conv[:d], conv[d:], _reduction_rows(n))
 
 
@@ -260,7 +262,7 @@ class Cyclo:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, int) else self._coerce(other)
         return NotImplemented if o is None else _plus(self, o, 1)
 
     __radd__ = __add__
@@ -269,25 +271,28 @@ class Cyclo:
         return _make(self.order, self._m, tuple([-c for c in self._v]), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, int) else self._coerce(other)
         return NotImplemented if o is None else _plus(self, o, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, int) else self._coerce(other)
         return NotImplemented if o is None else _plus(o, self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, int) else self._coerce(other)  # no temporary for ints
         if o is None:
             return NotImplemented
-        if self._m == 1 or o._m == 1:
+        if isinstance(o, int):
+            r, d, y = o, 1, self
+        elif self._m == 1 or o._m == 1:
             x, y = (self, o) if self._m == 1 else (o, self)
-            r = x._v[0]
-            if y._m == 1 or not r:
-                return Cyclo._ratio(self.order, r * y._v[0], x.den * y.den)
-            return _normal(self.order, y._m, [r * c for c in y._v], x.den * y.den)
-        a, b, m = _common(self, o)
-        return _normal(self.order, m, _mul_vec(a, b, m), self.den * o.den)
+            r, d = x._v[0], x.den
+        else:
+            a, b, m = _common(self, o)
+            return _normal(self.order, m, _mul_vec(a, b, m), self.den * o.den)
+        if y._m == 1 or not r:
+            return Cyclo._ratio(self.order, r * y._v[0], d * y.den)
+        return _normal(self.order, y._m, [r * c for c in y._v], d * y.den)
 
     __rmul__ = __mul__
 
@@ -313,14 +318,15 @@ class Cyclo:
         return _normal(self.order, n, [self.den * c for c in cof], b[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, int) else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._m != 1 or o._m != 1:
+        if not isinstance(o, int) and o._m != 1:
             return self * o.inverse()
-        if not o._v[0]:
+        n, e = (o, 1) if isinstance(o, int) else (o._v[0], o.den)  # o = n / e
+        if not n:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        return Cyclo._ratio(self.order, self._v[0] * o.den, self.den * o._v[0])
+        return _normal(self.order, self._m, [c * e for c in self._v], self.den * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -432,7 +438,12 @@ def _common(x, y):
 
 
 def _plus(x, y, s):
-    """x + s y for s = 1 or -1."""
+    """x + s y for s = 1 or -1; an int x or y takes part with no temporary."""
+    if isinstance(x, int) or isinstance(y, int):  # t c + n
+        c, t, n = (y, s, x) if isinstance(x, int) else (x, 1, s * y)
+        vec = [t * e for e in c._v]
+        vec[0] += n * c.den
+        return _normal(c.order, c._m, vec, c.den)
     xd, yd = x.den, y.den
     if x._m == 1 and y._m == 1:
         return Cyclo._ratio(x.order, x._v[0] * yd + s * y._v[0] * xd, xd * yd)

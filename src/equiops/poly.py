@@ -1,26 +1,26 @@
 """Univariate polynomials over a cyclotomic field.
 
-Storage.  Every polynomial has one layout, `(items, den)`: coefficient i is
-items[i] / den, low degree first with no trailing zeros, and zero is
-((), 1).  With only rational coefficients the items are ints and den > 0 is
-prime to their content, FLINT's fmpq_poly layout.  With any irrational
-coefficient the items are the `Cyclo` coefficients themselves, all of the
-polynomial's field order, over den = 1.  `coeffs` reads the `Cyclo` tuple
-either way: the items, or for ints a view built on first use.  One
-normaliser, `_store`, brings every result to this layout and stores a
-result whose values all come out rational as ints, so equal values have
-equal storage: equality and hashing compare (items, den) directly, and a
-constant hashes like its value, so a rational one like its `Fraction`.
-The store is shared with `QSeries` (items a dict keyed by exponent):
-`_store`, the item view `_item` and the field check `_same_field` serve both.
+Storage.  Every polynomial has one layout, `(items, den, m)`: coefficient i
+is items[i] / den, low degree first with no trailing zeros; zero is
+((), 1, 1).  With rational coefficients only, m = 1 and the items are ints,
+FLINT's fmpq_poly layout.  Otherwise each item is a row, the phi(m) ints of
+the coefficient on the power basis of Q(zeta_m), m | order the lcm of the
+coefficients' conductors, as ANTIC's nf_elem (Hart 2015) stores one field
+element.  Either way den > 0 is prime to all the ints.  `coeffs`, `leading`
+and `constant_value` are `Cyclo` views built on first use.  One normaliser,
+`_store`, brings every result to this layout, with ints for values that all
+come out rational, so equal values have equal storage up to the conductor:
+equality meets at the lcm, and a constant hashes like its value.  `QSeries`
+shares the store (items keyed by exponent, irrational ones as `Cyclo` views
+over 1): `_store`, `_item` and `_same_field` serve both.
 
-One path per operation.  Add, neg, scale, mul (a convolution), derivative
-and substitute read and write (items, den) alone: ints and `Cyclo` mix in
-one list, and `_canonical` sorts out the result, so rational data builds
-no `Cyclo`.  A pseudo-division serves divmod and the gcd, and only its step
-depends on the storage: over Z it scales the remainder by
-lead / gcd(top, lead), no more than exact division needs; over Q(zeta)
-divmod subtracts top / lead times the divisor.
+One path per operation, a branch for ints and one for rows.  Add, neg,
+scale, mul, derivative and substitute read and write (items, den, m) alone,
+operands meeting at the lcm of their conductors, so no `Cyclo` is built; a
+coefficient of a product of rows is summed unreduced and reduced mod Phi_m
+once.  A pseudo-division serves divmod and the gcd: for a rational lead l
+it scales the remainder by l / gcd(top, l), no more than exact division
+needs, and divmod makes an irrational divisor monic first.
 
 Gcd.  `gcd_cofactors(b)` gives (g, a / g, b / g), g monic, and every
 reduction by a gcd goes through it; `gcd` is its first part.  Over Z it is
@@ -30,7 +30,7 @@ the symmetric xi-adic digits of one integer gcd of the values give a
 candidate, and the candidate is taken only if it divides both operands
 exactly, those quotients being the cofactors.  Else xi grows; after six
 tries, and over Z[zeta] always, the gcd is a primitive remainder sequence
-(Brown-Collins; Knuth, TAOCP vol. 2, 4.6.1) whose remainders are made
+(Brown-Collins; Knuth, TAOCP vol. 2, 4.6.1) of remainders alone, made
 primitive, with a step over Z[zeta] that multiplies by the divisor's lead,
 so no field inverse is taken before the final `monic`.
 
@@ -43,18 +43,20 @@ all call it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _normal, _power, rational
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _accumulate, _lift, _mul_vec,
+                         _normal, _power, _reduction_rows, rational)
 
 
 class Poly:
     """A polynomial over Q(zeta_order), canonical: equal values have equal
-    storage."""
+    storage at one conductor."""
 
-    # coefficient i is _items[i] / _den, see the module docstring; _coeffs
-    # caches the Cyclo tuple
-    __slots__ = ("_items", "_den", "_coeffs", "order", "degree")
+    # coefficient i is _items[i] / _den at conductor _m, see the module
+    # docstring; _coeffs caches the Cyclo tuple
+    __slots__ = ("_items", "_den", "_m", "_coeffs", "order", "degree")
 
     def __init__(self, coeffs, order=DEFAULT_ORDER):
         cs = list(coeffs)
@@ -67,30 +69,32 @@ class Poly:
                     raise CycloError("mixed cyclotomic orders in one polynomial: %d vs %d"
                                      % (field, c.order))
         cs = [c if isinstance(c, (int, Cyclo)) else rational(c, order) for c in cs]
-        p = _canonical(cs, 1, order)
-        self._items, self._den, self._coeffs, self.order, self.degree = \
-            p._items, p._den, None, p.order, p.degree
+        p = _canonical(cs, 1, 1, order)
+        self._items, self._den, self._m, self._coeffs, self.order, self.degree = \
+            p._items, p._den, p._m, None, p.order, p.degree
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(order=DEFAULT_ORDER):
-        return _make((), 1, order)
+        return _make((), 1, 1, order)
 
     @staticmethod
     def one(order=DEFAULT_ORDER):
-        return _make((1,), 1, order)
+        return _make((1,), 1, 1, order)
 
     @staticmethod
     def x(order=DEFAULT_ORDER):
-        return _make((0, 1), 1, order)
+        return _make((0, 1), 1, 1, order)
 
     @staticmethod
     def constant(c, order=DEFAULT_ORDER):
         if isinstance(c, Cyclo):
             order = c.order  # its field, as in Poly([c])
         r = _ratio_of(c, order)
-        return _canonical([c], 1, order) if r is None else _canonical([r[0]], r[1], order)
+        if r is None:  # an irrational c is stored as it is
+            return _make((c._v,), c.den, c._m, order)
+        return _canonical([r[0]], r[1], 1, order)
 
     # -- basic queries ------------------------------------------------
 
@@ -99,13 +103,13 @@ class Poly:
         """The coefficients as a tuple of `Cyclo`, low degree first."""
         cs = self._coeffs
         if cs is None:
-            den, order = self._den, self.order
-            cs = self._coeffs = tuple([_item(v, den, order) for v in self._items])
+            den, m, order = self._den, self._m, self.order
+            cs = self._coeffs = tuple([_item(v, den, m, order) for v in self._items])
         return cs
 
     @property
     def is_rational(self):
-        return not self._items or isinstance(self._items[-1], int)
+        return self._m == 1
 
     def as_ints(self):
         """(ints, den) with coefficient i equal to ints[i] / den."""
@@ -125,16 +129,19 @@ class Poly:
     def leading(self):
         if self.degree < 0:
             raise ValueError("zero polynomial has no leading coefficient")
-        return _item(self._items[-1], self._den, self.order)
+        return _item(self._items[-1], self._den, self._m, self.order)
 
     @property
     def is_monic(self):
-        return self.degree >= 0 and self._items[-1] == self._den
+        if self.degree < 0:
+            return False
+        lead = self._items[-1]
+        return lead == self._den if self._m == 1 else lead[0] == self._den and not any(lead[1:])
 
     def constant_value(self):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return _item(self._items[0] if self._items else 0, self._den, self.order)
+        return _item(self._items[0] if self._items else 0, self._den, self._m, self.order)
 
     def __bool__(self):
         return not self.is_zero
@@ -146,13 +153,14 @@ class Poly:
         # rational data compares by value in any field order, like Cyclo
         if self.order != o.order and not (self.is_rational and o.is_rational):
             _same_field(self, o)
-        return self._den == o._den and self._items == o._items
+        a, b, _ = _aligned(self, o)  # a value may be stored at two conductors
+        return self._den == o._den and tuple(a) == tuple(b)
 
     def __hash__(self):
         # a constant hashes like its value, as it compares equal to it
         if self.degree <= 0:
             return hash(self.constant_value())
-        return hash((self._items, self._den))
+        return hash((self._items, self._den) if self._m == 1 else (self.coeffs, 1))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -172,20 +180,23 @@ class Poly:
         if self.degree < 0:
             return o
         _same_field(self, o)
-        a, b, den, d = self._items, o._items, self._den, o._den
+        a, b, m = (self._items, o._items, self._m) if self._m == o._m else _aligned(self, o)
+        den, d = self._den, o._den
         if den != d:  # over den * d; the normaliser takes out the common part
-            a, b, den = [v * d for v in a], [v * den for v in b], den * d
+            a, b, den = _scaled(a, repeat(d), m), _scaled(b, repeat(den), m), den * d
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, v in enumerate(b):
-            out[i] += v
-        return _canonical(out, den, self.order)
+            out[i] = out[i] + v if m == 1 else [x + y for x, y in zip(out[i], v)]
+        return _canonical(out, den, m, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(tuple([-v for v in self._items]), self._den, self.order)
+        if self._m != 1:
+            return self.scale(-1)
+        return _make(tuple([-v for v in self._items]), self._den, 1, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -206,7 +217,13 @@ class Poly:
         if self.degree < 0 or o.degree < 0:
             return Poly.zero(self.order)
         _same_field(self, o)
-        return _canonical(_conv(self._items, o._items), self._den * o._den, self.order)
+        for p, q in ((self, o), (o, self)):
+            if p.degree == 0 and p._m == 1:  # a rational constant, often 1: a scaling
+                n, d = p._items[0], p._den
+                return q if n == d else _canonical(_scaled(q._items, repeat(n), q._m), q._den * d,
+                                                   q._m, q.order)
+        a, b, m = (self._items, o._items, self._m) if self._m == o._m else _aligned(self, o)
+        return _canonical(_conv(a, b, m), self._den * o._den, m, self.order)
 
     __rmul__ = __mul__
 
@@ -218,8 +235,9 @@ class Poly:
     def scale(self, c):
         r = _ratio_of(c, self.order)
         if r is None:
-            return _canonical([v * c for v in self._items], self._den, self.order)
-        return _canonical([v * r[0] for v in self._items], self._den * r[1], self.order)
+            return self * Poly.constant(c, self.order)
+        return _canonical(_scaled(self._items, repeat(r[0]), self._m), self._den * r[1],
+                          self._m, self.order)
 
     def divmod(self, other):
         """Quotient and remainder; requires other nonzero."""
@@ -228,17 +246,14 @@ class Poly:
         if self.degree < other.degree:
             return Poly.zero(self.order), self
         _same_field(self, other)
-        fa, fb = self._items, other._items
-        lead = fb[-1]
-        if isinstance(lead, int) and isinstance(fa[-1], int):
-            step = _int_step
-        else:
-            inv = (lead if isinstance(lead, Cyclo) else rational(lead, self.order)).inverse()
-            step = lambda top, lead: (1, top * inv)  # noqa: E731
-        q, rem, scale = _pseudo_divmod(fa, fb, step)
+        fa, fb, m = _aligned(self, other)
+        if m != 1 and any(fb[-1][1:]):  # an irrational lead: divide by other / lead
+            q, rem = self.divmod(other.monic())
+            return q.scale(other.leading.inverse()), rem
+        q, rem, scale = _pseudo_divmod(fa, fb) if m == 1 else _row_divmod(fa, fb, m)
         db, den = other._den, self._den * scale
-        return (_canonical([v * db for v in q], den, self.order),
-                _canonical(rem, den, self.order))
+        return (_canonical(_scaled(q, repeat(db), m), den, m, self.order),
+                _canonical(rem, den, m, self.order))
 
     def __floordiv__(self, other):
         o = self._coerce(other)
@@ -261,7 +276,8 @@ class Poly:
     # -- calculus, evaluation -----------------------------------------
 
     def derivative(self):
-        return _canonical([v * i for i, v in enumerate(self._items)][1:], self._den, self.order)
+        out = _scaled(self._items, range(self.degree + 1), self._m)[1:]
+        return _canonical(out, self._den, self._m, self.order)
 
     def __call__(self, x):
         """Horner evaluation at a Cyclo/Fraction/int/complex or Poly."""
@@ -300,7 +316,7 @@ class Poly:
         acc = Poly.zero(self.order)
         for i in range(n, -1, -1):
             acc = acc * p
-            c = _canonical([self._items[i]], self._den, self.order)
+            c = _canonical([self._items[i]], self._den, self._m, self.order)
             if c:
                 acc = acc + (c if unit else q_pows[n - i] * c)
         if degree > n:
@@ -312,7 +328,7 @@ class Poly:
     def monic(self):
         if self.degree < 0 or self.is_monic:
             return self
-        return _monic(self._items, self.order)
+        return _monic(self._items, self._m, self.order)
 
     def gcd(self, other):
         """The monic gcd; over Z the first part of `gcd_cofactors`."""
@@ -321,7 +337,8 @@ class Poly:
         _same_field(self, other)
         if self.is_rational and other.is_rational:
             return self.gcd_cofactors(other)[0]
-        return _monic(_gcd_prs(self._items, other._items, self.order), self.order)
+        fa, fb, m = _aligned(self, other)
+        return _monic(_gcd_prs(fa, fb, m), m, self.order)
 
     def gcd_cofactors(self, other):
         """(g, self / g, other / g) for the monic gcd g of two polynomials,
@@ -333,9 +350,9 @@ class Poly:
             if len(h) == 1:
                 return Poly.one(self.order), self, other
             lead = h[-1]
-            return (_canonical(h, lead, self.order),
-                    _canonical([v * lead for v in qa], self._den, self.order),
-                    _canonical([v * lead for v in qb], other._den, self.order))
+            return (_canonical(h, lead, 1, self.order),
+                    _canonical([v * lead for v in qa], self._den, 1, self.order),
+                    _canonical([v * lead for v in qb], other._den, 1, self.order))
         g = self.gcd(other)
         return (g, self, other) if g.degree == 0 else (g, self.exact_div(g), other.exact_div(g))
 
@@ -365,65 +382,88 @@ class Poly:
 _new = object.__new__
 
 
-def _make(items, den, order):
-    """The polynomial of a canonical (items, den)."""
+def _make(items, den, m, order):
+    """The polynomial of a canonical (items, den, m)."""
     p = _new(Poly)
-    p._items, p._den, p._coeffs, p.order, p.degree = items, den, None, order, len(items) - 1
+    p._items, p._den, p._m, p._coeffs, p.order, p.degree = \
+        items, den, m, None, order, len(items) - 1
     return p
 
 
-def _canonical(items, den, order):
+def _canonical(items, den, m, order):
     """The polynomial items / den, for ints and `Cyclo` elements of the order
-    (a list, or a tuple without trailing zeros) and an int den != 0."""
-    while items and not items[-1]:
+    (m = 1) or rows at conductor m (a list, or a tuple without trailing
+    zeros) and an int den != 0."""
+    while items and not (items[-1] if m == 1 else any(items[-1])):
         items.pop()
     if not items:
-        return _make((), 1, order)
-    items, den = _store(items, den, order)
-    return _make(tuple(items), den, order)
+        return _make((), 1, 1, order)
+    items, den, m = _store(items, den, m)
+    return _make(tuple(items), den, m, order)
 
 
-def _store(values, den, order):
-    """The storage form of values / den, for a list of ints and `Cyclo`
-    elements of the order and an int den != 0: ints over a den > 0 prime to
-    their content, else the `Cyclo` values over 1.  The one normaliser of
-    `Poly` and `QSeries`; values that all come out rational are stored as
-    ints, so equal values have equal storage."""
-    if not values or not isinstance(values[-1], Cyclo):
+def _store(values, den, m=1):
+    """The storage form (values, den, m) of values / den, for an int den != 0
+    and ints (m = 1) or rows of phi(m) ints; `Cyclo` values enter as rows
+    (`_rows`).  The one normaliser of `Poly` and `QSeries`: den > 0 prime to
+    all the ints, tuple rows, and values that all come out rational stored
+    as ints, m = 1, so equal values have equal storage."""
+    if m != 1 and not any(any(r[1:]) for r in values):
+        values, m = [r[0] for r in values], 1
+    if m == 1:
         try:
             g = _int_gcd(den, *values)
-        except TypeError:  # a Cyclo value below an int
-            pass
-        else:
-            if den < 0:
-                g = -g
-            return ([v // g for v in values], den // g) if g != 1 else (values, den)
-    for v in values:
-        if isinstance(v, Cyclo) and v._m != 1:
+        except TypeError:  # Cyclo values entering: rows at their lcm conductor
+            return _store(*_rows(values, den))
+        g = -g if den < 0 else g
+        return ([v // g for v in values], den // g, 1) if g != 1 else (values, den, 1)
+    g = den
+    for r in values:
+        if g in (1, -1):  # den is often 1 already
             break
-    else:  # all values rational: ints over one denominator
-        m = _int_lcm(*[v.den for v in values if isinstance(v, Cyclo)])
-        return _store([v._v[0] * (m // v.den) if isinstance(v, Cyclo) else v * m
-                       for v in values], den * m, order)
-    if den != 1:
-        inv = Cyclo._ratio(order, 1, den)
-        values = [inv * v for v in values]
-    return [_item(v, 1, order) for v in values], 1
+        g = _int_gcd(g, *r)
+    g = -abs(g) if den < 0 else abs(g)
+    return [tuple([x // g for x in r]) if g != 1 else tuple(r) for r in values], den // g, m
 
 
-def _item(v, den, order):
-    """The stored value v over den as a `Cyclo`: the item view of `Poly` and
-    `QSeries`."""
-    return v if isinstance(v, Cyclo) else Cyclo._ratio(order, v, den)
+def _rows(values, den):
+    """(rows, den, m) for values / den, ints and `Cyclo` elements: the rows
+    at the lcm m of their conductors over one den (ints if m = 1)."""
+    cs = [c for c in values if isinstance(c, Cyclo)]
+    m, d = _int_lcm(*[c._m for c in cs]), _int_lcm(*[c.den for c in cs])
+    rows = [[x * (d // c.den) for x in _lift(c._v, c._m, m)] if isinstance(c, Cyclo)
+            else _lift((c * d,), 1, m) for c in values]
+    return (rows if m != 1 else [r[0] for r in rows]), den * d, m
 
 
-def _monic(items, order):
-    """The monic polynomial of a nonzero item list of one storage."""
+def _item(v, den, m, order):
+    """The stored value v (an int for m = 1, else a row at conductor m) over
+    den as a `Cyclo`: the item view of `Poly` and `QSeries`."""
+    return Cyclo._ratio(order, v, den) if m == 1 else _normal(order, m, v, den)
+
+
+def _aligned(a, b):
+    """(x, y, m): the items of two polynomials at the lcm m of their
+    conductors, ints if m = 1, else tuple rows."""
+    m = _int_lcm(a._m, b._m)
+    x, y = [p._items if p._m == m else [tuple(_lift((v,) if p._m == 1 else v, p._m, m))
+                                        for v in p._items] for p in (a, b)]
+    return x, y, m
+
+
+def _scaled(items, cs, m):
+    """The items times the ints cs, one each."""
+    return ([v * c for v, c in zip(items, cs)] if m == 1
+            else [[x * c for x in v] for v, c in zip(items, cs)])
+
+
+def _monic(items, m, order):
+    """The monic polynomial of a nonzero item list at conductor m."""
     lead = items[-1]
-    if isinstance(lead, Cyclo):
-        inv = lead.inverse()
-        return _canonical([v * inv for v in items], 1, order)
-    return _canonical(items, lead, order)
+    if m == 1 or not any(lead[1:]):
+        return _canonical(items, lead if m == 1 else lead[0], m, order)
+    inv = _item(lead, 1, m, order).inverse()
+    return _canonical(_conv(items, [_lift(inv._v, inv._m, m)], m), inv.den, m, order)
 
 
 def _same_field(a, b):
@@ -445,10 +485,21 @@ def _ratio_of(x, order):
     return x.numerator, x.denominator
 
 
-def _conv(a, b):
-    """The product of two nonzero coefficient sequences of ints or `Cyclo`."""
+def _conv(a, b, m=1):
+    """The product of two nonzero item lists: ints, or rows at conductor m
+    whose products are summed unreduced and reduced once per coefficient."""
     if len(a) < len(b):
         a, b = b, a
+    if m != 1:
+        d, a = len(a[0]), [[(t, x) for t, x in enumerate(v) if x] for v in a]
+        out = [[0] * (2 * d - 1) for _ in range(len(a) + len(b) - 1)]
+        for j, bj in enumerate(b):
+            bj = [(t, x) for t, x in enumerate(bj) if x]
+            for acc, ai in zip(out[j:], a):
+                for s, x in ai:
+                    for t, y in bj:
+                        acc[s + t] += x * y
+        return [_accumulate(v[:d], v[d:], _reduction_rows(m)) for v in out]
     out = [v * b[0] for v in a]
     if len(b) > 1:
         out += [0] * (len(b) - 1)
@@ -460,42 +511,24 @@ def _conv(a, b):
     return out
 
 
-def _primitive(items, order):
-    """A nonzero item list over its content, in one storage: ints divided by
-    their gcd with a positive lead, or else `Cyclo` elements (ints among them
-    read as rationals) scaled to integer vectors of content 1."""
+def _primitive(items):
+    """A nonzero item list over its content: ints divided by their gcd with
+    a positive lead, or rows by the gcd of all their ints."""
     try:
         g = _int_gcd(*items)
-    except TypeError:  # a Cyclo item
-        cs = [_item(v, 1, order) for v in items]
-        # the stored vectors at the lcm conductor M: Z[zeta_M] meets each
-        # subfield in its own ring of integers, so the content is the same
-        M, m = _int_lcm(*[c._m for c in cs]), _int_lcm(*[c.den for c in cs])
-        vecs = [[n * (m // c.den) for n in _lift(c._v, c._m, M)] for c in cs]
-        g = _int_gcd(*[n for vec in vecs for n in vec])
-        return [_normal(order, M, [n // g for n in vec], 1) for vec in vecs]
+    except TypeError:  # rows
+        g = _int_gcd(*[x for r in items for x in r])
+        return [[x // g for x in r] for r in items] if g != 1 else items
     if items[-1] < 0:
         g = -g
     return [v // g for v in items] if g != 1 else items
 
 
-def _int_step(top, lead):
-    """The step of an int pseudo-division: the least (m, c) with
-    m top = c lead, so numbers grow only as needed."""
-    g = _int_gcd(top, lead)
-    return lead // g, top // g
-
-
-def _ring_step(top, lead):
-    """The step of a pseudo-division over Z[zeta]: lead rem - top x^k fb."""
-    return lead, top
-
-
-def _pseudo_divmod(fa, fb, step):
+def _pseudo_divmod(fa, fb):
     """(q, rem, scale) with scale fa = q fb + rem and deg rem < deg fb, for
-    item lists with deg fa >= deg fb.  Each step takes (m, c) =
-    step(top, lead) for the top item of rem and the lead of fb and sets
-    rem <- m rem - c x^k fb; over a field m is 1 and c is top / lead."""
+    int lists with deg fa >= deg fb.  Each step takes the least (m, c) with
+    m top = c lead for the top item of rem and the lead of fb, and sets
+    rem <- m rem - c x^k fb, so numbers grow only as needed."""
     n = len(fb) - 1
     low, lead = fb[:-1], fb[-1]
     rem, q, scale = list(fa), [], 1
@@ -503,7 +536,8 @@ def _pseudo_divmod(fa, fb, step):
         top = rem.pop()
         c = 0
         if top:
-            m, c = step(top, lead)
+            g = _int_gcd(top, lead)
+            m, c = lead // g, top // g
             if m != 1:
                 rem = [v * m for v in rem]
                 q = [v * m for v in q]
@@ -513,6 +547,28 @@ def _pseudo_divmod(fa, fb, step):
         q.append(c)
     q.reverse()
     return q, rem, scale
+
+
+def _row_divmod(fa, fb, n):
+    """`_pseudo_divmod` of rows at conductor n.  A rational lead takes the
+    int step; an irrational one, met in the PRS, the ring step (m, c) =
+    (lead, top), and q is None.  Changed entries are reduced once a step."""
+    lead, k0, ring = fb[-1], len(fb) - 1, any(fb[-1][1:])
+    rem, q, scale, m = list(fa), None if ring else [], 1, lead if ring else (1,)
+    while len(rem) > k0:
+        top = rem.pop()
+        if not ring and any(top):
+            g = _int_gcd(lead[0], *top)
+            top, s = [x // g for x in top], lead[0] // g
+            if s != 1:
+                rem, q, scale = _scaled(rem, repeat(s), n), _scaled(q, repeat(s), n), scale * s
+        if q is not None:
+            q.append(top)
+        if any(top):
+            k, c = len(rem) - k0, [-x for x in top]
+            for i in range(0 if ring else k, len(rem)):
+                rem[i] = _mul_vec(m, rem[i], n, *([(c, fb[i - k])] if i >= k else []))
+    return q and q[::-1], rem, scale
 
 
 def _xi_start(norm):
@@ -531,21 +587,21 @@ def _int_quotient(fa, fb):
     """fa / fb for int lists, fb primitive with a positive lead, or None
     unless fb divides fa: then it does over Z (Gauss), so no step of the
     pseudo-division rescales."""
-    q, rem, _ = _pseudo_divmod(fa, fb, _int_step)
+    q, rem, _ = _pseudo_divmod(fa, fb)
     return None if any(rem) else q
 
 
 def _gcd_heuristic(fa, fb):
     """(h, fa / h, fb / h) for two nonzero int lists, h their primitive gcd
     with a positive lead, by GCDHEU (see the module docstring)."""
-    pa, pb = _primitive(fa, None), _primitive(fb, None)
+    pa, pb = _primitive(fa), _primitive(fb)
     xi = _xi_start(min(max(map(abs, pa)), max(map(abs, pb))))
     for _ in range(6):
         v, h, half = _int_gcd(_horner(pa, xi), _horner(pb, xi)), [], (xi - 1) // 2
         while v:  # symmetric digits, in (-xi/2, xi/2]
             v, d = divmod(v + half, xi)
             h.append(d - half)
-        h = _primitive(h, None)  # the values are nonzero: xi is above every root
+        h = _primitive(h)  # the values are nonzero: xi is above every root
         if len(h) == 1:
             return h, fa, fb
         qa, qb = _int_quotient(fa, h), _int_quotient(fb, h)
@@ -556,18 +612,18 @@ def _gcd_heuristic(fa, fb):
     return h, _int_quotient(fa, h), _int_quotient(fb, h)
 
 
-def _gcd_prs(fa, fb, order):
+def _gcd_prs(fa, fb, m):
     """A gcd of two nonzero item lists, up to a unit, by a primitive
-    remainder sequence: over Z for ints, over Z[zeta] otherwise."""
-    fa, fb = _primitive(fa, order), _primitive(fb, order)
+    remainder sequence: over Z for ints (m None), over Z[zeta_m] for rows,
+    where no quotient is built."""
+    fa, fb = _primitive(fa), _primitive(fb)
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    step = _int_step if isinstance(fa[-1], int) and isinstance(fb[-1], int) else _ring_step
     while len(fb) > 1:
-        rem = _pseudo_divmod(fa, fb, step)[1]
-        while rem and not rem[-1]:
+        rem = _pseudo_divmod(fa, fb)[1] if m is None else _row_divmod(fa, fb, m)[1]
+        while rem and not (rem[-1] if m is None else any(rem[-1])):
             rem.pop()
         if not rem:
             return fb
-        fa, fb = fb, _primitive(rem, order)
-    return [1]
+        fa, fb = fb, _primitive(rem)
+    return fb

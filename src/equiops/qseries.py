@@ -11,8 +11,10 @@ and the Rogers-Ramanujan continued fraction.
 The coefficient store belongs to `Poly` and is shared: the term at q^(k/M)
 is items[k] / den, ints over den > 0 prime to their content for rational
 data, the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at
-level 3).  `poly` normalises and reads the values and checks field orders;
-this module keeps exponents, truncation and the choice of division kernel.
+level 3): the normaliser's rows, read back as `Cyclo`, or the kernel's own
+values where they are over 1 already.  `poly` normalises and reads the
+values and checks field orders; this module keeps exponents, truncation and
+the choice of division kernel.
 Products run `series.mul` on the items; a quotient, reciprocals included,
 is one triangular pass, `series.div_ints` on ints or `series.div` with a
 field inverse on `Cyclo` items, so rational data meets `Cyclo` only in the
@@ -75,7 +77,8 @@ class QSeries:
     def of_poly(p, trunc=_INF):
         """The `Poly` p in q, known below q^trunc (exactly by default): its
         items, in the same store."""
-        return _canonical(1, dict(enumerate(p._items)), p._den, Fraction(trunc), p.order)
+        items, den = (p._items, p._den) if p.is_rational else (p.coeffs, 1)
+        return _canonical(1, dict(enumerate(items)), den, Fraction(trunc), p.order)
 
     # -- structure ----------------------------------------------------
 
@@ -95,7 +98,8 @@ class QSeries:
 
     def _value(self, k):
         """The coefficient at q^(k/M) as a `Cyclo`."""
-        return _item(self._items.get(k, 0), self._den, self.order)
+        v = self._items.get(k, 0)
+        return v if isinstance(v, Cyclo) else _item(v, self._den, 1, self.order)
 
     def rescaled(self, M):
         """Same series with exponent denominator M (a multiple of self.M)."""
@@ -241,7 +245,13 @@ class QSeries:
 
     def __eq__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else (self - o).is_zero
+        if o is None:
+            return NotImplemented
+        if o.order != self.order and all(type(v) is int for s in (self, o)
+                                         for v in s._items.values()):
+            # rational data compares by value in any field order, like Poly
+            o = _make(o.M, o._items, o._den, o.trunc, self.order)
+        return (self - o).is_zero
 
     def __hash__(self):
         raise TypeError("unhashable (mutually truncated comparisons)")
@@ -288,8 +298,12 @@ def _canonical(M, items, den, trunc, order):
 
 def _normalised(M, items, den, trunc, order):
     """`_canonical` of nonzero items below trunc, as the kernels return them."""
-    values, den = _store(list(items.values()), den, order)
-    return _make(M, dict(zip(items, values)), den, trunc, order)
+    values, d, m = _store(list(items.values()), den)
+    if m != 1 and den == 1:  # irrational values over 1 are their own Cyclo views
+        values, d = [_item(v, 1, 1, order) if type(v) is int else v for v in items.values()], 1
+    elif m != 1:  # irrational data: the Cyclo views of the rows, over 1
+        values, d = [_item(v, d, m, order) for v in values], 1
+    return _make(M, dict(zip(items, values)), d, trunc, order)
 
 
 # -- named series -----------------------------------------------------

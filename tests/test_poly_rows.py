@@ -1,0 +1,340 @@
+"""Row storage of `Poly` over Q(zeta): every kernel against per-coefficient
+`Cyclo` arithmetic, on seeded coefficient lists that mix ints with elements
+at conductors 3, 4, 5, 8, 12, 24, 60 and 120.
+
+The references below use nothing of `Poly` but its `coeffs` view: a
+schoolbook product, a field long division, a monic Euclid and term-by-term
+derivative, scaling and substitution, all on `Cyclo` coefficients.
+"""
+
+import math
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2, sqrt5,
+                                totient, zeta)
+from equiops.poly import Poly
+from equiops.qseries import QSeries
+
+N = 120
+CONDUCTORS = (3, 4, 5, 8, 12, 24, 60, 120)
+ZERO = rational(0)
+
+
+def element(rng):
+    """An int, a Fraction, or a small element at one of the CONDUCTORS."""
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.randint(-4, 4)
+    if kind < 0.3:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    c = rng.choice(CONDUCTORS)
+    k = rng.choice([k for k in range(1, c) if math.gcd(k, c) == 1])
+    gen = zeta(N, k * (N // c))
+    return rational(rng.randint(-3, 3)) + gen * rational(Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                 rng.choice((1, 1, 2))))
+
+
+def coefficient_list(rng, degree):
+    cs = [element(rng) for _ in range(degree + 1)]
+    while not cs[-1]:
+        cs[-1] = element(rng)
+    return cs
+
+
+def cyclo(c):
+    return c if isinstance(c, Cyclo) else rational(c)
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [ZERO] * (n - len(a)), b + [ZERO] * (n - len(b))
+    return trim([x + y for x, y in zip(a, b)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def ref_divmod(a, b):
+    """Field long division of Cyclo lists, b nonzero."""
+    rem, inv = list(a), b[-1].inverse()
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        q[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - c * y
+    return trim(q), trim(rem[:len(b) - 1])
+
+
+def ref_monic(a):
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def ref_gcd(a, b):
+    """The monic gcd by Euclid over the field, a and b not both zero."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_derivative(a):
+    return trim([c * rational(i) for i, c in enumerate(a)][1:])
+
+
+def ref_power(a, k):
+    out = [rational(1)]
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, p, q, degree):
+    out = []
+    for i, c in enumerate(a):
+        term = ref_mul(ref_mul([c], ref_power(p, i)), ref_power(q, degree - i))
+        out = ref_add(out, term)
+    return out
+
+
+def assert_canonical(p):
+    """The storage invariants of (items, den, m)."""
+    items, den, m = p._items, p._den, p._m
+    assert den > 0 and N % m == 0
+    assert not items or (items[-1] if m == 1 else any(items[-1]))
+    if m == 1:
+        assert all(type(v) is int for v in items)
+        assert math.gcd(den, *items) == 1
+    else:
+        assert all(type(r) is tuple and len(r) == totient(m) for r in items)
+        assert math.gcd(den, *[x for r in items for x in r]) == 1
+        assert any(any(r[1:]) for r in items)  # else it would be ints
+
+
+def assert_matches(p, ref):
+    assert_canonical(p)
+    assert list(p.coeffs) == trim(ref)
+    assert p.degree == len(trim(ref)) - 1
+    if p:
+        assert p.leading == trim(ref)[-1]
+
+
+SEEDS = range(40)
+
+
+def pair(seed):
+    rng = random.Random("rows:%d" % seed)
+    a = coefficient_list(rng, rng.randint(0, 6))
+    b = coefficient_list(rng, rng.randint(0, 6))
+    return Poly(a), Poly(b), [cyclo(c) for c in a], [cyclo(c) for c in b], rng
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ring_operations_match_the_cyclo_reference(seed):
+    p, q, ra, rb, rng = pair(seed)
+    assert_matches(p, ra)
+    assert_matches(p * q, ref_mul(ra, rb))
+    assert_matches(q * p, ref_mul(ra, rb))
+    assert_matches(p + q, ref_add(ra, rb))
+    assert_matches(p - q, ref_add(ra, [-c for c in rb]))
+    assert_matches(-p, [-c for c in ra])
+    assert_matches(p.derivative(), ref_derivative(ra))
+    c = cyclo(element(rng))
+    assert_matches(p.scale(c), [x * c for x in ra])
+    if ra:
+        assert_matches(p.monic(), ref_monic(ra))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_divmod_matches_field_long_division(seed):
+    p, q, ra, rb, _ = pair(seed)
+    if not rb:
+        return
+    quo, rem = p.divmod(q)
+    rq, rr = ref_divmod(ra, rb)
+    assert_matches(quo, rq)
+    assert_matches(rem, rr)
+    # an exact quotient by the monic divisor q / lead(q) is lead(q) p
+    quo, rem = (p * q).divmod(q.monic())
+    assert_matches(quo, [c * rb[-1] for c in ra])
+    assert rem.is_zero and (p * q).exact_div(q) == p
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_gcd_cofactors_match_monic_euclid(seed):
+    rng = random.Random("rows-gcd:%d" % seed)
+    g, a, b = (Poly(coefficient_list(rng, rng.randint(lo, hi)))
+               for lo, hi in ((1, 2), (0, 2), (0, 2)))
+    pa, pb = a * g, b * g
+    h, u, v = pa.gcd_cofactors(pb)
+    ref = ref_gcd(list(pa.coeffs), list(pb.coeffs))
+    assert_matches(h, ref)
+    assert h * u == pa and h * v == pb
+    assert_matches(u, ref_divmod(list(pa.coeffs), ref)[0])
+    assert h.degree >= g.degree and h.is_monic
+    assert pa.gcd(pb) == h == pb.gcd(pa)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_substitute_matches_the_binary_form(seed):
+    rng = random.Random("rows-sub:%d" % seed)
+    a = Poly(coefficient_list(rng, rng.randint(0, 4)))
+    p = Poly(coefficient_list(rng, rng.randint(0, 2)))
+    q = Poly(coefficient_list(rng, rng.randint(0, 1)))
+    degree = a.degree + rng.randint(0, 2)
+    ra, rp, rq = (list(x.coeffs) for x in (a, p, q))
+    assert_matches(a.substitute(p, q, degree), ref_substitute(ra, rp, rq, degree))
+    assert_matches(a.substitute(p, 1, a.degree), ref_substitute(ra, rp, [rational(1)], a.degree))
+    assert a(p) == a.substitute(p, 1, a.degree)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_squarefree_decomposition_multiplies_back(seed):
+    rng = random.Random("rows-sqf:%d" % seed)
+    f1, f2 = (Poly(coefficient_list(rng, 1)) for _ in range(2))
+    p = f1 * f2 * f2 if f1.monic() != f2.monic() else f1 * f2
+    parts = p.squarefree_decomposition()
+    prod = [rational(1)]
+    for f, k in parts:
+        assert f.is_monic and f.degree >= 1
+        assert ref_gcd(list(f.coeffs), ref_derivative(list(f.coeffs))) == [rational(1)]
+        prod = ref_mul(prod, ref_power(list(f.coeffs), k))
+    assert prod == ref_monic(list(p.coeffs))
+    if f1.monic() != f2.monic() and ref_gcd(list(f1.coeffs), list(f2.coeffs)) == [rational(1)]:
+        assert sorted(k for _, k in parts) == [1, 2]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equality_hash_and_pickle(seed):
+    p, q, ra, rb, _ = pair(seed)
+    for x in (p, q, p * q):
+        back = pickle.loads(pickle.dumps(x))
+        assert (back._items, back._den, back._m, back.order) == \
+            (x._items, x._den, x._m, x.order)
+        assert back == x and hash(back) == hash(x)
+        assert x == Poly(list(x.coeffs)) and hash(x) == hash(Poly(list(x.coeffs)))
+    assert (p == q) == (ra == rb)
+
+
+def test_one_value_at_two_conductors_is_equal():
+    i, w = imag_unit(), zeta(N, 40)  # conductors 4 and 3
+    p = Poly([i, 2, sqrt5()])  # conductor 20
+    lifted = p * Poly.constant(w) * Poly.constant(w.inverse())
+    assert lifted._m == 60 and p._m == 20
+    assert lifted == p and p == lifted and hash(lifted) == hash(p)
+    assert lifted != p + 1 and p + 1 != lifted
+    assert Poly.constant(i) == i and hash(Poly.constant(i)) == hash(i)
+
+
+def test_rational_products_of_rows_are_ints():
+    s5 = sqrt5()
+    p = Poly([-s5, 1]) * Poly([s5, 1])  # z^2 - 5
+    assert (p._items, p._den, p._m) == ((-5, 0, 1), 1, 1)
+    assert p == Poly([-5, 0, 1]) and hash(p) == hash(Poly([-5, 0, 1]))
+    i = imag_unit()
+    q = Poly([i, 1]) * Poly([-i, 1]) * Fraction(1, 2)  # (z^2 + 1) / 2
+    assert (q._items, q._den, q._m) == ((1, 0, 1), 2, 1)
+    r = Poly([sqrt2(), 0, sqrt2() * rational(3)]).scale(sqrt2())
+    assert (r._items, r._den, r._m) == ((2, 0, 6), 1, 1)
+
+
+def test_mixed_field_orders_are_rejected():
+    a, b = Poly([sqrt5(60), 1], 60), Poly([sqrt5(), 1])
+    for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x.divmod(y),
+               lambda x, y: x.gcd(y), lambda x, y: x == y):
+        with pytest.raises(CycloError):
+            op(a, b)
+        with pytest.raises(CycloError):
+            op(b, a)
+    with pytest.raises(CycloError):
+        Poly([sqrt5(60), sqrt5()])
+    # rational data compares by value in any order
+    assert Poly([3, 1], 60) == Poly([3, 1]) and Poly([3, 1]) == Poly([3, 1], 60)
+
+
+def test_qseries_of_an_irrational_poly():
+    s5, i = sqrt5(), imag_unit()
+    p = Poly([s5, 0, i * rational(Fraction(2, 3)), 1])
+    s = QSeries.of_poly(p, 6)
+    assert s.coeffs == {0: s5, 2: i * rational(Fraction(2, 3)), 3: rational(1)}
+    assert s._den == 1 and all(isinstance(v, Cyclo) for v in s._items.values())
+    assert s.trunc == 6
+    square = s * s
+    ref = ref_mul(list(p.coeffs), list(p.coeffs))
+    assert square.coeffs == {k: c for k, c in enumerate(ref) if k < 6 and not c.is_zero}
+    rational_part = QSeries.of_poly(Poly([-s5, 1]) * Poly([s5, 1]))
+    assert (rational_part._items, rational_part._den) == ({0: -5, 2: 1}, 1)
+
+
+def test_qseries_irrational_results_over_a_denominator():
+    s2 = sqrt2()
+    half = QSeries(1, {0: Fraction(1, 2), 1: 1, 3: Fraction(-3, 4)}, 6)  # ints over 4
+    root = QSeries(1, {0: s2, 2: s2 * rational(3)}, 6)
+    ref = {0: rational(Fraction(1, 2)) + s2, 1: rational(1), 2: s2 * rational(3),
+           3: rational(Fraction(-3, 4))}
+    assert (half + root).coeffs == ref and (root + half).coeffs == ref
+    assert (half - root).coeffs == {k: c - 2 * root.coeffs.get(k, ZERO) for k, c in ref.items()}
+    assert (root / half).coeffs == {k: c for k, c in
+                                    (QSeries.constant(1, 6) / half * root).coeffs.items()}
+    assert (root * half).coeffs == (half * root).coeffs
+    for s in (half + root, root / half, root * half):
+        assert s._den == 1 and all(isinstance(v, Cyclo) for v in s._items.values())
+
+
+@pytest.mark.parametrize("order", [(60, 120), (120, 60)])
+def test_qseries_equality_of_rationals_across_orders(order):
+    m, n = order
+    assert QSeries.constant(1, 5, 1, m) == QSeries.constant(1, 5, 1, n)
+    assert QSeries.constant(1, 5, 1, m) != QSeries.constant(2, 5, 1, n)
+    a = QSeries(2, {0: 3, 1: Fraction(1, 2)}, 4, m)
+    assert a == QSeries(2, {0: 3, 1: Fraction(1, 2)}, 4, n)
+    assert a != QSeries(2, {0: 3}, 4, n)
+    with pytest.raises(CycloError):
+        QSeries.constant(sqrt5(m), 5, 1, m) == QSeries.constant(sqrt5(n), 5, 1, n)
+    with pytest.raises(CycloError):
+        QSeries.constant(sqrt5(m), 5, 1, m) == QSeries.constant(1, 5, 1, n)
+
+
+INT_OPS = [
+    ("add", lambda x, n: x + n, lambda x, n: x + rational(n)),
+    ("radd", lambda x, n: n + x, lambda x, n: rational(n) + x),
+    ("sub", lambda x, n: x - n, lambda x, n: x - rational(n)),
+    ("rsub", lambda x, n: n - x, lambda x, n: rational(n) - x),
+    ("mul", lambda x, n: x * n, lambda x, n: x * rational(n)),
+    ("rmul", lambda x, n: n * x, lambda x, n: rational(n) * x),
+    ("truediv", lambda x, n: x / n, lambda x, n: x * rational(Fraction(1, n))),
+]
+
+
+@pytest.mark.parametrize("name, direct, via", INT_OPS, ids=[op[0] for op in INT_OPS])
+def test_int_operands_give_the_stored_form_of_a_rational_operand(name, direct, via):
+    rng = random.Random("int-ops:" + name)
+    values = [rational(Fraction(3, 4)), rational(0), sqrt5(),
+              imag_unit() * rational(Fraction(-5, 6))]
+    values += [cyclo(element(rng)) for _ in range(30)]
+    for x in values:
+        for n in (-6, -1, 0, 1, 2, 15):
+            if name == "truediv" and n == 0:
+                with pytest.raises(ZeroDivisionError):
+                    direct(x, n)
+                continue
+            got, want = direct(x, n), via(x, n)
+            assert (got._m, got._v, got.den, got.order) == (want._m, want._v, want.den, want.order)
