@@ -32,6 +32,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
 
 DEFAULT_ORDER = 120
 
@@ -85,6 +86,58 @@ def _reduction_rows(n):
     return tuple(_zeta_powers(n)[k % n] for k in range(d, 2 * d - 1))
 
 
+def _is_prime(n):
+    """Miller-Rabin with the bases 2, 7 and 61, deterministic for n < 2^32."""
+    if n < 2 or any(n % q == 0 for q in (2, 3, 5, 7, 61)):
+        return n in (2, 3, 5, 7, 61)
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _split_prime(m, i):
+    """The i-th largest prime p = 1 (mod m) below 2^31, found when first
+    asked for: Phi_m has phi(m) distinct roots mod p."""
+    p = (2 ** 31 - 2) // m * m + 1 if i == 0 else _split_prime(m, i - 1) - m
+    while not _is_prime(p):
+        p -= m
+    return p
+
+
+@lru_cache(maxsize=None)
+def _split_roots(m, p):
+    """(powers, lagrange) for the roots w_k of Phi_m mod a split prime p:
+    powers[k] is (w_k^0, ..., w_k^(phi(m)-1)), so a row's value at w_k is
+    its dot product with it, and lagrange[t] holds coordinate t of the
+    Lagrange basis Phi_m / ((x - w_k) Phi_m'(w_k)) for each k, so a row is
+    the dot product of lagrange[t] with its values."""
+    phi = [c % p for c in cyclotomic_polynomial(m)]
+    d, primes = len(phi) - 1, [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    w = next(w for w in (pow(g, (p - 1) // m, p) for g in range(2, p))
+             if all(pow(w, m // q, p) != 1 for q in primes))
+    powers, columns = [], []
+    for r in (pow(w, k, p) for k in range(1, m + 1) if gcd(k, m) == 1):
+        powers.append(tuple(pow(r, t, p) for t in range(d)))
+        col, c = [0] * d, 0
+        for t in range(d, 0, -1):  # Phi_m / (x - r), top down
+            col[t - 1] = c = (phi[t] + c * r) % p
+        s = pow(sum(x * y for x, y in zip(col, powers[-1])), -1, p)
+        columns.append([x * s % p for x in col])
+    return tuple(powers), tuple(zip(*columns))
+
+
 @lru_cache(maxsize=None)
 def _galois_tower(n):
     """Steps (k, p) of a chain {1} = H_0 < ... < H_r = (Z/n)^*: H_(i+1) is
@@ -122,17 +175,16 @@ def _power_rows(n, k, count):
     return tuple(_zeta_powers(n)[j * k % n] for j in range(count))
 
 
-def _mul_vec(a, b, n, *pairs):
-    """a b plus the products of any further pairs of power-basis integer
-    vectors of Q(zeta_n), each b of length phi(n), reduced mod Phi_n once."""
+def _mul_vec(a, b, n):
+    """The product of two power-basis integer vectors of Q(zeta_n), b of
+    length phi(n)."""
     d = len(b)
     conv = [0] * (2 * d - 1)
-    for a, b in ((a, b),) + pairs:
-        nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in nz_b:
-                    conv[i + j] += ai * bj
+    nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in nz_b:
+                conv[i + j] += ai * bj
     return _accumulate(conv[:d], conv[d:], _reduction_rows(n))
 
 
@@ -218,7 +270,7 @@ class Cyclo:
     def from_rational(value, order=DEFAULT_ORDER):
         if type(value) is int:
             return _make(order, 1, (value,), 1)
-        f = value if isinstance(value, Fraction) else Fraction(value)
+        f = value if isinstance(value, Fraction) else _exact(value)
         return _make(order, 1, (f.numerator,), f.denominator)
 
     @staticmethod
@@ -469,6 +521,14 @@ def _power(base, k):
         if k:
             base = base * base
     return result
+
+
+def _exact(value):
+    """The Fraction of an exact rational number that is neither an int nor a
+    Fraction; a float raises TypeError, as it does in +, -, * and /."""
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError("not an exact rational number: %r" % (value,))
 
 
 def rational(value, order=DEFAULT_ORDER):

@@ -29,10 +29,21 @@ primitive parts are evaluated at xi >= 2 min(|a|, |b|) + 29 (max-norms),
 the symmetric xi-adic digits of one integer gcd of the values give a
 candidate, and the candidate is taken only if it divides both operands
 exactly, those quotients being the cofactors.  Else xi grows; after six
-tries, and over Z[zeta] always, the gcd is a primitive remainder sequence
-(Brown-Collins; Knuth, TAOCP vol. 2, 4.6.1) of remainders alone, made
-primitive, with a step over Z[zeta] that multiplies by the divisor's lead,
-so no field inverse is taken before the final `monic`.
+tries the gcd is a primitive remainder sequence (Brown-Collins; Knuth,
+TAOCP vol. 2, 4.6.1).  Over Q(zeta_m) it is a modular gcd (Langemyr and
+McCallum 1989; Encarnacion 1995) at the primes p = 1 (mod m), largest
+first, where Phi_m has phi(m) roots w and zeta -> w maps Z[zeta_m] onto
+F_p.  At each root the images of the integer rows have a monic gcd by
+Euclid mod p; a prime at which a lead vanishes is skipped.  Both leads
+being units there, g has coefficients integral at the prime and reduces to
+a divisor of every image gcd: an image of degree 0 proves the operands
+coprime, and none has degree below deg g.  An image of the degree of an
+operand x makes x / lead(x) the candidate, taken if it divides the other.
+Otherwise images of one degree at all phi(m) roots give the rows of g mod
+p by Lagrange interpolation, primes are joined by CRT, and rational
+reconstruction over one common denominator gives a candidate, taken only
+if it divides both operands, those quotients being the cofactors.  Images
+of a higher degree are dropped as unlucky; a lower degree starts over.
 
 Composition.  `substitute(p, q, degree)` is the one substitution kernel: the
 binary form sum c_i p^i q^(degree - i), by Horner in p.  Evaluation at a
@@ -43,11 +54,13 @@ all call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from operator import mul
 
 from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _accumulate, _lift, _mul_vec,
-                         _normal, _power, _reduction_rows, rational)
+                         _exact, _normal, _power, _reduction_rows, _split_prime, _split_roots,
+                         rational)
 
 
 class Poly:
@@ -331,30 +344,29 @@ class Poly:
         return _monic(self._items, self._m, self.order)
 
     def gcd(self, other):
-        """The monic gcd; over Z the first part of `gcd_cofactors`."""
+        """The monic gcd: the first part of `gcd_cofactors`, or the other
+        operand made monic when one is zero."""
         if self.degree < 0 or other.degree < 0:
             return (other if self.degree < 0 else self).monic()
-        _same_field(self, other)
-        if self.is_rational and other.is_rational:
-            return self.gcd_cofactors(other)[0]
-        fa, fb, m = _aligned(self, other)
-        return _monic(_gcd_prs(fa, fb, m), m, self.order)
+        return self.gcd_cofactors(other)[0]
 
     def gcd_cofactors(self, other):
         """(g, self / g, other / g) for the monic gcd g of two polynomials,
-        not both zero: over Z by GCDHEU, whose check divides out the
-        cofactors, otherwise the gcd and then exact division."""
-        if self.degree >= 0 and other.degree >= 0 and self.is_rational and other.is_rational:
-            _same_field(self, other)
-            h, qa, qb = _gcd_heuristic(self._items, other._items)
-            if len(h) == 1:
-                return Poly.one(self.order), self, other
-            lead = h[-1]
-            return (_canonical(h, lead, 1, self.order),
-                    _canonical([v * lead for v in qa], self._den, 1, self.order),
-                    _canonical([v * lead for v in qb], other._den, 1, self.order))
-        g = self.gcd(other)
-        return (g, self, other) if g.degree == 0 else (g, self.exact_div(g), other.exact_div(g))
+        not both zero: GCDHEU over Z, the modular kernel over Q(zeta), each
+        dividing out the cofactors in its check."""
+        if self.degree < 0 or other.degree < 0:
+            g = self.gcd(other)
+            return (g, self, other) if g.degree == 0 else (g, self.exact_div(g), other.exact_div(g))
+        _same_field(self, other)
+        if not (self.is_rational and other.is_rational):
+            return _modular_gcd(self, other)
+        h, qa, qb = _gcd_heuristic(self._items, other._items)
+        if len(h) == 1:
+            return Poly.one(self.order), self, other
+        lead = h[-1]
+        return (_canonical(h, lead, 1, self.order),
+                _canonical([v * lead for v in qa], self._den, 1, self.order),
+                _canonical([v * lead for v in qb], other._den, 1, self.order))
 
     def squarefree_decomposition(self):
         """Yun's algorithm: list of (factor, multiplicity), factors monic squarefree."""
@@ -481,7 +493,7 @@ def _ratio_of(x, order):
         if x.order != order:
             raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, x.order))
         return (x._v[0], x.den) if x._m == 1 else None
-    x = x if isinstance(x, Fraction) else Fraction(x)
+    x = x if isinstance(x, Fraction) else _exact(x)
     return x.numerator, x.denominator
 
 
@@ -550,25 +562,22 @@ def _pseudo_divmod(fa, fb):
 
 
 def _row_divmod(fa, fb, n):
-    """`_pseudo_divmod` of rows at conductor n.  A rational lead takes the
-    int step; an irrational one, met in the PRS, the ring step (m, c) =
-    (lead, top), and q is None.  Changed entries are reduced once a step."""
-    lead, k0, ring = fb[-1], len(fb) - 1, any(fb[-1][1:])
-    rem, q, scale, m = list(fa), None if ring else [], 1, lead if ring else (1,)
+    """`_pseudo_divmod` of rows at conductor n, for fb with a rational lead."""
+    lead, k0 = fb[-1][0], len(fb) - 1
+    rem, q, scale = list(fa), [], 1
     while len(rem) > k0:
         top = rem.pop()
-        if not ring and any(top):
-            g = _int_gcd(lead[0], *top)
-            top, s = [x // g for x in top], lead[0] // g
+        if any(top):
+            g = _int_gcd(lead, *top)
+            top, s = [x // g for x in top], lead // g
             if s != 1:
                 rem, q, scale = _scaled(rem, repeat(s), n), _scaled(q, repeat(s), n), scale * s
-        if q is not None:
-            q.append(top)
-        if any(top):
-            k, c = len(rem) - k0, [-x for x in top]
-            for i in range(0 if ring else k, len(rem)):
-                rem[i] = _mul_vec(m, rem[i], n, *([(c, fb[i - k])] if i >= k else []))
-    return q and q[::-1], rem, scale
+            k = len(rem) - k0
+            for i in range(k, len(rem)):
+                rem[i] = [x - y for x, y in zip(rem[i], _mul_vec(top, fb[i - k], n))]
+        q.append(top)
+    q.reverse()
+    return q, rem, scale
 
 
 def _xi_start(norm):
@@ -608,22 +617,120 @@ def _gcd_heuristic(fa, fb):
         if qa is not None and qb is not None:
             return h, qa, qb
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    h = _gcd_prs(pa, pb, None)
+    h = _gcd_prs(pa, pb)
     return h, _int_quotient(fa, h), _int_quotient(fb, h)
 
 
-def _gcd_prs(fa, fb, m):
-    """A gcd of two nonzero item lists, up to a unit, by a primitive
-    remainder sequence: over Z for ints (m None), over Z[zeta_m] for rows,
-    where no quotient is built."""
+def _gcd_prs(fa, fb):
+    """The primitive gcd of two nonzero int lists by a primitive remainder
+    sequence, GCDHEU's fallback."""
     fa, fb = _primitive(fa), _primitive(fb)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while len(fb) > 1:
-        rem = _pseudo_divmod(fa, fb)[1] if m is None else _row_divmod(fa, fb, m)[1]
-        while rem and not (rem[-1] if m is None else any(rem[-1])):
+        rem = _pseudo_divmod(fa, fb)[1]
+        while rem and not rem[-1]:
             rem.pop()
         if not rem:
             return fb
         fa, fb = fb, _primitive(rem)
     return fb
+
+
+def _modular_gcd(a, b):
+    """`gcd_cofactors` of two nonzero polynomials over Q(zeta_m), m > 1 the
+    lcm of their conductors, from images at split primes (see the module
+    docstring)."""
+    fa, fb, m = _aligned(a, b)
+    low = min(a.degree, b.degree)
+    x, y = (b, a) if b.degree == low else (a, b)
+    bound, tried, residues, modulus = low, False, None, 1
+    for p in map(_split_prime, repeat(m), count()):
+        powers, lagrange = _split_roots(m, p)
+        images = []
+        for w in powers:
+            ia, ib = _image(fa, w, p), _image(fb, w, p)
+            if not (ia[-1] and ib[-1]):  # a lead vanishes: skip the prime
+                break
+            h = _gcd_mod(ia, ib, p)
+            d = len(h) - 1
+            if d == 0:  # certified: the monic gcd reduces to a divisor of h
+                return Poly.one(a.order), a, b
+            if d > bound:  # unlucky
+                break
+            if d < bound:
+                bound, residues, modulus = d, None, 1
+                if images:  # the roots before were unlucky
+                    break
+            if d == low and not tried:  # x / lead(x) may be the gcd
+                tried, g = True, x.monic()
+                q = _exact_quotient(y, g)
+                if q is not None:
+                    c = Poly.constant(x.leading, x.order)
+                    return (g, c, q) if x is a else (g, q, c)
+                bound = d - 1
+                break
+            images.append(h[:-1])
+        else:  # one degree at every root: rows mod p, then CRT
+            rows = [sum(map(mul, t, vs)) % p for vs in zip(*images) for t in lagrange]
+            if residues is None:
+                residues = rows
+            else:
+                s = pow(modulus, -1, p)
+                residues = [r + modulus * ((v - r) * s % p) for r, v in zip(residues, rows)]
+            modulus *= p
+            g = _reconstruct(residues, modulus, len(lagrange), m, a.order)
+            if g is not None:
+                qa = _exact_quotient(a, g)
+                qb = None if qa is None else _exact_quotient(b, g)
+                if qb is not None:
+                    return g, qa, qb
+
+
+def _image(rows, powers, p):
+    """The rows' values mod p at the root whose powers are given."""
+    return [sum(map(mul, r, powers)) % p for r in rows]
+
+
+def _gcd_mod(a, b, p):
+    """The monic gcd mod p of two int lists with nonzero leads, by Euclid."""
+    while b:
+        inv, n, a = pow(b[-1], -1, p), len(b) - 1, list(a)
+        while len(a) > n:
+            c = a.pop() * inv % p
+            if c:
+                k = len(a) - n
+                a[k:] = [(u - c * v) % p for u, v in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
+
+
+def _reconstruct(residues, modulus, width, m, order):
+    """The monic polynomial whose low coefficients have, in turn, the rows
+    of the given width of the residues mod the modulus, by rational
+    reconstruction over one common denominator; None if it fails."""
+    half, den, nums = isqrt(modulus // 2), 1, []
+    for v in residues:
+        r0, r1, t0, t1 = modulus, v * den % modulus, 0, 1
+        while r1 > half:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > half:
+            return None
+        if t1 != 1:  # r1 / t1 = v den: a larger denominator
+            nums, den = [u * abs(t1) for u in nums], den * abs(t1)
+        nums.append(r1 if t1 > 0 else -r1)
+    if den > half:
+        return None
+    rows = [nums[i:i + width] for i in range(0, len(nums), width)]
+    rows.append([den] + [0] * (width - 1))
+    return _canonical(rows, den, m, order)
+
+
+def _exact_quotient(a, g):
+    """a / g, or None unless g divides a."""
+    q, r = a.divmod(g)
+    return None if r else q

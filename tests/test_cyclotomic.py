@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from equiops.cyclotomic import (Cyclo, CycloError, DEFAULT_ORDER, imag_unit,
                                 rational, sqrt2, sqrt3, sqrt5, totient, zeta)
+from equiops.poly import Poly
+from equiops.qseries import QSeries
+from equiops.ratfn import RatFn
 
 ORDER = DEFAULT_ORDER
 
@@ -261,3 +264,19 @@ def test_complex_embedding():
     z = complex(zeta(ORDER))
     assert abs(z - cmath.exp(2j * cmath.pi / ORDER)) < 1e-12
     assert abs(complex(sqrt2()) - 2 ** 0.5) < 1e-12
+
+
+FLOAT_CALLS = [
+    ("rational", lambda: rational(0.1)),
+    ("Poly", lambda: Poly([0.1])),
+    ("Poly.scale", lambda: Poly.one().scale(0.1)),
+    ("RatFn.constant", lambda: RatFn.constant(0.1)),
+    ("QSeries.constant", lambda: QSeries.constant(0.1, 3)),
+]
+
+
+@pytest.mark.parametrize("name, call", FLOAT_CALLS, ids=[name for name, _ in FLOAT_CALLS])
+def test_exact_constructors_reject_floats(name, call):
+    # 0.1 would be 3602879701896397/36028797018963968; + - * / reject floats too
+    with pytest.raises(TypeError):
+        call()

@@ -1,6 +1,8 @@
 """Differential operators: Schwarzian/D duality, phi-operators, brackets,
 deformations and period residues."""
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -123,6 +125,31 @@ def test_period_residues_examples():
     assert [(p.data, v.as_fraction()) for p, v in period_residues(
         parse_ratfn("z^3"), parse_ratfn("-2*z^3"))] == [(rational(0), 2)]
     assert period_residues(parse_ratfn("z"), parse_ratfn("z + 1")) == []
+
+
+def _replay_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "qzeta_residues.py"
+    spec = importlib.util.spec_from_file_location("qzeta_residues", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of repr(period_residues(f, D f)) for the degree-2 maps with
+# a + b zeta_120 coefficients of scripts/qzeta_residues.py, recorded with the
+# Z[zeta] remainder-sequence gcd, which took 3-7 s per map
+QZETA_RESIDUE_DIGESTS = {
+    1: "cdcc6a12f3f70fd9afc8e3db8e2596a1d654b192d0fdf684719cff5170fa1ae8",
+    2: "ac06bd5d3fdeba1f2b741a1ef99fd87a98da33d32df775e91727062dfaacf10a",
+    3: "b03a9a1df60c8ac85d7c8eba2802fc1ca01ac9de2a6d6885407038e900f46d46",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(QZETA_RESIDUE_DIGESTS))
+def test_period_residues_over_q_zeta_are_unchanged_and_fast(seed):
+    seconds, digest = _replay_script().run_one(2, seed)
+    assert digest == QZETA_RESIDUE_DIGESTS[seed]
+    assert seconds < 1.0
 
 
 def test_period_residues_are_integers():

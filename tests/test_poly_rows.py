@@ -3,19 +3,23 @@
 at conductors 3, 4, 5, 8, 12, 24, 60 and 120.
 
 The references below use nothing of `Poly` but its `coeffs` view: a
-schoolbook product, a field long division, a monic Euclid and term-by-term
-derivative, scaling and substitution, all on `Cyclo` coefficients.
+schoolbook product, a field long division, a monic Euclid, a primitive
+pseudo-remainder sequence over Z[zeta] and term-by-term derivative, scaling
+and substitution, all on `Cyclo` coefficients.
 """
 
 import math
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2, sqrt5,
-                                totient, zeta)
+import equiops.poly as poly_module
+from equiops.cyclotomic import (Cyclo, CycloError, _is_prime, _split_prime, _split_roots,
+                                imag_unit, rational, sqrt2, sqrt5, totient, zeta)
 from equiops.poly import Poly
 from equiops.qseries import QSeries
 
@@ -94,6 +98,36 @@ def ref_gcd(a, b):
     while b:
         a, b = b, ref_divmod(a, b)[1]
     return ref_monic(a)
+
+
+def ref_content_free(a):
+    """a nonzero list times the rational that makes all ints of its
+    coefficients, on the power basis at N, coprime integers."""
+    den = math.lcm(*[c.den for c in a])
+    g = math.gcd(*[x * (den // c.den) for c in a for x in c.num])
+    return [c * rational(Fraction(den, g)) for c in a]
+
+
+def ref_prs_gcd(a, b):
+    """The monic gcd of two nonzero lists by a primitive pseudo-remainder
+    sequence over Z[zeta]: each step multiplies the remainder by the
+    divisor's lead, so no field inverse is taken before the final monic."""
+    a, b = ref_content_free(a), ref_content_free(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem, lead = list(a), b[-1]
+        while len(rem) >= len(b):  # rem <- lead rem - top x^k b
+            top = rem.pop()
+            k = len(rem) - len(b) + 1
+            rem = [c * lead for c in rem]
+            for j, y in enumerate(b[:-1]):
+                rem[k + j] = rem[k + j] - top * y
+        rem = trim(rem)
+        if not rem:
+            break
+        a, b = b, ref_content_free(rem)
+    return ref_monic(b)
 
 
 def ref_derivative(a):
@@ -338,3 +372,171 @@ def test_int_operands_give_the_stored_form_of_a_rational_operand(name, direct, v
                 continue
             got, want = direct(x, n), via(x, n)
             assert (got._m, got._v, got.den, got.order) == (want._m, want._v, want.den, want.order)
+
+
+# -- the modular gcd over Q(zeta_m) ---------------------------------------------
+
+def conductor_poly(rng, c, degree):
+    """A polynomial of the degree whose coefficients are ints or a + b zeta_c^k,
+    at least one of them irrational: its conductor is c."""
+    units = [k for k in range(1, c) if math.gcd(k, c) == 1]
+
+    def coeff():
+        if rng.random() < 0.25:
+            return rng.randint(-4, 4)
+        gen = zeta(N, rng.choice(units) * (N // c))
+        return rational(rng.randint(-3, 3)) + gen * rational(Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                      rng.choice((1, 1, 2))))
+    while True:
+        cs = [coeff() for _ in range(degree)] + [coeff() or 1]
+        if any(isinstance(x, Cyclo) and not x.is_rational for x in cs):
+            return Poly(cs)
+
+
+def modgcd_cases(c):
+    """(name, a, b) pairs at conductor c for every case of the kernel."""
+    rng = random.Random("modgcd:%d" % c)
+    a, b, g = (conductor_poly(rng, c, 2) for _ in range(3))
+    r, s = Poly([rng.randint(-5, 5), rng.randint(-3, 3), 2]), Poly([rng.randint(-4, 4), 1])
+    out = [("coprime", a, b)]
+    for d in (1, 2, 3):
+        h = conductor_poly(rng, c, d)
+        out.append(("common-%d" % d, a * h, b * h))
+    out += [("divides", g, a * g), ("divided", a * g, g),
+            ("associates", a, a.scale(conductor_poly(rng, c, 0).leading)),
+            ("zero", Poly.zero(), a), ("zero-right", a, Poly.zero()),
+            ("constant", conductor_poly(rng, c, 0), a), ("rational-constant", a, Poly([3])),
+            ("rational-common", r * s, a * s), ("rational-coprime", r, b),
+            ("rational-divides", s, a * s)]
+    return out
+
+
+MODGCD_CASES = [(c, name, a, b) for c in CONDUCTORS for name, a, b in modgcd_cases(c)]
+
+
+@pytest.mark.parametrize("c, name, a, b", MODGCD_CASES,
+                         ids=["%d-%s" % (c, name) for c, name, _, _ in MODGCD_CASES])
+def test_modular_gcd_matches_the_zeta_remainder_sequence(c, name, a, b):
+    ra, rb = list(a.coeffs), list(b.coeffs)
+    ref = ref_prs_gcd(ra, rb) if ra and rb else ref_monic(ra or rb)
+    for p, q in ((a, b), (b, a)):
+        g, u, v = p.gcd_cofactors(q)
+        assert_matches(g, ref)
+        assert_canonical(u)
+        assert_canonical(v)
+        assert g * u == p and g * v == q
+        assert p.gcd(q) == g
+    if name.startswith("common"):
+        assert g.degree >= int(name[-1])
+
+
+def test_split_primes_and_root_tables():
+    for m in (3, 4, 5, 8, 12, 24, 60, 120):
+        primes = [_split_prime(m, i) for i in range(4)]
+        assert primes == sorted(primes, reverse=True) and primes[0] < 2 ** 31
+        assert all(p % m == 1 and _is_prime(p) for p in primes)
+        assert not any(_is_prime(q) for q in range(primes[-1] + m, 2 ** 31, m)
+                       if q not in primes)
+        powers, lagrange = _split_roots(m, primes[0])
+        p, d = primes[0], totient(m)
+        roots = [w[1] for w in powers]
+        assert len(powers) == len(set(roots)) == d
+        assert all(pow(w, m, p) == 1 for w in roots)
+        rng = random.Random("roots:%d" % m)
+        row = [rng.randrange(p) for _ in range(d)]
+        values = [sum(x * y for x, y in zip(row, w)) % p for w in powers]
+        assert [sum(x * y for x, y in zip(t, values)) % p for t in lagrange] == row
+    assert [n for n in range(2, 400) if _is_prime(n)] == [
+        n for n in range(2, 400) if all(n % q for q in range(2, n))]
+    # strong pseudoprimes to some of the bases, and Carmichael numbers
+    assert not any(map(_is_prime, (561, 1105, 1729, 2047, 25326001, 3215031751)))
+
+
+def test_no_table_is_built_at_import():
+    code = ("import equiops, equiops.poly as p, equiops.cyclotomic as c; "
+            "print(c._split_prime.cache_info().currsize, c._split_roots.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["0", "0"]
+
+
+# Phi_5 has the roots 4, 5, 9 and 3 mod 11, and 2, 4, 8 and 16 mod 31
+SMALL_PRIMES = (11, 31, 41, 61, 71)
+
+
+@pytest.fixture
+def small_primes(monkeypatch):
+    """The kernel's primes for m = 5 replaced by SMALL_PRIMES: (the primes
+    it asked for, the moduli of its rational reconstructions)."""
+    asked, moduli = [], []
+    reconstruct = poly_module._reconstruct
+
+    def prime(m, i):
+        assert m == 5
+        asked.append(SMALL_PRIMES[i])
+        return SMALL_PRIMES[i]
+
+    def counted(residues, modulus, *args):
+        moduli.append(modulus)
+        return reconstruct(residues, modulus, *args)
+    monkeypatch.setattr(poly_module, "_split_prime", prime)
+    monkeypatch.setattr(poly_module, "_reconstruct", counted)
+    return asked, moduli
+
+
+def zeta5(k=1):
+    return zeta(N, 24 * k)
+
+
+def check_gcd(a, b, want):
+    g, u, v = a.gcd_cofactors(b)
+    assert g == want and g.is_monic
+    assert g * u == a and g * v == b
+    assert_matches(g, ref_prs_gcd(list(a.coeffs), list(b.coeffs)))
+
+
+def test_a_lead_vanishing_at_a_root_skips_the_prime(small_primes):
+    # zeta - 3 vanishes at the root 3 mod 11, where the images are coprime
+    # although the gcd is x + 1/(zeta - 3), whose rows over 121 take three
+    # primes of CRT
+    h = Poly([1, zeta5() - 3])
+    a, b = h * Poly([5, 1]), h * Poly([7, 1])
+    check_gcd(a, b, h.monic())
+    assert small_primes == ([11, 31, 41, 61], [31, 31 * 41, 31 * 41 * 61])
+
+
+def test_a_root_image_of_too_high_a_degree_is_dropped(small_primes):
+    # x + zeta^2 and x + 3 share a root mod 11 at the root 5 alone, after
+    # the root 4 gave degree 1; 2 is no operand's degree
+    h = Poly([zeta5(), 1])
+    a, b = h * Poly([zeta5(2), 1]) * Poly([1, 1]), h * Poly([3, 1]) * Poly([7, 1])
+    check_gcd(a, b, h)
+    assert small_primes == ([11, 31], [31])
+
+
+def test_a_lower_degree_starts_the_accumulation_over(small_primes):
+    # x + 2 and x + 13 agree mod 11, so every image there has degree 2
+    h = Poly([zeta5(), 1])
+    a, b = h * Poly([2, 1]) * Poly([4, 1]), h * Poly([13, 1]) * Poly([5, 1])
+    check_gcd(a, b, h)
+    assert small_primes == ([11, 31], [11, 31])
+
+
+def test_an_operand_candidate_that_fails_lowers_the_bound(small_primes):
+    # x + 1 and x + 342 agree mod 11 and mod 31: mod 11 the candidate
+    # b / lead(b) does not divide a, so the images of degree 2 mod 31 are
+    # dropped, not reconstructed
+    h = Poly([zeta5(), 1])
+    a, b = h * Poly([1, 1]), h * Poly([342, 1]) * rational(3)
+    check_gcd(a, b, h)
+    assert small_primes == ([11, 31, 41], [41])
+
+
+def test_crt_over_many_primes_reconstructs_large_coefficients(small_primes):
+    # the numerator 200 needs a modulus M with sqrt(M / 2) >= 200; the
+    # images mod 41 have an extra common root, and mod 11 the reconstruction
+    # gives a candidate that does not divide
+    h = Poly([rational(Fraction(200, 7)) + zeta5(3), 1])
+    a, b = h * Poly([zeta5(), 2]), h * Poly([1, 0, zeta5(2)])
+    check_gcd(a, b, h)
+    assert small_primes == (list(SMALL_PRIMES), [11, 11 * 31, 11 * 31 * 61, 11 * 31 * 61 * 71])
