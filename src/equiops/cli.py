@@ -1,21 +1,24 @@
 """Command-line front end: verification suites and table reproduction.
 
 Subcommands:
-  verify <suite>          run a named check suite, one line per check
+  verify <suite>          run a named check suite, one line per check;
+                          with --profile PATH, write its cProfile stats
   klein --group <name>    show a polyhedral group's invariants and checks
   cycles --map klein      superattracting-cycle report for the Klein map
   qseries --name <series> print q-expansion coefficients
   j-relation --n <level>  residual of j = k_n f_n(j_n)^3 / v_n(j_n)^n
   nc s-poly --n <k>       print S_k in canonical form
-  report --out <path>     write a JSON report for a suite
+  report --out <path>     write a JSON report for a suite (also --profile)
 
 The group-config directory comes from --config-dir, else the
 EQUIOPS_CONFIG_DIR environment variable, else the packaged configs.
 """
 
 import argparse
+import cProfile
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .properties import GROUP_NAMES, SUITES, klein_cycles, phi_images
 from .report import emit_report, load_config, run_suite
@@ -24,6 +27,15 @@ from .report import emit_report, load_config, run_suite
 def _add_config_dir(parser):
     parser.add_argument("--config-dir", default=None,
                         help="directory with <group>.config files")
+
+
+def _add_suite_options(parser):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--order", type=int, default=10,
+                        help="q-series order for the qseries suite")
+    parser.add_argument("--count", type=int, help="number of random samples per randomized check")
+    parser.add_argument("--profile", metavar="PATH", help="write cProfile stats to PATH")
+    _add_config_dir(parser)
 
 
 def build_parser():
@@ -35,12 +47,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=10,
-                   help="q-series order for the qseries suite")
-    p.add_argument("--count", type=int, default=None,
-                   help="number of random samples per randomized check")
-    _add_config_dir(p)
+    _add_suite_options(p)
 
     p = sub.add_parser("klein", help="polyhedral group summary and checks")
     p.add_argument("--group", required=True, choices=GROUP_NAMES)
@@ -70,10 +77,7 @@ def build_parser():
     p = sub.add_parser("report", help="write a JSON verification report")
     p.add_argument("--out", required=True)
     p.add_argument("--suite", default="all", choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--count", type=int, default=None)
-    _add_config_dir(p)
+    _add_suite_options(p)
 
     return parser
 
@@ -89,10 +93,20 @@ def _print_report(report, out=None):
     return 0 if report.passed else 1
 
 
+def _run_suite(args):
+    """run_suite for verify and report, under cProfile with --profile."""
+    run = partial(run_suite, args.suite, seed=args.seed, order=args.order,
+                  count=args.count, cfg_dir=args.config_dir)
+    if args.profile is None:
+        return run()
+    profile = cProfile.Profile()
+    report = profile.runcall(run)
+    profile.dump_stats(args.profile)
+    return report
+
+
 def _cmd_verify(args):
-    report = run_suite(args.suite, seed=args.seed, order=args.order,
-                       count=args.count, cfg_dir=args.config_dir)
-    return _print_report(report)
+    return _print_report(_run_suite(args))
 
 
 def _cmd_klein(args):
@@ -165,8 +179,7 @@ def _cmd_nc(args):
 
 
 def _cmd_report(args):
-    report = run_suite(args.suite, seed=args.seed, order=args.order,
-                       count=args.count, cfg_dir=args.config_dir)
+    report = _run_suite(args)
     emit_report(report, args.out)
     print("wrote %s (%s, config %s)" % (
         args.out, "pass" if report.passed else "FAIL",

@@ -178,14 +178,24 @@ def _power_rows(n, k, count):
 def _mul_vec(a, b, n):
     """The product of two power-basis integer vectors of Q(zeta_n), b of
     length phi(n)."""
-    d = len(b)
-    conv = [0] * (2 * d - 1)
-    nz_b = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in nz_b:
-                conv[i + j] += ai * bj
-    return _accumulate(conv[:d], conv[d:], _reduction_rows(n))
+    return _dot([0] * len(b), [(_sparse(a), _sparse(b))], n)
+
+
+def _dot(v, pairs, n):
+    """v plus the products x y of pairs of sparse vectors ((t, c), ...) of
+    Q(zeta_n), v of length phi(n): summed unreduced, reduced mod Phi_n once."""
+    d = len(v)
+    acc = [*v, *[0] * (d - 1)]
+    for x, y in pairs:
+        for s, a in x:
+            for t, b in y:
+                acc[s + t] += a * b
+    return _accumulate(acc[:d], acc[d:], _reduction_rows(n))
+
+
+def _sparse(v):
+    """The nonzero entries (t, c) of an integer vector."""
+    return [(t, c) for t, c in enumerate(v) if c]
 
 
 def _conjugate(a, k, n):

@@ -65,6 +65,14 @@ class Moebius:
             and self.c * other.d == self.d * other.c
         )
 
+    def __eq__(self, other):  # entrywise; `is_projectively` is equality in PGL2
+        if not isinstance(other, Moebius):
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
     def __repr__(self):
         return "Moebius(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 

@@ -431,6 +431,13 @@ class GenMoebius:
         zero = [[0] * size for _ in range(size)]
         return GenMoebius(zero, one, one, zero, order)
 
+    def __eq__(self, other):
+        if not isinstance(other, GenMoebius):
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    __hash__ = None  # blockwise equality of list blocks, unhashable like MatFn
+
     def __repr__(self):
         return "GenMoebius(size=%d)" % self.size
 

@@ -58,9 +58,9 @@ from itertools import count, repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _accumulate, _lift, _mul_vec,
-                         _exact, _normal, _power, _reduction_rows, _split_prime, _split_roots,
-                         rational)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _accumulate, _dot, _lift,
+                         _exact, _normal, _power, _reduction_rows, _sparse, _split_prime,
+                         _split_roots, rational)
 
 
 class Poly:
@@ -562,8 +562,9 @@ def _pseudo_divmod(fa, fb):
 
 
 def _row_divmod(fa, fb, n):
-    """`_pseudo_divmod` of rows at conductor n, for fb with a rational lead."""
-    lead, k0 = fb[-1][0], len(fb) - 1
+    """`_pseudo_divmod` of rows at conductor n, for fb with a rational lead;
+    the divisor's rows are made sparse once, each product reduced once."""
+    lead, k0, low = fb[-1][0], len(fb) - 1, [_sparse(r) for r in fb[:-1]]
     rem, q, scale = list(fa), [], 1
     while len(rem) > k0:
         top = rem.pop()
@@ -572,9 +573,9 @@ def _row_divmod(fa, fb, n):
             top, s = [x // g for x in top], lead // g
             if s != 1:
                 rem, q, scale = _scaled(rem, repeat(s), n), _scaled(q, repeat(s), n), scale * s
-            k = len(rem) - k0
-            for i in range(k, len(rem)):
-                rem[i] = [x - y for x, y in zip(rem[i], _mul_vec(top, fb[i - k], n))]
+            less = [(t, -x) for t, x in enumerate(top) if x]
+            for i, row in enumerate(low, len(rem) - k0):
+                rem[i] = _dot(rem[i], [(less, row)], n)
         q.append(top)
     q.reverse()
     return q, rem, scale

@@ -8,17 +8,16 @@ reported order.  Named series cover the eta function and its rescalings,
 Eisenstein series, the modular j function and the level 2..5 hauptmoduln,
 and the Rogers-Ramanujan continued fraction.
 
-The coefficient store belongs to `Poly` and is shared: the term at q^(k/M)
-is items[k] / den, ints over den > 0 prime to their content for rational
-data, the `Cyclo` coefficients over 1 once one is irrational (sqrt2 at
-level 3): the normaliser's rows, read back as `Cyclo`, or the kernel's own
-values where they are over 1 already.  `poly` normalises and reads the
-values and checks field orders; this module keeps exponents, truncation and
-the choice of division kernel.
-Products run `series.mul` on the items; a quotient, reciprocals included,
-is one triangular pass, `series.div_ints` on ints or `series.div` with a
-field inverse on `Cyclo` items, so rational data meets `Cyclo` only in the
-`coeffs` and `dense` views.
+The coefficient store is that of `Poly`, (items, den, m) keyed by exponent:
+the term at q^(k/M) is items[k] / den, ints (m = 1) or rows of phi(m) ints
+on the power basis of Q(zeta_m) at the lcm m of the conductors (8 for the
+sqrt2 of level 3).  `poly` normalises and reads the values and checks field
+orders; this module keeps exponents, truncation and the conductor operands
+meet at.  Products run `series.mul` on ints and `series.mul_rows` on rows.
+A quotient, reciprocals included, is one triangular pass of
+`series.div_ints`, after multiplying both operands by the numerator of the
+inverse of an irrational lead, which makes that lead an int.  `Cyclo`
+values appear only in the `coeffs` and `dense` views.
 """
 
 from __future__ import annotations
@@ -27,9 +26,10 @@ import cmath
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 
 from . import series
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _power, rational, sqrt2
+from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _mul_vec, _power, rational, sqrt2
 from .parsing import cyclo_literal
 from .poly import _item, _ratio_of, _same_field, _store
 
@@ -43,42 +43,41 @@ class QSeries:
     coeff * q^(k/M); exponents >= trunc are unknown.
     """
 
-    # the term at k/M is _items[k] / _den, see the module docstring; _coeffs
-    # caches the Cyclo view
-    __slots__ = ("M", "_items", "_den", "_coeffs", "trunc", "order")
+    # the term at k/M is _items[k] / _den at conductor _m, see the module
+    # docstring; _coeffs caches the Cyclo view
+    __slots__ = ("M", "_items", "_den", "_m", "_coeffs", "trunc", "order")
 
     def __init__(self, M, coeffs, trunc, order=DEFAULT_ORDER):
         if any(isinstance(c, Cyclo) and c.order != order for c in coeffs.values()):
             raise CycloError("mismatched cyclotomic orders in one series")
         items = {k: c if isinstance(c, (int, Cyclo)) else rational(c, order)
                  for k, c in coeffs.items()}
-        s = _canonical(M, items, 1, Fraction(trunc), order)
-        self.M, self._items, self._den, self._coeffs, self.trunc, self.order = \
-            M, s._items, s._den, None, s.trunc, order
+        s = _canonical(M, items, 1, 1, Fraction(trunc), order)
+        self.M, self._items, self._den, self._m, self._coeffs, self.trunc, self.order = \
+            M, s._items, s._den, s._m, None, s.trunc, order
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(trunc, M=1, order=DEFAULT_ORDER):
-        return _make(M, {}, 1, Fraction(trunc), order)
+        return _make(M, {}, 1, 1, Fraction(trunc), order)
 
     @staticmethod
     def constant(c, trunc, M=1, order=DEFAULT_ORDER):
         r = _ratio_of(c, order)
-        items, den = ({0: c}, 1) if r is None else ({0: r[0]}, r[1])
-        return _canonical(M, items, den, Fraction(trunc), order)
+        items, den, m = ({0: c._v}, c.den, c._m) if r is None else ({0: r[0]}, r[1], 1)
+        return _canonical(M, items, den, m, Fraction(trunc), order)
 
     @staticmethod
     def q_power(e, trunc, order=DEFAULT_ORDER):
         e = Fraction(e)
-        return _canonical(e.denominator, {e.numerator: 1}, 1, Fraction(trunc), order)
+        return _canonical(e.denominator, {e.numerator: 1}, 1, 1, Fraction(trunc), order)
 
     @staticmethod
     def of_poly(p, trunc=_INF):
         """The `Poly` p in q, known below q^trunc (exactly by default): its
         items, in the same store."""
-        items, den = (p._items, p._den) if p.is_rational else (p.coeffs, 1)
-        return _canonical(1, dict(enumerate(items)), den, Fraction(trunc), p.order)
+        return _canonical(1, dict(enumerate(p._items)), p._den, p._m, Fraction(trunc), p.order)
 
     # -- structure ----------------------------------------------------
 
@@ -98,8 +97,8 @@ class QSeries:
 
     def _value(self, k):
         """The coefficient at q^(k/M) as a `Cyclo`."""
-        v = self._items.get(k, 0)
-        return v if isinstance(v, Cyclo) else _item(v, self._den, 1, self.order)
+        v = self._items.get(k)
+        return rational(0, self.order) if v is None else _item(v, self._den, self._m, self.order)
 
     def rescaled(self, M):
         """Same series with exponent denominator M (a multiple of self.M)."""
@@ -109,13 +108,25 @@ class QSeries:
             raise ValueError("new denominator must be a multiple")
         r = M // self.M
         return _make(M, {k * r: v for k, v in self._items.items()}, self._den,
-                     self.trunc, self.order)
+                     self._m, self.trunc, self.order)
 
     def _common(self, other):
-        """Both operands at one exponent denominator, in one field."""
+        """Both operands at one exponent denominator and conductor, in one field."""
         _same_field(self, other)
         M = math.lcm(self.M, other.M)
-        return self.rescaled(M), other.rescaled(M)
+        a, b = self.rescaled(M), other.rescaled(M)
+        if a._m == b._m:
+            return a, b
+        m = math.lcm(a._m, b._m)
+        return a._lifted(m), b._lifted(m)
+
+    def _lifted(self, m):
+        """Same series with its items as rows at conductor m, a multiple of its own."""
+        k = self._m
+        if m == k:
+            return self
+        items = {e: tuple(_lift((v,) if k == 1 else v, k, m)) for e, v in self._items.items()}
+        return _make(self.M, items, self._den, m, self.trunc, self.order)
 
     @property
     def valuation(self):
@@ -143,7 +154,7 @@ class QSeries:
         return not self.is_zero
 
     def truncated(self, trunc):
-        return _canonical(self.M, self._items, self._den,
+        return _canonical(self.M, self._items, self._den, self._m,
                           min(self.trunc, Fraction(trunc)), self.order)
 
     # -- arithmetic ---------------------------------------------------
@@ -160,20 +171,20 @@ class QSeries:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        x, y, den, d = a._items, b._items, a._den, b._den
+        x, y, den, d, m = a._items, b._items, a._den, b._den, a._m
         if den != d:  # over den * d; the normaliser takes out the common part
-            x, y, den = ({k: v * d for k, v in x.items()},
-                         {k: v * den for k, v in y.items()}, den * d)
+            x, y, den = series.scaled(x, repeat(d), m), series.scaled(y, repeat(den), m), den * d
         out = dict(x)
         for k, v in y.items():
-            out[k] = out[k] + v if k in out else v
-        return _canonical(a.M, out, den, min(a.trunc, b.trunc), (a or b).order)
+            out[k] = v if k not in out else out[k] + v if m == 1 else [
+                s + t for s, t in zip(out[k], v)]
+        return _canonical(a.M, out, den, m, min(a.trunc, b.trunc), (a or b).order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.M, {k: -v for k, v in self._items.items()}, self._den,
-                     self.trunc, self.order)
+        return _make(self.M, series.scaled(self._items, repeat(-1), self._m), self._den,
+                     self._m, self.trunc, self.order)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -189,8 +200,10 @@ class QSeries:
             return NotImplemented
         a, b = self._common(o)
         trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-        out = series.mul(a._items, b._items, _limit(trunc, a.M), operator.mul)
-        return _normalised(a.M, out, a._den * b._den, trunc, a.order)
+        limit, m = _limit(trunc, a.M), a._m
+        out = (series.mul(a._items, b._items, limit, operator.mul) if m == 1
+               else series.mul_rows(a._items, b._items, limit, m))
+        return _normalised(a.M, out, a._den * b._den, m, trunc, a.order)
 
     __rmul__ = __mul__
 
@@ -213,16 +226,16 @@ class QSeries:
         trunc = min(a.trunc - vb, b.trunc - 2 * vb + a.valuation)
         # a / b = q^((sa - sb) / M) x / y with x(0), y(0) != 0 (the kernels
         # ignore exponents below 0); a's den goes to the result
-        x = {k - sa: v * b._den for k, v in a._items.items()}
+        x, m = {k - sa: v for k, v in a._items.items()}, a._m
         y = {j - sb: v for j, v in b._items.items()}
-        limit = _limit(trunc, a.M) - sa + sb
-        lead = y[0]  # storage is all ints or all Cyclo, so one value tells
-        if isinstance(lead, Cyclo) or isinstance(next(iter(x.values()), 0), Cyclo):
-            out, den = series.div(x, y, limit, operator.mul, rational(1, a.order) / lead), 1
-        else:
-            out, den = series.div_ints(x, y, limit)
+        if m != 1 and any(y[0][1:]):  # an irrational lead: times the numerator r
+            r = _item(y[0], 1, m, a.order).inverse()._v  # of 1 / lead at m, lead r an int
+            x, y = ({k: _mul_vec(v, r, m) for k, v in s.items()} for s in (x, y))
+        if b._den != 1:
+            x = series.scaled(x, repeat(b._den), m)
+        out, den = series.div_ints(x, y, _limit(trunc, a.M) - sa + sb, m)
         return _normalised(a.M, {k + sa - sb: c for k, c in out.items()},
-                           den * a._den, trunc, a.order)
+                           den * a._den, m, trunc, a.order)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -235,22 +248,22 @@ class QSeries:
 
     def derivative(self):
         """d/dq, term by term."""
-        return _canonical(self.M, {k - self.M: v * k for k, v in self._items.items()},
-                          self._den * self.M, self.trunc - 1, self.order)
+        items, M = self._items, self.M
+        return _canonical(M, {k - M: v for k, v in series.scaled(items, items, self._m).items()},
+                          self._den * M, self._m, self.trunc - 1, self.order)
 
     def q_derivative(self):
         """q d/dq, term by term."""
-        return _canonical(self.M, {k: v * k for k, v in self._items.items()},
-                          self._den * self.M, self.trunc, self.order)
+        return _canonical(self.M, series.scaled(self._items, self._items, self._m),
+                          self._den * self.M, self._m, self.trunc, self.order)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.order != self.order and all(type(v) is int for s in (self, o)
-                                         for v in s._items.values()):
+        if o.order != self.order and self._m == o._m == 1:
             # rational data compares by value in any field order, like Poly
-            o = _make(o.M, o._items, o._den, o.trunc, self.order)
+            o = _make(o.M, o._items, o._den, 1, o.trunc, self.order)
         return (self - o).is_zero
 
     def __hash__(self):
@@ -281,47 +294,45 @@ def _limit(trunc, M):
     return -(-trunc.numerator * M // trunc.denominator)
 
 
-def _make(M, items, den, trunc, order):
-    """The series of a canonical (items, den)."""
+def _make(M, items, den, m, trunc, order):
+    """The series of a canonical (items, den, m)."""
     s = _new(QSeries)
-    s.M, s._items, s._den, s._coeffs, s.trunc, s.order = M, items, den, None, trunc, order
+    s.M, s._items, s._den, s._m, s._coeffs, s.trunc, s.order = M, items, den, m, None, trunc, order
     return s
 
 
-def _canonical(M, items, den, trunc, order):
-    """The series sum items[k] / den q^(k/M) + O(q^trunc), for a dict of
-    ints and `Cyclo` elements of the order and an int den != 0."""
+def _canonical(M, items, den, m, trunc, order):
+    """The series sum items[k] / den q^(k/M) + O(q^trunc), for a dict of ints
+    and `Cyclo` elements (m = 1) or rows at conductor m, and an int den != 0."""
     limit = _limit(trunc, M)
-    return _normalised(M, {k: v for k, v in items.items() if v and k < limit},
-                       den, trunc, order)
+    return _normalised(M, {k: v for k, v in items.items()
+                           if (v if m == 1 else any(v)) and k < limit}, den, m, trunc, order)
 
 
-def _normalised(M, items, den, trunc, order):
+def _normalised(M, items, den, m, trunc, order):
     """`_canonical` of nonzero items below trunc, as the kernels return them."""
-    values, d, m = _store(list(items.values()), den)
-    if m != 1 and den == 1:  # irrational values over 1 are their own Cyclo views
-        values, d = [_item(v, 1, 1, order) if type(v) is int else v for v in items.values()], 1
-    elif m != 1:  # irrational data: the Cyclo views of the rows, over 1
-        values, d = [_item(v, d, m, order) for v in values], 1
-    return _make(M, dict(zip(items, values)), d, trunc, order)
+    values, d, m = _store(list(items.values()), den, m)
+    return _make(M, dict(zip(items, values)), d, m, trunc, order)
 
 
 # -- named series -----------------------------------------------------
 
 
 def eta_product(exponent_of, trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
-    """prod_{n>=1} (1 - q^(n s))^e(n) with integer exponents e(n)."""
+    """prod_{n>=1} (1 - q^(n s))^e(n) with integer exponents e(n), each factor
+    (1 - q^(n s))^(+-1) applied in place to the ints c below q^trunc."""
     s = Fraction(scale)
-    M = s.denominator
-    limit = Fraction(trunc)
-    result = QSeries.constant(1, limit, M, order)
+    M, limit = s.denominator, Fraction(trunc)
+    c = [1] + [0] * (_limit(limit, M) - 1)
     for n in range(1, math.ceil(limit / s)):  # n s < limit
-        e = exponent_of(n)
-        if e:
-            f = n * s
-            factor = _canonical(f.denominator, {0: 1, f.numerator: -1}, 1, limit, order)
-            result = result * factor ** e if e > 0 else result / factor ** -e
-    return result
+        e, t = exponent_of(n), n * s.numerator
+        for _ in range(abs(e)):
+            if e > 0:  # times 1 - q^(t/M): c[k] -= c[k - t] on the old values
+                c[t:] = [x - y for x, y in zip(c[t:], c)]
+            else:  # over 1 - q^(t/M): c[k] += c[k - t] walking up
+                for k in range(t, len(c)):
+                    c[k] += c[k - t]
+    return _canonical(M, dict(enumerate(c)), 1, 1, limit, order)
 
 
 def eta(trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
@@ -354,7 +365,7 @@ def eisenstein(weight, trunc, order=DEFAULT_ORDER):
     c = Fraction(-2 * weight) / bernoulli(weight)
     items = {n: c.numerator * _sigma(n, weight - 1) for n in range(1, math.ceil(trunc))}
     items[0] = c.denominator
-    return _canonical(1, items, c.denominator, Fraction(trunc), order)
+    return _canonical(1, items, c.denominator, 1, Fraction(trunc), order)
 
 
 def delta_series(trunc, order=DEFAULT_ORDER):

@@ -1,25 +1,29 @@
 """Truncated power series: one product and one division for every ring.
 
-A series is a sparse dict {exponent: nonzero coefficient}; a missing
-exponent is a zero coefficient.  Both functions drop every exponent at or
-above `limit` and are generic over the coefficient ring: the caller passes
-the ring product `times`, and the division also takes the inverse of the
-divisor's constant term.  Coefficients need only `+`, `-`, unary `-` and a
-truth value that is false exactly for zero, so ints pass through as they
-are, and so do `Cyclo` and the quotient-ring `Poly` elements of the period
-residues, which both define `__bool__`.
+A series is a sparse dict {exponent: nonzero coefficient}, cut below
+`limit`.  `mul` and `div` are generic over the coefficient ring: the caller
+passes the ring product `times`, and the division also takes the inverse of
+the divisor's constant term.  Coefficients need only `+`, `-`, unary `-`
+and a truth value that is false exactly for zero, as ints and the
+quotient-ring `Poly` elements of the period residues have.
 
-Rational data stays in integers: `div_ints` divides two integer series
-with no field inverse, by a substitution that makes the divisor's constant
-term 1 and returns the quotient as ints over one denominator.
+Exact data needs no field inverse: `div_ints` divides series of ints, or of
+rows (the phi(m) ints of an element of Q(zeta_m)) whose divisor has an int
+constant term, by a substitution that makes that term 1, and returns the
+quotient over one denominator.  On rows, `mul_rows` and the division sum
+each coefficient's row products unreduced and reduce them mod Phi_m once
+(`cyclotomic._dot`), as `poly._conv` does.
 
-Callers: `QSeries` products and quotients (so `RatFn` Taylor series and
-the Legendrian lift too) and the period residues of `equiops.operators`.
+Callers: `QSeries` products and quotients (so `RatFn` Taylor series and the
+Legendrian lift too), and, with a field inverse, the quotient ring of the
+period residues in `equiops.operators`.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul as _times
+
+from .cyclotomic import _dot, _sparse, totient
 
 
 def mul(a, b, limit, times):
@@ -36,23 +40,31 @@ def mul(a, b, limit, times):
     return {k: c for k, c in out.items() if c}
 
 
+def mul_rows(a, b, limit, m):
+    """`mul` for series of rows at conductor m."""
+    pairs, zero = {}, [0] * totient(m)
+    b = sorted((j, _sparse(v)) for j, v in b.items())
+    for i, ai in a.items():
+        ai = _sparse(ai)
+        for j, bj in b:
+            if i + j >= limit:
+                break
+            pairs.setdefault(i + j, []).append((ai, bj))
+    out = [(k, _dot(zero, p, m)) for k, p in pairs.items()]
+    return {k: v for k, v in out if any(v)}
+
+
 def div(a, b, limit, times, inv0):
     """a / b at the exponents 0 .. limit - 1 by the triangular recurrence.
 
     b has no negative exponent and its constant term b[0] has inverse
-    `inv0`; terms of a below exponent 0 are ignored.  Only exponents that
-    can carry a term are visited, in increasing order from a heap: those of
-    a's support, and k + j for a quotient term at k and a divisor term at
-    j > 0.  So the cost follows the number of terms, not `limit`, and a
-    constant divisor only scales a.
+    `inv0`; terms of a below exponent 0 are ignored.  Only the exponents of
+    `_walk` are visited, so the cost follows the number of terms, not
+    `limit`, and a constant divisor only scales a.
     """
     tail = sorted((j, c) for j, c in b.items() if j > 0)
     out = {}
-    todo = [k for k in a if 0 <= k < limit]
-    heapify(todo)
-    queued = set(todo)
-    while todo:
-        k = heappop(todo)
+    for k in _walk(a, tail, limit, out):
         acc = a.get(k)
         for j, bj in tail:
             if j > k:
@@ -65,31 +77,70 @@ def div(a, b, limit, times, inv0):
             c = times(acc, inv0)
             if c:
                 out[k] = c
-                for j, _ in tail:
-                    n = k + j
-                    if n >= limit:
-                        break
-                    if n not in queued:
-                        queued.add(n)
-                        heappush(todo, n)
     return out
 
 
-def div_ints(a, b, limit):
-    """(c, d) with a / b = c / d below `limit`, for int series a and b with
-    b[0] != 0: c an int series and d a nonzero int.
+def _walk(a, tail, limit, found):
+    """The exponents that can carry a quotient term, increasing: a's support
+    below `limit`, and k + j for each j in tail and k the caller has found."""
+    todo = [k for k in a if 0 <= k < limit]
+    heapify(todo)
+    queued = set(todo)
+    while todo:
+        k = heappop(todo)
+        yield k
+        if k in found:
+            for j, _ in tail:
+                n = k + j
+                if n >= limit:
+                    break
+                if n not in queued:
+                    queued.add(n)
+                    heappush(todo, n)
+
+
+def _div_rows(a, b, limit, m):
+    """`div` with inverse 1 for series of rows at conductor m, b[0] = 1."""
+    zero = [0] * totient(m)
+    tail = sorted((j, [(t, -x) for t, x in enumerate(v) if x]) for j, v in b.items() if j > 0)
+    out, found = {}, {}
+    for k in _walk(a, tail, limit, found):
+        c = _dot(a.get(k, zero), [(found[k - j], bj) for j, bj in tail if k - j in found], m)
+        if any(c):
+            out[k], found[k] = c, _sparse(c)
+    return out
+
+
+def div_ints(a, b, limit, m=1):
+    """(c, d) with a / b = c / d below `limit`, for series a and b of ints
+    (m = 1) or of rows at conductor m, b[0] a nonzero int (a row with a zero
+    tail): c a series of the same kind and d a nonzero int.
 
     With g the content of b and b0 = b[0] / g, the substitution x = b0 t
     gives b(x) = g b0 u(t) for u = 1 + sum_{j>0} (b_j / g) b0^(j-1) t^j, an
     int series with constant term 1.  So the quotient c' of a(b0 t) by u is
-    an int series, found by `div` with inverse 1, and coefficient k of a / b
-    is c'_k / (g b0^(k+1)), here put over d = g b0^(top+1) for the top
-    exponent of c'.
+    an int series, found by `div` with inverse 1 (`_div_rows` on rows), and
+    coefficient k of a / b is c'_k / (g b0^(k+1)), here put over
+    d = g b0^(top+1) for the top exponent of c'.
     """
-    g = gcd(*b.values())
-    b0 = b[0] // g
-    out = div({k: v * b0 ** k for k, v in a.items() if 0 <= k < limit},
-              {j: v // g * b0 ** (j - 1) if j else 1 for j, v in b.items()},
-              limit, _times, 1)
+    if m == 1:
+        g = gcd(*b.values())
+        b0 = b[0] // g
+        out = div({k: v * b0 ** k for k, v in a.items() if 0 <= k < limit},
+                  {j: v // g * b0 ** (j - 1) if j else 1 for j, v in b.items()},
+                  limit, _times, 1)
+    else:  # the same on rows
+        g = gcd(*[x for v in b.values() for x in v])
+        b0, a = b[0][0] // g, {k: v for k, v in a.items() if 0 <= k < limit}
+        u = {j: [x // g for x in v] for j, v in b.items() if j}
+        out = _div_rows(scaled(a, [b0 ** k for k in a], m),
+                        scaled(u, [b0 ** (j - 1) for j in u], m), limit, m)
     top = max(out, default=-1)
-    return {k: v * b0 ** (top - k) for k, v in out.items()}, g * b0 ** (top + 1)
+    return scaled(out, [b0 ** (top - k) for k in out], m), g * b0 ** (top + 1)
+
+
+def scaled(items, cs, m):
+    """The series `items` of ints (m = 1) or rows times the ints cs."""
+    if m == 1:
+        return {k: v * c for (k, v), c in zip(items.items(), cs)}
+    return {k: tuple([x * c for x in v]) for (k, v), c in zip(items.items(), cs)}

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pstats
 import shutil
 
 import pytest
@@ -138,6 +139,21 @@ def test_report_emission(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in data["checks"])
     ids = [c["id"] for c in data["checks"]]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_profile_writes_loadable_stats(tmp_path, capsys, command):
+    stats_path = tmp_path / "suite.prof"
+    argv = (["verify", "qseries"] if command == "verify"
+            else ["report", "--out", str(tmp_path / "r.json"), "--suite", "qseries"])
+    code, out = run(capsys, *argv, "--order", "8", "--profile", str(stats_path))
+    assert code == 0
+    assert ("suite qseries: pass" if command == "verify" else "wrote") in out
+    stats = pstats.Stats(str(stats_path))
+    # the suite ran under the profiler: run_suite and the q-series checks
+    # are among the recorded functions
+    names = {name for _, _, name in stats.stats}
+    assert "run_suite" in names and "verify_j_relation" in names
 
 
 def test_config_dir_flag(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Moebius action, equivariance checks, characters, cross-ratio."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -80,3 +82,30 @@ def test_cross_ratio_moebius_invariance():
 def test_cross_ratio_degenerate():
     with pytest.raises(Exception):
         cross_ratio(rational(1), rational(1), rational(1), rational(1))
+
+
+# -- value equality -----------------------------------------------------------
+
+def test_moebius_compares_by_value():
+    i = imag_unit()
+    for m in (Moebius(1, 2, 3, 5), Moebius(i, 2, 3 * i, 5), random_moebius(random.Random(3))):
+        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert back is not m and back == m and m == back
+            assert hash(back) == hash(m)
+            assert not back != m
+    a = Moebius(1, 2, 3, 5)
+    assert a != Moebius(1, 2, 3, 7) and Moebius(1, 2, 3, 7) != a
+    # entrywise, not projectively
+    assert a != Moebius(2, 4, 6, 10) and a.is_projectively(Moebius(2, 4, 6, 10))
+    # rational entries compare by value in any field order, hashes agree
+    assert Moebius(1, 2, 3, 5, 60) == a and a == Moebius(1, 2, 3, 5, 60)
+    assert hash(Moebius(1, 2, 3, 5, 60)) == hash(a)
+    assert len({a, Moebius(1, 2, 3, 5), Moebius(1, 2, 3, 7)}) == 2
+
+
+@pytest.mark.parametrize("other", [3, rational(3), "Moebius", (1, 2, 3, 5), None])
+def test_moebius_equality_with_foreign_operands(other):
+    a = Moebius(1, 2, 3, 5)
+    assert a.__eq__(other) is NotImplemented
+    assert a != other and other != a
+    assert not (a == other) and not (other == a)

@@ -1,5 +1,7 @@
 """Non-commutative calculus: S_n hierarchy, matrix evaluation, equivariance."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -310,3 +312,28 @@ def test_expression_reflected_operators_keep_the_left_operand_left():
     assert (r * e).eval(f) == MatFn.scalar(r, f.size, f.order) * e_f
     assert (2 + e).eval(f) == MatFn.scalar(2, f.size, f.order) + e_f
     assert (p1 * e).args[0].kind == "poly" and (r * e).args[0].kind == "scalar"
+
+
+# -- value equality of GenMoebius ---------------------------------------------
+
+def test_gen_moebius_compares_blockwise():
+    t = GenMoebius([[1, 2], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 3]])
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert back is not t and back == t and t == back
+        assert not back != t
+    u = GenMoebius([[1, 2], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 4]])
+    assert t != u and u != t
+    assert GenMoebius.identity(2) == GenMoebius.identity(2)
+    assert GenMoebius.identity(2) != GenMoebius.identity(1)
+    assert GenMoebius.identity(2) != GenMoebius.inversion(2)
+    for value in (t, GenMoebius.identity(1)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+@pytest.mark.parametrize("other", [3, rational(3), Moebius(1, 0, 0, 1), MatFn([[1]]), None])
+def test_gen_moebius_equality_with_foreign_operands(other):
+    t = GenMoebius.identity(1)
+    assert t.__eq__(other) is NotImplemented
+    assert t != other and other != t
+    assert not (t == other) and not (other == t)

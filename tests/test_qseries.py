@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from equiops import series
-from equiops.cyclotomic import Cyclo, CycloError, rational, sqrt2, sqrt5
+from equiops.cyclotomic import CycloError, rational, sqrt2, sqrt5, totient
 from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
                              hauptmodul, heins_value, j_series,
                              ramanujan_check, rogers_ramanujan, rr_equals_j5,
@@ -201,13 +201,18 @@ def reference_pair(a, b):
 
 
 def assert_canonical(s):
-    items, den = s._items, s._den
-    assert all(items.values()) and all(Fraction(k, s.M) < s.trunc for k in items)
-    if all(type(v) is int for v in items.values()):
-        assert den > 0 and math.gcd(den, *items.values()) == 1
+    # the store of Poly: ints at m = 1, else rows of phi(m) ints with one
+    # irrational, over den > 0 prime to all the ints
+    items, den, m = s._items, s._den, s._m
+    assert all(Fraction(k, s.M) < s.trunc for k in items) and den > 0
+    if m == 1:
+        assert all(type(v) is int and v for v in items.values())
+        assert math.gcd(den, *items.values()) == 1
     else:
-        assert den == 1 and all(isinstance(v, Cyclo) for v in items.values())
-        assert not all(v.is_rational for v in items.values())
+        rows = list(items.values())
+        assert all(type(r) is tuple and len(r) == totient(m) and any(r) for r in rows)
+        assert math.gcd(den, *[x for r in rows for x in r]) == 1
+        assert any(any(r[1:]) for r in rows)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -275,7 +280,8 @@ def test_reciprocals_match_cyclo_reference(name):
 def test_rational_results_of_irrational_data_are_int_stored():
     s2 = sqrt2()
     root = QSeries(1, {1: s2}, 5)
-    assert root._den == 1 and root._items == {1: s2}
+    assert (root._items, root._den, root._m) == ({1: (0, 1, 0, -1)}, 1, 8)
+    assert root.coeffs == {1: s2}
     square = root * root
     built = QSeries.q_power(2, 6) * 2
     assert square == built
