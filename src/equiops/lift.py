@@ -13,7 +13,7 @@ returned as lists, coefficient k of t^k at index k.
 from __future__ import annotations
 
 from .cyclotomic import Cyclo, rational
-from .operators import _pre_schwarzian, _schwarzian, _theta
+from .operators import _theta, pre_schwarzian, schwarzian
 from .qseries import QSeries
 
 
@@ -119,8 +119,8 @@ def legendrian_lift_series(f, theta=None, p=None, n=8):
         raise ValueError("p is not a regular point of (f, theta)")
     if not isinstance(f(p), Cyclo):
         raise ValueError("f(p) must be finite; precompose with a Moebius move")
-    phi = _pre_schwarzian(fd, theta)
-    s = _schwarzian(phi, theta)
+    phi = pre_schwarzian(f, theta)
+    s = schwarzian(f, theta)
 
     alpha = theta.alpha.taylor_series(p, n)
     if alpha.valuation:

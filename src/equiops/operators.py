@@ -5,6 +5,19 @@ brackets, Klein's vector-field construction, and period residues.
 Every operator is relative to a meromorphic 1-form theta = alpha dz with
 dual vector field X = (1/alpha) d/dz; the plain-dz versions are the
 default theta.  Dots in formulas always mean X-derivatives.
+
+D, phi, S and the deformation work on the forms of f = N/D and alpha =
+A/B.  With the Wronskians W = N'D - ND' and K = A'B - AB' (fd = B W/(A D^2),
+alpha'/alpha = K/(AB)) and the linear operator
+
+    L(y) = AB (y W' - 2 y' W) - K W y,
+
+fdd/fd = L(D)/(A^2 W D), so phi = -L(D)/(2 A^2 W D); and as D L(N) - N L(D)
+= -2 AB W^2, the D operator is [N : D] -> [L(N) : L(D)], the Wronskian form
+of the Schwarzian (Ovsienko-Tabachnikov, Projective Differential Geometry
+Old and New, 2005).  Each operator builds its numerator and denominator as
+polynomials and reduces once with `RatFn(num, den)`; a reduced value is
+canonical, so it is the value of the chain of RatFn operations.
 """
 
 from __future__ import annotations
@@ -48,37 +61,55 @@ class FormCoeff:
 
 
 def _theta(theta, order):
+    """theta as a FormCoeff: dz for None, else theta or its coefficient alpha
+    (a RatFn, Poly or scalar)."""
     if theta is None:
         return FormCoeff.dz(order)
-    if isinstance(theta, RatFn):
-        return FormCoeff(theta)
-    return theta
+    return theta if isinstance(theta, FormCoeff) else FormCoeff(theta)
+
+
+def _wronskian(f, message):
+    """W = N'D - ND' of f = N/D; ArithmeticError for the constant infinity,
+    ValueError(message) where W vanishes (f constant)."""
+    if f.is_infinity:
+        raise ArithmeticError("derivative of the constant infinity")
+    w = f.wronskian_poly()
+    if w.is_zero:
+        raise ValueError(message)
+    return w
+
+
+def _operator_l(w, theta):
+    """A and L(y) = P y - Q y' for theta = (A/B) dz, with P = AB W' - K W
+    and Q = 2 AB W; see the module docstring."""
+    a, b = theta.alpha.num, theta.alpha.den
+    ab = a * b
+    p = ab * w.derivative() - theta.alpha.wronskian_poly() * w
+    q = ab * w * 2
+    return a, lambda y: p * y - q * y.derivative()
 
 
 def pre_schwarzian(f, theta=None):
-    """phi = -(1/2) fdd/fd with dots along X."""
+    """phi = -(1/2) fdd/fd with dots along X, that is -L(D)/(2 A^2 W D)."""
     theta = _theta(theta, f.order)
-    fd = theta.xderiv(f)
-    if fd.is_zero:
-        raise ValueError("pre-Schwarzian of a constant")
-    return _pre_schwarzian(fd, theta)
-
-
-def _pre_schwarzian(fd, theta):
-    """phi from fd = X(f), nonzero."""
-    return -theta.xderiv(fd) / (fd * 2)
+    w = _wronskian(f, "pre-Schwarzian of a constant")
+    a, l = _operator_l(w, theta)
+    return RatFn(-l(f.den), a * a * w * f.den * 2)
 
 
 def schwarzian(f, theta=None):
     """S = X(phi) + phi^2, the theta-coefficient of the quadratic
-    differential S theta^2."""
+    differential S theta^2: (-(2 W W'' - 3 W'^2 + 4 W (N''D' - N'D'')) A^2 B^2
+    + (2 K' AB - 2 K (AB)' - K^2) W^2) / (4 A^4 W^2) in the module's forms."""
     theta = _theta(theta, f.order)
-    return _schwarzian(pre_schwarzian(f, theta), theta)
-
-
-def _schwarzian(phi, theta):
-    """S from the pre-Schwarzian phi."""
-    return theta.xderiv(phi) + phi * phi
+    w = _wronskian(f, "pre-Schwarzian of a constant")
+    n1, d1, w1 = f.num.derivative(), f.den.derivative(), w.derivative()
+    z_part = (w * w1.derivative() * 2 - w1 * w1 * 3
+              + w * (n1.derivative() * d1 - n1 * d1.derivative()) * 4)
+    a, b = theta.alpha.num, theta.alpha.den
+    k, ab, a2, w2 = theta.alpha.wronskian_poly(), a * b, a * a, w * w
+    form_part = (k.derivative() * ab - k * ab.derivative()) * 2 - k * k
+    return RatFn(form_part * w2 - z_part * ab * ab, a2 * a2 * w2 * 4)
 
 
 class DResult(RatFn):
@@ -93,40 +124,35 @@ class DResult(RatFn):
 
 
 def d_operator(f, theta=None):
-    """D f = f - 2 fd^2/fdd, the projectively equivariant dual of f.
+    """D f = f - 2 fd^2/fdd = L(N)/L(D), the projectively equivariant dual
+    of f.
 
-    When fdd vanishes identically the dual is the constant infinity; when
-    the dual is any other constant the input is likewise degenerate, and
-    both cases are flagged rather than raised.
+    Where fdd vanishes identically, L(D) = 0 and the dual is the constant
+    infinity; when the dual is any other constant the input is likewise
+    degenerate, and both cases are flagged rather than raised.
     """
     theta = _theta(theta, f.order)
-    fd = theta.xderiv(f)
-    if fd.is_zero:
-        raise ValueError("D of a constant")
-    fdd = theta.xderiv(fd)
-    if fdd.is_zero:
-        return DResult(RatFn.infinity(f.order), True)
-    value = f - (fd * fd * 2) / fdd
+    _, l = _operator_l(_wronskian(f, "D of a constant"), theta)
+    value = RatFn(l(f.num), l(f.den))
     return DResult(value, value.is_constant)
 
 
 def deform_corollary(f, g, h):
     """f + fd (h - (1/2) fd^-1 fdd)^-1 along X = (1/g') d/dz.
 
+    With h = Hn/Hd and c = 2 A^2 W Hn it is (c N - Hd L(N))/(c D - Hd L(D)).
     h = 0 gives the D operator relative to dg; h ranges over functions of
     an absolute invariant in the equivariant application.
     """
     theta = FormCoeff.d_of(g) if not isinstance(g, FormCoeff) else g
     if not isinstance(h, RatFn):
         h = RatFn.constant(h, f.order)
-    fd = theta.xderiv(f)
-    if fd.is_zero:
-        raise ValueError("deformation of a constant")
-    fdd = theta.xderiv(fd)
-    den = h - fdd / (fd * 2)
-    if den.is_zero:
-        return DResult(RatFn.infinity(f.order), True)
-    value = f + fd / den
+    w = _wronskian(f, "deformation of a constant")
+    if h.is_infinity:
+        raise ArithmeticError("arithmetic with the constant infinity")
+    a, l = _operator_l(w, theta)
+    c = a * a * w * h.num * 2
+    value = RatFn(c * f.num - h.den * l(f.num), c * f.den - h.den * l(f.den))
     return DResult(value, value.is_constant)
 
 
@@ -135,24 +161,22 @@ def dd_deformation_h(f, theta=None):
 
     Closed form -2 S^2 / X(S) where S = X(phi) + phi^2; with this S
     normalization the factor 2 is forced (derivable by eliminating fdd via
-    fdd = -2 phi fd).
+    fdd = -2 phi fd).  For S = P/Q, X(S) = B (P'Q - PQ')/(A Q^2), so
+    H = -2 P^2 A/(B (P'Q - PQ')), reduced once.
     """
     theta = _theta(theta, f.order)
     s = schwarzian(f, theta)
-    ds = theta.xderiv(s)
-    if ds.is_zero:
+    ws = s.wronskian_poly()
+    if ws.is_zero:
         raise ValueError("Schwarzian with vanishing X-derivative")
-    return -(s * s * 2) / ds
+    return RatFn(s.num * s.num * theta.alpha.num * -2, theta.alpha.den * ws)
 
 
 def phi_operator(alpha, k):
     """z + k alpha/alpha', sending a weight-k form to an equivariant map."""
     if not isinstance(alpha, RatFn):
         alpha = RatFn(alpha)
-    ad = alpha.derivative()
-    if ad.is_zero:
-        raise ValueError("form with vanishing derivative")
-    return RatFn.x(alpha.order) + (alpha * k) / ad
+    return _phi(alpha, RatFn.constant(0, alpha.order), k, "form with vanishing derivative")
 
 
 def phi_biweight(alpha, beta, k):
@@ -161,10 +185,21 @@ def phi_biweight(alpha, beta, k):
         alpha = RatFn(alpha)
     if not isinstance(beta, RatFn):
         beta = RatFn(beta) if isinstance(beta, Poly) else RatFn.constant(beta, alpha.order)
-    den = alpha.derivative() + beta
+    return _phi(alpha, beta, k, "degenerate denominator alpha' + beta")
+
+
+def _phi(alpha, beta, k, message):
+    """z + k alpha/(alpha' + beta) with one reduction: for alpha = A/B and
+    beta = C/E it is (z G + k A B E)/G with G = K E + C B^2."""
+    if alpha.is_infinity:
+        raise ArithmeticError("derivative of the constant infinity")
+    if beta.is_infinity:
+        raise ArithmeticError("arithmetic with the constant infinity")
+    a, b = alpha.num, alpha.den
+    den = alpha.wronskian_poly() * beta.den + beta.num * b * b
     if den.is_zero:
-        raise ValueError("degenerate denominator alpha' + beta")
-    return RatFn.x(alpha.order) + (alpha * k) / den
+        raise ValueError(message)
+    return RatFn(Poly.x(alpha.order) * den + a * b * beta.den * k, den)
 
 
 def general_binomial(x, m):

@@ -57,19 +57,17 @@ def random_poly(rng, degree, order=DEFAULT_ORDER):
 
 
 def random_ratfn(rng, max_degree=6, order=DEFAULT_ORDER):
-    """Random non-degenerate rational function (fdd != 0, f non-Moebius)."""
+    """Random non-degenerate rational function (fdd != 0, f non-Moebius);
+    every map of degree below 2 is Moebius, so max_degree must be >= 2."""
+    if max_degree < 2:
+        raise ValueError("random_ratfn needs max_degree >= 2, got %r" % (max_degree,))
     while True:
         nd = rng.randint(1, max_degree)
         dd = rng.randint(0, max_degree - 1)
         f = RatFn(random_poly(rng, nd, order), random_poly(rng, dd, order))
-        if f.is_constant or f.is_infinity:
-            continue
-        fd = f.derivative()
-        if fd.is_zero or fd.derivative().is_zero:
-            continue
-        if schwarzian(f).is_zero:
-            continue
-        return f
+        # an affine f, the one with fdd = 0, is Moebius: S(f) = 0
+        if not f.is_constant and not schwarzian(f).is_zero:
+            return f
 
 
 def random_moebius(rng, order=DEFAULT_ORDER):
