@@ -27,7 +27,7 @@ from .ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, Theorem2Operator,
                     deform_family, gen_moebius_apply, nc_d_operator,
                     nc_derive, nc_eval, nc_phi_deform, q_compose_step,
                     s_poly, theorem2_substitute)
-from .operators import (DResult, FormCoeff, ZeroDivisorError, d_operator,
+from .operators import (DResult, FormCoeff, d_operator,
                         dd_deformation_h, deform_corollary, klein_vector_field,
                         period_residues, phi_biweight, phi_operator,
                         pre_schwarzian, rankin_cohen, schwarzian)

@@ -9,11 +9,9 @@ splitting until supports line up.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import Cyclo, rational
 from .poly import Poly
-from .ratfn import INF, RatFn
+from .ratfn import INF
 
 
 class Place:

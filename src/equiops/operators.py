@@ -17,7 +17,13 @@ fdd/fd = L(D)/(A^2 W D), so phi = -L(D)/(2 A^2 W D); and as D L(N) - N L(D)
 of the Schwarzian (Ovsienko-Tabachnikov, Projective Differential Geometry
 Old and New, 2005).  Each operator builds its numerator and denominator as
 polynomials and reduces once with `RatFn(num, den)`; a reduced value is
-canonical, so it is the value of the chain of RatFn operations.
+canonical, so it is the value of the chain of RatFn operations.  Klein's
+vector field is the biweight phi-operator, with a flag for its degenerate
+cases.
+
+Period residues are `series` quotients of Taylor expansions at the roots of
+each squarefree factor s of the pole divisor, on `Poly` coefficients
+reduced mod s; the one inverse mod s is an extended Euclid over Q(zeta).
 """
 
 from __future__ import annotations
@@ -248,8 +254,8 @@ def klein_vector_field(alpha, a, beta=None):
     alpha lifts to A = z2^a alpha(z1/z2) and beta to B = z2^(a-2)
     beta(z1/z2); the projectivized field (d_z2 A - B z1, -d_z1 A - B z2)
     at z2 = 1 gives the map (a alpha - z alpha' - z beta)/(-alpha' - beta),
-    which coincides with the biweight operator at weight -a.  A constant
-    result is flagged degenerate.
+    the biweight operator at weight -a.  A constant result is flagged
+    degenerate; where alpha' + beta = 0 it is the constant infinity.
     """
     if not isinstance(alpha, Poly):
         raise TypeError("alpha must be a polynomial")
@@ -260,57 +266,15 @@ def klein_vector_field(alpha, a, beta=None):
         beta = Poly.zero(order)
     if beta.degree > a - 2:
         raise ValueError("beta exceeds degree a - 2")
-    z = Poly.x(order)
-    num = alpha.scale(rational(a, order)) - z * alpha.derivative() - z * beta
-    den = -alpha.derivative() - beta
-    if num.is_zero and den.is_zero:
-        raise ValueError("identically degenerate field")
-    value = RatFn(num, den)
-    return DResult(value, value.is_constant or value.is_infinity)
+    if (alpha.derivative() + beta).is_zero:  # the map is a alpha / 0
+        if alpha.is_zero:
+            raise ValueError("identically degenerate field")
+        return DResult(RatFn.infinity(order), True)
+    value = phi_biweight(alpha, beta, -a)
+    return DResult(value, value.is_constant)
 
 
 # -- period residues --------------------------------------------------
-
-
-class _QuotientRing:
-    """Q(zeta)[z] modulo a monic squarefree polynomial s.
-
-    Elements are Polys of degree < deg s.  Inversion can fail when s is
-    reducible and the element is a zero divisor; the failure carries the
-    discovered factor so callers can split s and retry.
-    """
-
-    def __init__(self, s):
-        self.s = s
-        self.order = s.order
-
-    def reduce(self, p):
-        return p % self.s
-
-    def mul(self, a, b):
-        return (a * b) % self.s
-
-    def inverse(self, a):
-        # extended Euclid on (a, s)
-        s = self.s
-        r0, r1 = s, self.reduce(a)
-        t0, t1 = Poly.zero(self.order), Poly.one(self.order)
-        while not r1.is_zero:
-            lead = r1.leading.inverse()
-            r1m, t1m = r1.scale(lead), t1.scale(lead)
-            q, r = r0.divmod(r1m)
-            r0, r1 = r1m, r
-            t0, t1 = t1m, t0 - q * t1m
-        # r0 = gcd(a, s); t0 a == r0 (mod s)
-        if r0.degree > 0:
-            raise ZeroDivisorError(r0)
-        return t0.scale(r0.coeffs[0].inverse()) % s
-
-
-class ZeroDivisorError(ArithmeticError):
-    def __init__(self, factor):
-        super().__init__("zero divisor modulo reducible place")
-        self.factor = factor
 
 
 def period_residues(f, fhat):
@@ -320,6 +284,12 @@ def period_residues(f, fhat):
     where period = 2 * residue; for fhat = D f every period is an integer,
     which is the well-definedness criterion for the primitive.  Bundle
     places report a Poly value when the residue varies over the bundle.
+
+    For each factor s of Yun's decomposition of den = s^mult u, the residue
+    at a root x of s is coefficient mult - 1 of num(x+t) / (u(x+t)
+    (s(x+t)/t)^mult), a series over Q(zeta)[z]/(s).  Yun's factors are
+    squarefree and pairwise coprime, so u s'^mult, the constant term of the
+    divisor, is a unit mod s.
     """
     if not isinstance(fhat, RatFn):
         fhat = RatFn.constant(fhat, f.order)
@@ -330,12 +300,20 @@ def period_residues(f, fhat):
     bound = 2 * (f.num.degree + f.den.degree) + 4
     out = []
     for s, mult in g.den.squarefree_decomposition():
-        for piece, value in _residues_at(g.num, g.den, s, mult):
-            period = value + value
-            if isinstance(period, Poly) and period.degree > 0:
-                out.extend(_split_by_integer_values(piece, period, bound))
-            else:
-                out.append((Place.bundle(piece), period))
+        u = g.den.exact_div(s ** mult)
+        # s(x + t) has no constant term; s_div_t is s(x + t) / t
+        s_div_t = {k - 1: c for k, c in _shift_series(s, s, mult + 1).items()}
+        den = _shift_series(u, s, mult)
+        for _ in range(mult):
+            den = {k: c % s for k, c in series.mul(den, s_div_t, mult).items()}
+        quotient = series.div(_shift_series(g.num, s, mult), den, mult,
+                              _inverse_mod(den[0], s))
+        value = quotient.get(mult - 1, Poly.zero(s.order)) % s
+        if value.degree > 0:
+            out.extend(_split_by_integer_values(s, value + value, bound))
+        else:
+            c = value.constant_value()
+            out.append((Place.bundle(s), c + c))
     return out
 
 
@@ -357,57 +335,30 @@ def _split_by_integer_values(piece, period, bound):
     return out
 
 
-def _residues_at(num, den, s, mult):
-    """Residues of num/den at the roots of the squarefree factor s, which
-    divides den exactly `mult` times.  Yields (sub-place, value in the
-    quotient ring); splits s on zero divisors."""
-    order = s.order
-    u = den
-    for _ in range(mult):
-        u = u.exact_div(s)
-    ring = _QuotientRing(s)
-    try:
-        value = _residue_value(ring, num, u, s, mult)
-    except ZeroDivisorError as exc:
-        s1 = exc.factor
-        if s1.degree >= s.degree:
-            raise
-        s2 = s.exact_div(s1)
-        yield from _residues_at(num, den, s1.monic(), mult)
-        yield from _residues_at(num, den, s2.monic(), mult)
-        return
-    const = value.coeffs[0] if not value.is_zero else rational(0, order)
-    if value.degree <= 0:
-        yield s, const
-    else:
-        yield s, value
+def _inverse_mod(a, s):
+    """a^-1 mod the monic s for a prime to s: the monic extended Euclid over
+    Q(zeta), whose last remainder is 1."""
+    r0, r1 = s, a % s
+    t0, t1 = Poly.zero(s.order), Poly.one(s.order)
+    while not r1.is_zero:
+        lead = r1.leading.inverse()
+        r1m, t1m = r1.scale(lead), t1.scale(lead)
+        q, r = r0.divmod(r1m)
+        r0, r1 = r1m, r
+        t0, t1 = t1m, t0 - q * t1m
+    return t0 % s
 
 
-def _residue_value(ring, num, u, s, mult):
-    """Coefficient of t^(mult-1) in num(x+t) / (u(x+t) (s(x+t)/t)^mult),
-    computed in ring[[t]] with x the residue class of z."""
-    n = mult  # series length needed
-    zero = Poly.zero(ring.order)
-    # s(x+t) has zero constant term; divide by t
-    s_div_t = {k - 1: c for k, c in _shift_series(ring, s, n + 1).items() if k}
-    den = _shift_series(ring, u, n)
-    for _ in range(mult):
-        den = series.mul(den, s_div_t, n, ring.mul)
-    value = series.div(_shift_series(ring, num, n), den, n, ring.mul,
-                       ring.inverse(den.get(0, zero)))
-    return value.get(n - 1, zero)
-
-
-def _shift_series(ring, p, n):
-    """First n Taylor coefficients of p(x + t) as a sparse series over
-    the ring: coefficient k is p^(k)/k! reduced mod s."""
+def _shift_series(p, s, n):
+    """First n Taylor coefficients of p(x + t), x the class of z mod s, as a
+    sparse series: coefficient k is p^(k)/k! reduced mod s."""
     out = {}
     factorial = 1
     for k in range(n):
         if k:
             p = p.derivative()
             factorial *= k
-        c = ring.reduce(p)
+        c = p % s
         if not c.is_zero:
             out[k] = c.scale(Fraction(1, factorial))
     return out

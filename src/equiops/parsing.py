@@ -17,8 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, _sized, rational, zeta
-from .poly import Poly
+from .cyclotomic import DEFAULT_ORDER, _sized, zeta
 from .ratfn import RatFn
 
 _TOKEN = re.compile(r"\s*(zeta|inf|z|\d+|\^|[()+\-*/])")

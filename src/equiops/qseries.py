@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from fractions import Fraction
 from itertools import repeat
 
@@ -201,7 +200,7 @@ class QSeries:
         a, b = self._common(o)
         trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
         limit, m = _limit(trunc, a.M), a._m
-        out = (series.mul(a._items, b._items, limit, operator.mul) if m == 1
+        out = (series.mul(a._items, b._items, limit) if m == 1
                else series.mul_rows(a._items, b._items, limit, m))
         return _normalised(a.M, out, a._den * b._den, m, trunc, a.order)
 

@@ -1,11 +1,10 @@
-"""Truncated power series: one product and one division for every ring.
+"""Truncated power series: one product and one division.
 
 A series is a sparse dict {exponent: nonzero coefficient}, cut below
-`limit`.  `mul` and `div` are generic over the coefficient ring: the caller
-passes the ring product `times`, and the division also takes the inverse of
-the divisor's constant term.  Coefficients need only `+`, `-`, unary `-`
-and a truth value that is false exactly for zero, as ints and the
-quotient-ring `Poly` elements of the period residues have.
+`limit`.  `mul` and `div` multiply coefficients with `*`, and the division
+also takes the inverse of the divisor's constant term.  Coefficients need
+only `+`, `-`, `*`, unary `-` and a truth value that is false exactly for
+zero, as ints, `Cyclo` and `Poly` values have.
 
 Exact data needs no field inverse: `div_ints` divides series of ints, or of
 rows (the phi(m) ints of an element of Q(zeta_m)) whose divisor has an int
@@ -15,18 +14,17 @@ each coefficient's row products unreduced and reduce them mod Phi_m once
 (`cyclotomic._dot`), as `poly._conv` does.
 
 Callers: `QSeries` products and quotients (so `RatFn` Taylor series and the
-Legendrian lift too), and, with a field inverse, the quotient ring of the
-period residues in `equiops.operators`.
+Legendrian lift too), and the period residues in `equiops.operators`, on
+`Poly` coefficients that the caller reduces mod a squarefree factor.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul as _times
 
 from .cyclotomic import _dot, _sparse, totient
 
 
-def mul(a, b, limit, times):
+def mul(a, b, limit):
     """a * b below exponent `limit`."""
     out = {}
     b = sorted(b.items())  # each row stops at the first exponent >= limit
@@ -35,7 +33,7 @@ def mul(a, b, limit, times):
             k = i + j
             if k >= limit:
                 break
-            c = times(ai, bj)
+            c = ai * bj
             out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if c}
 
@@ -54,7 +52,7 @@ def mul_rows(a, b, limit, m):
     return {k: v for k, v in out if any(v)}
 
 
-def div(a, b, limit, times, inv0):
+def div(a, b, limit, inv0):
     """a / b at the exponents 0 .. limit - 1 by the triangular recurrence.
 
     b has no negative exponent and its constant term b[0] has inverse
@@ -71,10 +69,10 @@ def div(a, b, limit, times, inv0):
                 break
             c = out.get(k - j)
             if c is not None:
-                term = times(bj, c)
+                term = bj * c
                 acc = -term if acc is None else acc - term
         if acc is not None:
-            c = times(acc, inv0)
+            c = acc * inv0
             if c:
                 out[k] = c
     return out
@@ -128,7 +126,7 @@ def div_ints(a, b, limit, m=1):
         b0 = b[0] // g
         out = div({k: v * b0 ** k for k, v in a.items() if 0 <= k < limit},
                   {j: v // g * b0 ** (j - 1) if j else 1 for j, v in b.items()},
-                  limit, _times, 1)
+                  limit, 1)
     else:  # the same on rows
         g = gcd(*[x for v in b.values() for x in v])
         b0, a = b[0][0] // g, {k: v for k, v in a.items() if 0 <= k < limit}

@@ -1,6 +1,7 @@
 """equiops depends on the standard library alone (pyproject declares no
 dependencies): every absolute import in src/equiops, at module level or
-inside a function, names a standard-library module."""
+inside a function, names a standard-library module.  Every module but
+`__init__.py` reads each name it imports at module level."""
 
 import ast
 import sys
@@ -29,3 +30,26 @@ def test_imports_only_the_standard_library(path):
     foreign = sorted({name for name in absolute_imports(path)
                       if name.split(".")[0] not in sys.stdlib_module_names})
     assert not foreign, "%s imports %s" % (path.name, ", ".join(foreign))
+
+
+def module_level_imports(tree):
+    """(bound name, line) of every import statement in the module body,
+    `from __future__` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_level_imports_are_read(path):
+    # __init__.py imports to re-export; every other module reads what it imports
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = ["%s (line %d)" % (name, line) for name, line in module_level_imports(tree)
+              if name not in read]
+    assert not unread, "%s never reads %s" % (path.name, ", ".join(unread))

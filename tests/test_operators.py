@@ -56,6 +56,21 @@ def test_phi_biweight_matches_vector_field():
         RatFn(v5, Poly.one(v5.order)), RatFn(zero, Poly.one(v5.order)), -12)
 
 
+def test_klein_vector_field_degenerate_cases():
+    z = parse_poly("z")
+    # alpha' + beta = 0: the map is 4 z^2 / 0, the flagged constant infinity
+    inf = klein_vector_field(z * z, 4, z.scale(-2))
+    assert inf.degenerate and inf.is_infinity
+    with pytest.raises(ValueError, match="identically degenerate"):
+        klein_vector_field(Poly.zero(z.order), 4)
+    with pytest.raises(ValueError, match="beta exceeds"):
+        klein_vector_field(z * z, 4, z ** 3)
+    with pytest.raises(TypeError):
+        klein_vector_field(parse_ratfn("z"), 4)
+    constant = klein_vector_field(z ** 3, 3)
+    assert constant.degenerate and constant == RatFn.constant(0, z.order)
+
+
 def test_general_binomial_negative():
     # falling factorial: (-6)(-7)/2
     assert general_binomial(Fraction(-6), 2) == Fraction(21)
@@ -125,6 +140,17 @@ def test_period_residues_examples():
     assert [(p.data, v.as_fraction()) for p, v in period_residues(
         parse_ratfn("z^3"), parse_ratfn("-2*z^3"))] == [(rational(0), 2)]
     assert period_residues(parse_ratfn("z"), parse_ratfn("z + 1")) == []
+
+
+def test_period_residues_at_multiple_poles():
+    # fhat = D f gives only simple poles; these g = f'/(f - fhat) have poles
+    # of order 2 and 3, with a non-integer period varying over a bundle
+    z = parse_ratfn("z")
+    assert repr(period_residues(z, z - z * z * (z - 1))) == "[(Place(1), 2), (Place(0), -2)]"
+    assert repr(period_residues(z, z - (z * z + 1) ** 2 * (z - 2))) == (
+        "[(Place(2), 2/25), (Place(roots of z^2 + 1), (7/25)*z - 1/25)]")
+    assert repr(period_residues(z * z, z * z - (z * z - 2) ** 3 * z)) == (
+        "[(Place(roots of z^2 - 2), (3/32)*z)]")
 
 
 def _replay_script():

@@ -2,7 +2,6 @@
 
 import copy
 import math
-import operator
 import pickle
 import random
 from fractions import Fraction
@@ -95,7 +94,7 @@ def taylor_reference(f, p, n):
     zp = Poly((p, 1), f.order)
     num, den = f.num(zp), f.den(zp)
     sparse = lambda q: {k: c for k, c in enumerate(q.coeffs) if not c.is_zero}
-    out = series.div(sparse(num), sparse(den), n, operator.mul,
+    out = series.div(sparse(num), sparse(den), n,
                      den.coeffs[0].inverse())
     return [out.get(k, rational(0, f.order)) for k in range(n)]
 
@@ -314,6 +313,30 @@ def test_gcd_matches_monic_euclid(name):
 @example(*cubic_shape("i"))
 def test_irrational_gcd_identities(a, b, c):
     assert_gcd_identity(a, b, c)
+
+
+# -- squarefree decomposition over Q, Q(sqrt 5) and Q(zeta) ------------------
+
+SQUAREFREE_FIELDS = {"Q": rational(0), "sqrt5": sqrt5(), "zeta": zeta(120, 1)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(SQUAREFREE_FIELDS))
+def test_squarefree_factors_are_monic_squarefree_and_coprime(name, seed):
+    # period_residues inverts u s'^i mod each factor s of den = s^i u, a unit
+    # because the factors are squarefree and pairwise coprime
+    rng = random.Random("squarefree:%s:%d" % (name, seed))
+    a, b, c = (seeded_field_poly(rng, rng.randint(1, 2), SQUAREFREE_FIELDS[name])
+               for _ in range(3))
+    p = a * a * b ** 3 * c ** 3
+    parts = p.squarefree_decomposition()
+    assert max(i for _, i in parts) >= 3
+    product = Poly.one(p.order)
+    for k, (f, i) in enumerate(parts):
+        assert f.is_monic and f.is_squarefree()
+        assert all(f.gcd(g).degree == 0 for g, _ in parts[k + 1:])
+        product = product * f ** i
+    assert product == p.monic()
 
 
 # -- field orders -------------------------------------------------------------

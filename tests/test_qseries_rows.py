@@ -10,7 +10,6 @@ divisor's lead, on dicts of `Cyclo`.
 """
 
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -94,7 +93,7 @@ def ref_sum(a, b, sign=1):
 def ref_product(a, b):
     M = math.lcm(a.M, b.M)
     trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-    return M, series.mul(view(a, M), view(b, M), _limit(trunc, M), operator.mul), trunc
+    return M, series.mul(view(a, M), view(b, M), _limit(trunc, M)), trunc
 
 
 def ref_quotient(a, b):
@@ -106,7 +105,7 @@ def ref_quotient(a, b):
     vb = Fraction(sb, M)
     trunc = min(a.trunc - vb, b.trunc - 2 * vb + a.valuation)
     out = series.div({k - sa: c for k, c in x.items()}, {j - sb: c for j, c in y.items()},
-                     _limit(trunc, M) - sa + sb, operator.mul, y[sb].inverse())
+                     _limit(trunc, M) - sa + sb, y[sb].inverse())
     return M, {k + sa - sb: c for k, c in out.items()}, trunc
 
 
@@ -236,8 +235,8 @@ def reference_eta_product(exponent_of, trunc, scale):
     for n in range(1, math.ceil(trunc / scale)):
         e, factor = exponent_of(n), {0: 1, n * scale.numerator: -1}
         for _ in range(abs(e)):
-            out = (series.mul(out, factor, limit, operator.mul) if e > 0
-                   else series.div(out, factor, limit, operator.mul, 1))
+            out = (series.mul(out, factor, limit) if e > 0
+                   else series.div(out, factor, limit, 1))
     return M, {k: rational(c) for k, c in out.items() if c}
 
 
