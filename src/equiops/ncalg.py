@@ -5,20 +5,41 @@ its higher companions), the derivation and q-composition producing the S_n
 hierarchy, evaluation on matrices of rational functions, the generalized
 Moebius action, and the non-commutative D operator and its deformations.
 
-Each concept has one implementation: one determinant (`_det`) for `MatFn`
-and `GenMoebius`, one singularity check (`MatFn.inverse` raises
-`ZeroDivisionError`), one table of p_k(f) per evaluation
-(`phi_generators`), and one Phi path (`nc_phi_deform`), shared by the
-Theorem-2 operators and the deformation family (Phi with H = 1/t).
+The operators work on polynomial-matrix forms and reduce each output entry
+once with `RatFn(num, den)`; a reduced value is canonical, so this equals
+the chain of reduced `MatFn` products and inverses.  Write f = N/q, q the
+lcm of the entry denominators.  W_0 = N and W_(j+1) = W_j' q - (j+1) W_j q'
+give f^(j) = W_j / q^(j+1), and with delta = det W_1, fdot^-1 = q^2
+adj(W_1) / delta.  So p_k = -P_k / (2 q^k delta), P_k = adj(W_1) W_(k+1),
+a word p_k1 ... p_kr is (-1/2)^r P_k1 ... P_kr over q^|w| delta^r (|w| its
+weight, r its length), and H(f) is one sum over q^W delta^R, the largest
+weight and length.  With X_k = -(1/2) f^(k+1) = fdot p_k, H + p_1 =
+fdot^-1 G, a word of G being (-1/2)^r W_(k1+1) P_k2 ... P_kr over
+q^(|w|+2) delta^(r-1) and a scalar c giving c fdot = c W_1 / q^2.  For
+G = G_n / (e q^a delta^b),
+
+    Phi_X H = f + fdot G^-1 fdot
+            = (N det G_n + e delta^b q^(a-3) W_1 adj(G_n) W_1) / (q det G_n);
+
+D f is the case G = -(1/2) fddot = -W_2 / (2 q^3), which needs no delta,
+the deformation family f_t the case H = 1/t, and (a f + b)(c f + d)^-1 is
+(a N + b q) adj(c N + d q) / det(c N + d q).  A form is a polynomial
+matrix over e q^a delta^b: exponents add in products and take their
+maximum in sums, where the e take their lcm.  An `NCExpr` is evaluated
+node by node, an inverse by adjugate, and G distributes over the sums of
+the bracket.  One determinant (`_det`) and one adjugate (`_adj_det`) serve
+the forms, `MatFn` and `GenMoebius`; a singular matrix raises
+`ZeroDivisionError`.
 """
 
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from operator import add, mul
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, rational
 from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, _cancel
 
 # -- free algebra -----------------------------------------------------
 
@@ -78,15 +99,11 @@ class NCPoly:
 
     def __sub__(self, other):
         other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -125,10 +142,7 @@ class NCPoly:
         return ws.pop()
 
     def coefficient_sum(self):
-        total = 0
-        for coeff in self.terms.values():
-            total = total + coeff
-        return total
+        return sum(self.terms.values(), 0)
 
     def classical_limit(self):
         """Project onto the commutative quotient: sort each word."""
@@ -137,9 +151,6 @@ class NCPoly:
             key = tuple(sorted(word))
             terms[key] = terms.get(key, 0) + coeff
         return NCPoly(terms)
-
-    def max_generator(self):
-        return max((max(w) for w in self.terms if w), default=0)
 
     def canonical_text(self):
         """Golden-file format: `p3 + 4 p2 p1 + 4 p1 p2 + 12 p1^3`.
@@ -177,16 +188,8 @@ def _as_nc(value):
 
 
 def _word_text(word):
-    pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        pieces.append("p%d" % word[i] if run == 1 else "p%d^%d" % (word[i], run))
-        i = j
-    return " ".join(pieces)
+    runs = [(k, len(list(group))) for k, group in groupby(word)]
+    return " ".join("p%d" % k if run == 1 else "p%d^%d" % (k, run) for k, run in runs)
 
 
 def _monomial_text(word, coeff, leading):
@@ -254,17 +257,37 @@ def _minor(rows, i, j):
 
 
 def _det(rows):
-    """Determinant of a square list matrix of Cyclo or RatFn entries, by
-    Laplace expansion along the first row."""
+    """Determinant of a square list matrix of Cyclo, Poly or RatFn
+    entries, by Laplace expansion along the first row."""
     if len(rows) == 1:
         return rows[0][0]
-    total = None
-    for j, entry in enumerate(rows[0]):
-        term = entry * _det(_minor(rows, 0, j))
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    terms = [x * _det(_minor(rows, 0, j)) for j, x in enumerate(rows[0])]
+    return reduce(add, [-t if j % 2 else t for j, t in enumerate(terms)])
+
+
+def _adj_det(rows):
+    """(adj A, det A) with adj(A) A = det(A) I, det A from the first
+    column of adj A; ZeroDivisionError where det A vanishes identically."""
+    n = len(rows)
+    cof = [[_det(_minor(rows, j, i)) for j in range(n)] for i in range(n)] if n > 1 else [[1]]
+    adj = [[-x if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(cof)]
+    d = reduce(add, [x * row[0] for x, row in zip(rows[0], adj)])
+    if d.is_zero:
+        raise ZeroDivisionError("matrix is singular over the function field")
+    return adj, d
+
+
+def _mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def _scaled(rows, c):
+    return [[e * c for e in row] for row in rows]
 
 
 def _as_ratfn(value, order):
@@ -283,6 +306,8 @@ class MatFn:
 
     def __init__(self, rows, order=DEFAULT_ORDER):
         self.size = len(rows)
+        if not self.size:
+            raise ValueError("matrix must have size at least 1")
         self.order = order
         self.rows = [[_as_ratfn(entry, order) for entry in row] for row in rows]
         for row in self.rows:
@@ -291,12 +316,7 @@ class MatFn:
 
     @staticmethod
     def identity(size, order=DEFAULT_ORDER):
-        return MatFn([[1 if i == j else 0 for j in range(size)]
-                      for i in range(size)], order)
-
-    @staticmethod
-    def zero(size, order=DEFAULT_ORDER):
-        return MatFn([[0] * size for _ in range(size)], order)
+        return MatFn.scalar(1, size, order)
 
     @staticmethod
     def scalar(value, size, order=DEFAULT_ORDER):
@@ -307,19 +327,12 @@ class MatFn:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MatFn([[self.rows[i][j] + other.rows[i][j]
-                       for j in range(self.size)] for i in range(self.size)],
-                     self.order)
+        return NotImplemented if other is None else \
+            MatFn(_mat_add(self.rows, other.rows), self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MatFn([[self.rows[i][j] - other.rows[i][j]
-                       for j in range(self.size)] for i in range(self.size)],
-                     self.order)
+        return NotImplemented if other is None else self + (-other)
 
     def __neg__(self):
         return MatFn([[-e for e in row] for row in self.rows], self.order)
@@ -335,24 +348,22 @@ class MatFn:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return MatFn([[e * other for e in row] for row in self.rows],
-                         self.order)
+            return MatFn(_scaled(self.rows, other), self.order)
         if not isinstance(other, MatFn):
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        return MatFn([[reduce(add, map(mul, row, col)) for col in cols]
-                      for row in self.rows], self.order)
+        return MatFn(_mat_mul(self.rows, other.rows), self.order)
 
     __rmul__ = __mul__  # scalars commute with the entries
 
     def __eq__(self, other):
+        if isinstance(other, MatFn) and other.size != self.size:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return all(self.rows[i][j] == other.rows[i][j]
-                   for i in range(self.size) for j in range(self.size))
+        return self.rows == other.rows
 
     def __hash__(self):
         raise TypeError("MatFn is not hashable")
@@ -367,19 +378,8 @@ class MatFn:
     def inverse(self):
         """Adjugate inverse; raises ZeroDivisionError on identically
         singular matrices."""
-        d = self.det()
-        if d.is_zero:
-            raise ZeroDivisionError("matrix is singular over the function field")
-        dinv = d.inverse()
-        n = self.size
-        if n == 1:
-            return MatFn([[dinv]], self.order)
-
-        def cofactor(i, j):
-            c = _det(_minor(self.rows, j, i))
-            return -c if (i + j) % 2 else c
-        return MatFn([[cofactor(i, j) * dinv for j in range(n)]
-                      for i in range(n)], self.order)
+        adj, d = _adj_det(self.rows)
+        return MatFn(_scaled(adj, d.inverse()), self.order)
 
     @property
     def is_zero(self):
@@ -387,6 +387,139 @@ class MatFn:
 
     def __repr__(self):
         return "MatFn(%s)" % self.rows
+
+
+# -- polynomial-matrix forms ----------------------------------------
+
+
+def _lcm(x, y):
+    return x if x == y else x * _cancel(x, y)[2]
+
+
+class _Form:
+    """f = N/q and its derivatives f^(j) = W_j / q^(j+1), with delta =
+    det W_1, adj(W_1) and the products P_k1 ... P_kr of words built on
+    first use (see the module docstring)."""
+
+    __slots__ = ("order", "size", "q", "w", "delta", "adj", "_words")
+
+    def __init__(self, f):
+        self.order, self.size = f.order, f.size
+        self.q = q = reduce(_lcm, [e.den for row in f.rows for e in row])
+        if q.is_zero:
+            raise ArithmeticError("arithmetic with the constant infinity")
+        self.w = [[[e.num if e.den == q else e.num * q.exact_div(e.den)
+                    for e in row] for row in f.rows]]
+        self.delta, self._words = None, {}
+
+    def deriv(self, j):
+        """W_j."""
+        w, q, dq = self.w, self.q, self.q.derivative()
+        while len(w) <= j:
+            k = len(w)
+            w.append([[e.derivative() * q - e * dq * k for e in row]
+                      for row in w[-1]])
+        return w[j]
+
+    def regular(self):
+        """Builds delta and adj(W_1); ZeroDivisionError where fdot is
+        singular."""
+        if self.delta is None:
+            self.adj, self.delta = _adj_det(self.deriv(1))
+        return self
+
+    def word(self, word, left=False):
+        """P_k1 ... P_kr with P_k = adj(W_1) W_(k+1), or for left = True
+        W_(k1+1) P_k2 ... P_kr, shared by the words with the same suffix."""
+        rows = self._words.get((word, left))
+        if rows is None:
+            if len(word) > 1:
+                rows = _mat_mul(self.word(word[:1], left), self.word(word[1:]))
+            else:
+                rows = self.deriv(word[0] + 1)
+                rows = rows if left else _mat_mul(self.regular().adj, rows)
+            self._words[(word, left)] = rows
+        return rows
+
+    def factor(self, a, b):
+        """q^a delta^b."""
+        return self.q ** a * self.delta ** b if b else self.q ** a
+
+    def reduced(self, rows, e, a, b):
+        """The MatFn of rows / (e q^a delta^b), each entry reduced once."""
+        den = e * self.factor(a, b)
+        return MatFn([[RatFn(x, den) for x in row] for row in rows], self.order)
+
+
+def _sum(forms, c):
+    """The sum of forms (rows, e, a, b), each rows / (e q^a delta^b), over
+    the lcm of the e and the largest powers of q and delta."""
+    top = (reduce(_lcm, [form[1] for form in forms]),
+           max(form[2] for form in forms), max(form[3] for form in forms))
+    total = None
+    for rows, e, a, b in forms:
+        if (e, a, b) != top:
+            s = c.factor(top[1] - a, top[2] - b) * top[0].exact_div(e)
+            rows = _scaled(rows, s)
+        total = rows if total is None else _mat_add(total, rows)
+    return (total,) + top
+
+
+def _words(p, c, left):
+    """The form of p(f), or for left = True of fdot p(f): each word one
+    product over q^|w| delta^r, or with fdot on the left over
+    q^(|w|+2) delta^(r-1), a scalar giving c fdot over q^2."""
+    s = 1 if left else 0
+    forms = []
+    for word, coeff in p.terms.items() or [((), 0)]:  # zero as 0 I
+        if not isinstance(coeff, _SCALARS):
+            raise TypeError("unsupported coefficient %r" % (coeff,))
+        coeff = _as_ratfn(coeff, c.order)
+        if coeff.is_infinity:
+            raise ArithmeticError("arithmetic with the constant infinity")
+        rows = c.word(word, left) if word else c.deriv(1) if left else \
+            [[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)]
+        r = len(word)
+        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** r)),
+                      coeff.den, sum(word) + 2 * s, max(r - s, 0)))
+    return _sum(forms, c)
+
+
+def _form(expr, c, left=False):
+    """The form of an NCExpr at f, or for left = True of G = fdot times
+    it: node by node sums, products and adjugate inverses, free-algebra
+    elements and scalars word by word, and G of a sum term by term."""
+    kind = expr.kind
+    if kind == "var":
+        raise ValueError("evaluate after substitute()")
+    if kind == "poly":  # the p_k need fdot^-1 even for a constant
+        return _words(expr.value, c.regular(), left)
+    if kind == "scalar":
+        return _words(NCPoly({(): expr.value}), c, left)
+    forms = [_form(arg, c, left and kind == "sum") for arg in expr.args]
+    if kind == "sum":
+        return _sum(forms, c)
+    if kind == "prod":
+        (x, ex, ax, bx), (y, ey, ay, by) = forms
+        rows, e, a, b = _mat_mul(x, y), ex * ey, ax + ay, bx + by
+    elif kind == "inv":
+        rows, e, a, b = forms[0]
+        adj, d = _adj_det(rows)
+        rows, e, a, b = _scaled(adj, e * c.factor(a, b)), d, 0, 0
+    else:
+        raise ValueError(kind)
+    return (_mat_mul(c.deriv(1), rows), e, a + 2, b) if left else (rows, e, a, b)
+
+
+def _phi(c, rows, e, a, b):
+    """f + fdot G^-1 fdot for G = rows / (e q^a delta^b): over q^(1+lo)
+    det(rows), lo = max(3 - a, 0)."""
+    adj, d = _adj_det(rows)
+    w1 = c.deriv(1)
+    tail = _mat_mul(_mat_mul(w1, adj), w1)
+    lo, hi = max(3 - a, 0), max(a - 3, 0)
+    return c.reduced(_mat_add(_scaled(c.w[0], d * c.factor(lo, 0)),
+                              _scaled(tail, e * c.factor(hi, b))), d, lo + 1, 0)
 
 
 # -- generalized Moebius action --------------------------------------
@@ -405,15 +538,13 @@ class GenMoebius:
 
     def __init__(self, a, b, c, d, order=DEFAULT_ORDER):
         self.order = order
-        self.a = _cyclo_matrix(a, order)
-        self.b = _cyclo_matrix(b, order)
-        self.c = _cyclo_matrix(c, order)
-        self.d = _cyclo_matrix(d, order)
+        blocks = [_cyclo_matrix(x, order) for x in (a, b, c, d)]
+        self.a, self.b, self.c, self.d = blocks
         self.size = len(self.a)
-        blocks = [self.a, self.b, self.c, self.d]
-        if any(len(blk) != self.size or
-               any(len(row) != self.size for row in blk) for blk in blocks):
-            raise ValueError("blocks must be square of equal size")
+        if not self.size or any(len(blk) != self.size or
+                                any(len(row) != self.size for row in blk)
+                                for blk in blocks):
+            raise ValueError("blocks must be square of equal size at least 1")
         full = [self.a[i] + self.b[i] for i in range(self.size)] + \
                [self.c[i] + self.d[i] for i in range(self.size)]
         if _det(full).is_zero:
@@ -443,27 +574,26 @@ class GenMoebius:
 
 
 def gen_moebius_apply(t, f):
-    """(a f + b)(c f + d)^{-1} as an exact MatFn."""
+    """(a f + b)(c f + d)^{-1} = (a N + b q) adj(c N + d q) / det(c N + d q)
+    for f = N/q, as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
-    a, b, c, d = (MatFn(block, t.order) for block in (t.a, t.b, t.c, t.d))
-    return (a * f + b) * (c * f + d).inverse()
+    c = _Form(f)
+    top, bottom = (_mat_add(_mat_mul(x, c.w[0]), _scaled(y, c.q))
+                   for x, y in ((t.a, t.b), (t.c, t.d)))
+    adj, d = _adj_det(bottom)
+    return c.reduced(_mat_mul(top, adj), d, 0, 0)
 
 
 # -- evaluation of the free algebra ----------------------------------
 
 
 def phi_generators(f, count):
-    """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} for k = 1..count."""
-    fdot = f.derivative()
-    dinv = fdot.inverse()
-    half = Fraction(-1, 2)
-    out = {}
-    deriv = fdot
-    for k in range(1, count + 1):
-        deriv = deriv.derivative()
-        out[k] = (dinv * deriv) * half
-    return out
+    """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} = -P_k / (2 q^k delta) for
+    k = 1..count."""
+    c = _Form(f).regular()
+    return {k: c.reduced(_scaled(c.word((k,)), Fraction(-1, 2)), Poly.one(f.order), k, 1)
+            for k in range(1, count + 1)}
 
 
 def nc_eval(p, f):
@@ -475,20 +605,21 @@ def nc_eval(p, f):
 
 
 def nc_d_operator(f):
-    """D f = f - 2 fdot fddot^{-1} fdot."""
-    fdot = f.derivative()
-    fddot = fdot.derivative()
-    return f - (fdot * fddot.inverse() * fdot) * 2
+    """D f = f - 2 fdot fddot^{-1} fdot: Phi with G = -(1/2) fddot, which
+    needs no inverse of fdot."""
+    c = _Form(f)
+    return _phi(c, _scaled(c.deriv(2), Fraction(-1, 2)), Poly.one(f.order), 3, 0)
 
 
 def nc_phi_deform(f, h):
     """Phi_X H at f: f + fdot [H(f) + p_1(f)]^{-1}.
 
     H is a free-algebra element (or a scalar) or a substituted NCExpr;
-    H + p_1 is evaluated in one pass.
+    G = fdot [H(f) + p_1(f)] is built as one form and inverted once.
     """
-    bracket = _coerce_expr(h + NCPoly.generator(1)).eval(f)
-    return f + f.derivative() * bracket.inverse()
+    c = _Form(f)
+    bracket = (h if isinstance(h, NCExpr) else _as_nc(h)) + NCPoly.generator(1)
+    return _phi(c, *_form(_coerce_expr(bracket), c, True))
 
 
 def deform_family(f, t):
@@ -499,7 +630,7 @@ def deform_family(f, t):
     """
     t = _as_ratfn(t, f.order)
     if t.is_zero:
-        phi_generators(f, 0)  # f must be regular at t = 0 as well
+        _Form(f).regular()  # f must be regular at t = 0 as well
         return f
     return nc_phi_deform(f, t.inverse())
 
@@ -559,37 +690,10 @@ class NCExpr:
             return self
         return NCExpr(self.kind, tuple(a.substitute() for a in self.args))
 
-    def _max_generator(self):
-        if self.kind == "poly":
-            return self.value.max_generator()
-        return max((a._max_generator() for a in self.args), default=-1)
-
     def eval(self, f):
-        """The matrix function at f; the p_k(f) table is built once for
-        the whole tree."""
-        count = self._max_generator()
-        return self._eval(f, phi_generators(f, count) if count >= 0 else None)
-
-    def _eval(self, f, gens):
-        if self.kind == "poly":
-            terms = []
-            for word, coeff in self.value.terms.items():
-                if not isinstance(coeff, _SCALARS):
-                    raise TypeError("unsupported coefficient %r" % (coeff,))
-                terms.append(reduce(mul, [gens[k] for k in word]) * coeff
-                             if word else MatFn.scalar(coeff, f.size, f.order))
-            return reduce(add, terms) if terms else MatFn.zero(f.size, f.order)
-        if self.kind == "var":
-            raise ValueError("evaluate after substitute()")
-        if self.kind == "scalar":
-            return MatFn.scalar(self.value, f.size, f.order)
-        if self.kind == "sum":
-            return self.args[0]._eval(f, gens) + self.args[1]._eval(f, gens)
-        if self.kind == "prod":
-            return self.args[0]._eval(f, gens) * self.args[1]._eval(f, gens)
-        if self.kind == "inv":
-            return self.args[0]._eval(f, gens).inverse()
-        raise ValueError(self.kind)
+        """The matrix function at f, each entry reduced once."""
+        c = _Form(f)
+        return c.reduced(*_form(self, c))
 
 
 def _coerce_expr(value):

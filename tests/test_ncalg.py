@@ -337,3 +337,38 @@ def test_gen_moebius_equality_with_foreign_operands(other):
     assert t.__eq__(other) is NotImplemented
     assert t != other and other != t
     assert not (t == other) and not (other == t)
+
+
+# -- sizes and operand checks -------------------------------------------------
+
+def test_matfn_of_another_size_is_unequal():
+    a, b = MatFn.identity(2), MatFn.identity(3)
+    assert (a == b) is False and (b == a) is False
+    assert a != b and b != a
+    assert a.__eq__(b) is False
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="size mismatch"):
+            op(a, b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MatFn([]),
+    lambda: MatFn.identity(0),
+    lambda: GenMoebius([], [], [], []),
+    lambda: GenMoebius.identity(0),
+], ids=["MatFn", "MatFn.identity", "GenMoebius", "GenMoebius.identity"])
+def test_size_zero_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("h", ["a", 1.5, None], ids=lambda x: type(x).__name__)
+def test_phi_deform_rejects_a_non_algebra_operand(h):
+    with pytest.raises(TypeError, match="not a free-algebra element or scalar"):
+        nc_phi_deform(Z2, h)
+
+
+def test_deform_family_at_zero_needs_a_regular_fdot():
+    assert deform_family(Z2, 0) == Z2
+    with pytest.raises(ZeroDivisionError):
+        deform_family(FLAT, 0)
