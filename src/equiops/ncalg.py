@@ -11,30 +11,24 @@ the chain of reduced `MatFn` products and inverses.  Write f = N/q, q the
 lcm of the entry denominators.  W_0 = N and W_(j+1) = W_j' q - (j+1) W_j q'
 give f^(j) = W_j / q^(j+1), and with delta = det W_1, fdot^-1 = q^2
 adj(W_1) / delta.  So p_k = -P_k / (2 q^k delta), P_k = adj(W_1) W_(k+1),
-a word p_k1 ... p_kr is (-1/2)^r P_k1 ... P_kr over q^|w| delta^r (|w| its
-weight, r its length), and H(f) is one sum over q^W delta^R, the largest
-weight and length.  With X_k = -(1/2) f^(k+1) = fdot p_k, H + p_1 =
-fdot^-1 G, a word of G being (-1/2)^r W_(k1+1) P_k2 ... P_kr over
-q^(|w|+2) delta^(r-1) and a scalar c giving c fdot = c W_1 / q^2.  For
-G = G_n / (e q^a delta^b),
+and a word p_k1 ... p_kr of weight |w| is (-1/2)^r P_k1 ... P_kr over
+q^|w| delta^r: H(f) is one sum over q^W delta^R.  With X_k = -(1/2)
+f^(k+1) = fdot p_k, H + p_1 = fdot^-1 G, a word of G being (-1/2)^r
+W_(k1+1) P_k2 ... P_kr over q^(|w|+2) delta^(r-1) and a scalar c giving
+c W_1 / q^2.  For G = G_n / (e q^a delta^b),
 
     Phi_X H = f + fdot G^-1 fdot
             = (N det G_n + e delta^b q^(a-3) W_1 adj(G_n) W_1) / (q det G_n);
 
-D f is the case G = -(1/2) fddot = -W_2 / (2 q^3), which needs no delta,
-the deformation family f_t the case H = 1/t, and (a f + b)(c f + d)^-1 is
-(a N + b q) adj(c N + d q) / det(c N + d q).  A form is a polynomial
-matrix over e q^a delta^b: exponents add in products and take their
-maximum in sums, where the e take their lcm.  An `NCExpr` is evaluated
-node by node, an inverse by adjugate, and G distributes over the sums of
-the bracket.  One determinant (`_det`) and one adjugate (`_adj_det`) serve
-the forms, `MatFn` and `GenMoebius`; a singular matrix raises
-`ZeroDivisionError`.
+D f is the case G = -(1/2) fddot, which needs no delta, the deformation
+family f_t the case H = 1/t, and (a f + b)(c f + d)^-1 is (a N + b q)
+adj(c N + d q) / det(c N + d q).  In a form rows / (e q^a delta^b) the
+exponents add in products and take their maximum in sums, the e their lcm;
+an inverse is an adjugate, and a singular matrix raises ZeroDivisionError.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
 from operator import add, mul
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, rational
@@ -99,11 +93,15 @@ class NCPoly:
 
     def __sub__(self, other):
         other = _coerce_nc(other)
-        return NotImplemented if other is None else self + (-other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_nc(other)
-        return NotImplemented if other is None else other + (-self)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -142,7 +140,10 @@ class NCPoly:
         return ws.pop()
 
     def coefficient_sum(self):
-        return sum(self.terms.values(), 0)
+        total = 0
+        for coeff in self.terms.values():
+            total = total + coeff
+        return total
 
     def classical_limit(self):
         """Project onto the commutative quotient: sort each word."""
@@ -188,8 +189,16 @@ def _as_nc(value):
 
 
 def _word_text(word):
-    runs = [(k, len(list(group))) for k, group in groupby(word)]
-    return " ".join("p%d" % k if run == 1 else "p%d^%d" % (k, run) for k, run in runs)
+    pieces = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        run = j - i
+        pieces.append("p%d" % word[i] if run == 1 else "p%d^%d" % (word[i], run))
+        i = j
+    return " ".join(pieces)
 
 
 def _monomial_text(word, coeff, leading):
@@ -261,13 +270,17 @@ def _det(rows):
     entries, by Laplace expansion along the first row."""
     if len(rows) == 1:
         return rows[0][0]
-    terms = [x * _det(_minor(rows, 0, j)) for j, x in enumerate(rows[0])]
-    return reduce(add, [-t if j % 2 else t for j, t in enumerate(terms)])
+    total = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * _det(_minor(rows, 0, j))
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def _adj_det(rows):
-    """(adj A, det A) with adj(A) A = det(A) I, det A from the first
-    column of adj A; ZeroDivisionError where det A vanishes identically."""
+    """(adj A, det A); ZeroDivisionError where det A vanishes identically."""
     n = len(rows)
     cof = [[_det(_minor(rows, j, i)) for j in range(n)] for i in range(n)] if n > 1 else [[1]]
     adj = [[-x if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(cof)]
@@ -397,8 +410,7 @@ def _lcm(x, y):
 
 
 class _Form:
-    """f = N/q and its derivatives f^(j) = W_j / q^(j+1), with delta =
-    det W_1, adj(W_1) and the products P_k1 ... P_kr of words built on
+    """f = N/q with W_j, delta, adj(W_1) and the word products built on
     first use (see the module docstring)."""
 
     __slots__ = ("order", "size", "q", "w", "delta", "adj", "_words")
@@ -416,21 +428,19 @@ class _Form:
         """W_j."""
         w, q, dq = self.w, self.q, self.q.derivative()
         while len(w) <= j:
-            k = len(w)
-            w.append([[e.derivative() * q - e * dq * k for e in row]
+            dk = dq * len(w)
+            w.append([[e.derivative() * q - e * dk for e in row]
                       for row in w[-1]])
         return w[j]
 
     def regular(self):
-        """Builds delta and adj(W_1); ZeroDivisionError where fdot is
-        singular."""
+        """Builds adj(W_1) and delta; ZeroDivisionError if fdot is singular."""
         if self.delta is None:
             self.adj, self.delta = _adj_det(self.deriv(1))
         return self
 
     def word(self, word, left=False):
-        """P_k1 ... P_kr with P_k = adj(W_1) W_(k+1), or for left = True
-        W_(k1+1) P_k2 ... P_kr, shared by the words with the same suffix."""
+        """P_k1 ... P_kr, or for left = True W_(k1+1) P_k2 ... P_kr."""
         rows = self._words.get((word, left))
         if rows is None:
             if len(word) > 1:
@@ -452,8 +462,7 @@ class _Form:
 
 
 def _sum(forms, c):
-    """The sum of forms (rows, e, a, b), each rows / (e q^a delta^b), over
-    the lcm of the e and the largest powers of q and delta."""
+    """The sum of forms (rows, e, a, b), each rows / (e q^a delta^b)."""
     top = (reduce(_lcm, [form[1] for form in forms]),
            max(form[2] for form in forms), max(form[3] for form in forms))
     total = None
@@ -466,32 +475,26 @@ def _sum(forms, c):
 
 
 def _words(p, c, left):
-    """The form of p(f), or for left = True of fdot p(f): each word one
-    product over q^|w| delta^r, or with fdot on the left over
-    q^(|w|+2) delta^(r-1), a scalar giving c fdot over q^2."""
+    """The form of p(f), or for left = True of G = fdot p(f)."""
     s = 1 if left else 0
     forms = []
-    for word, coeff in p.terms.items() or [((), 0)]:  # zero as 0 I
-        if not isinstance(coeff, _SCALARS):
-            raise TypeError("unsupported coefficient %r" % (coeff,))
-        coeff = _as_ratfn(coeff, c.order)
+    for word, coeff in p.terms.items() or [((), 0)]:  # zero p: 0 times ()
+        coeff = _as_ratfn(coeff, c.order)  # TypeError for a non-scalar
         if coeff.is_infinity:
             raise ArithmeticError("arithmetic with the constant infinity")
         rows = c.word(word, left) if word else c.deriv(1) if left else \
             [[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)]
-        r = len(word)
-        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** r)),
-                      coeff.den, sum(word) + 2 * s, max(r - s, 0)))
+        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** len(word))),
+                      coeff.den, sum(word) + 2 * s, max(len(word) - s, 0)))
     return _sum(forms, c)
 
 
 def _form(expr, c, left=False):
-    """The form of an NCExpr at f, or for left = True of G = fdot times
-    it: node by node sums, products and adjugate inverses, free-algebra
-    elements and scalars word by word, and G of a sum term by term."""
+    """The form of an NCExpr at f, or for left = True of fdot times it,
+    which distributes over sums."""
     kind = expr.kind
-    if kind == "var":
-        raise ValueError("evaluate after substitute()")
+    if kind not in ("poly", "scalar", "sum", "prod", "inv"):
+        raise ValueError("evaluate after substitute()" if kind == "var" else kind)
     if kind == "poly":  # the p_k need fdot^-1 even for a constant
         return _words(expr.value, c.regular(), left)
     if kind == "scalar":
@@ -502,24 +505,21 @@ def _form(expr, c, left=False):
     if kind == "prod":
         (x, ex, ax, bx), (y, ey, ay, by) = forms
         rows, e, a, b = _mat_mul(x, y), ex * ey, ax + ay, bx + by
-    elif kind == "inv":
+    else:  # inv
         rows, e, a, b = forms[0]
         adj, d = _adj_det(rows)
         rows, e, a, b = _scaled(adj, e * c.factor(a, b)), d, 0, 0
-    else:
-        raise ValueError(kind)
     return (_mat_mul(c.deriv(1), rows), e, a + 2, b) if left else (rows, e, a, b)
 
 
 def _phi(c, rows, e, a, b):
-    """f + fdot G^-1 fdot for G = rows / (e q^a delta^b): over q^(1+lo)
-    det(rows), lo = max(3 - a, 0)."""
+    """f + fdot G^-1 fdot for G = rows / (e q^a delta^b)."""
+    if a < 3:  # G = c fdot, from a scalar bracket c
+        rows, a = _scaled(rows, c.factor(3 - a, 0)), 3
     adj, d = _adj_det(rows)
-    w1 = c.deriv(1)
-    tail = _mat_mul(_mat_mul(w1, adj), w1)
-    lo, hi = max(3 - a, 0), max(a - 3, 0)
-    return c.reduced(_mat_add(_scaled(c.w[0], d * c.factor(lo, 0)),
-                              _scaled(tail, e * c.factor(hi, b))), d, lo + 1, 0)
+    tail = _mat_mul(_mat_mul(c.deriv(1), adj), c.deriv(1))
+    return c.reduced(_mat_add(_scaled(c.w[0], d), _scaled(tail, e * c.factor(a - 3, b))),
+                     d, 1, 0)
 
 
 # -- generalized Moebius action --------------------------------------
@@ -538,9 +538,12 @@ class GenMoebius:
 
     def __init__(self, a, b, c, d, order=DEFAULT_ORDER):
         self.order = order
-        blocks = [_cyclo_matrix(x, order) for x in (a, b, c, d)]
-        self.a, self.b, self.c, self.d = blocks
+        self.a = _cyclo_matrix(a, order)
+        self.b = _cyclo_matrix(b, order)
+        self.c = _cyclo_matrix(c, order)
+        self.d = _cyclo_matrix(d, order)
         self.size = len(self.a)
+        blocks = [self.a, self.b, self.c, self.d]
         if not self.size or any(len(blk) != self.size or
                                 any(len(row) != self.size for row in blk)
                                 for blk in blocks):
@@ -574,8 +577,7 @@ class GenMoebius:
 
 
 def gen_moebius_apply(t, f):
-    """(a f + b)(c f + d)^{-1} = (a N + b q) adj(c N + d q) / det(c N + d q)
-    for f = N/q, as an exact MatFn."""
+    """(a f + b)(c f + d)^{-1} as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
     c = _Form(f)
@@ -589,8 +591,7 @@ def gen_moebius_apply(t, f):
 
 
 def phi_generators(f, count):
-    """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} = -P_k / (2 q^k delta) for
-    k = 1..count."""
+    """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} for k = 1..count."""
     c = _Form(f).regular()
     return {k: c.reduced(_scaled(c.word((k,)), Fraction(-1, 2)), Poly.one(f.order), k, 1)
             for k in range(1, count + 1)}
@@ -605,8 +606,7 @@ def nc_eval(p, f):
 
 
 def nc_d_operator(f):
-    """D f = f - 2 fdot fddot^{-1} fdot: Phi with G = -(1/2) fddot, which
-    needs no inverse of fdot."""
+    """D f = f - 2 fdot fddot^{-1} fdot, Phi with G = -(1/2) fddot."""
     c = _Form(f)
     return _phi(c, _scaled(c.deriv(2), Fraction(-1, 2)), Poly.one(f.order), 3, 0)
 

@@ -132,6 +132,7 @@ def outcome(thunk):
 
 X0 = NCExpr.var(0)
 THEOREM2 = X0 + 3 * X0.inverse()
+PRODUCT = X0 * NCExpr.var(1)  # S_1 S_2 and S_2 S_1 differ
 
 
 def operator_pairs(f, rich):
@@ -145,6 +146,9 @@ def operator_pairs(f, rich):
         lambda: chain_phi_deform(f, NCPoly.zero())
     yield "phi(3/2)", lambda: nc_phi_deform(f, Fraction(3, 2)), \
         lambda: chain_phi_deform(f, Fraction(3, 2))
+    scalar_bracket = Fraction(3, 2) - NCPoly.generator(1)
+    yield "phi(3/2 - p1)", lambda: nc_phi_deform(f, scalar_bracket), \
+        lambda: chain_phi_deform(f, scalar_bracket)
     for n in (1, 2, 3) if rich else (1, 2):
         s = s_poly(n)
         yield "S%d" % n, lambda s=s: nc_eval(s, f), lambda s=s: chain_expr_eval(as_expr(s), f)
@@ -160,6 +164,8 @@ def operator_pairs(f, rich):
         yield "theorem2", lambda: theorem2_substitute(THEOREM2).apply(f), \
             lambda: chain_phi_deform(f, sub)
         yield "eval(theorem2)", lambda: sub.eval(f), lambda: chain_expr_eval(sub, f)
+        prod = PRODUCT.substitute()
+        yield "eval(S1 S2)", lambda: prod.eval(f), lambda: chain_expr_eval(prod, f)
 
 
 def assert_matches(f, rich=True, where=""):
