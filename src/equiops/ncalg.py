@@ -15,16 +15,16 @@ and a word p_k1 ... p_kr of weight |w| is (-1/2)^r P_k1 ... P_kr over
 q^|w| delta^r: H(f) is one sum over q^W delta^R.  With X_k = -(1/2)
 f^(k+1) = fdot p_k, H + p_1 = fdot^-1 G, a word of G being (-1/2)^r
 W_(k1+1) P_k2 ... P_kr over q^(|w|+2) delta^(r-1) and a scalar c giving
-c W_1 / q^2.  For G = G_n / (e q^a delta^b),
+c q W_1 / q^3.  For G = G_n / (e q^a delta^b), a >= 3, and s = q^(a-3)
+delta^b, Phi_X H = f + fdot G^-1 fdot is
 
-    Phi_X H = f + fdot G^-1 fdot
-            = (N det G_n + e delta^b q^(a-3) W_1 adj(G_n) W_1) / (q det G_n);
+    (N det G_n + e s W_1 adj(G_n) W_1) / (q det G_n),
 
-D f is the case G = -(1/2) fddot, which needs no delta, the deformation
-family f_t the case H = 1/t, and (a f + b)(c f + d)^-1 is (a N + b q)
-adj(c N + d q) / det(c N + d q).  In a form rows / (e q^a delta^b) the
-exponents add in products and take their maximum in sums, the e their lcm;
-an inverse is an adjugate, and a singular matrix raises ZeroDivisionError.
+with s divided out of det G_n first where it divides it.  D f is the case
+G = -(1/2) fddot, the family f_t the case H = 1/t, and (a f + b)(c f +
+d)^-1 is (a N + b q) adj(c N + d q) / det(c N + d q).  The exponents of
+q and delta add in products and take their maximum in sums, the e their
+lcm; a singular matrix raises ZeroDivisionError.
 """
 
 from fractions import Fraction
@@ -482,10 +482,10 @@ def _words(p, c, left):
         coeff = _as_ratfn(coeff, c.order)  # TypeError for a non-scalar
         if coeff.is_infinity:
             raise ArithmeticError("arithmetic with the constant infinity")
-        rows = c.word(word, left) if word else c.deriv(1) if left else \
+        rows = c.word(word, left) if word else _scaled(c.deriv(1), c.q) if left else \
             [[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)]
-        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** len(word))),
-                      coeff.den, sum(word) + 2 * s, max(len(word) - s, 0)))
+        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** len(word))), coeff.den,
+                      sum(word) + 2 * s if word else 3 * s, max(len(word) - s, 0)))
     return _sum(forms, c)
 
 
@@ -514,12 +514,13 @@ def _form(expr, c, left=False):
 
 def _phi(c, rows, e, a, b):
     """f + fdot G^-1 fdot for G = rows / (e q^a delta^b)."""
-    if a < 3:  # G = c fdot, from a scalar bracket c
-        rows, a = _scaled(rows, c.factor(3 - a, 0)), 3
     adj, d = _adj_det(rows)
     tail = _mat_mul(_mat_mul(c.deriv(1), adj), c.deriv(1))
-    return c.reduced(_mat_add(_scaled(c.w[0], d), _scaled(tail, e * c.factor(a - 3, b))),
-                     d, 1, 0)
+    s = c.factor(a - 3, b)  # divides d for every 2x2 and 3x3 f in the tests
+    d1, rest = d.divmod(s)
+    if rest.is_zero:
+        d, s = d1, 1
+    return c.reduced(_mat_add(_scaled(c.w[0], d), _scaled(tail, e * s)), d, 1, 0)
 
 
 # -- generalized Moebius action --------------------------------------
