@@ -25,11 +25,16 @@ G = -(1/2) fddot, the family f_t the case H = 1/t, and (a f + b)(c f +
 d)^-1 is (a N + b q) adj(c N + d q) / det(c N + d q).  The exponents of
 q and delta add in products and take their maximum in sums, the e their
 lcm; a singular matrix raises ZeroDivisionError.
+
+The form is built once per matrix: an immutable `MatFn` keeps it, and
+every operator at that matrix shares its q, W_j, adj(W_1), delta and word
+products.
 """
 
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
+from types import MappingProxyType
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, rational
 from .poly import Poly
@@ -41,13 +46,17 @@ from .ratfn import RatFn, _cancel
 # the scalars of NCPoly and MatFn; other operands get NotImplemented
 _SCALARS = (int, Fraction, Cyclo, Poly, RatFn)
 
+# sets a slot of an immutable value (NCPoly, MatFn, GenMoebius)
+_set = object.__setattr__
+
 
 class NCPoly:
     """Finite linear combination of words in the generators p_1, p_2, ...
 
     Words are tuples of generator indices; multiplication concatenates
     words.  Coefficients are integers/Fractions for the S_n layer and may
-    be Cyclo or RatFn in the general layer.
+    be Cyclo or RatFn in the general layer.  Immutable: `terms` is a
+    read-only mapping.
     """
 
     __slots__ = ("terms",)
@@ -57,7 +66,14 @@ class NCPoly:
         for word, coeff in (terms or {}).items():
             if coeff:
                 clean[tuple(word)] = coeff
-        self.terms = clean
+        _set(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, *a):
+        raise AttributeError("NCPoly is immutable")
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies
+        return (NCPoly, (dict(self.terms),))
 
     @staticmethod
     def zero():
@@ -313,19 +329,30 @@ def _as_ratfn(value, order):
 
 
 class MatFn:
-    """Square matrix of rational functions with exact arithmetic."""
+    """Square matrix of rational functions with exact arithmetic.
 
-    __slots__ = ("rows", "size", "order")
+    Immutable: `rows` is a tuple of tuples.  The polynomial-matrix form
+    of the operators is built on first use and kept (`_form_of`).
+    """
+
+    __slots__ = ("rows", "size", "order", "_form")
 
     def __init__(self, rows, order=DEFAULT_ORDER):
-        self.size = len(rows)
-        if not self.size:
+        size = len(rows)
+        if not size:
             raise ValueError("matrix must have size at least 1")
-        self.order = order
-        self.rows = [[_as_ratfn(entry, order) for entry in row] for row in rows]
-        for row in self.rows:
-            if len(row) != self.size:
-                raise ValueError("matrix must be square")
+        rows = tuple(tuple(_as_ratfn(entry, order) for entry in row) for row in rows)
+        if any(len(row) != size for row in rows):
+            raise ValueError("matrix must be square")
+        for name, value in zip(MatFn.__slots__, (rows, size, order, None)):
+            _set(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MatFn is immutable")
+
+    def __reduce__(self):
+        # the value alone; the form is built again on first use
+        return (MatFn, (self.rows, self.order))
 
     @staticmethod
     def identity(size, order=DEFAULT_ORDER):
@@ -343,9 +370,15 @@ class MatFn:
         return NotImplemented if other is None else \
             MatFn(_mat_add(self.rows, other.rows), self.order)
 
+    __radd__ = __add__  # entrywise sums commute
+
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __neg__(self):
         return MatFn([[-e for e in row] for row in self.rows], self.order)
@@ -399,7 +432,7 @@ class MatFn:
         return all(e.is_zero for row in self.rows for e in row)
 
     def __repr__(self):
-        return "MatFn(%s)" % self.rows
+        return "MatFn(%s)" % [list(row) for row in self.rows]
 
 
 # -- polynomial-matrix forms ----------------------------------------
@@ -411,7 +444,8 @@ def _lcm(x, y):
 
 class _Form:
     """f = N/q with W_j, delta, adj(W_1) and the word products built on
-    first use (see the module docstring)."""
+    first use (see the module docstring).  One form serves every operator
+    at f, so no caller may change its lists in place."""
 
     __slots__ = ("order", "size", "q", "w", "delta", "adj", "_words")
 
@@ -459,6 +493,15 @@ class _Form:
         """The MatFn of rows / (e q^a delta^b), each entry reduced once."""
         den = e * self.factor(a, b)
         return MatFn([[RatFn(x, den) for x in row] for row in rows], self.order)
+
+
+def _form_of(f):
+    """The form of f, built on first use and kept on the immutable f."""
+    c = f._form
+    if c is None:
+        c = _Form(f)
+        _set(f, "_form", c)
+    return c
 
 
 def _sum(forms, c):
@@ -527,32 +570,32 @@ def _phi(c, rows, e, a, b):
 
 
 def _cyclo_matrix(rows, order):
-    return [[c if isinstance(c, Cyclo) else rational(c, order) for c in row]
-            for row in rows]
+    return tuple(tuple(c if isinstance(c, Cyclo) else rational(c, order) for c in row)
+                 for row in rows)
 
 
 class GenMoebius:
     """Block matrix (a, b; c, d) of n x n Cyclo blocks acting by
-    f -> (a f + b)(c f + d)^{-1}."""
+    f -> (a f + b)(c f + d)^{-1}; immutable, each block a tuple of tuples."""
 
     __slots__ = ("a", "b", "c", "d", "size", "order")
 
     def __init__(self, a, b, c, d, order=DEFAULT_ORDER):
-        self.order = order
-        self.a = _cyclo_matrix(a, order)
-        self.b = _cyclo_matrix(b, order)
-        self.c = _cyclo_matrix(c, order)
-        self.d = _cyclo_matrix(d, order)
-        self.size = len(self.a)
-        blocks = [self.a, self.b, self.c, self.d]
-        if not self.size or any(len(blk) != self.size or
-                                any(len(row) != self.size for row in blk)
-                                for blk in blocks):
+        a, b, c, d = blocks = [_cyclo_matrix(blk, order) for blk in (a, b, c, d)]
+        size = len(a)
+        if not size or any(len(blk) != size or any(len(row) != size for row in blk)
+                           for blk in blocks):
             raise ValueError("blocks must be square of equal size at least 1")
-        full = [self.a[i] + self.b[i] for i in range(self.size)] + \
-               [self.c[i] + self.d[i] for i in range(self.size)]
-        if _det(full).is_zero:
+        if _det([x + y for x, y in zip(a, b)] + [x + y for x, y in zip(c, d)]).is_zero:
             raise ValueError("block matrix is not invertible")
+        for name, value in zip(GenMoebius.__slots__, blocks + [size, order]):
+            _set(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GenMoebius is immutable")
+
+    def __reduce__(self):
+        return (GenMoebius, (self.a, self.b, self.c, self.d, self.order))
 
     @staticmethod
     def identity(size, order=DEFAULT_ORDER):
@@ -571,7 +614,7 @@ class GenMoebius:
             return NotImplemented
         return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
-    __hash__ = None  # blockwise equality of list blocks, unhashable like MatFn
+    __hash__ = None  # blockwise equality, unhashable like MatFn
 
     def __repr__(self):
         return "GenMoebius(size=%d)" % self.size
@@ -581,7 +624,7 @@ def gen_moebius_apply(t, f):
     """(a f + b)(c f + d)^{-1} as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
-    c = _Form(f)
+    c = _form_of(f)
     top, bottom = (_mat_add(_mat_mul(x, c.w[0]), _scaled(y, c.q))
                    for x, y in ((t.a, t.b), (t.c, t.d)))
     adj, d = _adj_det(bottom)
@@ -593,7 +636,7 @@ def gen_moebius_apply(t, f):
 
 def phi_generators(f, count):
     """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} for k = 1..count."""
-    c = _Form(f).regular()
+    c = _form_of(f).regular()
     return {k: c.reduced(_scaled(c.word((k,)), Fraction(-1, 2)), Poly.one(f.order), k, 1)
             for k in range(1, count + 1)}
 
@@ -608,7 +651,7 @@ def nc_eval(p, f):
 
 def nc_d_operator(f):
     """D f = f - 2 fdot fddot^{-1} fdot, Phi with G = -(1/2) fddot."""
-    c = _Form(f)
+    c = _form_of(f)
     return _phi(c, _scaled(c.deriv(2), Fraction(-1, 2)), Poly.one(f.order), 3, 0)
 
 
@@ -618,7 +661,7 @@ def nc_phi_deform(f, h):
     H is a free-algebra element (or a scalar) or a substituted NCExpr;
     G = fdot [H(f) + p_1(f)] is built as one form and inverted once.
     """
-    c = _Form(f)
+    c = _form_of(f)
     bracket = (h if isinstance(h, NCExpr) else _as_nc(h)) + NCPoly.generator(1)
     return _phi(c, *_form(_coerce_expr(bracket), c, True))
 
@@ -631,7 +674,7 @@ def deform_family(f, t):
     """
     t = _as_ratfn(t, f.order)
     if t.is_zero:
-        _Form(f).regular()  # f must be regular at t = 0 as well
+        _form_of(f).regular()  # f must be regular at t = 0 as well
         return f
     return nc_phi_deform(f, t.inverse())
 
@@ -693,7 +736,7 @@ class NCExpr:
 
     def eval(self, f):
         """The matrix function at f, each entry reduced once."""
-        c = _Form(f)
+        c = _form_of(f)
         return c.reduced(*_form(self, c))
 
 

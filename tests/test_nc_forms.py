@@ -20,6 +20,7 @@ import pytest
 
 from equiops import properties as pr
 from equiops.cyclotomic import rational, sqrt5
+from equiops import ncalg
 from equiops.ncalg import (_SCALARS, GenMoebius, MatFn, NCExpr, NCPoly,
                            deform_family, gen_moebius_apply, nc_d_operator,
                            nc_eval, nc_phi_deform, phi_generators, s_poly,
@@ -182,14 +183,22 @@ def assert_moebius_matches(t, f, where=""):
 # -- inputs ----------------------------------------------------------------
 
 
-def pool_pairs():
-    """The (T, f) of the eight ncalg benchmark pool entries."""
+def load_workloads():
+    """The benchmark's workloads module (perfbench/workloads.py)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    inputs = [workloads.build_inputs("ncalg", "triangular", i, {})
-              for i in range(workloads.POOL["ncalg"]["triangular"])]
+    return workloads
+
+
+WORKLOADS = load_workloads()
+
+
+def pool_pairs():
+    """The (T, f) of the eight ncalg benchmark pool entries."""
+    inputs = [WORKLOADS.build_inputs("ncalg", "triangular", i, {})
+              for i in range(WORKLOADS.POOL["ncalg"]["triangular"])]
     return [(x["t"], x["f"]) for x in inputs]
 
 
@@ -253,3 +262,44 @@ def test_one_by_one_matches_the_chain_and_the_scalar_d(text):
     assert nc_d_operator(f).rows[0][0] == d_operator(g)
     assert_moebius_matches(GenMoebius([[2]], [[1]], [[1]], [[1]]), f)
     assert_matches(f)
+
+
+# -- one form per matrix ----------------------------------------------------
+
+
+def test_one_form_per_matrix_over_a_pool_item(monkeypatch):
+    built = []
+    init = ncalg._Form.__init__
+
+    def counting_init(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(ncalg._Form, "__init__", counting_init)
+    x = WORKLOADS.build_inputs("ncalg", "triangular", 0, {})  # fresh f, no form yet
+    checks, outputs = WORKLOADS.run_item("triangular", x)
+    assert all(ok for _, ok in checks), checks
+    f, tf = x["f"], outputs[0]
+    assert sum(g is f for g in built) == 1
+    assert sum(g is tf for g in built) == 1
+    # a second run finds the form of f built
+    before = len(built)
+    WORKLOADS.run_item("triangular", x)
+    assert not any(g is f for g in built[before:])
+
+
+def five_operators(f):
+    """D, S1, Phi(S1), Phi(S2) and the family at t = 2, in the pool's order."""
+    return [lambda: nc_d_operator(f), lambda: nc_eval(s_poly(1), f),
+            lambda: nc_phi_deform(f, s_poly(1)), lambda: nc_phi_deform(f, s_poly(2)),
+            lambda: deform_family(f, 2)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_operators_in_reverse_order_share_one_form(index):
+    t, f = POOL[index]
+    g = MatFn(f.rows, f.order)  # the same value, no form yet
+    for h in (g, gen_moebius_apply(t, g)):
+        shared = [entries(op()) for op in reversed(five_operators(h))][::-1]
+        fresh = [entries(five_operators(MatFn(h.rows, h.order))[i]()) for i in range(5)]
+        assert shared == fresh

@@ -3,12 +3,14 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from equiops.cyclotomic import rational
 from equiops.moebius import Moebius
-from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, deform_family,
+from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, _form_of, deform_family,
                            gen_moebius_apply, nc_d_operator, nc_derive,
                            nc_eval, nc_phi_deform, phi_generators,
                            q_compose_step, s_poly, theorem2_substitute)
@@ -120,7 +122,7 @@ def test_matfn_det_and_inverse_3x3():
         c * e * h - b * d * j - a * g * i
     assert f * f.inverse() == MatFn.identity(3)
     assert f.inverse() * f == MatFn.identity(3)
-    rows = f.rows[:2] + [[x + y for x, y in zip(f.rows[0], f.rows[1])]]
+    rows = list(f.rows[:2]) + [[x + y for x, y in zip(f.rows[0], f.rows[1])]]
     singular = MatFn(rows)
     assert singular.det().is_zero
     with pytest.raises(ZeroDivisionError):
@@ -372,3 +374,68 @@ def test_deform_family_at_zero_needs_a_regular_fdot():
     assert deform_family(Z2, 0) == Z2
     with pytest.raises(ZeroDivisionError):
         deform_family(FLAT, 0)
+
+
+# -- scalars on either side ------------------------------------------------
+
+@pytest.mark.parametrize("scalar", [2, Fraction(-3, 2), rational(5), Poly.x(),
+                                    parse_ratfn("1/(z + 1)")],
+                         ids=lambda x: type(x).__name__)
+def test_matfn_with_a_scalar_on_either_side(scalar):
+    f = MatFn([[parse_ratfn("z^2"), parse_ratfn("1/z")],
+               [parse_ratfn("0"), parse_ratfn("z + 3")]])
+    c = MatFn.scalar(scalar, 2)
+    assert scalar + f == f + scalar == c + f
+    assert scalar - f == c - f == -(f - scalar)
+    assert f - scalar == f - c
+    assert scalar * f == f * scalar == c * f
+
+
+# -- stored values are immutable -------------------------------------------
+
+def test_stored_values_are_read_only():
+    f = MatFn([[parse_ratfn("z^2"), 1], [0, parse_ratfn("z")]])
+    assert isinstance(f.rows, tuple) and all(isinstance(r, tuple) for r in f.rows)
+    with pytest.raises(TypeError):
+        f.rows[0][0] = parse_ratfn("z")
+    with pytest.raises(TypeError):
+        f.rows[0] = f.rows[1]
+    with pytest.raises(AttributeError):
+        f.rows = f.rows[::-1]
+    assert repr(f) == "MatFn([[%r, %r], [%r, %r]])" % (
+        f.rows[0][0], f.rows[0][1], f.rows[1][0], f.rows[1][1])
+    s1 = s_poly(1)
+    assert isinstance(s1.terms, MappingProxyType)
+    with pytest.raises(TypeError):
+        s1.terms[(7,)] = 5
+    with pytest.raises(AttributeError):
+        s1.terms = {}
+    assert s_poly(1).canonical_text() == "p2 + 3 p1^2"
+    t = GenMoebius([[1, 2], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 3]])
+    for block in (t.a, t.b, t.c, t.d):
+        assert isinstance(block, tuple) and all(isinstance(r, tuple) for r in block)
+        with pytest.raises(TypeError):
+            block[0][0] = rational(7)
+    with pytest.raises(AttributeError):
+        t.a = t.d
+    assert MatFn(t.c) == MatFn([[0, 0], [1, 0]])
+    assert gen_moebius_apply(t, f) == (MatFn(t.a) * f + MatFn(t.b)) * \
+        (MatFn(t.c) * f + MatFn(t.d)).inverse()
+    assert check_semi_invariance(s_poly(1), t, f)[0]
+
+
+def test_values_survive_pickle_and_deepcopy():
+    rng = random.Random(SEED + 9)
+    f = rand_matfn(rng)
+    _form_of(f).regular()  # a form to leave behind
+    assert f.__reduce__() == (MatFn, (f.rows, f.order))
+    t = GenMoebius([[1, 2], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 3]])
+    h = s_poly(2) + NCPoly({(1,): parse_ratfn("1/z")})
+    for value in (f, s_poly(2), h, t):
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert back is not value and back == value and value == back
+            assert repr(back) == repr(value)
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert back._form is None
+        assert nc_d_operator(back) == nc_d_operator(f)
+    assert isinstance(pickle.loads(pickle.dumps(h)).terms, MappingProxyType)
