@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from equiops import ncalg
 from equiops import properties as pr
 from equiops.cyclotomic import rational, sqrt5
-from equiops import ncalg
 from equiops.ncalg import (_SCALARS, GenMoebius, MatFn, NCExpr, NCPoly,
                            deform_family, gen_moebius_apply, nc_d_operator,
                            nc_eval, nc_phi_deform, phi_generators, s_poly,

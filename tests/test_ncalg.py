@@ -10,8 +10,8 @@ import pytest
 
 from equiops.cyclotomic import rational
 from equiops.moebius import Moebius
-from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, _form_of, deform_family,
-                           gen_moebius_apply, nc_d_operator, nc_derive,
+from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, _form_of,
+                           deform_family, gen_moebius_apply, nc_d_operator, nc_derive,
                            nc_eval, nc_phi_deform, phi_generators,
                            q_compose_step, s_poly, theorem2_substitute)
 from equiops.operators import schwarzian
