@@ -454,17 +454,18 @@ class _Form:
         self.q = q = reduce(_lcm, [e.den for row in f.rows for e in row])
         if q.is_zero:
             raise ArithmeticError("arithmetic with the constant infinity")
-        self.w = [[[e.num if e.den == q else e.num * q.exact_div(e.den)
-                    for e in row] for row in f.rows]]
+        self.w = {0: [[e.num if e.den == q else e.num * q.exact_div(e.den)
+                       for e in row] for row in f.rows]}
         self.delta, self._words = None, {}
 
     def deriv(self, j):
-        """W_j."""
+        """W_j.  Each W_k is stored by setdefault under its index, so two
+        threads that build it at once keep one and neither misplaces it."""
         w, q, dq = self.w, self.q, self.q.derivative()
-        while len(w) <= j:
-            dk = dq * len(w)
-            w.append([[e.derivative() * q - e * dk for e in row]
-                      for row in w[-1]])
+        for k in range(len(w), j + 1):
+            dk = dq * k
+            w.setdefault(k, [[e.derivative() * q - e * dk for e in row]
+                             for row in w[k - 1]])
         return w[j]
 
     def regular(self):

@@ -11,6 +11,8 @@ every entry must agree in num and den.
 
 import importlib.util
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -303,3 +305,22 @@ def test_operators_in_reverse_order_share_one_form(index):
         shared = [entries(op()) for op in reversed(five_operators(h))][::-1]
         fresh = [entries(five_operators(MatFn(h.rows, h.order))[i]()) for i in range(5)]
         assert shared == fresh
+
+
+def test_threads_building_one_form_keep_each_w_at_its_index():
+    _, f = POOL[0]
+    alone = ncalg._Form(f)
+    want = [alone.deriv(j) for j in range(5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the W_k products
+    try:
+        for _ in range(8):
+            c = ncalg._Form(f)
+            threads = [threading.Thread(target=c.deriv, args=(4,)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert [c.deriv(j) for j in range(5)] == want
+    finally:
+        sys.setswitchinterval(interval)
