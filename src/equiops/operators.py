@@ -4,7 +4,9 @@ brackets, Klein's vector-field construction, and period residues.
 
 Every operator is relative to a meromorphic 1-form theta = alpha dz with
 dual vector field X = (1/alpha) d/dz; the plain-dz versions are the
-default theta.  Dots in formulas always mean X-derivatives.
+default theta.  Dots in formulas always mean X-derivatives.  At theta = dz,
+D, phi and S are computed once per map: the first call keeps its value in
+the memo of the immutable RatFn f, and later calls return that object.
 
 D, phi, S and the deformation work on the forms of f = N/D and alpha =
 A/B.  With the Wronskians W = N'D - ND' and K = A'B - AB' (fd = B W/(A D^2),
@@ -29,12 +31,13 @@ reduced mod s; the one inverse mod s is an extended Euclid over Q(zeta).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 
 from . import series
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import Place
 from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, _canonical, _fill
 
 
 class FormCoeff:
@@ -74,6 +77,29 @@ def _theta(theta, order):
     return theta if isinstance(theta, FormCoeff) else FormCoeff(theta)
 
 
+def _kept_at_dz(operator):
+    """operator(f, theta), at theta = dz computed on the first call for f and
+    kept in the memo of the immutable f; setdefault keeps the first value
+    when two calls race.  Every other theta runs operator itself."""
+    key = operator.__name__
+
+    @wraps(operator)
+    def kept(f, theta=None):
+        if not _is_dz(theta, f.order):
+            return operator(f, theta)
+        value = f._ops.get(key)
+        return f._ops.setdefault(key, operator(f, theta)) if value is None else value
+    return kept
+
+
+def _is_dz(theta, order):
+    """theta is None or a FormCoeff at `order` whose alpha is 1 (den monic)."""
+    if not isinstance(theta, FormCoeff):
+        return theta is None
+    a = theta.alpha
+    return a.order == order and a.num.degree == 0 == a.den.degree and a.num.is_monic
+
+
 def _wronskian(f, message):
     """W = N'D - ND' of f = N/D; ArithmeticError for the constant infinity,
     ValueError(message) where W vanishes (f constant)."""
@@ -95,6 +121,7 @@ def _operator_l(w, theta):
     return a, lambda y: p * y - q * y.derivative()
 
 
+@_kept_at_dz
 def pre_schwarzian(f, theta=None):
     """phi = -(1/2) fdd/fd with dots along X, that is -L(D)/(2 A^2 W D)."""
     theta = _theta(theta, f.order)
@@ -103,6 +130,7 @@ def pre_schwarzian(f, theta=None):
     return RatFn(-l(f.den), a * a * w * f.den * 2)
 
 
+@_kept_at_dz
 def schwarzian(f, theta=None):
     """S = X(phi) + phi^2, the theta-coefficient of the quadratic
     differential S theta^2: (-(2 W W'' - 3 W'^2 + 4 W (N''D' - N'D'')) A^2 B^2
@@ -125,10 +153,14 @@ class DResult(RatFn):
     __slots__ = ("degenerate",)
 
     def __init__(self, value, degenerate):
-        self.num, self.den, self.order = value.num, value.den, value.order
-        self.degenerate = degenerate
+        _fill(self, value.num, value.den)
+        object.__setattr__(self, "degenerate", degenerate)
+
+    def __reduce__(self):
+        return (DResult, (_canonical(self.num, self.den), self.degenerate))
 
 
+@_kept_at_dz
 def d_operator(f, theta=None):
     """D f = f - 2 fd^2/fdd = L(N)/L(D), the projectively equivariant dual
     of f.

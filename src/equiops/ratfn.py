@@ -47,9 +47,11 @@ INF = "inf"
 class RatFn:
     """num/den, reduced with den monic.  `RatFn(num, den)` reduces any pair,
     with a gcd only when both parts have degree >= 1.  Every value is
-    canonical, so equality and hashing compare num and den."""
+    canonical, so equality and hashing compare num and den.  Immutable:
+    `_ops` keeps D f, phi f and S f at theta = dz once built by `operators`,
+    and equality, hashing and pickling ignore it."""
 
-    __slots__ = ("num", "den", "order")
+    __slots__ = ("num", "den", "order", "_ops")
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
@@ -61,8 +63,14 @@ class RatFn:
         if num.is_zero and den.is_zero:
             raise ZeroDivisionError("0/0 is not a rational function")
         _, num, den = _cancel(num, den)
-        self.num, self.den = _normal(num, den)
-        self.order = num.order
+        _fill(self, *_normal(num, den))
+
+    def __setattr__(self, *a):
+        raise AttributeError("RatFn is immutable")
+
+    def __reduce__(self):
+        # the value alone, without the memo; the guard blocks slot restore
+        return (_canonical, (self.num, self.den))
 
     # -- constructors -------------------------------------------------
 
@@ -286,6 +294,17 @@ class RatFn:
         return ratfn_literal(self)
 
 
+_set_num, _set_den, _set_order, _set_ops = (
+    s.__set__ for s in (RatFn.num, RatFn.den, RatFn.order, RatFn._ops))
+
+
+def _fill(self, num, den):
+    """Set the slots of a new RatFn from a normal pair, with an empty memo."""
+    _set_num(self, num)
+    _set_den(self, den)
+    _set_order(self, num.order)
+    _set_ops(self, {})
+
 
 def _normal(num, den):
     """(num, den) rescaled so that den is monic, with 0/1 for zero and 1/0
@@ -304,8 +323,7 @@ def _canonical(num, den):
     """The RatFn of a coprime pair (den zero for infinity), built without
     __init__ and with no gcd: a rescale at most."""
     self = object.__new__(RatFn)
-    self.num, self.den = _normal(num, den)
-    self.order = num.order
+    _fill(self, *_normal(num, den))
     return self
 
 
