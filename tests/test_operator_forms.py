@@ -9,12 +9,14 @@ must agree coefficient for coefficient.
 """
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from equiops import properties as pr
-from equiops.cyclotomic import imag_unit, rational, sqrt5, zeta
+from equiops.cyclotomic import CycloError, imag_unit, rational, sqrt5, zeta
 from equiops.operators import (FormCoeff, d_operator, dd_deformation_h,
                                deform_corollary,
                                phi_biweight, phi_operator, pre_schwarzian,
@@ -308,3 +310,82 @@ def test_theta_may_be_given_by_a_poly_or_scalar_alpha(alpha):
 def test_a_zero_alpha_is_rejected():
     with pytest.raises(ValueError, match="^form coefficient must be a nonzero function$"):
         d_operator(parse_ratfn("z^2"), 0)
+
+
+# -- D, phi and S kept on the map at theta = dz --------------------------
+
+OPERATORS = {"phi": (pre_schwarzian, chain_pre_schwarzian),
+             "S": (schwarzian, chain_schwarzian),
+             "D": (d_operator, chain_d_operator)}
+DZ = {"None": lambda: None, "dz": FormCoeff.dz,
+      "d_of(z)": lambda: FormCoeff.d_of(RatFn.x())}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_a_second_call_at_dz_returns_the_kept_value(name):
+    operator = OPERATORS[name][0]
+    f = parse_ratfn("(z^3 - 2*z + 1)/(z^2 + 3)")
+    first = operator(f)
+    assert operator(f) is first
+    for spelling in DZ.values():
+        assert operator(f, spelling()) is first
+    # an equal map is another object and keeps a value of its own
+    g = RatFn(f.num, f.den)
+    assert operator(g) is not first and same(operator(g), first)
+
+
+@pytest.mark.parametrize("field", ["Q", "zeta120"])
+@pytest.mark.parametrize("spelling", sorted(DZ))
+def test_each_spelling_of_dz_gives_the_chain_value(field, spelling):
+    for _, _, f in maps(field, 2):
+        f = RatFn(f.num, f.den)  # nothing kept yet
+        for operator, chain in OPERATORS.values():
+            want = chain(f, FormCoeff.dz())
+            assert same(operator(f, DZ[spelling]()), want), (spelling, str(f))
+            assert same(operator(f), want), (spelling, str(f))
+
+
+@pytest.mark.parametrize("field", ["Q", "zeta120"])
+def test_another_theta_after_dz_gives_its_own_chain_value(field):
+    for rng, _, f in maps(field, 2):
+        for operator, _ in OPERATORS.values():
+            operator(f)
+        w = pr.random_ratfn(rng, 3)
+        for theta in (FormCoeff.d_of(w), FormCoeff(RatFn.constant(2)),
+                      FormCoeff(RatFn.constant(-1)), FormCoeff(parse_ratfn("1/z"))):
+            for operator, chain in OPERATORS.values():
+                assert same(operator(f, theta), chain(f, theta)), (str(f), repr(theta))
+
+
+def test_a_dz_of_another_field_order_is_not_read_from_the_memo():
+    # dz over Q(zeta_12) does not meet f over Q(zeta_120), kept value or not
+    f = parse_ratfn("(z^3 - 2*z + 1)/(z^2 + 3)")
+    d_operator(f)
+    with pytest.raises(CycloError):
+        d_operator(f, FormCoeff.dz(12))
+
+
+def test_threads_computing_one_operator_share_one_value():
+    # every thread gets the value setdefault kept, whichever finished first
+    f = parse_ratfn("(z^4 - 2*z + 1)/(z^3 + 3*z - 1)")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            g = RatFn(f.num, f.den)
+            results = []
+            start = threading.Barrier(4, timeout=60)
+
+            def call():
+                start.wait()
+                results.append(d_operator(g))
+
+            workers = [threading.Thread(target=call) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert len(results) == 4 and all(r is results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)

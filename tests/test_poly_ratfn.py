@@ -14,6 +14,7 @@ from equiops import poly as poly_module, series
 from equiops.cyclotomic import (Cyclo, CycloError, imag_unit, rational, sqrt2,
                                 sqrt5, zeta)
 from equiops.moebius import Moebius, compose_after, moebius_apply
+from equiops.operators import DResult, d_operator, pre_schwarzian, schwarzian
 from equiops.parsing import parse_poly, parse_ratfn
 from equiops.poly import Poly
 from equiops.ratfn import INF, RatFn
@@ -392,6 +393,13 @@ def test_reflected_ops_return_not_implemented():
     assert 2 / f == parse_ratfn("2*z + 2")
 
 
+def with_operators_kept(f):
+    """f after D, phi and S at dz have filled its memo."""
+    for operator in (d_operator, pre_schwarzian, schwarzian):
+        operator(f)
+    return f
+
+
 @pytest.mark.parametrize("value", [
     rational(Fraction(-7, 3)),
     sqrt5() * rational(Fraction(2, 9)) + imag_unit(),
@@ -400,8 +408,11 @@ def test_reflected_ops_return_not_implemented():
     Poly([Fraction(-3, 4), 0, Fraction(5, 10 ** 20 + 39)]),
     Poly.zero(),
     parse_ratfn("(2*z + 1)/(z^2/3 + 1)"),
+    with_operators_kept(parse_ratfn("(z^3 - zeta)/(z^2 + 2)")),
+    d_operator(parse_ratfn("(2*z + 1)/(z - 3)")),
+    d_operator(parse_ratfn("(z^3 + z)/(z - 2)")),
 ], ids=["rational", "irrational", "poly", "ratfn", "rational-poly", "zero-poly",
-        "rational-ratfn"])
+        "rational-ratfn", "ratfn-with-operators", "degenerate-dresult", "dresult"])
 def test_values_survive_pickle_and_deepcopy(value):
     def polys(v):
         return [v] if isinstance(v, Poly) else [v.num, v.den] if isinstance(v, RatFn) else []
@@ -413,11 +424,30 @@ def test_values_survive_pickle_and_deepcopy(value):
         assert repr(copied) == repr(value)
         if isinstance(value, Cyclo):
             assert copied.is_rational == value.is_rational
+        if isinstance(value, DResult):
+            assert copied.degenerate is value.degenerate
+        if isinstance(value, RatFn):  # the memo stays behind and fills again
+            assert copied._ops == {}
+            if not value.is_constant:
+                assert d_operator(copied) == d_operator(value)
         for p, q in zip(polys(copied), polys(value)):
             assert p.is_rational == q.is_rational and p.coeffs == q.coeffs
             if q.is_rational:
                 assert p.as_ints() == q.as_ints()
             assert p * p + p == q * q + q
+
+
+@pytest.mark.parametrize("value", [
+    parse_ratfn("(z^2 - 3)/(2*z + 1)"), with_operators_kept(parse_ratfn("z^3/(z + 1)")),
+    d_operator(parse_ratfn("(2*z + 1)/(z - 3)")), d_operator(parse_ratfn("z^3/(z + 1)")),
+], ids=["ratfn", "ratfn-with-operators", "degenerate-dresult", "dresult"])
+@pytest.mark.parametrize("name", ["num", "den", "order", "degenerate", "_ops", "other"])
+def test_ratfn_and_dresult_refuse_assignment(value, name):
+    before = (value.num, value.den, value.order, getattr(value, "degenerate", None))
+    with pytest.raises(AttributeError):
+        setattr(value, name, RatFn.x())
+    assert (value.num, value.den, value.order, getattr(value, "degenerate", None)) == before
+    assert not hasattr(value, "other")
 
 
 def test_ratfn_hash_matches_equality_on_unreduced_values():

@@ -9,6 +9,7 @@ and substitution, all on `Cyclo` coefficients.
 """
 
 import math
+import os
 import pickle
 import random
 import subprocess
@@ -464,8 +465,12 @@ def test_split_primes_and_root_tables():
 def test_no_table_is_built_at_import():
     code = ("import equiops, equiops.poly as p, equiops.cyclotomic as c; "
             "print(c._split_prime.cache_info().currsize, c._split_roots.cache_info().currsize)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+    # the child imports equiops from this checkout, whatever the caller's path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
     assert done.stdout.split() == ["0", "0"]
 
 
