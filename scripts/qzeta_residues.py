@@ -5,7 +5,8 @@ a + b zeta_120 with small integers a and b != 0.  Each map runs in a fresh
 Python process, so no cache is shared between maps, and a run that passes
 the cap is stopped and reported as such.  The output is one JSON object:
 per map its degree, seed, seconds and the sha256 of
-`repr(period_residues(f, D f))`.
+`repr(period_residues(f, D f))`.  The exit status is 1 if any map was
+stopped at the cap.
 
     python3 scripts/qzeta_residues.py                  # this checkout
     python3 scripts/qzeta_residues.py --src OTHER/src  # another checkout
@@ -24,7 +25,7 @@ import sys
 import time
 
 # (degree, seed) of every map the script times by default
-MAPS = ((2, 1), (2, 2), (2, 3), (3, 1))
+MAPS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
 
 
 def qzeta_map(degree, seed):
@@ -86,7 +87,7 @@ def main(argv=None):
         out.append(row)
         print(json.dumps(row), file=sys.stderr)
     print(json.dumps({"src": src, "cap_s": args.cap, "maps": out}, indent=1))
-    return 0
+    return 1 if any(row["seconds"] is None for row in out) else 0
 
 
 if __name__ == "__main__":

@@ -23,17 +23,19 @@ canonical, so it is the value of the chain of RatFn operations.  Klein's
 vector field is the biweight phi-operator, with a flag for its degenerate
 cases.
 
-Period residues are `series` quotients of Taylor expansions at the roots of
-each squarefree factor s of the pole divisor, on `Poly` coefficients
-reduced mod s; the one inverse mod s is an extended Euclid over Q(zeta).
+Period residues take one path for every pole: Hermite reduction (Mack's
+linear version) leaves a part a/d with a squarefree denominator and the
+same residues, and on each Yun factor s the period 2a/d' mod s is a
+scalar or is split into Rothstein-Trager loci gcd(s, 2a - c d').  The one
+extended Euclid over Q(zeta), `_gcdex`, serves both steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from math import prod
 
-from . import series
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import Place
 from .poly import Poly
@@ -317,11 +319,13 @@ def period_residues(f, fhat):
     which is the well-definedness criterion for the primitive.  Bundle
     places report a Poly value when the residue varies over the bundle.
 
-    For each factor s of Yun's decomposition of den = s^mult u, the residue
-    at a root x of s is coefficient mult - 1 of num(x+t) / (u(x+t)
-    (s(x+t)/t)^mult), a series over Q(zeta)[z]/(s).  Yun's factors are
-    squarefree and pairwise coprime, so u s'^mult, the constant term of the
-    divisor, is a unit mod s.
+    Hermite reduction writes g = f'/(f - fhat) as a derivative, which has no
+    residue, plus a/d with d the product of the Yun factors of g.den.  At a
+    root x of a factor s the period is r(x)/t(x) with r = 2a and t = d'
+    mod s, t a unit as d is squarefree.  Where r is a scalar multiple of t
+    the period is that scalar; otherwise the locus where it equals c is
+    gcd(rest, r - c t) (Rothstein 1976; Trager 1976), and what no small
+    integer takes is one bundle with value r t^-1 mod rest.
     """
     if not isinstance(fhat, RatFn):
         fhat = RatFn.constant(fhat, f.order)
@@ -329,68 +333,57 @@ def period_residues(f, fhat):
     if diff.is_zero:
         raise ValueError("f and fhat coincide")
     g = f.derivative() / diff
+    parts = g.den.squarefree_decomposition()
+    a, d = _hermite(g.num, parts)
+    d1 = d.derivative()
     bound = 2 * (f.num.degree + f.den.degree) + 4
     out = []
-    for s, mult in g.den.squarefree_decomposition():
-        u = g.den.exact_div(s ** mult)
-        # s(x + t) has no constant term; s_div_t is s(x + t) / t
-        s_div_t = {k - 1: c for k, c in _shift_series(s, s, mult + 1).items()}
-        den = _shift_series(u, s, mult)
-        for _ in range(mult):
-            den = {k: c % s for k, c in series.mul(den, s_div_t, mult).items()}
-        quotient = series.div(_shift_series(g.num, s, mult), den, mult,
-                              _inverse_mod(den[0], s))
-        value = quotient.get(mult - 1, Poly.zero(s.order)) % s
-        if value.degree > 0:
-            out.extend(_split_by_integer_values(s, value + value, bound))
-        else:
-            c = value.constant_value()
-            out.append((Place.bundle(s), c + c))
+    for s, _ in parts:
+        r, t = (a + a) % s, d1 % s
+        c = r.leading / t.leading if r else rational(0, s.order)
+        if r == t.scale(c):
+            out.append((Place.bundle(s), c))
+            continue
+        rest = s
+        for k in range(-bound, bound + 1):
+            if rest.degree < 1:
+                break
+            locus = rest.gcd(r - t.scale(k))
+            if locus.degree >= 1:
+                out.append((Place.bundle(locus), rational(k, s.order)))
+                rest = rest.exact_div(locus)
+        if rest.degree >= 1:
+            out.append((Place.bundle(rest), _gcdex(t, rest, r)[0]))
     return out
 
 
-def _split_by_integer_values(piece, period, bound):
-    """Refine a bundle on which the period varies: peel off the loci where
-    it equals each small integer, leaving any non-integer remainder as a
-    bundle with a polynomial value."""
-    out = []
-    rest = piece
-    for c in range(-bound, bound + 1):
-        if rest.degree < 1:
-            break
-        locus = rest.gcd(period - Poly.constant(rational(c, piece.order), piece.order))
-        if locus.degree >= 1:
-            out.append((Place.bundle(locus), rational(c, piece.order)))
-            rest = rest.exact_div(locus)
-    if rest.degree >= 1:
-        out.append((Place.bundle(rest.monic()), period % rest))
-    return out
+def _hermite(num, parts):
+    """(a, d) with num/den - a/d the derivative of a rational function, for
+    den monic with Yun decomposition `parts` and d the product of its
+    factors: Mack's linear Hermite reduction (Bronstein, Symbolic
+    Integration I, 2.2).  Step k takes e = prod s^(i-k) over the factors of
+    multiplicity i > k down to e / v, v = prod s, by solving b w + c v = a
+    for w = -d e'/e and setting a = c - b' d/v."""
+    one, zero = Poly.one(num.order), Poly.zero(num.order)
+    d, a = prod((s for s, _ in parts), start=one), num
+    for k in range(1, max((i for _, i in parts), default=1)):
+        high = [(s, i - k) for s, i in parts if i > k]
+        v = prod((s for s, _ in high), start=one)
+        w = sum((d.exact_div(s) * s.derivative().scale(-j) for s, j in high), zero)
+        b, c = _gcdex(w, v, a)
+        a = c - b.derivative() * d.exact_div(v)
+    return a, d
 
 
-def _inverse_mod(a, s):
-    """a^-1 mod the monic s for a prime to s: the monic extended Euclid over
-    Q(zeta), whose last remainder is 1."""
-    r0, r1 = s, a % s
-    t0, t1 = Poly.zero(s.order), Poly.one(s.order)
+def _gcdex(x, y, c):
+    """(b, e) with b x + e y = c and deg b < deg y, for x prime to y: the
+    extended Euclid over Q(zeta) with monic remainders, whose last is 1."""
+    r0, r1 = y, x % y
+    s0, s1 = Poly.zero(y.order), Poly.one(y.order)
     while not r1.is_zero:
         lead = r1.leading.inverse()
-        r1m, t1m = r1.scale(lead), t1.scale(lead)
-        q, r = r0.divmod(r1m)
-        r0, r1 = r1m, r
-        t0, t1 = t1m, t0 - q * t1m
-    return t0 % s
-
-
-def _shift_series(p, s, n):
-    """First n Taylor coefficients of p(x + t), x the class of z mod s, as a
-    sparse series: coefficient k is p^(k)/k! reduced mod s."""
-    out = {}
-    factorial = 1
-    for k in range(n):
-        if k:
-            p = p.derivative()
-            factorial *= k
-        c = p % s
-        if not c.is_zero:
-            out[k] = c.scale(Fraction(1, factorial))
-    return out
+        r1, s1 = r1.scale(lead), s1.scale(lead)
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    b = (s0 * c) % y
+    return b, (c - b * x).exact_div(y)

@@ -4,7 +4,7 @@ A series is a sparse dict {exponent: nonzero coefficient}, cut below
 `limit`.  `mul` and `div` multiply coefficients with `*`, and the division
 also takes the inverse of the divisor's constant term.  Coefficients need
 only `+`, `-`, `*`, unary `-` and a truth value that is false exactly for
-zero, as ints, `Cyclo` and `Poly` values have.
+zero, as ints and `Cyclo` values have.
 
 Exact data needs no field inverse: `div_ints` divides series of ints, or of
 rows (the phi(m) ints of an element of Q(zeta_m)) whose divisor has an int
@@ -14,8 +14,8 @@ each coefficient's row products unreduced and reduce them mod Phi_m once
 (`cyclotomic._dot`), as `poly._conv` does.
 
 Callers: `QSeries` products and quotients (so `RatFn` Taylor series and the
-Legendrian lift too), and the period residues in `equiops.operators`, on
-`Poly` coefficients that the caller reduces mod a squarefree factor.
+Legendrian lift too).  The tests divide with `div` and a `Cyclo` inverse of
+the divisor's constant term as the reference for the int and row paths.
 """
 
 from heapq import heapify, heappop, heappush

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from equiops.cyclotomic import rational
+from equiops.cyclotomic import Cyclo, rational
 from equiops.operators import (FormCoeff, d_operator, dd_deformation_h,
                                deform_corollary, general_binomial,
                                klein_vector_field, period_residues,
@@ -153,6 +153,18 @@ def test_period_residues_at_multiple_poles():
         "[(Place(roots of z^2 - 2), (3/32)*z)]")
 
 
+def test_a_constant_period_is_a_field_element():
+    # repr cannot tell a constant Poly from a Cyclo: a constant period is a
+    # Cyclo on a point and on a bundle alike, even where no integer locus
+    # takes it, and a varying one is a Poly
+    z = parse_ratfn("z")
+    [(_, on_bundle)] = period_residues(z, parse_ratfn("z - 3*(z^2 + 1)/(2*z)"))
+    (_, at_point), (_, varying) = period_residues(z, z - (z * z + 1) ** 2 * (z - 2))
+    assert isinstance(on_bundle, Cyclo) and on_bundle.as_fraction() == Fraction(2, 3)
+    assert isinstance(at_point, Cyclo) and at_point.as_fraction() == Fraction(2, 25)
+    assert isinstance(varying, Poly)
+
+
 def _replay_script():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "qzeta_residues.py"
     spec = importlib.util.spec_from_file_location("qzeta_residues", path)
@@ -161,21 +173,64 @@ def _replay_script():
     return module
 
 
-# sha256 of repr(period_residues(f, D f)) for the degree-2 maps with
-# a + b zeta_120 coefficients of scripts/qzeta_residues.py, recorded with the
-# Z[zeta] remainder-sequence gcd, which took 3-7 s per map
+# sha256 of repr(period_residues(f, D f)) for the maps (degree, seed) with
+# a + b zeta_120 coefficients of scripts/qzeta_residues.py.  The degree-2
+# digests were recorded with the Z[zeta] remainder-sequence gcd, which took
+# 3-7 s per map, the others with the Taylor series mod s, which took 4.9,
+# 6.0 and 20.3 s
 QZETA_RESIDUE_DIGESTS = {
-    1: "cdcc6a12f3f70fd9afc8e3db8e2596a1d654b192d0fdf684719cff5170fa1ae8",
-    2: "ac06bd5d3fdeba1f2b741a1ef99fd87a98da33d32df775e91727062dfaacf10a",
-    3: "b03a9a1df60c8ac85d7c8eba2802fc1ca01ac9de2a6d6885407038e900f46d46",
+    (2, 1): "cdcc6a12f3f70fd9afc8e3db8e2596a1d654b192d0fdf684719cff5170fa1ae8",
+    (2, 2): "ac06bd5d3fdeba1f2b741a1ef99fd87a98da33d32df775e91727062dfaacf10a",
+    (2, 3): "b03a9a1df60c8ac85d7c8eba2802fc1ca01ac9de2a6d6885407038e900f46d46",
+    (3, 1): "88f3830d0a93da6d948ea7c31f8bf3af739a786f192a0ca48090186f00ab3b2e",
+    (3, 2): "260469bff1085e6207be4152116f0af6c9856e7aa2692c046415a2a484285e18",
+    (4, 1): "f55e529f7afa3751276c601d9f1a7fb21a8a9e27194414ec15fdab7fbdf62355",
 }
 
 
-@pytest.mark.parametrize("seed", sorted(QZETA_RESIDUE_DIGESTS))
-def test_period_residues_over_q_zeta_are_unchanged_and_fast(seed):
-    seconds, digest = _replay_script().run_one(2, seed)
-    assert digest == QZETA_RESIDUE_DIGESTS[seed]
+def _qzeta_id(key):
+    # the seed alone at degree 2, which keeps the ids of the first three maps
+    degree, seed = key
+    return str(seed) if degree == 2 else "%d:%d" % key
+
+
+@pytest.mark.parametrize("key", sorted(QZETA_RESIDUE_DIGESTS), ids=_qzeta_id)
+def test_period_residues_over_q_zeta_are_unchanged_and_fast(key):
+    seconds, digest = _replay_script().run_one(*key)
+    assert digest == QZETA_RESIDUE_DIGESTS[key]
     assert seconds < 1.0
+
+
+def _orders_of_derivative(f):
+    """{order: product of the monic places where f' has that order}, from the
+    Yun factors of the numerator (orders > 0) and denominator (< 0) of f'."""
+    df = f.derivative()
+    out = {}
+    for poly, sign in ((df.num, 1), (df.den, -1)):
+        for s, i in poly.squarefree_decomposition():
+            out[sign * i] = out.get(sign * i, Poly.one(f.order)) * s
+    return out
+
+
+def _oracle_maps(field):
+    if field == "zeta120":
+        return [_replay_script().qzeta_map(3, 1)]
+    rng = random.Random(RNG_SEED + 2)
+    return [random_ratfn(rng, 4) for _ in range(20)]
+
+
+@pytest.mark.parametrize("field", ["Q", "zeta120"])
+def test_periods_of_d_f_are_the_orders_of_the_derivative(field):
+    # D f = f - 2 f'^2/f'', so g = f'/(f - D f) = f''/(2 f') and the period
+    # at a place is the order of f' there: an oracle that shares no step
+    # with Hermite reduction or the loci
+    for f in _oracle_maps(field):
+        got = {}
+        for place, value in period_residues(f, d_operator(f)):
+            assert value.is_rational and value.as_fraction().denominator == 1
+            c = int(value.as_fraction())
+            got[c] = got.get(c, Poly.one(f.order)) * place.as_poly(f.order)
+        assert got == _orders_of_derivative(f)
 
 
 def test_period_residues_are_integers():

@@ -324,8 +324,8 @@ SQUAREFREE_FIELDS = {"Q": rational(0), "sqrt5": sqrt5(), "zeta": zeta(120, 1)}
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(SQUAREFREE_FIELDS))
 def test_squarefree_factors_are_monic_squarefree_and_coprime(name, seed):
-    # period_residues inverts u s'^i mod each factor s of den = s^i u, a unit
-    # because the factors are squarefree and pairwise coprime
+    # Yun's factors are monic, squarefree and pairwise coprime, as the
+    # Hermite reduction of period_residues needs
     rng = random.Random("squarefree:%s:%d" % (name, seed))
     a, b, c = (seeded_field_poly(rng, rng.randint(1, 2), SQUAREFREE_FIELDS[name])
                for _ in range(3))
