@@ -9,14 +9,19 @@ The operators work on polynomial-matrix forms and reduce each output entry
 once with `RatFn(num, den)`; a reduced value is canonical, so this equals
 the chain of reduced `MatFn` products and inverses.  Write f = N/q, q the
 lcm of the entry denominators.  W_0 = N and W_(j+1) = W_j' q - (j+1) W_j q'
-give f^(j) = W_j / q^(j+1), and with delta = det W_1, fdot^-1 = q^2
-adj(W_1) / delta.  So p_k = -P_k / (2 q^k delta), P_k = adj(W_1) W_(k+1),
-and a word p_k1 ... p_kr of weight |w| is (-1/2)^r P_k1 ... P_kr over
-q^|w| delta^r: H(f) is one sum over q^W delta^R.  With X_k = -(1/2)
-f^(k+1) = fdot p_k, H + p_1 = fdot^-1 G, a word of G being (-1/2)^r
-W_(k1+1) P_k2 ... P_kr over q^(|w|+2) delta^(r-1) and a scalar c giving
-c q W_1 / q^3.  For G = G_n / (e q^a delta^b), a >= 3, and s = q^(a-3)
-delta^b, Phi_X H = f + fdot G^-1 fdot is
+give f^(j) = W_j / q^(j+1), and fdot^-1 = q^2 adj(W_1) / det W_1.  The
+lcm leaves powers of q in these polynomials (on a T f with diagonal
+denominators q_1 and q_2, q^2 divides det W_1 and each adj(W_1) W_(k+1)),
+and each is divided out where it is built: det W_1 = q^c delta and
+adj(W_1) W_(k+1) = q^(v_k) P_k, v_k <= k + c.  So with a_k = k + c - v_k,
+p_k = -P_k / (2 q^(a_k) delta), and a word p_k1 ... p_kr is (-1/2)^r
+P_k1 ... P_kr over q^(a_k1 + ... + a_kr) delta^r: H(f) is one sum over
+q^A delta^R.  With X_k = -(1/2) f^(k+1) = fdot p_k, H + p_1 = fdot^-1 G,
+a word of G being (-1/2)^r W_(k1+1) P_k2 ... P_kr over
+q^(k1 + 2 + a_k2 + ... + a_kr) delta^(r-1) and a scalar x giving
+x q W_1 / q^3.  For G = G_n / (e q^a delta^b), a >= 3, the largest q^v
+with v <= a - 3 that divides G_n is divided out first, lowering a by v.
+Then with s = q^(a-3) delta^b, Phi_X H = f + fdot G^-1 fdot is
 
     (N det G_n + e s W_1 adj(G_n) W_1) / (q det G_n),
 
@@ -27,8 +32,8 @@ q and delta add in products and take their maximum in sums, the e their
 lcm; a singular matrix raises ZeroDivisionError.
 
 The form is built once per matrix: an immutable `MatFn` keeps it, and
-every operator at that matrix shares its q, W_j, adj(W_1), delta and word
-products.
+every operator at that matrix shares its q, W_j, adj(W_1), c, delta and
+word products.
 """
 
 from fractions import Fraction
@@ -442,12 +447,24 @@ def _lcm(x, y):
     return x if x == y else x * _cancel(x, y)[2]
 
 
+def _q_strip(rows, q, cap):
+    """(rows / q^v, v), v <= cap the largest such that q^v divides every
+    entry; v = 0 for a constant q."""
+    v = 0
+    try:
+        while v < cap and not q.is_constant:
+            rows, v = [[x.exact_div(q) for x in row] for row in rows], v + 1
+    except ValueError:  # q divides some entry no further
+        pass
+    return rows, v
+
+
 class _Form:
-    """f = N/q with W_j, delta, adj(W_1) and the word products built on
+    """f = N/q with W_j, c, delta, adj(W_1) and the word products built on
     first use (see the module docstring).  One form serves every operator
     at f, so no caller may change its lists in place."""
 
-    __slots__ = ("order", "size", "q", "w", "delta", "adj", "_words")
+    __slots__ = ("order", "size", "q", "w", "delta", "shift", "adj", "_words")
 
     def __init__(self, f):
         self.order, self.size = f.order, f.size
@@ -469,22 +486,31 @@ class _Form:
         return w[j]
 
     def regular(self):
-        """Builds adj(W_1) and delta; ZeroDivisionError if fdot is singular."""
+        """Builds adj(W_1), c and delta; ZeroDivisionError if fdot is
+        singular."""
         if self.delta is None:
-            self.adj, self.delta = _adj_det(self.deriv(1))
+            adj, det = _adj_det(self.deriv(1))
+            rows, self.shift = _q_strip([[det]], self.q, det.degree)
+            self.adj, self.delta = adj, rows[0][0]
         return self
 
     def word(self, word, left=False):
-        """P_k1 ... P_kr, or for left = True W_(k1+1) P_k2 ... P_kr."""
-        rows = self._words.get((word, left))
-        if rows is None:
+        """(P_k1 ... P_kr, a), the word being that product over q^a
+        delta^r up to (-1/2)^r, or for left = True (W_(k1+1) P_k2 ...
+        P_kr, a) over q^a delta^(r-1)."""
+        found = self._words.get((word, left))
+        if found is None:
             if len(word) > 1:
-                rows = _mat_mul(self.word(word[:1], left), self.word(word[1:]))
+                (x, ax), (y, ay) = self.word(word[:1], left), self.word(word[1:])
+                found = _mat_mul(x, y), ax + ay
+            elif left:
+                found = self.deriv(word[0] + 1), word[0] + 2
             else:
-                rows = self.deriv(word[0] + 1)
-                rows = rows if left else _mat_mul(self.regular().adj, rows)
-            self._words[(word, left)] = rows
-        return rows
+                k = word[0] + self.regular().shift
+                rows, v = _q_strip(_mat_mul(self.adj, self.deriv(word[0] + 1)), self.q, k)
+                found = rows, k - v
+            self._words[(word, left)] = found
+        return found
 
     def factor(self, a, b):
         """q^a delta^b."""
@@ -526,10 +552,10 @@ def _words(p, c, left):
         coeff = _as_ratfn(coeff, c.order)  # TypeError for a non-scalar
         if coeff.is_infinity:
             raise ArithmeticError("arithmetic with the constant infinity")
-        rows = c.word(word, left) if word else _scaled(c.deriv(1), c.q) if left else \
-            [[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)]
+        rows, a = c.word(word, left) if word else (_scaled(c.deriv(1), c.q), 3) if left else \
+            ([[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)], 0)
         forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** len(word))), coeff.den,
-                      sum(word) + 2 * s if word else 3 * s, max(len(word) - s, 0)))
+                      a, max(len(word) - s, 0)))
     return _sum(forms, c)
 
 
@@ -558,6 +584,8 @@ def _form(expr, c, left=False):
 
 def _phi(c, rows, e, a, b):
     """f + fdot G^-1 fdot for G = rows / (e q^a delta^b)."""
+    rows, v = _q_strip(rows, c.q, a - 3)
+    a -= v
     adj, d = _adj_det(rows)
     tail = _mat_mul(_mat_mul(c.deriv(1), adj), c.deriv(1))
     s = c.factor(a - 3, b)  # divides d for every 2x2 and 3x3 f in the tests
@@ -637,9 +665,11 @@ def gen_moebius_apply(t, f):
 
 def phi_generators(f, count):
     """p_k(f) = -(1/2) fdot^{-1} f^{(k+1)} for k = 1..count."""
-    c = _form_of(f).regular()
-    return {k: c.reduced(_scaled(c.word((k,)), Fraction(-1, 2)), Poly.one(f.order), k, 1)
-            for k in range(1, count + 1)}
+    c, out = _form_of(f).regular(), {}
+    for k in range(1, count + 1):
+        rows, a = c.word((k,))
+        out[k] = c.reduced(_scaled(rows, Fraction(-1, 2)), Poly.one(f.order), a, 1)
+    return out
 
 
 def nc_eval(p, f):

@@ -18,7 +18,7 @@ and the dynamics and Heins checks compare floats against tolerances.
 
 import random
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from itertools import combinations_with_replacement
 
 from . import qseries as qs
@@ -238,30 +238,27 @@ def ncalg_inputs(rng, degree):
     return random_gen_moebius(rng), random_matfn(rng, degree)
 
 
-def check_nc_equivariance(op, t, f):
-    """op(T f) = T op(f) for the generalized Moebius action of T."""
-    ok = op(gen_moebius_apply(t, f)) == gen_moebius_apply(t, op(f))
+def check_nc_equivariance(op, t, f, tf):
+    """op(T f) = T op(f) for the generalized Moebius action of T; tf is T f."""
+    ok = op(tf) == gen_moebius_apply(t, op(f))
     return ok, "equivariant=%s" % ok
 
 
-def check_semi_invariance(poly, t, f):
-    """poly(T f) = (c f + d) poly(f) (c f + d)^{-1} for T = (a, b; c, d)."""
+def check_semi_invariance(poly, t, f, tf):
+    """poly(T f) = (c f + d) poly(f) (c f + d)^{-1} for T = (a, b; c, d), tf = T f."""
     cfd = MatFn(t.c) * f + MatFn(t.d)
-    ok = nc_eval(poly, gen_moebius_apply(t, f)) == \
-        cfd * nc_eval(poly, f) * cfd.inverse()
+    ok = nc_eval(poly, tf) == cfd * nc_eval(poly, f) * cfd.inverse()
     return ok, "semi-invariant=%s" % ok
 
 
-# The ncalg suite: (check id, check of one (T, f)), in report order.
+# The ncalg suite: (check id, check of one (T, f) and tf = T f), in report
+# order; the five checks of a draw share tf and so its form.
 NCALG_CHECKS = (
-    ("D", lambda t, f: check_nc_equivariance(nc_d_operator, t, f)),
-    ("S1", lambda t, f: check_semi_invariance(s_poly(1), t, f)),
-    ("phi_S1", lambda t, f: check_nc_equivariance(
-        lambda g: nc_phi_deform(g, s_poly(1)), t, f)),
-    ("phi_S2", lambda t, f: check_nc_equivariance(
-        lambda g: nc_phi_deform(g, s_poly(2)), t, f)),
-    ("family", lambda t, f: check_nc_equivariance(
-        lambda g: deform_family(g, 2), t, f)),
+    ("D", partial(check_nc_equivariance, nc_d_operator)),
+    ("S1", partial(check_semi_invariance, s_poly(1))),
+    ("phi_S1", partial(check_nc_equivariance, lambda g: nc_phi_deform(g, s_poly(1)))),
+    ("phi_S2", partial(check_nc_equivariance, lambda g: nc_phi_deform(g, s_poly(2)))),
+    ("family", partial(check_nc_equivariance, lambda g: deform_family(g, 2))),
 )
 
 
@@ -439,5 +436,8 @@ def suite_checks(name, configs, seed=0, order=10, count=None):
         rng = random.Random(seed)
         for i in range(count or 6):
             t, f = ncalg_inputs(rng, partial(rng.randint, 2, 3))
+            # T f once per draw, built by the first check to run; an error fails each check
+            tf = cache(partial(gen_moebius_apply, t, f))
             for check_id, check in NCALG_CHECKS:
-                yield "ncalg.%02d.%s" % (i, check_id), partial(check, t, f)
+                yield "ncalg.%02d.%s" % (i, check_id), \
+                    lambda check=check, t=t, f=f, tf=tf: check(t, f, tf())

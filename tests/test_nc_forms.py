@@ -6,7 +6,8 @@ Phi_X H, the Theorem-2 operators, the deformation family and the
 generalized Moebius action from the forms of f = N/q, reducing each output
 entry once.  The functions below are the definitions as chains of reduced
 `MatFn` products, sums and adjugate inverses; both sides are canonical, so
-every entry must agree in num and den.
+every entry must agree in num and den.  The last test checks that the
+forms divide out every power of q that their caps allow.
 """
 
 import importlib.util
@@ -216,12 +217,18 @@ def test_pool_pairs_match_the_chain(index):
     assert_matches(tf, rich=False, where=(index, "tf"))
 
 
-def test_criterion_8_draws_match_the_chain():
-    # the draws of criterion 8 in tests/test_acceptance.py, in its order
+def criterion_8_draws():
+    """The draws of criterion 8 in tests/test_acceptance.py, in its order:
+    the f of the hierarchy images, then the 20 (T, f)."""
     rng = random.Random(CRITERION_8_SEED)
-    assert_matches(pr.random_matfn(rng, lambda: 2))
-    for i in range(20):
-        t, f = pr.ncalg_inputs(rng, lambda: 2)
+    f0 = pr.random_matfn(rng, lambda: 2)
+    return f0, [pr.ncalg_inputs(rng, lambda: 2) for _ in range(20)]
+
+
+def test_criterion_8_draws_match_the_chain():
+    f0, draws = criterion_8_draws()
+    assert_matches(f0)
+    for i, (t, f) in enumerate(draws):
         assert_moebius_matches(t, f, i)
         assert_matches(f, rich=False, where=i)
 
@@ -231,7 +238,8 @@ def field_poly(rng, degree):
                  for _ in range(degree)] + [rational(1) + sqrt5()])
 
 
-def test_non_triangular_over_sqrt5_matches_the_chain():
+def sqrt5_pair():
+    """A non-triangular (T, f) over Q(sqrt5), every entry of f nonzero."""
     rng = random.Random("%d:sqrt5" % SEED)
     while True:
         f = MatFn([[RatFn(field_poly(rng, 2)), RatFn(field_poly(rng, 1), field_poly(rng, 1))],
@@ -242,13 +250,22 @@ def test_non_triangular_over_sqrt5_matches_the_chain():
             break
     t = GenMoebius([[1, sqrt5()], [0, 1]], [[0, 1], [1, 0]],
                    [[1, 0], [sqrt5(), 1]], [[2, 0], [0, 3]])
+    return t, f
+
+
+def test_non_triangular_over_sqrt5_matches_the_chain():
+    t, f = sqrt5_pair()
     assert_moebius_matches(t, f)
     assert_matches(f)
 
 
-def test_three_by_three_matches_the_chain():
+def three_by_three():
     entries = [["z^2", "1", "z"], ["0", "z^2 + z", "2"], ["1/(z + 1)", "z", "z^2 - 3"]]
-    f = MatFn([[parse_ratfn(e) for e in row] for row in entries])
+    return MatFn([[parse_ratfn(e) for e in row] for row in entries])
+
+
+def test_three_by_three_matches_the_chain():
+    f = three_by_three()
     one = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     zero = [[0] * 3 for _ in range(3)]
@@ -324,3 +341,75 @@ def test_threads_building_one_form_keep_each_w_at_its_index():
             assert [c.deriv(j) for j in range(5)] == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- the power of q divided out of the forms -----------------------------
+
+
+def divisible(rows, q):
+    """Whether q divides every entry of the list matrix rows."""
+    return all((x % q).is_zero for row in rows for x in row)
+
+
+def strip_inputs():
+    """name -> matrix: each pool T f, each criterion-8 f and T f, the
+    Q(sqrt5) f with its T f, and the 3x3 f."""
+    f0, draws = criterion_8_draws()
+    out = {"pool %d tf" % i: gen_moebius_apply(t, f) for i, (t, f) in enumerate(POOL)}
+    out["criterion 8 f0"] = f0
+    for i, (t, f) in enumerate(draws):
+        out["criterion 8 draw %d f" % i] = f
+        out["criterion 8 draw %d tf" % i] = gen_moebius_apply(t, f)
+    t, f = sqrt5_pair()
+    out["sqrt5 f"], out["sqrt5 tf"] = f, gen_moebius_apply(t, f)
+    out["3x3 f"] = three_by_three()
+    return out
+
+
+STRIP_INPUTS = strip_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(STRIP_INPUTS))
+def test_the_strip_leaves_no_power_of_q_below_its_cap(name, monkeypatch):
+    g = MatFn(STRIP_INPUTS[name].rows, STRIP_INPUTS[name].order)  # no form yet
+    phi_inputs = []  # (G_n, a, b, the G_n / q^v that _phi inverts)
+    phi, adj_det = ncalg._phi, ncalg._adj_det
+
+    def recording_phi(c, rows, e, a, b):
+        inverted = []
+        monkeypatch.setattr(ncalg, "_adj_det", lambda m: inverted.append(m) or adj_det(m))
+        try:
+            return phi(c, rows, e, a, b)
+        finally:
+            monkeypatch.setattr(ncalg, "_adj_det", adj_det)
+            phi_inputs.append((rows, a, b, inverted[0]))
+
+    monkeypatch.setattr(ncalg, "_phi", recording_phi)
+    for _, forms, _ in operator_pairs(g, rich=False):
+        outcome(forms)
+    c = ncalg._form_of(g)
+    q = c.q
+    one_letter = {word[0]: found for (word, left), found in c._words.items()
+                  if len(word) == 1 and not left}
+    assert set(one_letter) == {1, 2, 3}
+    if q.is_constant:  # a polynomial f: nothing to divide
+        assert c.shift == 0
+        for k, (rows, a) in one_letter.items():
+            assert (rows, a) == (ncalg._mat_mul(c.adj, c.deriv(k + 1)), k)
+    else:
+        # det W_1 = q^c delta and adj(W_1) W_(k+1) = q^(k + c - a) P_k, each
+        # divided as far as q divides it unless the cap k + c stopped it (a = 0)
+        assert not divisible([[c.delta]], q)
+        for k, (rows, a) in one_letter.items():
+            assert 0 <= a <= k + c.shift
+            assert a == 0 or not divisible(rows, q), k
+    assert all(a >= 0 for _, a in c._words.values())
+    assert phi_inputs
+    for rows, a, b, stripped in phi_inputs:
+        assert a >= 3
+        v = next(v for v in range(a - 2)
+                 if rows == [[x * q ** v for x in row] for row in stripped])
+        assert v == a - 3 or q.is_constant or not divisible(stripped, q)
+        # the s = q^(a - v - 3) delta^b of _phi divides its det for 2x2 and 3x3 f
+        _, d = adj_det(stripped)
+        assert (d % c.factor(a - v - 3, b)).is_zero

@@ -222,10 +222,11 @@ def test_equivariance_and_semi_invariance():
     rng = random.Random(SEED + 3)
     for _ in range(3):
         t, f = ncalg_inputs(rng, lambda: rng.randint(2, 3))
+        tf = gen_moebius_apply(t, f)  # shared by every check of the draw
         for check_id, check in NCALG_CHECKS:
-            ok, detail = check(t, f)
+            ok, detail = check(t, f, tf)
             assert ok, (check_id, detail)
-        ok, detail = check_semi_invariance(s_poly(2), t, f)
+        ok, detail = check_semi_invariance(s_poly(2), t, f, tf)
         assert ok, detail
 
 
@@ -421,7 +422,7 @@ def test_stored_values_are_read_only():
     assert MatFn(t.c) == MatFn([[0, 0], [1, 0]])
     assert gen_moebius_apply(t, f) == (MatFn(t.a) * f + MatFn(t.b)) * \
         (MatFn(t.c) * f + MatFn(t.d)).inverse()
-    assert check_semi_invariance(s_poly(1), t, f)[0]
+    assert check_semi_invariance(s_poly(1), t, f, gen_moebius_apply(t, f))[0]
 
 
 def test_values_survive_pickle_and_deepcopy():
