@@ -232,7 +232,25 @@ def _projector(d, m):
     return tuple(cols), tuple(tuple((j, int(x * big)) for j, x in row) for row in t_rows), big
 
 
-class Cyclo:
+class _Immutable:
+    """The guard of the exact value types: their verdicts compare stored
+    fields, so no field is assigned or deleted once built.  Builders set
+    slots past it (`_set`, slot descriptors); a guarded type pickles by a
+    `__reduce__`, since pickle and deepcopy restore slots by setattr."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+# sets a slot of a new immutable value
+_set = object.__setattr__
+
+
+class Cyclo(_Immutable):
     """An element of Q(zeta_N), immutable and hashable."""
 
     # the ints _v at conductor _m over den; _num caches `num`
@@ -246,11 +264,8 @@ class Cyclo:
             raise ZeroDivisionError("zero denominator")
         return _sized(_normal(order, order, num + [0] * (d - len(num)), den))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Cyclo is immutable")
-
     def __reduce__(self):
-        # rebuild the stored form: the guard above blocks slot restore
+        # rebuild the stored form: the guard blocks slot restore
         return (_make, (self.order, self._m, self._v, self.den))
 
     @property
@@ -395,6 +410,8 @@ class Cyclo:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k) if k else Cyclo.from_rational(1, self.order)

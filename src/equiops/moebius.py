@@ -10,24 +10,26 @@ from __future__ import annotations
 
 import json
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, _Immutable, _set, rational
 from .parsing import parse_cyclo, parse_poly
 from .poly import Poly
 from .ratfn import INF, RatFn, _canonical, _substituted
 
 
-class Moebius:
-    """Invertible 2x2 matrix acting projectively."""
+class Moebius(_Immutable):
+    """Invertible 2x2 matrix acting projectively; immutable and hashable."""
 
     __slots__ = ("a", "b", "c", "d", "order")
 
     def __init__(self, a, b, c, d, order=DEFAULT_ORDER):
-        def lift(x):
-            return x if isinstance(x, Cyclo) else rational(x, order)
-        self.a, self.b, self.c, self.d = lift(a), lift(b), lift(c), lift(d)
-        self.order = self.a.order
+        for name, x in zip(Moebius.__slots__, (a, b, c, d)):
+            _set(self, name, x if isinstance(x, Cyclo) else rational(x, order))
+        _set(self, "order", self.a.order)
         if self.det().is_zero:
             raise ValueError("singular matrix")
+
+    def __reduce__(self):
+        return (Moebius, (self.a, self.b, self.c, self.d, self.order))
 
     @staticmethod
     def identity(order=DEFAULT_ORDER):

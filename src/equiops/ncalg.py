@@ -41,7 +41,7 @@ from functools import reduce
 from operator import add, mul
 from types import MappingProxyType
 
-from .cyclotomic import Cyclo, DEFAULT_ORDER, rational
+from .cyclotomic import Cyclo, DEFAULT_ORDER, _Immutable, _set, rational
 from .poly import Poly
 from .ratfn import RatFn, _cancel
 
@@ -51,11 +51,8 @@ from .ratfn import RatFn, _cancel
 # the scalars of NCPoly and MatFn; other operands get NotImplemented
 _SCALARS = (int, Fraction, Cyclo, Poly, RatFn)
 
-# sets a slot of an immutable value (NCPoly, MatFn, GenMoebius)
-_set = object.__setattr__
 
-
-class NCPoly:
+class NCPoly(_Immutable):
     """Finite linear combination of words in the generators p_1, p_2, ...
 
     Words are tuples of generator indices; multiplication concatenates
@@ -72,9 +69,6 @@ class NCPoly:
             if coeff:
                 clean[tuple(word)] = coeff
         _set(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, *a):
-        raise AttributeError("NCPoly is immutable")
 
     def __reduce__(self):
         # a mappingproxy neither pickles nor deep-copies
@@ -97,6 +91,9 @@ class NCPoly:
     @property
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return not self.is_zero
 
     def __add__(self, other):
         other = _coerce_nc(other)
@@ -142,7 +139,8 @@ class NCPoly:
         other = _coerce_nc(other)
         if other is None:
             return NotImplemented
-        return (self - other).is_zero
+        # termwise: rational coefficients compare by value in any field order
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("NCPoly is not hashable")
@@ -333,7 +331,7 @@ def _as_ratfn(value, order):
                           else value, order)
 
 
-class MatFn:
+class MatFn(_Immutable):
     """Square matrix of rational functions with exact arithmetic.
 
     Immutable: `rows` is a tuple of tuples.  The polynomial-matrix form
@@ -351,9 +349,6 @@ class MatFn:
             raise ValueError("matrix must be square")
         for name, value in zip(MatFn.__slots__, (rows, size, order, None)):
             _set(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MatFn is immutable")
 
     def __reduce__(self):
         # the value alone; the form is built again on first use
@@ -435,6 +430,9 @@ class MatFn:
     @property
     def is_zero(self):
         return all(e.is_zero for row in self.rows for e in row)
+
+    def __bool__(self):
+        return not self.is_zero
 
     def __repr__(self):
         return "MatFn(%s)" % [list(row) for row in self.rows]
@@ -603,7 +601,7 @@ def _cyclo_matrix(rows, order):
                  for row in rows)
 
 
-class GenMoebius:
+class GenMoebius(_Immutable):
     """Block matrix (a, b; c, d) of n x n Cyclo blocks acting by
     f -> (a f + b)(c f + d)^{-1}; immutable, each block a tuple of tuples."""
 
@@ -619,9 +617,6 @@ class GenMoebius:
             raise ValueError("block matrix is not invertible")
         for name, value in zip(GenMoebius.__slots__, blocks + [size, order]):
             _set(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GenMoebius is immutable")
 
     def __reduce__(self):
         return (GenMoebius, (self.a, self.b, self.c, self.d, self.order))

@@ -241,6 +241,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, k) if k else Poly.one(self.order)

@@ -28,14 +28,15 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import series
-from .cyclotomic import DEFAULT_ORDER, Cyclo, CycloError, _lift, _mul_vec, _power, rational, sqrt2
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Immutable, _lift, _mul_vec, _power,
+                         rational, sqrt2)
 from .parsing import cyclo_literal
 from .poly import _item, _ratio_of, _same_field, _store
 
 _INF = Fraction(10**9)
 
 
-class QSeries:
+class QSeries(_Immutable):
     """Finite q-expansion: coefficients plus truncation order.
 
     coeffs maps integer numerators k to Cyclo values, the term being
@@ -46,14 +47,16 @@ class QSeries:
     # docstring; _coeffs caches the Cyclo view
     __slots__ = ("M", "_items", "_den", "_m", "_coeffs", "trunc", "order")
 
-    def __init__(self, M, coeffs, trunc, order=DEFAULT_ORDER):
+    def __new__(cls, M, coeffs, trunc, order=DEFAULT_ORDER):
         if any(isinstance(c, Cyclo) and c.order != order for c in coeffs.values()):
             raise CycloError("mismatched cyclotomic orders in one series")
         items = {k: c if isinstance(c, (int, Cyclo)) else rational(c, order)
                  for k, c in coeffs.items()}
-        s = _canonical(M, items, 1, 1, Fraction(trunc), order)
-        self.M, self._items, self._den, self._m, self._coeffs, self.trunc, self.order = \
-            M, s._items, s._den, s._m, None, s.trunc, order
+        return _canonical(M, items, 1, 1, Fraction(trunc), order)
+
+    def __reduce__(self):
+        # the stored form without the view; the guard blocks slot restore
+        return (_make, (self.M, self._items, self._den, self._m, self.trunc, self.order))
 
     # -- constructors -------------------------------------------------
 
@@ -85,7 +88,8 @@ class QSeries:
         """The coefficients as a map {k: Cyclo}, for the terms at q^(k/M)."""
         cs = self._coeffs
         if cs is None:
-            cs = self._coeffs = {k: self._value(k) for k in self._items}
+            cs = {k: self._value(k) for k in self._items}
+            _set_coeffs(self, cs)
         return cs
 
     def dense(self, n):
@@ -241,6 +245,8 @@ class QSeries:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
         return _power(self, k) if k else QSeries.constant(1, self.trunc, 1, self.order)
@@ -286,6 +292,10 @@ class QSeries:
 
 
 _new = object.__new__
+# slot setters: build series past the immutability guard
+_set_M, _set_items, _set_den, _set_m, _set_coeffs, _set_trunc, _set_order = (
+    s.__set__ for s in (QSeries.M, QSeries._items, QSeries._den, QSeries._m, QSeries._coeffs,
+                        QSeries.trunc, QSeries.order))
 
 
 def _limit(trunc, M):
@@ -296,7 +306,13 @@ def _limit(trunc, M):
 def _make(M, items, den, m, trunc, order):
     """The series of a canonical (items, den, m)."""
     s = _new(QSeries)
-    s.M, s._items, s._den, s._m, s._coeffs, s.trunc, s.order = M, items, den, m, None, trunc, order
+    _set_M(s, M)
+    _set_items(s, items)
+    _set_den(s, den)
+    _set_m(s, m)
+    _set_coeffs(s, None)
+    _set_trunc(s, trunc)
+    _set_order(s, order)
     return s
 
 

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, _Immutable, rational
 from .poly import Poly
 
 INF = "inf"
 
 
-class RatFn:
+class RatFn(_Immutable):
     """num/den, reduced with den monic.  `RatFn(num, den)` reduces any pair,
     with a gcd only when both parts have degree >= 1.  Every value is
     canonical, so equality and hashing compare num and den.  Immutable:
@@ -64,9 +64,6 @@ class RatFn:
             raise ZeroDivisionError("0/0 is not a rational function")
         _, num, den = _cancel(num, den)
         _fill(self, *_normal(num, den))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFn is immutable")
 
     def __reduce__(self):
         # the value alone, without the memo; the guard blocks slot restore
@@ -201,6 +198,8 @@ class RatFn:
         return o / self
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             return (1 / self) ** (-k)
         return _canonical(self.num ** k, self.den ** k)

@@ -2,9 +2,9 @@
 
 A series is a sparse dict {exponent: nonzero coefficient}, cut below
 `limit`.  `mul` and `div` multiply coefficients with `*`, and the division
-also takes the inverse of the divisor's constant term.  Coefficients need
-only `+`, `-`, `*`, unary `-` and a truth value that is false exactly for
-zero, as ints and `Cyclo` values have.
+needs a divisor with constant term 1.  Coefficients need only `+`, `-`,
+`*`, unary `-` and a truth value that is false exactly for zero, as ints
+and `Cyclo` values have.
 
 Exact data needs no field inverse: `div_ints` divides series of ints, or of
 rows (the phi(m) ints of an element of Q(zeta_m)) whose divisor has an int
@@ -14,8 +14,8 @@ each coefficient's row products unreduced and reduce them mod Phi_m once
 (`cyclotomic._dot`), as `poly._conv` does.
 
 Callers: `QSeries` products and quotients (so `RatFn` Taylor series and the
-Legendrian lift too).  The tests divide with `div` and a `Cyclo` inverse of
-the divisor's constant term as the reference for the int and row paths.
+Legendrian lift too).  The tests check every path against a plain product
+and quotient of their own on the `Cyclo` views.
 """
 
 from heapq import heapify, heappop, heappush
@@ -52,13 +52,12 @@ def mul_rows(a, b, limit, m):
     return {k: v for k, v in out if any(v)}
 
 
-def div(a, b, limit, inv0):
+def div(a, b, limit):
     """a / b at the exponents 0 .. limit - 1 by the triangular recurrence.
 
-    b has no negative exponent and its constant term b[0] has inverse
-    `inv0`; terms of a below exponent 0 are ignored.  Only the exponents of
-    `_walk` are visited, so the cost follows the number of terms, not
-    `limit`, and a constant divisor only scales a.
+    b has no negative exponent and constant term b[0] = 1; terms of a below
+    exponent 0 are ignored.  Only the exponents of `_walk` are visited, so
+    the cost follows the number of terms, not `limit`.
     """
     tail = sorted((j, c) for j, c in b.items() if j > 0)
     out = {}
@@ -71,10 +70,8 @@ def div(a, b, limit, inv0):
             if c is not None:
                 term = bj * c
                 acc = -term if acc is None else acc - term
-        if acc is not None:
-            c = acc * inv0
-            if c:
-                out[k] = c
+        if acc:
+            out[k] = acc
     return out
 
 
@@ -98,7 +95,7 @@ def _walk(a, tail, limit, found):
 
 
 def _div_rows(a, b, limit, m):
-    """`div` with inverse 1 for series of rows at conductor m, b[0] = 1."""
+    """`div` for series of rows at conductor m, b[0] = 1."""
     zero = [0] * totient(m)
     tail = sorted((j, [(t, -x) for t, x in enumerate(v) if x]) for j, v in b.items() if j > 0)
     out, found = {}, {}
@@ -117,7 +114,7 @@ def div_ints(a, b, limit, m=1):
     With g the content of b and b0 = b[0] / g, the substitution x = b0 t
     gives b(x) = g b0 u(t) for u = 1 + sum_{j>0} (b_j / g) b0^(j-1) t^j, an
     int series with constant term 1.  So the quotient c' of a(b0 t) by u is
-    an int series, found by `div` with inverse 1 (`_div_rows` on rows), and
+    an int series, found by `div` (`_div_rows` on rows), and
     coefficient k of a / b is c'_k / (g b0^(k+1)), here put over
     d = g b0^(top+1) for the top exponent of c'.
     """
@@ -125,8 +122,7 @@ def div_ints(a, b, limit, m=1):
         g = gcd(*b.values())
         b0 = b[0] // g
         out = div({k: v * b0 ** k for k, v in a.items() if 0 <= k < limit},
-                  {j: v // g * b0 ** (j - 1) if j else 1 for j, v in b.items()},
-                  limit, 1)
+                  {j: v // g * b0 ** (j - 1) if j else 1 for j, v in b.items()}, limit)
     else:  # the same on rows
         g = gcd(*[x for v in b.values() for x in v])
         b0, a = b[0][0] // g, {k: v for k, v in a.items() if 0 <= k < limit}

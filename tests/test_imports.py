@@ -1,10 +1,13 @@
 """equiops depends on the standard library alone (pyproject declares no
 dependencies): every absolute import in src/equiops, at module level or
 inside a function, names a standard-library module.  Every module but
-`__init__.py` reads each name it imports at module level."""
+`__init__.py` reads each name it imports at module level.  The one
+immutability guard of the value types, `cyclotomic._Immutable`, is the only
+definition of `__setattr__` or `__delattr__`."""
 
 import ast
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,13 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equiops").glob("*.py"))
 
 
+@cache
+def parsed(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def absolute_imports(path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -48,8 +56,23 @@ def module_level_imports(tree):
                          ids=lambda p: p.name)
 def test_module_level_imports_are_read(path):
     # __init__.py imports to re-export; every other module reads what it imports
-    tree = ast.parse(path.read_text(), str(path))
+    tree = parsed(path)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = ["%s (line %d)" % (name, line) for name, line in module_level_imports(tree)
               if name not in read]
     assert not unread, "%s never reads %s" % (path.name, ", ".join(unread))
+
+
+GUARD = {"__setattr__", "__delattr__"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cyclotomic.py"],
+                         ids=lambda p: p.name)
+def test_only_the_guard_defines_setattr(path):
+    # a def, or a name bound by assignment, in any class or at module level
+    tree = parsed(path)
+    found = sorted({node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and node.name in GUARD}
+                   | {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      for t in node.targets if isinstance(t, ast.Name) and t.id in GUARD})
+    assert not found, "%s defines %s; inherit cyclotomic._Immutable" % (path.name, ", ".join(found))

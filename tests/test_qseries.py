@@ -13,6 +13,7 @@ from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
                              hauptmodul, heins_value, j_series,
                              ramanujan_check, rogers_ramanujan, rr_equals_j5,
                              series_eval, verify_j_relation)
+from series_oracle import product, quotient
 
 
 def test_eta_pentagonal_numbers():
@@ -119,18 +120,6 @@ def test_qseries_arithmetic_truncation():
                for k in range(1, 4))
 
 
-def test_reflected_ops_return_not_implemented():
-    s = QSeries.constant(2, 5) + QSeries.q_power(1, 5)
-    assert s.__rsub__(1.5) is NotImplemented
-    assert s.__rtruediv__(1.5) is NotImplemented
-    with pytest.raises(TypeError, match="unsupported operand.*'float' and 'QSeries'"):
-        1.5 - s
-    with pytest.raises(TypeError, match="unsupported operand.*'float' and 'QSeries'"):
-        1.5 / s
-    assert (1 - s) + s == QSeries.constant(1, 5)
-    assert ((3 / s) * s - 3).is_zero
-
-
 def test_inverse_of_a_constant_is_a_constant():
     # poly_of_series builds constants known to q^(10^9); their inverse
     # must not walk every exponent below the truncation
@@ -228,11 +217,11 @@ PAIRS = [(a, b) for a in sorted(NAMED) for b in ("eta", "E2", "j", "j3", "j5",
 
 @pytest.mark.parametrize("a, b", PAIRS)
 def test_products_match_cyclo_reference(a, b):
-    # the product of the storage against series.mul on the Cyclo view
+    # the product of the storage against the plain product of the Cyclo views
     x, y = NAMED[a], NAMED[b]
     M, cx, cy = reference_pair(x, y)
     trunc = min(x.trunc + y.valuation, y.trunc + x.valuation)
-    want = series.mul(cx, cy, math.ceil(trunc * M))
+    want = product(cx, cy, math.ceil(trunc * M))
     got = x * y
     assert_canonical(got)
     assert (got.M, got.trunc) == (M, trunc)
@@ -263,13 +252,12 @@ def test_quotient_of_zero(b):
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_reciprocals_match_cyclo_reference(name):
-    # the reciprocal of the storage against series.div on the Cyclo view
+    # the reciprocal of the storage against the plain quotient of the Cyclo view
     s = NAMED[name]
-    v, lead = s.leading()
+    v = s.leading()[0]
     shift = int(v * s.M)
     unit = {k - shift: c for k, c in s.coeffs.items()}
-    out = series.div({0: rational(1)}, unit, math.ceil((s.trunc - v) * s.M),
-                     lead.inverse())
+    out = quotient({0: rational(1)}, unit, math.ceil((s.trunc - v) * s.M))
     got = s.inverse()
     assert_canonical(got)
     assert got.trunc == s.trunc - 2 * v
@@ -317,12 +305,9 @@ def test_div_ints_matches_fraction_recurrence(seed):
     a = {k: rng.randint(-20, 20) for k in rng.sample(range(-2, 9), 5)}
     limit = rng.randint(1, 12)
     c, d = series.div_ints(a, b, limit)
-    want = {}
-    for k in range(limit):
-        acc = Fraction(a.get(k, 0)) - sum(b[j] * want.get(k - j, 0) for j in b if j)
-        want[k] = acc / b[0]
-    assert {k: Fraction(v, d) for k, v in c.items()} == \
-        {k: v for k, v in want.items() if v}
+    want = quotient({k: Fraction(v) for k, v in a.items()},
+                    {j: Fraction(v) for j, v in b.items()}, limit)
+    assert {k: Fraction(v, d) for k, v in c.items()} == want
 
 
 def test_constructor_rejects_coefficients_of_another_field():

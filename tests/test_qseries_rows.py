@@ -5,8 +5,8 @@ against a factor-by-factor product.
 The seeded series mix ints, Fractions and elements at conductors 3, 4, 5,
 8, 12, 24, 60 and 120, at exponent denominators 1, 2, 3 and 6.  The
 references use nothing of `QSeries` but `coeffs`, `M`, `trunc` and
-`valuation`: `series.mul`, and `series.div` with the `Cyclo` inverse of the
-divisor's lead, on dicts of `Cyclo`.
+`valuation`, and the plain product and quotient of `series_oracle` on dicts
+of `Cyclo`.
 """
 
 import math
@@ -19,6 +19,7 @@ from equiops import series
 from equiops.cyclotomic import Cyclo, rational, sqrt2, totient, zeta
 from equiops.poly import Poly
 from equiops.qseries import QSeries, eta_product, kronecker5
+from series_oracle import product, quotient
 
 N = 120
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 60, 120)
@@ -93,19 +94,19 @@ def ref_sum(a, b, sign=1):
 def ref_product(a, b):
     M = math.lcm(a.M, b.M)
     trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-    return M, series.mul(view(a, M), view(b, M), _limit(trunc, M)), trunc
+    return M, product(view(a, M), view(b, M), _limit(trunc, M)), trunc
 
 
 def ref_quotient(a, b):
-    """a / b by `series.div` with the `Cyclo` inverse of b's lead."""
+    """a / b by the plain quotient, after the shift of both leads to q^0."""
     M = math.lcm(a.M, b.M)
     x, y = view(a, M), view(b, M)
     sb = min(y)
     sa = min(x, default=sb)
     vb = Fraction(sb, M)
     trunc = min(a.trunc - vb, b.trunc - 2 * vb + a.valuation)
-    out = series.div({k - sa: c for k, c in x.items()}, {j - sb: c for j, c in y.items()},
-                     _limit(trunc, M) - sa + sb, y[sb].inverse())
+    out = quotient({k - sa: c for k, c in x.items()}, {j - sb: c for j, c in y.items()},
+                   _limit(trunc, M) - sa + sb)
     return M, {k + sa - sb: c for k, c in out.items()}, trunc
 
 
@@ -228,16 +229,15 @@ def test_rational_results_leave_the_rows():
 # -- eta products: in place against factor by factor ----------------------------
 
 def reference_eta_product(exponent_of, trunc, scale):
-    """prod (1 - q^(n s))^e(n) as an int series at M = s.denominator, one
-    `series.mul` or `series.div` per factor and power."""
+    """prod (1 - q^(n s))^e(n) as a series at M = s.denominator, one plain
+    product or quotient per factor and power."""
     M, limit = scale.denominator, math.ceil(trunc * scale.denominator)
-    out = {0: 1}
+    out = {0: Fraction(1)}
     for n in range(1, math.ceil(trunc / scale)):
-        e, factor = exponent_of(n), {0: 1, n * scale.numerator: -1}
+        e, factor = exponent_of(n), {0: Fraction(1), n * scale.numerator: Fraction(-1)}
         for _ in range(abs(e)):
-            out = (series.mul(out, factor, limit) if e > 0
-                   else series.div(out, factor, limit, 1))
-    return M, {k: rational(c) for k, c in out.items() if c}
+            out = product(out, factor, limit) if e > 0 else quotient(out, factor, limit)
+    return M, {k: rational(c) for k, c in out.items()}
 
 
 def level4_odd(n):
