@@ -33,12 +33,15 @@ lcm; a singular matrix raises ZeroDivisionError.
 
 The form is built once per matrix: an immutable `MatFn` keeps it, and
 every operator at that matrix shares its q, W_j, adj(W_1), c, delta and
-word products.
+word products.  No work is spent on zeros and units: matrix products and
+sums skip the pairs with a zero entry, a word's scalar (-1/2)^r times its
+coefficient is applied in the one rescale of a sum to its common
+denominator, and a N + b q is N and q scaled by the nonzero block entries.
 """
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, _Immutable, _set, rational
@@ -260,19 +263,21 @@ def q_compose_step(h):
     return nc_derive(h) - (p1 * h - h * p1)
 
 
-_S_CACHE = [NCPoly.one(),
-            NCPoly.generator(2) + NCPoly.generator(1) * NCPoly.generator(1) * 3]
+_S_CACHE = {0: NCPoly.one(),
+            1: NCPoly.generator(2) + NCPoly.generator(1) * NCPoly.generator(1) * 3}
 
 
 def s_poly(n):
     """S_0 = 1, S_1 = p2 + 3 p1^2, S_{n+1} = X o_q S_n.
 
-    Homogeneous of weight n + 1 for n >= 1.
+    Homogeneous of weight n + 1 for n >= 1.  Each S_k is stored by
+    setdefault under its index, so two threads that build it at once keep
+    one and neither misplaces it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_S_CACHE) <= n:
-        _S_CACHE.append(q_compose_step(_S_CACHE[-1]))
+    for k in range(len(_S_CACHE), n + 1):
+        _S_CACHE.setdefault(k, q_compose_step(_S_CACHE[k - 1]))
     return _S_CACHE[n]
 
 
@@ -310,12 +315,20 @@ def _adj_det(rows):
 
 
 def _mat_mul(a, b):
+    """The product of two list matrices without the pairs with a zero factor;
+    an entry with no other pair is its first pair's product, a typed zero."""
     cols = list(zip(*b))
-    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _dot(row, col):
+    terms = [x * y for x, y in zip(row, col) if x and y]
+    return reduce(add, terms) if terms else row[0] * col[0]
 
 
 def _mat_add(a, b):
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    """The entrywise sum, an entry with a zero summand being the other one."""
+    return [[x + y if x and y else y or x for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def _scaled(rows, c):
@@ -332,7 +345,7 @@ def _as_ratfn(value, order):
 
 
 class MatFn(_Immutable):
-    """Square matrix of rational functions with exact arithmetic.
+    """Square matrix of finite rational functions with exact arithmetic.
 
     Immutable: `rows` is a tuple of tuples.  The polynomial-matrix form
     of the operators is built on first use and kept (`_form_of`).
@@ -347,6 +360,8 @@ class MatFn(_Immutable):
         rows = tuple(tuple(_as_ratfn(entry, order) for entry in row) for row in rows)
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
+        if any(e.is_infinity for row in rows for e in row):  # the kernels skip 0 * inf
+            raise ArithmeticError("arithmetic with the constant infinity")
         for name, value in zip(MatFn.__slots__, (rows, size, order, None)):
             _set(self, name, value)
 
@@ -530,14 +545,18 @@ def _form_of(f):
 
 
 def _sum(forms, c):
-    """The sum of forms (rows, e, a, b), each rows / (e q^a delta^b)."""
-    top = (reduce(_lcm, [form[1] for form in forms]),
-           max(form[2] for form in forms), max(form[3] for form in forms))
+    """The sum of forms (k, rows, e, a, b), each k rows / (e q^a delta^b)
+    for a scalar k, which joins the one rescale to the common e q^a delta^b."""
+    top = (reduce(_lcm, [form[2] for form in forms]),
+           max(form[3] for form in forms), max(form[4] for form in forms))
     total = None
-    for rows, e, a, b in forms:
-        if (e, a, b) != top:
-            s = c.factor(top[1] - a, top[2] - b) * top[0].exact_div(e)
-            rows = _scaled(rows, s)
+    for k, rows, e, a, b in forms:
+        if (a, b) != top[1:]:
+            k = c.factor(top[1] - a, top[2] - b) * k
+        if e != top[0]:
+            k = top[0].exact_div(e) * k
+        if k != 1:
+            rows = _scaled(rows, k)
         total = rows if total is None else _mat_add(total, rows)
     return (total,) + top
 
@@ -550,10 +569,11 @@ def _words(p, c, left):
         coeff = _as_ratfn(coeff, c.order)  # TypeError for a non-scalar
         if coeff.is_infinity:
             raise ArithmeticError("arithmetic with the constant infinity")
-        rows, a = c.word(word, left) if word else (_scaled(c.deriv(1), c.q), 3) if left else \
+        k = coeff.num.scale(Fraction(-1, 2) ** len(word))  # the word's scalar
+        rows, a = c.word(word, left) if word else (c.deriv(1), 3) if left else \
             ([[Poly([int(i == j)], c.order) for j in range(c.size)] for i in range(c.size)], 0)
-        forms.append((_scaled(rows, coeff.num.scale(Fraction(-1, 2) ** len(word))), coeff.den,
-                      a, max(len(word) - s, 0)))
+        k = c.q * k if left and not word else k  # x q W_1 / q^3
+        forms.append((k, rows, coeff.den, a, max(len(word) - s, 0)))
     return _sum(forms, c)
 
 
@@ -569,7 +589,7 @@ def _form(expr, c, left=False):
         return _words(NCPoly({(): expr.value}), c, left)
     forms = [_form(arg, c, left and kind == "sum") for arg in expr.args]
     if kind == "sum":
-        return _sum(forms, c)
+        return _sum([(1,) + form for form in forms], c)
     if kind == "prod":
         (x, ex, ax, bx), (y, ey, ay, by) = forms
         rows, e, a, b = _mat_mul(x, y), ex * ey, ax + ay, bx + by
@@ -586,10 +606,12 @@ def _phi(c, rows, e, a, b):
     a -= v
     adj, d = _adj_det(rows)
     tail = _mat_mul(_mat_mul(c.deriv(1), adj), c.deriv(1))
-    s = c.factor(a - 3, b)  # divides d for every 2x2 and 3x3 f in the tests
-    d1, rest = d.divmod(s)
-    if rest.is_zero:
-        d, s = d1, 1
+    s = 1
+    if a > 3 or b:  # s = q^(a-3) delta^b divides d for every 2x2 and 3x3 f in the tests
+        s = c.factor(a - 3, b)
+        d1, rest = d.divmod(s)
+        if rest.is_zero:
+            d, s = d1, 1
     return c.reduced(_mat_add(_scaled(c.w[0], d), _scaled(tail, e * s)), d, 1, 0)
 
 
@@ -648,9 +670,15 @@ def gen_moebius_apply(t, f):
     """(a f + b)(c f + d)^{-1} as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
-    c = _form_of(f)
-    top, bottom = (_mat_add(_mat_mul(x, c.w[0]), _scaled(y, c.q))
-                   for x, y in ((t.a, t.b), (t.c, t.d)))
+    c, span = _form_of(f), range(t.size)
+    n, q, zero = c.w[0], c.q, Poly.zero(f.order)
+
+    def image(x, y):  # x N + y q, N and q scaled by the nonzero block entries
+        sums = [[[n[k][j].scale(x[i][k]) for k in span if x[i][k] and n[k][j]]
+                 + ([q.scale(y[i][j])] if y[i][j] else []) for j in span] for i in span]
+        return [[reduce(add, terms) if terms else zero for terms in row] for row in sums]
+
+    top, bottom = image(t.a, t.b), image(t.c, t.d)
     adj, d = _adj_det(bottom)
     return c.reduced(_mat_mul(top, adj), d, 0, 0)
 

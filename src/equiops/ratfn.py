@@ -314,6 +314,9 @@ def _normal(num, den):
         return Poly.one(num.order), den
     if den.is_monic:
         return num, den
+    if den.is_rational:  # the int path of monic(), with no Cyclo inverse
+        ints, d = den.as_ints()
+        return num.scale(Fraction(d, ints[-1])), den.monic()
     inv = den.leading.inverse()
     return num.scale(inv), den.scale(inv)
 

@@ -23,7 +23,7 @@ import pytest
 
 from equiops import ncalg
 from equiops import properties as pr
-from equiops.cyclotomic import rational, sqrt5
+from equiops.cyclotomic import Cyclo, rational, sqrt5, zeta
 from equiops.ncalg import (_SCALARS, GenMoebius, MatFn, NCExpr, NCPoly,
                            deform_family, gen_moebius_apply, nc_d_operator,
                            nc_eval, nc_phi_deform, phi_generators, s_poly,
@@ -281,6 +281,50 @@ def test_one_by_one_matches_the_chain_and_the_scalar_d(text):
     assert nc_d_operator(f).rows[0][0] == d_operator(g)
     assert_moebius_matches(GenMoebius([[2]], [[1]], [[1]], [[1]]), f)
     assert_matches(f)
+
+
+# -- the zero-skipping product ----------------------------------------------
+
+
+def reference_mat_mul(a, b):
+    """The list-matrix product summing every pair, zero pairs included."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+ENTRY_TYPES = {"Poly": Poly, "RatFn": RatFn, "Cyclo": Cyclo}
+
+
+def zero_heavy_entry(kind, rng, order):
+    """A Poly, RatFn or Cyclo of the order, zero about half the time."""
+    ks = [rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(3)]
+    if kind == "Cyclo":
+        return rational(ks[0], order) + zeta(order) * rational(ks[1], order)
+    num = Poly([rational(k, order) for k in ks], order)
+    return num if kind == "Poly" else RatFn(num, Poly([rng.randint(1, 3), 1], order))
+
+
+def strictly_upper(kind, rng, order, size):
+    """A strictly upper triangular matrix of zero-heavy entries."""
+    zero = zero_heavy_entry(kind, rng, order) * 0
+    return [[zero_heavy_entry(kind, rng, order) if j > i else zero for j in range(size)]
+            for i in range(size)]
+
+
+def typed_entries(rows):
+    return [[(type(x), x.order, x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_TYPES))
+@pytest.mark.parametrize("order", [120, 12])
+def test_mat_mul_matches_the_full_sum(kind, order):
+    rng = random.Random("mat-mul:%s:%d" % (kind, order))
+    cases = [tuple([[zero_heavy_entry(kind, rng, order) for _ in range(n)] for _ in range(n)]
+                   for _ in range(2)) for n in (1, 2, 2, 3, 3)]
+    cases += [tuple(strictly_upper(kind, rng, order, n) for _ in range(2)) for n in (3, 2)]
+    for a, b in cases:
+        assert typed_entries(ncalg._mat_mul(a, b)) == typed_entries(reference_mat_mul(a, b))
+    # two strictly upper triangular 2x2 matrices: every pair of every entry vanishes
+    assert typed_entries(ncalg._mat_mul(*cases[-1])) == [[(ENTRY_TYPES[kind], order, 0)] * 2] * 2
 
 
 # -- one form per matrix ----------------------------------------------------

@@ -3,11 +3,14 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 
+from equiops import ncalg
 from equiops.cyclotomic import rational
 from equiops.moebius import Moebius
 from equiops.ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, _form_of,
@@ -62,6 +65,31 @@ def test_homogeneity():
         assert s_poly(n).weight() == n + 1
 
 
+def test_threads_extending_s_keep_each_s_n_at_its_index(monkeypatch):
+    want = [s_poly(n) for n in range(7)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the q-composition steps
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(ncalg, "_S_CACHE", {0: want[0], 1: want[1]})
+            barrier = threading.Barrier(4, timeout=60)
+
+            def build():
+                barrier.wait()
+                s_poly(4)
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [s_poly(n) for n in range(7)] == want
+            assert [s_poly(n).weight() for n in range(1, 7)] == list(range(2, 8))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_coefficient_sum_matches_scalar_shadow():
     # setting all generators to 1 turns the recursion into
     # a_{n+1} = (sum of indices + 2 per p1 pair) ... cross-check against a
@@ -102,6 +130,16 @@ def test_matfn_inverse():
                       [parse_ratfn("1"), parse_ratfn("1")]])
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+
+
+def test_matfn_refuses_infinite_entries():
+    # 0 * inf and 0 + inf raise, though the products and sums skip zeros
+    inf, f = RatFn.infinity(), MatFn([[0, 1], [0, 0]])
+    for thunk in (lambda: MatFn([[inf, 0], [0, 1]]), lambda: MatFn.scalar(inf, 2),
+                  lambda: f * inf, lambda: inf * f, lambda: f + inf,
+                  lambda: MatFn.scalar(0, 2) * inf):
+        with pytest.raises(ArithmeticError):
+            thunk()
 
 
 def test_matfn_det_and_inverse_1x1():

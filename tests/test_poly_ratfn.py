@@ -718,7 +718,15 @@ def test_int_storage_matches_fraction_reference(degree, seed):
     assert_storage(a.derivative(), [i * c for i, c in enumerate(fa)][1:])
     if fa:
         assert_storage(a.monic(), [c / fa[-1] for c in fa])
-    if fb:
+    if fb:  # RatFn(a, b) rescales by the inverse of the lead of b, after the gcd
+        f, inv = RatFn(a, b), b.leading.inverse()
+        _, ca, cb = a.gcd_cofactors(b) if a.degree >= 1 and b.degree >= 1 else (None, a, b)
+        want = (ca.scale(inv), cb.scale(inv)) if fa else (a, Poly.one())
+        assert (f.num, f.den) == want and repr(f) == repr(RatFn(*want))
+        assert f.den.is_monic and f.num.is_rational and f.den.is_rational
+        if fa and cb.degree == b.degree:  # nothing cancelled
+            assert_storage(f.num, [c / fb[-1] for c in fa])
+            assert_storage(f.den, [c / fb[-1] for c in fb])
         q, r = a.divmod(b)
         if len(fa) >= len(fb):
             oq, orem = oracle_divmod(fa, fb)
