@@ -26,17 +26,20 @@ Then with s = q^(a-3) delta^b, Phi_X H = f + fdot G^-1 fdot is
     (N det G_n + e s W_1 adj(G_n) W_1) / (q det G_n),
 
 with s divided out of det G_n first where it divides it.  D f is the case
-G = -(1/2) fddot, the family f_t the case H = 1/t, and (a f + b)(c f +
-d)^-1 is (a N + b q) adj(c N + d q) / det(c N + d q).  The exponents of
-q and delta add in products and take their maximum in sums, the e their
-lcm; a singular matrix raises ZeroDivisionError.
+G = -(1/2) fddot and the family f_t the case H = 1/t.  The exponents of q
+and delta add in products and take their maximum in sums, the e their
+lcm; a singular matrix raises ZeroDivisionError.  The Moebius image needs
+no form: f = M Q^-1 with Q = diag(q_j), q_j the lcm of the denominators in
+column j, and (a f + b)(c f + d)^-1 is (a M + b Q) adj(c M + d Q) divided
+by det(c M + d Q).  The operators keep one q: (M Q^-1)' = (M' Q - M Q')
+Q^-2, but p_k1 p_k2 leaves a Q^-k between W_(k1+1) and W_1^-1.
 
 The form is built once per matrix: an immutable `MatFn` keeps it, and
 every operator at that matrix shares its q, W_j, adj(W_1), c, delta and
 word products.  No work is spent on zeros and units: matrix products and
 sums skip the pairs with a zero entry, a word's scalar (-1/2)^r times its
 coefficient is applied in the one rescale of a sum to its common
-denominator, and a N + b q is N and q scaled by the nonzero block entries.
+denominator, and a M + b Q is M and Q scaled by the nonzero block entries.
 """
 
 from fractions import Fraction
@@ -460,6 +463,12 @@ def _lcm(x, y):
     return x if x == y else x * _cancel(x, y)[2]
 
 
+def _over(entries):
+    """(q, [e q for e in entries]), q the lcm of the entries' denominators."""
+    q = reduce(_lcm, [e.den for e in entries])
+    return q, [e.num if e.den == q else e.num * q.exact_div(e.den) for e in entries]
+
+
 def _q_strip(rows, q, cap):
     """(rows / q^v, v), v <= cap the largest such that q^v divides every
     entry; v = 0 for a constant q."""
@@ -477,16 +486,13 @@ class _Form:
     first use (see the module docstring).  One form serves every operator
     at f, so no caller may change its lists in place."""
 
-    __slots__ = ("order", "size", "q", "w", "delta", "shift", "adj", "_words")
+    __slots__ = ("order", "size", "q", "w", "delta", "shift", "adj", "_words", "_powers")
 
     def __init__(self, f):
         self.order, self.size = f.order, f.size
-        self.q = q = reduce(_lcm, [e.den for row in f.rows for e in row])
-        if q.is_zero:
-            raise ArithmeticError("arithmetic with the constant infinity")
-        self.w = {0: [[e.num if e.den == q else e.num * q.exact_div(e.den)
-                       for e in row] for row in f.rows]}
-        self.delta, self._words = None, {}
+        self.q, n = _over([e for row in f.rows for e in row])
+        self.w = {0: [n[i:i + f.size] for i in range(0, len(n), f.size)]}
+        self.delta, self._words, self._powers = None, {}, {}
 
     def deriv(self, j):
         """W_j.  Each W_k is stored by setdefault under its index, so two
@@ -526,8 +532,10 @@ class _Form:
         return found
 
     def factor(self, a, b):
-        """q^a delta^b."""
-        return self.q ** a * self.delta ** b if b else self.q ** a
+        """q^a delta^b, stored by setdefault under (a, b) like W_j."""
+        if (a, b) not in self._powers:
+            self._powers.setdefault((a, b), self.q ** a * self.delta ** b if b else self.q ** a)
+        return self._powers[a, b]
 
     def reduced(self, rows, e, a, b):
         """The MatFn of rows / (e q^a delta^b), each entry reduced once."""
@@ -670,17 +678,16 @@ def gen_moebius_apply(t, f):
     """(a f + b)(c f + d)^{-1} as an exact MatFn."""
     if f.size != t.size:
         raise ValueError("size mismatch")
-    c, span = _form_of(f), range(t.size)
-    n, q, zero = c.w[0], c.q, Poly.zero(f.order)
+    span, zero = range(t.size), Poly.zero(f.order)
+    q, m = zip(*map(_over, zip(*f.rows)))  # column j of f is m[j] / q[j]
 
-    def image(x, y):  # x N + y q, N and q scaled by the nonzero block entries
-        sums = [[[n[k][j].scale(x[i][k]) for k in span if x[i][k] and n[k][j]]
-                 + ([q.scale(y[i][j])] if y[i][j] else []) for j in span] for i in span]
+    def image(x, y):  # x M + y Q, M and Q scaled by the nonzero block entries
+        sums = [[[m[j][k].scale(x[i][k]) for k in span if x[i][k] and m[j][k]]
+                 + ([q[j].scale(y[i][j])] if y[i][j] else []) for j in span] for i in span]
         return [[reduce(add, terms) if terms else zero for terms in row] for row in sums]
 
-    top, bottom = image(t.a, t.b), image(t.c, t.d)
-    adj, d = _adj_det(bottom)
-    return c.reduced(_mat_mul(top, adj), d, 0, 0)
+    adj, d = _adj_det(image(t.c, t.d))
+    return MatFn([[RatFn(x, d) for x in row] for row in _mat_mul(image(t.a, t.b), adj)], f.order)
 
 
 # -- evaluation of the free algebra ----------------------------------

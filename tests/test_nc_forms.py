@@ -183,6 +183,27 @@ def assert_moebius_matches(t, f, where=""):
             outcome(lambda: chain_gen_moebius_apply(u, f)), (where, f)
 
 
+def f_side_outputs(f):
+    """D f, Phi(S1) f, Phi(S2) f and f_2: the matrices an ncalg item maps by T."""
+    return {"D": nc_d_operator(f), "phi(S1)": nc_phi_deform(f, s_poly(1)),
+            "phi(S2)": nc_phi_deform(f, s_poly(2)), "family(2)": deform_family(f, 2)}
+
+
+def assert_moebius_matches_on_outputs(t, f, where=""):
+    """The image of each f-side output, whose columns may have different
+    denominators where the entries of f itself are polynomials."""
+    for name, m in f_side_outputs(f).items():
+        assert_moebius_matches(t, m, (where, name))
+
+
+def columns_differ(m):
+    """Whether two columns of m have lcms of their denominators that are not
+    constant multiples of each other."""
+    lcms = [reduce(lambda x, y: x * y.exact_div(x.gcd(y)), [e.den for e in col])
+            for col in zip(*m.rows)]
+    return any((x % y) or (y % x) for x in lcms for y in lcms)
+
+
 # -- inputs ----------------------------------------------------------------
 
 
@@ -213,6 +234,7 @@ def test_pool_pairs_match_the_chain(index):
     t, f = POOL[index]
     tf = chain_gen_moebius_apply(t, f)
     assert_moebius_matches(t, f, index)
+    assert_moebius_matches_on_outputs(t, f, index)
     assert_matches(f, where=(index, "f"))
     assert_matches(tf, rich=False, where=(index, "tf"))
 
@@ -256,6 +278,7 @@ def sqrt5_pair():
 def test_non_triangular_over_sqrt5_matches_the_chain():
     t, f = sqrt5_pair()
     assert_moebius_matches(t, f)
+    assert_moebius_matches_on_outputs(t, f)
     assert_matches(f)
 
 
@@ -271,7 +294,19 @@ def test_three_by_three_matches_the_chain():
     zero = [[0] * 3 for _ in range(3)]
     assert_moebius_matches(GenMoebius(one, shift, shift, one), f)
     assert_moebius_matches(GenMoebius(shift, one, one, zero), f)
+    # b off the diagonal: a b q_i in place of b q_j shows in column j
+    assert_moebius_matches_on_outputs(GenMoebius(one, shift, shift, one), f)
     assert_matches(f, rich=False)
+
+
+def test_the_moebius_inputs_have_columns_over_different_denominators():
+    for index, (_, f) in enumerate(POOL):  # D f is a polynomial: fddot is constant
+        outputs = f_side_outputs(f)
+        assert all(columns_differ(outputs[name])
+                   for name in ("phi(S1)", "phi(S2)", "family(2)")), index
+    assert columns_differ(sqrt5_pair()[1])
+    f = three_by_three()
+    assert columns_differ(f) and all(map(columns_differ, f_side_outputs(f).values()))
 
 
 @pytest.mark.parametrize("text", ["z^3", "z^2 + 1/z", "(z^2 + 1)/(z - 2)", "z^4 - z"])
@@ -343,8 +378,8 @@ def test_one_form_per_matrix_over_a_pool_item(monkeypatch):
     checks, outputs = WORKLOADS.run_item("triangular", x)
     assert all(ok for _, ok in checks), checks
     f, tf = x["f"], outputs[0]
-    assert sum(g is f for g in built) == 1
-    assert sum(g is tf for g in built) == 1
+    # f and T f alone: the Moebius images of the four f-side outputs build none
+    assert len(built) == 2 and built[0] is f and built[1] is tf
     # a second run finds the form of f built
     before = len(built)
     WORKLOADS.run_item("triangular", x)
@@ -383,6 +418,44 @@ def test_threads_building_one_form_keep_each_w_at_its_index():
             for thread in threads:
                 thread.join()
             assert [c.deriv(j) for j in range(5)] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_factor_keeps_each_power():
+    _, f = sqrt5_pair()
+    c = ncalg._Form(f).regular()
+    for a, b in [(0, 0), (2, 0), (0, 1), (3, 2), (1, 1)]:
+        power = c.factor(a, b)
+        assert power == c.q ** a * c.delta ** b
+        assert c.factor(a, b) is power
+
+
+def test_threads_building_one_power_keep_one_value():
+    f = gen_moebius_apply(*POOL[0])  # T f, over a q of degree 4
+    keys = [(3, 2), (1, 0), (4, 1)]
+    want = {key: ncalg._Form(f).regular().factor(*key) for key in keys}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the power products
+    try:
+        for _ in range(8):
+            c, results = ncalg._Form(f).regular(), []
+            start = threading.Barrier(4, timeout=60)
+
+            def build():
+                start.wait()
+                results.append([c.factor(*key) for key in keys])
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 4
+            for i, key in enumerate(keys):
+                assert all(r[i] is c.factor(*key) for r in results)
+                assert c.factor(*key) == want[key]
     finally:
         sys.setswitchinterval(interval)
 
