@@ -236,7 +236,8 @@ class _Immutable:
     """The guard of the exact value types: their verdicts compare stored
     fields, so no field is assigned or deleted once built.  Builders set
     slots past it (`_set`, slot descriptors); a guarded type pickles by a
-    `__reduce__`, since pickle and deepcopy restore slots by setattr."""
+    `__reduce__`, since pickle and deepcopy restore slots by setattr.  The
+    operator protocol of the ring types is `_Ring` and `_Field` below."""
 
     __slots__ = ()
 
@@ -250,7 +251,45 @@ class _Immutable:
 _set = object.__setattr__
 
 
-class Cyclo(_Immutable):
+class _Ring:
+    """The operator protocol of the ring value types, from each type's own
+    `_coerce` (an operand as a value of the type, None for a foreign one),
+    `+`, unary `-` and `is_zero`: a foreign operand gets `NotImplemented`.
+    Slot-less, so a type inherits it without the guard (`Poly`)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
+
+    def __bool__(self):
+        return not self.is_zero
+
+
+class _Field(_Ring):
+    """The ring protocol plus the reflected quotient, from `/`, and integer
+    powers by `_power`, through `inverse` for k < 0; x ** 0 is the coerced 1."""
+
+    __slots__ = ()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        return _power(self, k) if k else self._coerce(1)
+
+
+class Cyclo(_Field, _Immutable):
     """An element of Q(zeta_N), immutable and hashable."""
 
     # the ints _v at conductor _m over den; _num caches `num`
@@ -333,9 +372,6 @@ class Cyclo(_Immutable):
             raise CycloError("not a rational element")
         return Fraction(self._v[0], self.den)
 
-    def __bool__(self):
-        return not self.is_zero
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -404,17 +440,6 @@ class Cyclo(_Immutable):
         if not n:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
         return _normal(self.order, self._m, [c * e for c in self._v], self.den * n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(self, k) if k else Cyclo.from_rational(1, self.order)
 
     # -- comparisons, hashing, conversion ------------------------------
 

@@ -47,7 +47,7 @@ from functools import reduce
 from operator import add
 from types import MappingProxyType
 
-from .cyclotomic import Cyclo, DEFAULT_ORDER, _Immutable, _set, rational
+from .cyclotomic import Cyclo, DEFAULT_ORDER, _Immutable, _Ring, _set, rational
 from .poly import Poly
 from .ratfn import RatFn, _cancel
 
@@ -58,7 +58,7 @@ from .ratfn import RatFn, _cancel
 _SCALARS = (int, Fraction, Cyclo, Poly, RatFn)
 
 
-class NCPoly(_Immutable):
+class NCPoly(_Ring, _Immutable):
     """Finite linear combination of words in the generators p_1, p_2, ...
 
     Words are tuples of generator indices; multiplication concatenates
@@ -98,8 +98,8 @@ class NCPoly(_Immutable):
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return not self.is_zero
+    def _coerce(self, other):
+        return _coerce_nc(other)
 
     def __add__(self, other):
         other = _coerce_nc(other)
@@ -114,18 +114,6 @@ class NCPoly(_Immutable):
 
     def __neg__(self):
         return NCPoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_nc(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -147,9 +135,6 @@ class NCPoly(_Immutable):
             return NotImplemented
         # termwise: rational coefficients compare by value in any field order
         return self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("NCPoly is not hashable")
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), 0)
@@ -347,7 +332,7 @@ def _as_ratfn(value, order):
                           else value, order)
 
 
-class MatFn(_Immutable):
+class MatFn(_Ring, _Immutable):
     """Square matrix of finite rational functions with exact arithmetic.
 
     Immutable: `rows` is a tuple of tuples.  The polynomial-matrix form
@@ -390,14 +375,6 @@ class MatFn(_Immutable):
 
     __radd__ = __add__  # entrywise sums commute
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other + (-self)
-
     def __neg__(self):
         return MatFn([[-e for e in row] for row in self.rows], self.order)
 
@@ -429,9 +406,6 @@ class MatFn(_Immutable):
             return NotImplemented
         return self.rows == other.rows
 
-    def __hash__(self):
-        raise TypeError("MatFn is not hashable")
-
     def derivative(self):
         return MatFn([[e.derivative() for e in row] for row in self.rows],
                      self.order)
@@ -448,9 +422,6 @@ class MatFn(_Immutable):
     @property
     def is_zero(self):
         return all(e.is_zero for row in self.rows for e in row)
-
-    def __bool__(self):
-        return not self.is_zero
 
     def __repr__(self):
         return "MatFn(%s)" % [list(row) for row in self.rows]
@@ -667,8 +638,6 @@ class GenMoebius(_Immutable):
         if not isinstance(other, GenMoebius):
             return NotImplemented
         return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    __hash__ = None  # blockwise equality, unhashable like MatFn
 
     def __repr__(self):
         return "GenMoebius(size=%d)" % self.size

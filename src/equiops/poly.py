@@ -58,12 +58,12 @@ from itertools import count, repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _accumulate, _dot, _lift,
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _dot, _lift,
                          _exact, _normal, _power, _reduction_rows, _sparse, _split_prime,
                          _split_roots, rational)
 
 
-class Poly:
+class Poly(_Ring):
     """A polynomial over Q(zeta_order), canonical: equal values have equal
     storage at one conductor."""
 
@@ -156,9 +156,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return _item(self._items[0] if self._items else 0, self._den, self._m, self.order)
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -210,18 +207,6 @@ class Poly:
         if self._m != 1:
             return self.scale(-1)
         return _make(tuple([-v for v in self._items]), self._den, 1, self.order)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -295,14 +280,10 @@ class Poly:
         return _canonical(out, self._den, self._m, self.order)
 
     def __call__(self, x):
-        """Horner evaluation at a Cyclo/Fraction/int/complex or Poly."""
+        """Horner evaluation at a Cyclo, Fraction, int or Poly; `dynamics.CxMap`
+        evaluates at floats and complex numbers."""
         if isinstance(x, Poly):
             return self.substitute(x, 1, self.degree)
-        if isinstance(x, complex):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * x + complex(c)
-            return acc
         acc = rational(0, self.order)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -526,13 +507,9 @@ def _conv(a, b, m=1):
 
 
 def _primitive(items):
-    """A nonzero item list over its content: ints divided by their gcd with
-    a positive lead, or rows by the gcd of all their ints."""
-    try:
-        g = _int_gcd(*items)
-    except TypeError:  # rows
-        g = _int_gcd(*[x for r in items for x in r])
-        return [[x // g for x in r] for r in items] if g != 1 else items
+    """A nonzero int list over its content: divided by the gcd of its ints,
+    with a positive lead."""
+    g = _int_gcd(*items)
     if items[-1] < 0:
         g = -g
     return [v // g for v in items] if g != 1 else items

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import series
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Immutable, _lift, _mul_vec, _power,
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _lift, _mul_vec,
                          rational, sqrt2)
 from .parsing import cyclo_literal
 from .poly import _item, _ratio_of, _same_field, _store
@@ -36,7 +36,7 @@ from .poly import _item, _ratio_of, _same_field, _store
 _INF = Fraction(10**9)
 
 
-class QSeries(_Immutable):
+class QSeries(_Field, _Immutable):
     """Finite q-expansion: coefficients plus truncation order.
 
     coeffs maps integer numerators k to Cyclo values, the term being
@@ -153,9 +153,6 @@ class QSeries(_Immutable):
     def is_zero(self):
         return not self._items
 
-    def __bool__(self):
-        return not self.is_zero
-
     def truncated(self, trunc):
         return _canonical(self.M, self._items, self._den, self._m,
                           min(self.trunc, Fraction(trunc)), self.order)
@@ -188,14 +185,6 @@ class QSeries(_Immutable):
     def __neg__(self):
         return _make(self.M, series.scaled(self._items, repeat(-1), self._m), self._den,
                      self._m, self.trunc, self.order)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -240,17 +229,6 @@ class QSeries(_Immutable):
         return _normalised(a.M, {k + sa - sb: c for k, c in out.items()},
                            den * a._den, m, trunc, a.order)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(self, k) if k else QSeries.constant(1, self.trunc, 1, self.order)
-
     def derivative(self):
         """d/dq, term by term."""
         items, M = self._items, self.M
@@ -270,9 +248,6 @@ class QSeries(_Immutable):
             # rational data compares by value in any field order, like Poly
             o = _make(o.M, o._items, o._den, 1, o.trunc, self.order)
         return (self - o).is_zero
-
-    def __hash__(self):
-        raise TypeError("unhashable (mutually truncated comparisons)")
 
     # -- output -------------------------------------------------------
 

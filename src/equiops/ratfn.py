@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import DEFAULT_ORDER, Cyclo, _Immutable, rational
+from .cyclotomic import DEFAULT_ORDER, Cyclo, _Field, _Immutable, rational
 from .poly import Poly
 
 INF = "inf"
 
 
-class RatFn(_Immutable):
+class RatFn(_Field, _Immutable):
     """num/den, reduced with den monic.  `RatFn(num, den)` reduces any pair,
     with a gcd only when both parts have degree >= 1.  Every value is
     canonical, so equality and hashing compare num and den.  Immutable:
@@ -112,9 +112,6 @@ class RatFn(_Immutable):
             return 0
         return max(self.num.degree, self.den.degree)
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -161,18 +158,6 @@ class RatFn(_Immutable):
             return self
         return _canonical(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -190,12 +175,6 @@ class RatFn(_Immutable):
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
         return _product(self.num, self.den, o.den, o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -245,16 +224,12 @@ class RatFn(_Immutable):
         return _canonical(*_substituted(self, g.num, g.den))
 
     def __call__(self, x):
-        """Evaluate at a Cyclo/Fraction/int/complex value or the symbol 'inf'."""
+        """Evaluate at a Cyclo, Fraction or int value or the symbol 'inf';
+        `dynamics.CxMap` evaluates at floats and complex numbers."""
         if isinstance(x, str):
             if x != INF:
                 raise ValueError("unknown symbolic point %r" % (x,))
             return self.eval_at_infinity_symbol()
-        if isinstance(x, complex):
-            n, d = self.num(x), self.den(x)
-            if d == 0:
-                return complex("inf")
-            return n / d
         n = self.num(x)
         d = self.den(x)
         if isinstance(d, Cyclo) and d.is_zero:

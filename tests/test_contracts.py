@@ -6,15 +6,22 @@ rests on these holding for `Cyclo`, `Poly`, `RatFn`, `QSeries`, `Moebius`,
 
 * `==` agrees with `hash`, also for one value stored at two conductors;
   the types compared under truncation or entrywise as matrices (`QSeries`,
-  `NCPoly`, `MatFn`, `GenMoebius`) refuse to hash;
+  `NCPoly`, `MatFn`, `GenMoebius`) refuse to hash, as each defines
+  `__eq__` and no `__hash__`;
 * rational data compares by value across field orders; irrational data of
   two orders raises `CycloError`, and so does arithmetic across two orders;
 * a foreign operand gets `NotImplemented` from every operator method, in
-  both operand orders, `**` included, and an int acts as a constant;
+  both operand orders, `**` included, and an int acts as a constant; to the
+  group types `Moebius` and `GenMoebius` an int, a `Cyclo` and a value of
+  another type are foreign too;
 * the truth value means nonzero;
 * pickle and deepcopy round-trip and leave the memos `RatFn._ops` and
   `MatFn._form` behind;
 * no attribute can be assigned or deleted, except on `Poly`.
+
+The six ring types take `-`, reflected `-` and truth, and the fields
+reflected `/` and `**`, from one protocol base, `cyclotomic._Ring` or
+`_Field`; `tests/test_imports.py` checks that no type copies them.
 
 Each value is built from four coefficients drawn by hypothesis: nonzero
 rationals, or a + b zeta_c^u with b != 0 at conductors c = 4, 5, 8 and 120.
@@ -61,6 +68,8 @@ OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv, operato
 METHODS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
            "__rtruediv__", "__floordiv__", "__mod__", "__pow__", "__eq__")
 FOREIGN = (1.5, None, "a", (1, 2))
+# the constants of the ring types, and values that neither group type takes
+GROUP_FOREIGN = (3, rational(3), Moebius.identity(), MatFn([[1]]))
 
 CONDUCTORS = (4, 5, 8, 120)
 FRACTIONS = sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)})
@@ -163,7 +172,8 @@ def test_irrational_data_of_two_orders_raises(kind, data):
 @given(samples())
 def test_foreign_operands_get_not_implemented(kind, data):
     x = build(kind, data)
-    for other in FOREIGN:
+    group = [v for v in GROUP_FOREIGN if type(v).__name__ != kind] if kind in INVERTIBLE else []
+    for other in FOREIGN + tuple(group):
         for name in METHODS:
             method = getattr(x, name, None)
             assert method is None or method(other) is NotImplemented, (name, other)

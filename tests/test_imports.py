@@ -3,7 +3,9 @@ dependencies): every absolute import in src/equiops, at module level or
 inside a function, names a standard-library module.  Every module but
 `__init__.py` reads each name it imports at module level.  The one
 immutability guard of the value types, `cyclotomic._Immutable`, is the only
-definition of `__setattr__` or `__delattr__`."""
+definition of `__setattr__` or `__delattr__`.  The operator protocol of the
+six ring types is defined once, beside the guard, and only the hashable
+types define `__hash__`."""
 
 import ast
 import sys
@@ -76,3 +78,45 @@ def test_only_the_guard_defines_setattr(path):
                    | {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                       for t in node.targets if isinstance(t, ast.Name) and t.id in GUARD})
     assert not found, "%s defines %s; inherit cyclotomic._Immutable" % (path.name, ", ".join(found))
+
+
+def classes():
+    """{name: (base names, names bound in the body)} of every class in src/equiops."""
+    out = {}
+    for path in SOURCES:
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.ClassDef):
+                bound = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                bound |= {t.id for n in node.body if isinstance(n, ast.Assign)
+                          for t in n.targets if isinstance(t, ast.Name)}
+                out[node.name] = ([b.id for b in node.bases if isinstance(b, ast.Name)], bound)
+    return out
+
+
+def ancestors(name, table):
+    bases = table[name][0] if name in table else []
+    return set(bases).union(*[ancestors(b, table) for b in bases])
+
+
+# cyclotomic._Ring and _Field; each ring type inherits all of its protocol
+# but the overrides named here (Cyclo's int-aware -, RatFn's ** by num and den)
+PROTOCOL = {"_Ring": {"__sub__", "__rsub__", "__bool__"}, "_Field": {"__rtruediv__", "__pow__"}}
+RINGS = {"Cyclo": "_Field", "Poly": "_Ring", "RatFn": "_Field", "QSeries": "_Field",
+         "NCPoly": "_Ring", "MatFn": "_Ring"}
+OVERRIDES = {"Cyclo": {"__sub__", "__rsub__"}, "RatFn": {"__pow__"}}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_ring_types_inherit_the_protocol(name):
+    table = classes()
+    above = ancestors(name, table)
+    assert RINGS[name] in above, "%s does not inherit cyclotomic.%s" % (name, RINGS[name])
+    protocol = set().union(*[PROTOCOL[b] for b in above if b in PROTOCOL])
+    copied = sorted(table[name][1] & protocol - OVERRIDES.get(name, set()))
+    assert not copied, "%s defines %s; inherit it" % (name, ", ".join(copied))
+
+
+def test_only_the_hashable_types_define_hash():
+    # a class that defines __eq__ alone is unhashable already
+    hashed = {name for name, (_, bound) in classes().items() if "__hash__" in bound}
+    assert hashed == {"Cyclo", "Poly", "RatFn", "Moebius"}

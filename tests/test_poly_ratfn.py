@@ -140,6 +140,14 @@ def test_evaluate_at_infinity():
     assert g.eval_at_infinity_symbol() == rational(0)
 
 
+@pytest.mark.parametrize("x", [1j, 0.5 + 1j, 2.0])
+def test_an_inexact_argument_is_refused(x):
+    f = parse_ratfn("(3*z^2 + 1)/(z^2 - 5)")
+    for g in (f, f.num, f.den, Poly.one()):
+        with pytest.raises(TypeError):
+            g(x)
+
+
 def test_infinity_arithmetic_guard():
     inf = RatFn.infinity()
     assert inf.is_infinity
