@@ -372,6 +372,14 @@ def test_gen_moebius_compares_blockwise():
             hash(value)
 
 
+@pytest.mark.parametrize("other", [3, rational(3), Moebius(1, 0, 0, 1), MatFn([[1]]), None])
+def test_gen_moebius_equality_with_foreign_operands(other):
+    t = GenMoebius.identity(1)
+    assert t.__eq__(other) is NotImplemented
+    assert t != other and other != t
+    assert not (t == other) and not (other == t)
+
+
 # -- sizes and operand checks -------------------------------------------------
 
 def test_matfn_of_another_size_is_unequal():
