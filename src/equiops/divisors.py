@@ -1,10 +1,10 @@
 """Divisors on the projective line with exact symbolic places.
 
-A place is either the point at infinity, a single finite point with
-coordinate in Q(zeta_N), or a "bundle": a monic squarefree polynomial whose
-roots are taken with one common multiplicity.  Equality of divisors never
-needs the roots themselves; it refines bundles against each other by gcd
-splitting until supports line up.
+A place is the point at infinity or the set of roots of a monic squarefree
+polynomial over Q(zeta_N), so a single point is a place of degree 1.  A
+divisor is refined once, when it is built: its places are split by gcd into
+pairwise coprime ones (factor refinement into a coprime base), so equality,
+degrees, multiplicities and supports never need the roots themselves.
 """
 
 from __future__ import annotations
@@ -15,65 +15,56 @@ from .ratfn import INF
 
 
 class Place:
-    """One point or bundle of points, without multiplicity."""
+    """The roots of a monic squarefree polynomial, or infinity (poly None),
+    without multiplicity."""
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("poly",)
 
-    AT_INFINITY = "infinity"
-    POINT = "point"
-    BUNDLE = "bundle"
-
-    def __init__(self, kind, data=None):
-        self.kind = kind
-        self.data = data
+    def __init__(self, poly=None):
+        self.poly = poly
 
     @staticmethod
     def infinity():
-        return Place(Place.AT_INFINITY)
+        return Place()
 
     @staticmethod
     def point(value):
         if not isinstance(value, Cyclo):
             value = rational(value)
-        return Place(Place.POINT, value)
+        return Place(Poly([-value, 1]))
 
     @staticmethod
     def bundle(poly):
-        """Monic squarefree polynomial; degree-1 bundles collapse to points."""
-        poly = poly.monic()
-        if poly.degree == 1:
-            return Place(Place.POINT, -poly.coeffs[0])
-        return Place(Place.BUNDLE, poly)
+        """The roots of a squarefree polynomial."""
+        return Place(poly.monic())
 
     @property
     def degree(self):
-        if self.kind == Place.BUNDLE:
-            return self.data.degree
-        return 1
-
-    def as_poly(self, order):
-        """Monic vanishing polynomial; None for the place at infinity."""
-        if self.kind == Place.AT_INFINITY:
-            return None
-        if self.kind == Place.POINT:
-            return Poly.x(order) - Poly.constant(self.data, order)
-        return self.data
+        return 1 if self.poly is None else self.poly.degree
 
     def __repr__(self):
-        if self.kind == Place.AT_INFINITY:
+        if self.poly is None:
             return "Place(inf)"
-        if self.kind == Place.POINT:
-            return "Place(%r)" % (self.data,)
-        return "Place(roots of %r)" % (self.data,)
+        if self.poly.degree == 1:
+            return "Place(%r)" % (-self.poly.coeffs[0],)
+        return "Place(roots of %r)" % (self.poly,)
 
 
 class Divisor:
-    """Formal integer combination of places."""
+    """Formal integer combination of places, kept refined: `_mult` maps INF
+    or a monic squarefree Poly to a nonzero multiplicity, the Polys pairwise
+    coprime."""
 
     def __init__(self, pairs=(), order=None):
         # pairs: iterable of (Place, multiplicity)
-        self.pairs = [(p, int(m)) for p, m in pairs if int(m) != 0]
         self.order = order
+        self._mult = _refined({}, [(INF if p.poly is None else p.poly, int(m)) for p, m in pairs])
+
+    @staticmethod
+    def _of(mult, order):
+        d = Divisor((), order)
+        d._mult = mult
+        return d
 
     @staticmethod
     def zero(order=None):
@@ -81,141 +72,100 @@ class Divisor:
 
     @property
     def degree(self):
-        return sum(p.degree * m for p, m in self.pairs)
+        return sum((1 if key == INF else key.degree) * m for key, m in self._mult.items())
 
     @property
     def is_zero(self):
-        return self._flatten() == {}
+        return not self._mult
 
     def __add__(self, other):
-        return Divisor(self.pairs + other.pairs, self.order or other.order)
+        if not isinstance(other, Divisor):
+            return NotImplemented
+        return Divisor._of(_refined(self._mult, other._mult.items()), self.order or other.order)
 
     def __neg__(self):
-        return Divisor([(p, -m) for p, m in self.pairs], self.order)
+        return self.scale(-1)
 
     def __sub__(self, other):
+        if not isinstance(other, Divisor):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, k):
-        return Divisor([(p, m * k) for p, m in self.pairs], self.order)
+        return Divisor._of({key: m * k for key, m in self._mult.items()} if k else {}, self.order)
 
     def multiplicity_at(self, x):
         """Multiplicity at a single point (Cyclo/int/Fraction or 'inf')."""
-        total = 0
-        for p, m in self.pairs:
-            if isinstance(x, str) and x == INF:
-                if p.kind == Place.AT_INFINITY:
-                    total += m
-                continue
-            if p.kind == Place.AT_INFINITY:
-                continue
-            val = x if isinstance(x, Cyclo) else rational(x, self.order or p.data.order)
-            if p.kind == Place.POINT:
-                if p.data == val:
-                    total += m
-            else:
-                if p.data(val).is_zero:
-                    total += m
-        return total
+        if isinstance(x, str) and x == INF:
+            return self._mult.get(INF, 0)
+        for key, m in self._mult.items():
+            if key != INF:
+                val = x if isinstance(x, Cyclo) else rational(x, self.order or key.order)
+                if key(val).is_zero:  # the keys are coprime: at most one vanishes
+                    return m
+        return 0
 
     def refined_items(self):
-        """Support/multiplicity pairs over a common refinement of all
-        bundles: keys are 'inf' or monic pairwise-coprime polynomials."""
-        return self._flatten()
+        """Support/multiplicity pairs: keys are 'inf' or monic pairwise
+        coprime polynomials."""
+        return dict(self._mult)
+
+    def support(self):
+        """The divisor with multiplicity 1 at each place of the support."""
+        return Divisor._of(dict.fromkeys(self._mult, 1), self.order)
 
     def agrees_with_on_support(self, other):
         """True when other has the same multiplicity as self at every
         place in the support of self."""
-        mine = self._flatten()
-        diff = (other - self)._flatten()
-        for key, m in mine.items():
-            if m == 0:
-                continue
-            if key == INF:
-                if diff.get(INF, 0) != 0:
-                    return False
-                continue
-            for k2, m2 in diff.items():
-                if k2 == INF or m2 == 0:
-                    continue
-                if key.gcd(k2).degree >= 1:
-                    return False
-        return True
-
-    def _flatten(self):
-        """Split bundles to a common refinement; map refined place key -> mult.
-
-        Keys are 'inf' or monic irreducible-enough factors (hashable Poly).
-        Points become degree-1 polys so they can interact with bundles.
-        """
-        inf_mult = 0
-        polys = []  # list of (Poly monic squarefree, mult)
-        order = self.order
-        for p, m in self.pairs:
-            if p.kind == Place.AT_INFINITY:
-                inf_mult += m
-                continue
-            if order is None:
-                order = p.data.order
-            polys.append((p.as_poly(order), m))
-        # pairwise gcd refinement
-        factors = _refine([q for q, _ in polys])
-        out = {}
-        if inf_mult:
-            out[INF] = inf_mult
-        for q, m in polys:
-            rem = q
-            for f in factors:
-                if rem.degree < 1:
-                    break
-                # the factors are pairwise coprime and cover q, so
-                # gcd(rem, f) is 1 or f: one division by f decides which
-                rest, r = rem.divmod(f)
-                if r.is_zero:
-                    out[f] = out.get(f, 0) + m
-                    rem = rest
-        return {k: v for k, v in out.items() if v != 0}
+        # the two supports meet where their refined sum reaches 2
+        return 2 not in (self.support() + (other - self).support())._mult.values()
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
-        return (self - other)._flatten() == {}
+        return (self - other).is_zero
 
     def __repr__(self):
-        if not self.pairs:
+        if not self._mult:
             return "Divisor(0)"
-        return "Divisor(%s)" % ", ".join("%+d %r" % (m, p) for p, m in self.pairs)
+        return "Divisor(%s)" % ", ".join("%+d %r" % (m, Place(None if key == INF else key))
+                                         for key, m in self._mult.items())
 
 
-def _refine(polys):
-    """Pairwise-coprime monic factors covering every poly in the list."""
-    work = [p for p in polys if p.degree >= 1]
-    done = []
-    while work:
-        f = work.pop()
-        split = False
-        for i, g in enumerate(done):
-            h, f1, g1 = f.gcd_cofactors(g)
-            if h.degree >= 1:
-                done.pop(i)
-                for piece in (h, g1, f1):
-                    if piece.degree >= 1:
-                        work.append(piece)
-                split = True
-                break
-        if not split:
-            done.append(f)
-    return done
+def _refined(coprime, pairs):
+    """Factor refinement (Bach, Driscoll and Shallit 1993): merge (key,
+    multiplicity) pairs into a refined dict, splitting each polynomial key
+    by gcd against the pairwise coprime ones already there."""
+    inf = coprime.get(INF, 0)
+    out = [(g, n) for g, n in coprime.items() if g != INF]
+    for f, m in pairs:
+        if f == INF:
+            inf += m
+            continue
+        nxt = []
+        for g, n in out:
+            if f.degree >= 1:
+                h, f, g = f.gcd_cofactors(g)
+                if h.degree >= 1:
+                    nxt.append((h, n + m))
+            if g.degree >= 1:
+                nxt.append((g, n))
+        if f.degree >= 1:
+            nxt.append((f, m))
+        out = nxt
+    mult = {INF: inf} if inf else {}
+    mult.update((g, n) for g, n in out if n)
+    return mult
 
 
 def zero_divisor(f):
     """Divisor of zeros of a rational function, with multiplicities."""
-    return _poly_part(f.num, f.order) + _infinity_part(f.den.degree - f.num.degree, f.order)
+    return _roots(f.num, f.den.degree - f.num.degree, f.order)
 
 
 def pole_divisor(f):
     """Divisor of poles (positive multiplicities)."""
-    return _poly_part(f.den, f.order) + _infinity_part(f.num.degree - f.den.degree, f.order)
+    return _roots(f.den, f.num.degree - f.den.degree, f.order)
 
 
 def ramification_divisor(f):
@@ -226,12 +176,7 @@ def ramification_divisor(f):
     if f.is_constant or f.is_infinity:
         raise ValueError("ramification of a constant map")
     w = f.wronskian_poly()
-    d = f.degree
-    div = _poly_part(w, f.order)
-    at_inf = 2 * d - 2 - w.degree
-    if at_inf:
-        div = div + Divisor([(Place.infinity(), at_inf)], f.order)
-    return div
+    return _roots(w, 2 * f.degree - 2 - w.degree, f.order)
 
 
 def quadratic_differential_poles(s):
@@ -240,31 +185,19 @@ def quadratic_differential_poles(s):
     In the chart w = 1/z the coefficient picks up w^-4, so the order at
     infinity is 4 + deg num - deg den.
     """
-    div = _poly_part(s.den, s.order)
-    at_inf = 4 + s.num.degree - s.den.degree
-    if at_inf > 0:
-        div = div + Divisor([(Place.infinity(), at_inf)], s.order)
-    return div
+    return _roots(s.den, 4 + s.num.degree - s.den.degree, s.order)
 
 
 def quadratic_differential_zeros(s):
     """Zero divisor of s(z) dz^2; the order at infinity is
     deg den - deg num - 4 when positive."""
-    div = _poly_part(s.num, s.order)
-    at_inf = s.den.degree - s.num.degree - 4
-    if at_inf > 0:
-        div = div + Divisor([(Place.infinity(), at_inf)], s.order)
-    return div
+    return _roots(s.num, s.den.degree - s.num.degree - 4, s.order)
 
 
-def _poly_part(poly, order):
-    pairs = []
-    for factor, mult in poly.squarefree_decomposition():
-        pairs.append((Place.bundle(factor), mult))
-    return Divisor(pairs, order)
-
-
-def _infinity_part(mult, order):
-    if mult > 0:
-        return Divisor([(Place.infinity(), mult)], order)
-    return Divisor.zero(order)
+def _roots(poly, at_inf, order):
+    """The roots of poly with their multiplicities, plus infinity at_inf
+    times when that is positive.  The Yun factors are monic, squarefree and
+    coprime, so the divisor is refined as it stands."""
+    mult = {INF: at_inf} if at_inf > 0 else {}
+    mult.update(poly.squarefree_decomposition())
+    return Divisor._of(mult, order)

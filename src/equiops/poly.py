@@ -284,6 +284,8 @@ class Poly(_Ring):
         evaluates at floats and complex numbers."""
         if isinstance(x, Poly):
             return self.substitute(x, 1, self.degree)
+        if isinstance(x, (float, complex)):  # the zero Poly runs no Horner step
+            raise TypeError("a Poly evaluates at exact values, not at a %s" % type(x).__name__)
         acc = rational(0, self.order)
         for c in reversed(self.coeffs):
             acc = acc * x + c

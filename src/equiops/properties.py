@@ -23,8 +23,7 @@ from itertools import combinations_with_replacement
 
 from . import qseries as qs
 from .cyclotomic import DEFAULT_ORDER, rational
-from .divisors import (Divisor, quadratic_differential_poles,
-                       ramification_divisor)
+from .divisors import quadratic_differential_poles, ramification_divisor
 from .dynamics import CxMap, cycle_report, iteration_map, poly_roots
 from .moebius import (Moebius, cross_ratio, equivariance_check,
                       form_invariance_check, moebius_apply)
@@ -160,13 +159,8 @@ def check_ramification(f):
     rf = ramification_divisor(f)
     rdf = ramification_divisor(fhat)
     ok1 = rf.agrees_with_on_support(rdf)
-    from .divisors import INF, Place
-    support = Divisor(
-        [(Place.infinity() if key == INF else Place.bundle(key), 1)
-         for key, mult in rf.refined_items().items() if mult != 0],
-        f.order)
     poles = quadratic_differential_poles(schwarzian(f))
-    ok2 = poles == support.scale(2)
+    ok2 = poles == rf.support().scale(2)
     return ok1 and ok2, "support agreement=%s, S-poles=2*supp=%s" % (ok1, ok2)
 
 

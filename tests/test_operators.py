@@ -135,10 +135,10 @@ def test_ramification_not_globally_preserved():
 
 
 def test_period_residues_examples():
-    assert [(p.data, v.as_fraction()) for p, v in period_residues(
-        parse_ratfn("z^2"), parse_ratfn("-3*z^2"))] == [(rational(0), 1)]
-    assert [(p.data, v.as_fraction()) for p, v in period_residues(
-        parse_ratfn("z^3"), parse_ratfn("-2*z^3"))] == [(rational(0), 2)]
+    assert [(p.poly, v.as_fraction()) for p, v in period_residues(
+        parse_ratfn("z^2"), parse_ratfn("-3*z^2"))] == [(Poly.x(), 1)]
+    assert [(p.poly, v.as_fraction()) for p, v in period_residues(
+        parse_ratfn("z^3"), parse_ratfn("-2*z^3"))] == [(Poly.x(), 2)]
     assert period_residues(parse_ratfn("z"), parse_ratfn("z + 1")) == []
 
 
@@ -229,7 +229,7 @@ def test_periods_of_d_f_are_the_orders_of_the_derivative(field):
         for place, value in period_residues(f, d_operator(f)):
             assert value.is_rational and value.as_fraction().denominator == 1
             c = int(value.as_fraction())
-            got[c] = got.get(c, Poly.one(f.order)) * place.as_poly(f.order)
+            got[c] = got.get(c, Poly.one(f.order)) * place.poly
         assert got == _orders_of_derivative(f)
 
 

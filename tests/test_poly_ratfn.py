@@ -140,10 +140,11 @@ def test_evaluate_at_infinity():
     assert g.eval_at_infinity_symbol() == rational(0)
 
 
-@pytest.mark.parametrize("x", [1j, 0.5 + 1j, 2.0])
+@pytest.mark.parametrize("x", [1j, 0.5 + 1j, 2.0, 2.5])
 def test_an_inexact_argument_is_refused(x):
+    # the zero Poly has no coefficient for a Horner step to fail on
     f = parse_ratfn("(3*z^2 + 1)/(z^2 - 5)")
-    for g in (f, f.num, f.den, Poly.one()):
+    for g in (f, f.num, f.den, Poly.one(), Poly.zero(), parse_poly("2*z - 1")):
         with pytest.raises(TypeError):
             g(x)
 
