@@ -375,7 +375,7 @@ class Cyclo(_Field, _Immutable):
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = other if isinstance(other, int) else self._coerce(other)
+        o = self._coerce(other)
         return NotImplemented if o is None else _plus(self, o, 1)
 
     __radd__ = __add__
@@ -384,25 +384,18 @@ class Cyclo(_Field, _Immutable):
         return _make(self.order, self._m, tuple([-c for c in self._v]), self.den)
 
     def __sub__(self, other):
-        o = other if isinstance(other, int) else self._coerce(other)
+        o = self._coerce(other)
         return NotImplemented if o is None else _plus(self, o, -1)
 
-    def __rsub__(self, other):
-        o = other if isinstance(other, int) else self._coerce(other)
-        return NotImplemented if o is None else _plus(o, self, -1)
-
     def __mul__(self, other):
-        o = other if isinstance(other, int) else self._coerce(other)  # no temporary for ints
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, int):
-            r, d, y = o, 1, self
-        elif self._m == 1 or o._m == 1:
-            x, y = (self, o) if self._m == 1 else (o, self)
-            r, d = x._v[0], x.den
-        else:
+        if self._m != 1 and o._m != 1:
             a, b, m = _common(self, o)
             return _normal(self.order, m, _mul_vec(a, b, m), self.den * o.den)
+        x, y = (self, o) if self._m == 1 else (o, self)
+        r, d = x._v[0], x.den  # the rational factor x = r / d
         if y._m == 1 or not r:
             return Cyclo._ratio(self.order, r * y._v[0], d * y.den)
         return _normal(self.order, y._m, [r * c for c in y._v], d * y.den)
@@ -542,12 +535,7 @@ def _common(x, y):
 
 
 def _plus(x, y, s):
-    """x + s y for s = 1 or -1; an int x or y takes part with no temporary."""
-    if isinstance(x, int) or isinstance(y, int):  # t c + n
-        c, t, n = (y, s, x) if isinstance(x, int) else (x, 1, s * y)
-        vec = [t * e for e in c._v]
-        vec[0] += n * c.den
-        return _normal(c.order, c._m, vec, c.den)
+    """x + s y for s = 1 or -1: a difference needs no negated temporary."""
     xd, yd = x.den, y.den
     if x._m == 1 and y._m == 1:
         return Cyclo._ratio(x.order, x._v[0] * yd + s * y._v[0] * xd, xd * yd)

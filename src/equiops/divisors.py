@@ -9,6 +9,8 @@ degrees, multiplicities and supports never need the roots themselves.
 
 from __future__ import annotations
 
+from operator import index
+
 from .cyclotomic import Cyclo, rational
 from .poly import Poly
 from .ratfn import INF
@@ -56,9 +58,9 @@ class Divisor:
     coprime."""
 
     def __init__(self, pairs=(), order=None):
-        # pairs: iterable of (Place, multiplicity)
+        # pairs: iterable of (Place, multiplicity), each multiplicity an int
         self.order = order
-        self._mult = _refined({}, [(INF if p.poly is None else p.poly, int(m)) for p, m in pairs])
+        self._mult = _refined({}, [(INF if p.poly is None else p.poly, index(m)) for p, m in pairs])
 
     @staticmethod
     def _of(mult, order):
@@ -92,6 +94,7 @@ class Divisor:
         return self + (-other)
 
     def scale(self, k):
+        k = index(k)  # TypeError for a multiplier that is not an int
         return Divisor._of({key: m * k for key, m in self._mult.items()} if k else {}, self.order)
 
     def multiplicity_at(self, x):

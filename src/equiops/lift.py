@@ -6,13 +6,15 @@ psidot2 = phi psi2, phi the pre-Schwarzian.  Both columns then satisfy the
 second order equation psidotdot = S psi, the Maurer-Cartan form L^-1 dL
 equals [[0, S],[1, 0]] theta, and the ratio of the second column recovers
 the dual map D f.  Everything here is truncated power series in t = z - p
-with exact coefficients, `QSeries` from `RatFn.taylor_series`; results are
+with exact coefficients, `QSeries` from `RatFn.taylor_series`, and their
+2x2 matrix algebra is the list-matrix kernel of `ncalg`; results are
 returned as lists, coefficient k of t^k at index k.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import Cyclo, rational
+from .ncalg import _adj_det, _det, _dot, _mat_mul
 from .operators import _theta, pre_schwarzian, schwarzian
 from .qseries import QSeries
 
@@ -30,7 +32,7 @@ class LiftSeries:
         self.p = p
         self.n = n
         self.order = order
-        self._entries = entries
+        self._rows = (entries[:2], entries[2:])  # L as series
         self.psi1, self.psidot1, self.psi2, self.psidot2 = (
             e.dense(m) for e, m in zip(entries, (n, n - 1, n, n - 1)))
         self.q_potential = q_potential
@@ -40,39 +42,30 @@ class LiftSeries:
     def matrix(self):
         return ((self.psi1, self.psidot1), (self.psi2, self.psidot2))
 
-    def _det(self):
-        psi1, psidot1, psi2, psidot2 = self._entries
-        return psi1 * psidot2 - psidot1 * psi2
+    def _kernel(self):
+        """(adj L, det L, Ldot) by the list-matrix kernel, Ldot = dL/dtheta
+        having the stored psidot1 and psidot2 as its first column."""
+        adj, det = _adj_det(self._rows)
+        return adj, det, [[e, e.derivative() / self._alpha] for _, e in self._rows]
 
     def determinant(self):
         """det L = -fdot(p), constant to the reliable order n - 1
         (psidot carries one order less than psi)."""
-        return self._det().dense(self.n - 1)
-
-    def _dots(self):
-        """The X-derivatives of psi1, psidot1, psi2, psidot2."""
-        return [e.derivative() / self._alpha for e in self._entries]
-
-    def _mc(self):
-        psi1, psidot1, psi2, psidot2 = self._entries
-        det = self._det()
-        d11, d12, d21, d22 = self._dots()
-        return ((_adj_row(psidot2, d11, psidot1, d21, det),
-                 _adj_row(psidot2, d12, psidot1, d22, det)),
-                (_adj_row(psi1, d21, psi2, d11, det),
-                 _adj_row(psi1, d22, psi2, d12, det)))
+        return _det(self._rows).dense(self.n - 1)
 
     def mc_form(self):
-        """Entries of L^-1 (dL/dtheta), each a series of length n - 2.
+        """Entries of L^-1 (dL/dtheta) = adj(L) Ldot / det L, each a series
+        of length n - 2.
 
         Truncation: X-differentiating twice costs two orders.
         """
+        adj, det, ldot = self._kernel()
         n = self.n - 2
-        return tuple(tuple(e.dense(n) for e in row) for row in self._mc())
+        return tuple(tuple((e / det).dense(n) for e in row) for row in _mat_mul(adj, ldot))
 
     def pi2_series(self):
         """Ratio of the second column, psidot1/psidot2 = D f as a series."""
-        psidot1, psidot2 = self._entries[1], self._entries[3]
+        (_, psidot1), (_, psidot2) = self._rows
         if psidot2.valuation:  # phi(p) = 0
             raise ZeroDivisionError("D f has a pole at p")
         return (psidot1 / psidot2).dense(self.n - 1)
@@ -82,18 +75,10 @@ class LiftSeries:
         residuals psidotdot - q psi; all should vanish to truncation."""
         n = self.n - 2
         q = self.q_potential.taylor_series(self.p, n)
-        psi1, psidot1, psi2, psidot2 = self._entries
-        det = self._det()
-        d11, d12, d21, d22 = self._dots()
-        res = [_adj_row(psidot2, d11, psidot1, d21, det),
-               _adj_row(psi1, d22, psi2, d12, det),
-               d12 - q * psi1, d22 - q * psi2]
+        adj, det, ldot = self._kernel()
+        res = [_dot(adj[i], [row[i] for row in ldot]) / det for i in (0, 1)]
+        res += [ddot - q * psi for (psi, _), (_, ddot) in zip(self._rows, ldot)]
         return [r.dense(n) for r in res]
-
-
-def _adj_row(a, b, c, d, det):
-    """(a b - c d) / det: a row of adj(L) times a column of Ldot, over det."""
-    return (a * b - c * d) / det
 
 
 def legendrian_lift_series(f, theta=None, p=None, n=8):

@@ -9,8 +9,10 @@ makes is re-checked at load time, so configs are data, never trusted code.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from .cyclotomic import DEFAULT_ORDER, Cyclo, _Immutable, _set, rational
+from .ncalg import _det, _mat_mul
 from .parsing import parse_cyclo, parse_poly
 from .poly import Poly
 from .ratfn import INF, RatFn, _canonical, _substituted
@@ -36,18 +38,13 @@ class Moebius(_Immutable):
         return Moebius(1, 0, 0, 1, order)
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        return _det(_rows(self))
 
     def __mul__(self, other):
         if not isinstance(other, Moebius):
             return NotImplemented
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.order,
-        )
+        (a, b), (c, d) = _mat_mul(_rows(self), _rows(other))
+        return Moebius(a, b, c, d, self.order)
 
     def inverse(self):
         return Moebius(self.d, -self.b, -self.c, self.a, self.order)
@@ -57,15 +54,11 @@ class Moebius(_Immutable):
         return _canonical(*_linear_pair(self))
 
     def is_projectively(self, other):
-        """Equal in PGL2: rows proportional."""
-        return (
-            self.a * other.b == self.b * other.a
-            and self.a * other.c == self.c * other.a
-            and self.a * other.d == self.d * other.a
-            and self.b * other.c == self.c * other.b
-            and self.b * other.d == self.d * other.b
-            and self.c * other.d == self.d * other.c
-        )
+        """Equal in PGL2: the entries (a, b, c, d) of the two proportional,
+        every 2x2 minor of the matrix with them as its rows zero."""
+        x, y = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
+        return all(_det([[x[i], x[j]], [y[i], y[j]]]).is_zero
+                   for i, j in combinations(range(4), 2))
 
     def __eq__(self, other):  # entrywise; `is_projectively` is equality in PGL2
         if not isinstance(other, Moebius):
@@ -77,6 +70,11 @@ class Moebius(_Immutable):
 
     def __repr__(self):
         return "Moebius(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
+
+
+def _rows(m):
+    """m as a list matrix, for the kernel of `ncalg`."""
+    return [[m.a, m.b], [m.c, m.d]]
 
 
 def _linear_pair(m):
@@ -158,12 +156,8 @@ def cross_ratio(a, b, c, d, order=DEFAULT_ORDER):
         return (Poly.constant(x, order), Poly.one(order))
 
     A, B, C, D = lift(a), lift(b), lift(c), lift(d)
-
-    def det(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    num = det(A, C) * det(B, D)
-    den = det(A, D) * det(B, C)
+    num = _det([A, C]) * _det([B, D])
+    den = _det([A, D]) * _det([B, C])
     if num.is_zero and den.is_zero:
         raise ZeroDivisionError("degenerate quadruple")
     return RatFn(num, den)

@@ -278,10 +278,13 @@ def _minor(rows, i, j):
 
 
 def _det(rows):
-    """Determinant of a square list matrix of Cyclo, Poly or RatFn
-    entries, by Laplace expansion along the first row."""
+    """Determinant of a square list matrix of Cyclo, Poly, RatFn or QSeries
+    entries, by Laplace expansion along the first row down to 2x2."""
     if len(rows) == 1:
         return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     total = None
     for j, entry in enumerate(rows[0]):
         term = entry * _det(_minor(rows, 0, j))
@@ -630,9 +633,8 @@ class GenMoebius(_Immutable):
 
     @staticmethod
     def inversion(size, order=DEFAULT_ORDER):
-        one = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        zero = [[0] * size for _ in range(size)]
-        return GenMoebius(zero, one, one, zero, order)
+        one = GenMoebius.identity(size, order)  # f -> f^-1: its blocks swapped
+        return GenMoebius(one.b, one.a, one.a, one.b, order)
 
     def __eq__(self, other):
         if not isinstance(other, GenMoebius):

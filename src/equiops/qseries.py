@@ -44,8 +44,8 @@ class QSeries(_Field, _Immutable):
     """
 
     # the term at k/M is _items[k] / _den at conductor _m, see the module
-    # docstring; _coeffs caches the Cyclo view
-    __slots__ = ("M", "_items", "_den", "_m", "_coeffs", "trunc", "order")
+    # docstring
+    __slots__ = ("M", "_items", "_den", "_m", "trunc", "order")
 
     def __new__(cls, M, coeffs, trunc, order=DEFAULT_ORDER):
         if any(isinstance(c, Cyclo) and c.order != order for c in coeffs.values()):
@@ -55,7 +55,7 @@ class QSeries(_Field, _Immutable):
         return _canonical(M, items, 1, 1, Fraction(trunc), order)
 
     def __reduce__(self):
-        # the stored form without the view; the guard blocks slot restore
+        # the stored form; the guard blocks slot restore
         return (_make, (self.M, self._items, self._den, self._m, self.trunc, self.order))
 
     # -- constructors -------------------------------------------------
@@ -85,12 +85,9 @@ class QSeries(_Field, _Immutable):
 
     @property
     def coeffs(self):
-        """The coefficients as a map {k: Cyclo}, for the terms at q^(k/M)."""
-        cs = self._coeffs
-        if cs is None:
-            cs = {k: self._value(k) for k in self._items}
-            _set_coeffs(self, cs)
-        return cs
+        """The coefficients as a map {k: Cyclo}, for the terms at q^(k/M),
+        built on each read."""
+        return {k: self._value(k) for k in self._items}
 
     def dense(self, n):
         """The coefficients at q^(k/M) for k = 0 .. n - 1, as `Cyclo`."""
@@ -268,9 +265,9 @@ class QSeries(_Field, _Immutable):
 
 _new = object.__new__
 # slot setters: build series past the immutability guard
-_set_M, _set_items, _set_den, _set_m, _set_coeffs, _set_trunc, _set_order = (
-    s.__set__ for s in (QSeries.M, QSeries._items, QSeries._den, QSeries._m, QSeries._coeffs,
-                        QSeries.trunc, QSeries.order))
+_set_M, _set_items, _set_den, _set_m, _set_trunc, _set_order = (
+    s.__set__ for s in (QSeries.M, QSeries._items, QSeries._den, QSeries._m, QSeries.trunc,
+                        QSeries.order))
 
 
 def _limit(trunc, M):
@@ -285,7 +282,6 @@ def _make(M, items, den, m, trunc, order):
     _set_items(s, items)
     _set_den(s, den)
     _set_m(s, m)
-    _set_coeffs(s, None)
     _set_trunc(s, trunc)
     _set_order(s, order)
     return s

@@ -1,15 +1,14 @@
 """Truncated power series: one product and one division.
 
 A series is a sparse dict {exponent: nonzero coefficient}, cut below
-`limit`.  `mul` and `div` multiply coefficients with `*`, and the division
-needs a divisor with constant term 1.  Coefficients need only `+`, `-`,
-`*`, unary `-` and a truth value that is false exactly for zero, as ints
-and `Cyclo` values have.
+`limit`, its coefficients ints or rows (the phi(m) ints of an element of
+Q(zeta_m)); `QSeries` keeps no `Cyclo` in its store, so none reaches the
+kernel.  `mul` and `div` take ints, and the division needs a divisor with
+constant term 1.
 
 Exact data needs no field inverse: `div_ints` divides series of ints, or of
-rows (the phi(m) ints of an element of Q(zeta_m)) whose divisor has an int
-constant term, by a substitution that makes that term 1, and returns the
-quotient over one denominator.  On rows, `mul_rows` and the division sum
+rows whose divisor has an int constant term, by a substitution that makes
+that term 1, and returns the quotient over one denominator.  On rows, `mul_rows` and the division sum
 each coefficient's row products unreduced and reduce them mod Phi_m once
 (`cyclotomic._dot`), as `poly._conv` does.
 

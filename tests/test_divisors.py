@@ -1,5 +1,6 @@
 """Divisors of rational maps and quadratic differentials."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -78,6 +79,23 @@ def test_a_foreign_operand_is_refused(other):
     for op in (lambda: d + other, lambda: d - other, lambda: other + d):
         with pytest.raises(TypeError):
             op()
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, Fraction(5, 2), Fraction(2), rational(2), "2"])
+def test_a_multiplicity_that_is_not_an_int_is_refused(m):
+    # the constructor's int() truncated 2.5 to 2, and scale kept any multiplier
+    with pytest.raises(TypeError):
+        Divisor([(Place.point(1), m)])
+    with pytest.raises(TypeError):
+        Divisor([(Place.point(1), 2)]).scale(m)
+
+
+def test_integer_multiplicities_are_kept():
+    d = Divisor([(Place.point(1), 3), (Place.infinity(), True)])
+    assert d.multiplicity_at(1) == 3 and d.multiplicity_at(INF) == 1
+    assert d.scale(-2) == Divisor([(Place.point(1), -6), (Place.infinity(), -2)])
+    assert d.scale(0).is_zero and d.scale(False).is_zero
+    assert all(type(m) is int for m in d.scale(True).refined_items().values())
 
 
 # roots of the linear factors of the pool, in the field; the pool also has

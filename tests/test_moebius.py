@@ -36,6 +36,22 @@ def test_inverse_and_projective_equality():
     assert scaled.is_projectively(m)
 
 
+@pytest.mark.parametrize("x, y", [
+    ((1, 0, 0, 2), (1, 0, 0, 3)),  # only the minor of a and d is nonzero
+    ((0, 1, 1, 0), (0, 1, 2, 0)),
+    ((1, 1, 0, 1), (1, 2, 0, 1)),
+    ((1, 0, 1, 1), (1, 0, 1, 2)),
+    ((1, 0, 0, 1), (1, 0, 0, -1)),
+])
+def test_projective_equality_needs_every_minor(x, y):
+    # not proportional, though some of the six 2x2 minors vanish
+    i = imag_unit()
+    for s in (rational(1), rational(-3), 1 + i):
+        m, n = Moebius(*x), Moebius(*[s * e for e in y])
+        assert not m.is_projectively(n) and not n.is_projectively(m)
+        assert m.is_projectively(Moebius(*[s * e for e in x]))
+
+
 def test_klein_map_is_equivariant_for_icosahedral_generator():
     k = parse_ratfn(KLEIN_MAP)
     rot = Moebius(zeta(120, 12), rational(0), rational(0),

@@ -536,6 +536,25 @@ def test_a_lower_degree_starts_the_accumulation_over(small_primes):
     assert small_primes == ([11, 31], [11, 31])
 
 
+def test_a_lower_degree_after_an_earlier_root_restarts_the_prime(small_primes):
+    # x + zeta and x + 15 agree at the root 4 mod 11 alone, where the images
+    # have degree 2; the root 5 then gives degree 1, so the image at 4 was
+    # unlucky and the prime is left for the next one
+    h = Poly([zeta5(2), 1])
+    a, b = h * Poly([zeta5(), 1]) * Poly([1, 1]), h * Poly([15, 1]) * Poly([7, 1])
+    check_gcd(a, b, h)
+    assert small_primes == ([11, 31], [31])
+
+
+def test_a_common_denominator_beyond_the_bound_waits_for_a_prime(small_primes):
+    # the gcd's coefficient 1/2 + zeta/4 has rows 1/2 and 1/4, each within
+    # the bound sqrt(11 / 2) alone, but their common denominator 4 is not
+    h = Poly([Fraction(1, 2) + zeta5() / 4, 1])
+    a, b = h * Poly([1, 1]), h * Poly([zeta5(), 1])
+    check_gcd(a, b, h)
+    assert small_primes == ([11, 31], [11, 11 * 31])
+
+
 def test_an_operand_candidate_that_fails_lowers_the_bound(small_primes):
     # x + 1 and x + 342 agree mod 11 and mod 31: mod 11 the candidate
     # b / lead(b) does not divide a, so the images of degree 2 mod 31 are
