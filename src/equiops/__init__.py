@@ -27,8 +27,8 @@ from .ncalg import (GenMoebius, MatFn, NCExpr, NCPoly, Theorem2Operator,
                     deform_family, gen_moebius_apply, nc_d_operator,
                     nc_derive, nc_eval, nc_phi_deform, q_compose_step,
                     s_poly, theorem2_substitute)
-from .operators import (DResult, FormCoeff, d_operator,
-                        dd_deformation_h, deform_corollary, klein_vector_field,
+from .operators import (FormCoeff, d_operator, dd_deformation_h,
+                        deform_corollary, klein_vector_field,
                         period_residues, phi_biweight, phi_operator,
                         pre_schwarzian, rankin_cohen, schwarzian)
 from .parsing import (cyclo_literal, parse_cyclo, parse_poly, parse_ratfn,

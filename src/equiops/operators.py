@@ -20,8 +20,9 @@ of the Schwarzian (Ovsienko-Tabachnikov, Projective Differential Geometry
 Old and New, 2005).  Each operator builds its numerator and denominator as
 polynomials and reduces once with `RatFn(num, den)`; a reduced value is
 canonical, so it is the value of the chain of RatFn operations.  Klein's
-vector field is the biweight phi-operator, with a flag for its degenerate
-cases.
+vector field is the biweight phi-operator.  A constant value of D, of its
+deformation or of Klein's field (the constant infinity included) marks a
+degenerate input, read as `RatFn.degenerate`.
 
 Period residues take one path for every pole: Hermite reduction (Mack's
 linear version) leaves a part a/d with a squarefree denominator and the
@@ -39,7 +40,7 @@ from math import prod
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import Place
 from .poly import Poly
-from .ratfn import RatFn, _canonical, _fill
+from .ratfn import RatFn
 
 
 class FormCoeff:
@@ -148,20 +149,6 @@ def schwarzian(f, theta=None):
     return RatFn(form_part * w2 - z_part * ab * ab, a2 * a2 * w2 * 4)
 
 
-class DResult(RatFn):
-    """Value of the D operator; `degenerate` marks inputs where the dual
-    map collapses to a constant (including the constant infinity)."""
-
-    __slots__ = ("degenerate",)
-
-    def __init__(self, value, degenerate):
-        _fill(self, value.num, value.den)
-        object.__setattr__(self, "degenerate", degenerate)
-
-    def __reduce__(self):
-        return (DResult, (_canonical(self.num, self.den), self.degenerate))
-
-
 @_kept_at_dz
 def d_operator(f, theta=None):
     """D f = f - 2 fd^2/fdd = L(N)/L(D), the projectively equivariant dual
@@ -169,12 +156,12 @@ def d_operator(f, theta=None):
 
     Where fdd vanishes identically, L(D) = 0 and the dual is the constant
     infinity; when the dual is any other constant the input is likewise
-    degenerate, and both cases are flagged rather than raised.
+    degenerate, and both cases are returned (`degenerate`) rather than
+    raised.
     """
     theta = _theta(theta, f.order)
     _, l = _operator_l(_wronskian(f, "D of a constant"), theta)
-    value = RatFn(l(f.num), l(f.den))
-    return DResult(value, value.is_constant)
+    return RatFn(l(f.num), l(f.den))
 
 
 def deform_corollary(f, g, h):
@@ -192,8 +179,7 @@ def deform_corollary(f, g, h):
         raise ArithmeticError("arithmetic with the constant infinity")
     a, l = _operator_l(w, theta)
     c = a * a * w * h.num * 2
-    value = RatFn(c * f.num - h.den * l(f.num), c * f.den - h.den * l(f.den))
-    return DResult(value, value.is_constant)
+    return RatFn(c * f.num - h.den * l(f.num), c * f.den - h.den * l(f.den))
 
 
 def dd_deformation_h(f, theta=None):
@@ -288,8 +274,8 @@ def klein_vector_field(alpha, a, beta=None):
     alpha lifts to A = z2^a alpha(z1/z2) and beta to B = z2^(a-2)
     beta(z1/z2); the projectivized field (d_z2 A - B z1, -d_z1 A - B z2)
     at z2 = 1 gives the map (a alpha - z alpha' - z beta)/(-alpha' - beta),
-    the biweight operator at weight -a.  A constant result is flagged
-    degenerate; where alpha' + beta = 0 it is the constant infinity.
+    the biweight operator at weight -a.  A constant result is degenerate;
+    where alpha' + beta = 0 it is the constant infinity.
     """
     if not isinstance(alpha, Poly):
         raise TypeError("alpha must be a polynomial")
@@ -303,9 +289,8 @@ def klein_vector_field(alpha, a, beta=None):
     if (alpha.derivative() + beta).is_zero:  # the map is a alpha / 0
         if alpha.is_zero:
             raise ValueError("identically degenerate field")
-        return DResult(RatFn.infinity(order), True)
-    value = phi_biweight(alpha, beta, -a)
-    return DResult(value, value.is_constant)
+        return RatFn.infinity(order)
+    return phi_biweight(alpha, beta, -a)
 
 
 # -- period residues --------------------------------------------------

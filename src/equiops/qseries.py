@@ -6,7 +6,10 @@ Taylor series in t = z - p of the Legendrian lift.  Exponents live in
 order pessimistically so a vanishing residual is a proof up to the
 reported order.  Named series cover the eta function and its rescalings,
 Eisenstein series, the modular j function and the level 2..5 hauptmoduln,
-and the Rogers-Ramanujan continued fraction.
+and the Rogers-Ramanujan continued fraction.  Eta, Delta, 1/Delta (j is
+E_4^3 times it) and the hauptmoduln, read from the table `_HAUPTMODULN`, are
+each one eta quotient c q^v prod (1 - q^(k s))^e(k) of the in-place kernel
+`eta_product`, with no series power or quotient.
 
 The coefficient store is that of `Poly`, (items, den, m) keyed by exponent:
 the term at q^(k/M) is items[k] / den, ints (m = 1) or rows of phi(m) ints
@@ -321,11 +324,16 @@ def eta_product(exponent_of, trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
     return _canonical(M, dict(enumerate(c)), 1, 1, limit, order)
 
 
+def _eta_quotient(c, v, s, e, trunc, order):
+    """c q^v prod_{k>=1} (1 - q^(k s))^e(k), the product known below q^trunc;
+    c multiplies the product, of valuation 0, where a scalar costs no terms."""
+    return QSeries.q_power(v, _INF, order) * (eta_product(e, trunc, order, s) * c)
+
+
 def eta(trunc, order=DEFAULT_ORDER, scale=Fraction(1)):
     """Dedekind eta of (scale * tau): q^(scale/24) prod (1 - q^(n scale))."""
     s = Fraction(scale)
-    pre = QSeries.q_power(s / 24, Fraction(trunc) + s / 24, order)
-    return pre * eta_product(lambda n: 1, trunc, order, s)
+    return _eta_quotient(1, s / 24, s, lambda n: 1, trunc, order)
 
 
 def bernoulli(n):
@@ -355,45 +363,43 @@ def eisenstein(weight, trunc, order=DEFAULT_ORDER):
 
 
 def delta_series(trunc, order=DEFAULT_ORDER):
-    return eta(trunc, order) ** 24
+    """Delta = q prod (1 - q^n)^24, known below q^(trunc + 1) as eta^24 is."""
+    return _eta_quotient(1, 1, 1, lambda n: 24, trunc, order)
 
 
 def j_series(trunc, order=DEFAULT_ORDER):
-    t = Fraction(trunc) + 2
-    cube = eisenstein(4, t, order) ** 3
-    return (cube * 1728 / (cube - eisenstein(6, t, order) ** 2)).truncated(trunc)
+    """j = E_4^3 / Delta, 1/Delta = q^-1 prod (1 - q^n)^-24 known below q^trunc."""
+    t = Fraction(trunc) + 1
+    return eisenstein(4, t, order) ** 3 * _eta_quotient(1, -1, 1, lambda n: -24, t, order)
 
 
 def kronecker5(n):
     return (0, 1, -1, -1, 1)[n % 5]
 
 
+# level: (c, v, s, e) of the eta quotient c q^v prod (1 - q^(k s))^e(k): 16
+# eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24, (eta(tau/3) / eta(3 tau))^3 (then
+# mapped h -> -sqrt2 (h/6 + 1/2)), 2 q^(1/4) prod (1 - q^(2n-1))^2 / (1 -
+# q^(4n-2))^4 and q^(1/5) prod (1 - q^n)^(n/5)
+_HAUPTMODULN = {
+    2: (16, Fraction(1, 2), Fraction(1, 2), lambda k: (0, 8, -16, 8)[k % 4]),
+    3: (1, Fraction(-1, 3), Fraction(1, 3), lambda k: 3 if k % 9 else 0),
+    4: (2, Fraction(1, 4), 1, lambda k: (0, 2, -4, 2)[k % 4]),
+    5: (1, Fraction(1, 5), 1, kronecker5),
+}
+
+
 def hauptmodul(level, trunc, order=DEFAULT_ORDER):
     """Level 2..5 hauptmoduln, normalized so j = k_n f_n(j_n)^3 / v_n(j_n)^n
     holds with the constants of j_relation_data."""
+    if level not in _HAUPTMODULN:
+        raise ValueError("level must be 2, 3, 4 or 5")
     t = Fraction(trunc)
-    if level == 2:
-        # lambda = 16 eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24
-        pad = t + 2
-        num = eta(pad, order, Fraction(1, 2)) ** 8 * eta(pad, order, 2) ** 16
-        den = eta(pad, order) ** 24
-        return (num / den * 16).truncated(t)
-    if level == 3:
-        pad = t + 2
+    h = _eta_quotient(*_HAUPTMODULN[level], t + 1, order)
+    if level == 3:  # a scalar times q^(-1/3) + ... is known 1/3 less far
         s2 = sqrt2(order)
-        quot = eta(pad, order, Fraction(1, 3)) ** 3 / eta(pad, order, 3) ** 3
-        return (quot * (-s2 / 6) - s2 / 2).truncated(t)
-    if level == 4:
-        pre = QSeries.q_power(Fraction(1, 4), t + 1, order) * 2
-        prod = eta_product(lambda n: 2 if n % 2 else 0, t + 1, order)
-        prod = prod * eta_product(
-            lambda n: -4 if n % 4 == 2 else 0, t + 1, order)
-        return (pre * prod).truncated(t)
-    if level == 5:
-        pre = QSeries.q_power(Fraction(1, 5), t + 1, order)
-        prod = eta_product(kronecker5, t + 1, order)
-        return (pre * prod).truncated(t)
-    raise ValueError("level must be 2, 3, 4 or 5")
+        h = h * (-s2 / 6) - s2 / 2
+    return h.truncated(t)
 
 
 def j_relation_data(level, order=DEFAULT_ORDER):
@@ -473,14 +479,14 @@ def rr_equals_j5(trunc, order=DEFAULT_ORDER):
 
 def series_eval(s, tau, tail_bound=1e-12):
     """Evaluate at q = exp(2 pi i tau), Im tau > 0, with a geometric tail
-    estimate from the last retained terms."""
+    estimate from the last retained terms; a series known exactly has none."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
     terms = [complex(c) * cmath.exp(complex(e) * cmath.log(q)) for e, c in s._terms()]
     r = abs(q) ** (1.0 / s.M)
     last = abs(terms[-1]) if terms else 0.0
-    tail = last * r / (1 - r) if r < 1 else float("inf")
+    tail = 0.0 if s.trunc >= _INF else last * r / (1 - r) if r < 1 else float("inf")
     if tail > tail_bound:
         raise ValueError("tail estimate %.3g above bound %.3g; extend the series"
                          % (tail, tail_bound))

@@ -97,6 +97,11 @@ class RatFn(_Field, _Immutable):
     def is_constant(self):
         return self.num.is_constant and self.den.is_constant
 
+    @property
+    def degenerate(self):
+        """A constant D f, deformation or Klein field marks a degenerate input."""
+        return self.is_constant
+
     def constant_value(self):
         """Cyclo value of a finite constant, or the string 'inf'."""
         if self.is_infinity:

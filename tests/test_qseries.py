@@ -1,5 +1,6 @@
 """Modular q-series: eta, Eisenstein, j, hauptmoduln and their relations."""
 
+import cmath
 import math
 import operator
 import random
@@ -9,10 +10,11 @@ import pytest
 
 from equiops import series
 from equiops.cyclotomic import CycloError, rational, sqrt2, sqrt5, totient
+from equiops.poly import Poly
 from equiops.qseries import (_INF, QSeries, delta_series, eisenstein, eta,
-                             hauptmodul, heins_value, j_series,
-                             ramanujan_check, rogers_ramanujan, rr_equals_j5,
-                             series_eval, verify_j_relation)
+                             eta_product, hauptmodul, heins_value, j_series,
+                             kronecker5, ramanujan_check, rogers_ramanujan,
+                             rr_equals_j5, series_eval, verify_j_relation)
 from series_oracle import product, quotient
 
 
@@ -94,6 +96,18 @@ def test_rr_continued_fraction_head():
 def test_series_eval_j_at_i():
     value = series_eval(j_series(40), 1j)
     assert abs(value - 1728) < 1e-6
+
+
+def test_series_eval_of_an_exact_series_has_no_tail():
+    # 1 + 2q + 3q^2, and q^2 times it (known beyond _INF), have no tail
+    p = QSeries.of_poly(Poly([1, 2, 3]))
+    tau = 0.1 + 1j
+    q = cmath.exp(2j * cmath.pi * tau)
+    value = 1 + 2 * q + 3 * q * q
+    assert abs(series_eval(p, tau) - value) < 1e-15
+    assert abs(series_eval(p * QSeries.q_power(2, _INF), tau) - value * q * q) < 1e-15
+    with pytest.raises(ValueError, match="tail estimate"):
+        series_eval(QSeries.of_poly(Poly([1, 2, 3]), 3), tau)
 
 
 def test_heins_values():
@@ -370,3 +384,51 @@ def test_powers_keep_the_truncation():
     assert s ** 1 is s
     assert s ** 0 == QSeries.constant(1, 4)
     assert (s ** -2 * s * s - 1).is_zero
+
+
+# -- the named series against their constructions from eta powers and E_6 --
+
+
+def ref_hauptmodul(level, t):
+    """The hauptmoduln from powers and quotients of eta and two eta products."""
+    pad, s2 = t + 2, sqrt2()
+    if level == 2:  # 16 eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24
+        num = eta(pad, scale=Fraction(1, 2)) ** 8 * eta(pad, scale=2) ** 16
+        return (num / eta(pad) ** 24 * 16).truncated(t)
+    if level == 3:  # -(sqrt2/6) (eta(tau/3) / eta(3 tau))^3 - sqrt2/2
+        quot = eta(pad, scale=Fraction(1, 3)) ** 3 / eta(pad, scale=3) ** 3
+        return (quot * (-s2 / 6) - s2 / 2).truncated(t)
+    if level == 4:  # 2 q^(1/4) prod (1 - q^(2n-1))^2 times prod (1 - q^(4n-2))^-4
+        prod = eta_product(lambda n: 2 if n % 2 else 0, t + 1)
+        prod = prod * eta_product(lambda n: -4 if n % 4 == 2 else 0, t + 1)
+        return (QSeries.q_power(Fraction(1, 4), t + 1) * 2 * prod).truncated(t)
+    return (QSeries.q_power(Fraction(1, 5), t + 1) * eta_product(kronecker5, t + 1)).truncated(t)
+
+
+def ref_j(t):
+    """1728 E_4^3 / (E_4^3 - E_6^2)."""
+    cube = eisenstein(4, t + 2) ** 3
+    return (cube * 1728 / (cube - eisenstein(6, t + 2) ** 2)).truncated(t)
+
+
+def ref_delta(t):
+    return eta(t) ** 24
+
+
+def same_series(got, want):
+    assert (got, got.trunc, got.export_lines()) == (want, want.trunc, want.export_lines())
+
+
+ORACLE_TRUNCS = [1, 2, 3, 7, 12, Fraction(5, 2), Fraction(13, 3), Fraction(11, 5)]
+
+
+@pytest.mark.parametrize("t", ORACLE_TRUNCS, ids=str)
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_hauptmodul_matches_its_eta_power_construction(level, t):
+    same_series(hauptmodul(level, t), ref_hauptmodul(level, Fraction(t)))
+
+
+@pytest.mark.parametrize("t", ORACLE_TRUNCS, ids=str)
+def test_j_and_delta_match_their_eisenstein_and_eta_power_constructions(t):
+    same_series(j_series(t), ref_j(Fraction(t)))
+    same_series(delta_series(t), ref_delta(t))
