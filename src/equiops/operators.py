@@ -156,8 +156,7 @@ def d_operator(f, theta=None):
 
     Where fdd vanishes identically, L(D) = 0 and the dual is the constant
     infinity; when the dual is any other constant the input is likewise
-    degenerate, and both cases are returned (`degenerate`) rather than
-    raised.
+    degenerate; both cases are returned, not raised (`RatFn.degenerate`).
     """
     theta = _theta(theta, f.order)
     _, l = _operator_l(_wronskian(f, "D of a constant"), theta)

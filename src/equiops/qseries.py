@@ -377,10 +377,11 @@ def kronecker5(n):
     return (0, 1, -1, -1, 1)[n % 5]
 
 
-# level: (c, v, s, e) of the eta quotient c q^v prod (1 - q^(k s))^e(k): 16
-# eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24, (eta(tau/3) / eta(3 tau))^3 (then
-# mapped h -> -sqrt2 (h/6 + 1/2)), 2 q^(1/4) prod (1 - q^(2n-1))^2 / (1 -
-# q^(4n-2))^4 and q^(1/5) prod (1 - q^n)^(n/5)
+# level: (c, v, s, e) of the eta quotient c q^v prod (1 - q^(k s))^e(k), that is
+#   2: 16 eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24
+#   3: (eta(tau/3) / eta(3 tau))^3, then mapped h -> -sqrt2 (h/6 + 1/2)
+#   4: 2 q^(1/4) prod (1 - q^(2n-1))^2 / (1 - q^(4n-2))^4
+#   5: q^(1/5) prod (1 - q^n)^(n/5), with the Legendre symbol (n/5)
 _HAUPTMODULN = {
     2: (16, Fraction(1, 2), Fraction(1, 2), lambda k: (0, 8, -16, 8)[k % 4]),
     3: (1, Fraction(-1, 3), Fraction(1, 3), lambda k: 3 if k % 9 else 0),
