@@ -9,8 +9,7 @@ import cmath
 import math
 import random
 
-from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, _as_ratfn
 
 SUPERATTRACTING_TOL = 1e-6
 REPELLING_TOL = 1e-6
@@ -58,8 +57,7 @@ class CxMap:
     __slots__ = ("num", "den")
 
     def __init__(self, ratfn):
-        if isinstance(ratfn, Poly):
-            ratfn = RatFn(ratfn)
+        ratfn = _as_ratfn(ratfn)
         self.num = _complex_coeffs(ratfn.num)
         self.den = _complex_coeffs(ratfn.den)
 
@@ -99,8 +97,7 @@ class CxMap:
 
 def iteration_map(f, method):
     """Exact Newton or Halley iteration map of a polynomial or rational f."""
-    if isinstance(f, Poly):
-        f = RatFn(f)
+    f = _as_ratfn(f)
     if f.is_constant:
         raise ValueError("iteration map of a constant function")
     z = RatFn.x(f.order)
@@ -130,11 +127,10 @@ def poly_roots(p, tol=1e-10):
     its relative backward error |P(z)| / sum |a_k||z|^k is below tol.
     Raises NonConvergenceError (with partial results) after the iteration cap.
     """
-    if isinstance(p, RatFn):
-        if p.den.degree != 0:
-            raise ValueError("poly_roots needs a polynomial")
-        p = p.num
-    coeffs = _complex_coeffs(p)
+    p = _as_ratfn(p)
+    if p.den.degree != 0:
+        raise ValueError("poly_roots needs a polynomial")
+    coeffs = _complex_coeffs(p.num)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     n = len(coeffs) - 1

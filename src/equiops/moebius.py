@@ -15,7 +15,7 @@ from .cyclotomic import DEFAULT_ORDER, Cyclo, _Immutable, _set, rational
 from .ncalg import _det, _mat_mul
 from .parsing import parse_cyclo, parse_poly
 from .poly import Poly
-from .ratfn import INF, RatFn, _canonical, _substituted
+from .ratfn import INF, RatFn, _as_ratfn, _canonical, _substituted
 
 
 class Moebius(_Immutable):
@@ -136,8 +136,8 @@ def form_character(poly, weight, m):
 def cross_ratio(a, b, c, d, order=DEFAULT_ORDER):
     """(a-c)(b-d) / ((a-d)(b-c)) as a rational function.
 
-    Arguments may be RatFn, constants, or the symbol 'inf'; each is lifted
-    to homogeneous coordinates (num, den) and differences become 2x2
+    Arguments may be RatFn, Poly, exact constants or the symbol 'inf'; each
+    is lifted to homogeneous coordinates (num, den) and differences become 2x2
     determinants, so arguments at infinity need no special cases.  The
     result is a RatFn (constant when the inputs are points); a degenerate
     quadruple raises.
@@ -146,14 +146,9 @@ def cross_ratio(a, b, c, d, order=DEFAULT_ORDER):
         if isinstance(x, str):
             if x != INF:
                 raise ValueError(x)
-            return (Poly.one(order), Poly.zero(order))
-        if isinstance(x, RatFn):
-            return (x.num, x.den)
-        if isinstance(x, Poly):
-            return (x, Poly.one(order))
-        if not isinstance(x, Cyclo):
-            x = rational(x, order)
-        return (Poly.constant(x, order), Poly.one(order))
+            x = RatFn.infinity(order)
+        x = _as_ratfn(x, order)
+        return x.num, x.den
 
     A, B, C, D = lift(a), lift(b), lift(c), lift(d)
     num = _det([A, C]) * _det([B, D])

@@ -49,7 +49,7 @@ from types import MappingProxyType
 
 from .cyclotomic import Cyclo, DEFAULT_ORDER, _Immutable, _Ring, _set, rational
 from .poly import Poly
-from .ratfn import RatFn, _cancel
+from .ratfn import RatFn, _as_ratfn, _cancel
 
 # -- free algebra -----------------------------------------------------
 
@@ -324,15 +324,6 @@ def _mat_add(a, b):
 
 def _scaled(rows, c):
     return [[e * c for e in row] for row in rows]
-
-
-def _as_ratfn(value, order):
-    if isinstance(value, RatFn):
-        return value
-    if isinstance(value, Poly):
-        return RatFn(value)
-    return RatFn.constant(rational(value, order) if not isinstance(value, Cyclo)
-                          else value, order)
 
 
 class MatFn(_Ring, _Immutable):

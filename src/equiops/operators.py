@@ -40,7 +40,7 @@ from math import prod
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import Place
 from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, _as_ratfn
 
 
 class FormCoeff:
@@ -49,8 +49,7 @@ class FormCoeff:
     __slots__ = ("alpha",)
 
     def __init__(self, alpha):
-        if not isinstance(alpha, RatFn):
-            alpha = RatFn(alpha)
+        alpha = _as_ratfn(alpha)
         if alpha.is_zero or alpha.is_infinity:
             raise ValueError("form coefficient must be a nonzero function")
         self.alpha = alpha
@@ -171,8 +170,7 @@ def deform_corollary(f, g, h):
     an absolute invariant in the equivariant application.
     """
     theta = FormCoeff.d_of(g) if not isinstance(g, FormCoeff) else g
-    if not isinstance(h, RatFn):
-        h = RatFn.constant(h, f.order)
+    h = _as_ratfn(h, f.order)
     w = _wronskian(f, "deformation of a constant")
     if h.is_infinity:
         raise ArithmeticError("arithmetic with the constant infinity")
@@ -199,17 +197,14 @@ def dd_deformation_h(f, theta=None):
 
 def phi_operator(alpha, k):
     """z + k alpha/alpha', sending a weight-k form to an equivariant map."""
-    if not isinstance(alpha, RatFn):
-        alpha = RatFn(alpha)
+    alpha = _as_ratfn(alpha)
     return _phi(alpha, RatFn.constant(0, alpha.order), k, "form with vanishing derivative")
 
 
 def phi_biweight(alpha, beta, k):
     """z + k alpha/(alpha' + beta), the biweight variant."""
-    if not isinstance(alpha, RatFn):
-        alpha = RatFn(alpha)
-    if not isinstance(beta, RatFn):
-        beta = RatFn(beta) if isinstance(beta, Poly) else RatFn.constant(beta, alpha.order)
+    alpha = _as_ratfn(alpha)
+    beta = _as_ratfn(beta, alpha.order)
     return _phi(alpha, beta, k, "degenerate denominator alpha' + beta")
 
 
@@ -247,10 +242,8 @@ def rankin_cohen(alpha, k, beta, l, n):
     """
     if n < 0:
         raise ValueError("bracket order must be >= 0")
-    if not isinstance(alpha, RatFn):
-        alpha = RatFn(alpha)
-    if not isinstance(beta, RatFn):
-        beta = RatFn(beta)
+    alpha = _as_ratfn(alpha)
+    beta = _as_ratfn(beta, alpha.order)
     a_derivs = [alpha]
     b_derivs = [beta]
     for _ in range(n):
@@ -311,8 +304,7 @@ def period_residues(f, fhat):
     gcd(rest, r - c t) (Rothstein 1976; Trager 1976), and what no small
     integer takes is one bundle with value r t^-1 mod rest.
     """
-    if not isinstance(fhat, RatFn):
-        fhat = RatFn.constant(fhat, f.order)
+    fhat = _as_ratfn(fhat, f.order)
     diff = f - fhat
     if diff.is_zero:
         raise ValueError("f and fhat coincide")

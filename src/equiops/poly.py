@@ -12,7 +12,8 @@ and `constant_value` are `Cyclo` views built on first use.  One normaliser,
 come out rational, so equal values have equal storage up to the conductor:
 equality meets at the lcm, and a constant hashes like its value.  `QSeries`
 shares the store (items keyed by exponent, irrational ones as `Cyclo` views
-over 1): `_store`, `_item` and `_same_field` serve both.
+over 1): a scalar enters by `_entered`, items move to a conductor by
+`_lifted`, and `_store`, `_item` and `_same_field` serve both.
 
 One path per operation, a branch for ints and one for rows.  Add, neg,
 scale, mul, derivative and substitute read and write (items, den, m) alone,
@@ -102,12 +103,9 @@ class Poly(_Ring):
 
     @staticmethod
     def constant(c, order=DEFAULT_ORDER):
-        if isinstance(c, Cyclo):
-            order = c.order  # its field, as in Poly([c])
-        r = _ratio_of(c, order)
-        if r is None:  # an irrational c is stored as it is
-            return _make((c._v,), c.den, c._m, order)
-        return _canonical([r[0]], r[1], 1, order)
+        order = c.order if isinstance(c, Cyclo) else order  # its field, as in Poly([c])
+        v, den, m = _entered(c, order)
+        return _make((v,), den, m, order) if v else Poly.zero(order)
 
     # -- basic queries ------------------------------------------------
 
@@ -233,10 +231,10 @@ class Poly(_Ring):
         return _power(self, k) if k else Poly.one(self.order)
 
     def scale(self, c):
-        r = _ratio_of(c, self.order)
-        if r is None:
-            return self * Poly.constant(c, self.order)
-        return _canonical(_scaled(self._items, repeat(r[0]), self._m), self._den * r[1],
+        v, den, m = _entered(c, self.order)
+        if m != 1:
+            return self * _make((v,), den, m, self.order)
+        return _canonical(_scaled(self._items, repeat(v), self._m), self._den * den,
                           self._m, self.order)
 
     def divmod(self, other):
@@ -443,9 +441,14 @@ def _aligned(a, b):
     """(x, y, m): the items of two polynomials at the lcm m of their
     conductors, ints if m = 1, else tuple rows."""
     m = _int_lcm(a._m, b._m)
-    x, y = [p._items if p._m == m else [tuple(_lift((v,) if p._m == 1 else v, p._m, m))
-                                        for v in p._items] for p in (a, b)]
+    x, y = [p._items if p._m == m else _lifted(p._items, p._m, m) for p in (a, b)]
     return x, y, m
+
+
+def _lifted(values, k, m):
+    """Stored values at conductor k (ints if k = 1, else rows) as tuple rows
+    at conductor m, a multiple of k: the one conductor lift of the store."""
+    return [tuple(_lift((v,) if k == 1 else v, k, m)) for v in values]
 
 
 def _scaled(items, cs, m):
@@ -469,17 +472,18 @@ def _same_field(a, b):
         raise CycloError("mismatched cyclotomic orders: %d vs %d" % (a.order, b.order))
 
 
-def _ratio_of(x, order):
-    """(n, d) with x == n / d for an int, a Fraction or a rational `Cyclo` of
-    the order; None for an irrational one."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Cyclo):
-        if x.order != order:
-            raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, x.order))
-        return (x._v[0], x.den) if x._m == 1 else None
-    x = x if isinstance(x, Fraction) else _exact(x)
-    return x.numerator, x.denominator
+def _entered(c, order):
+    """The stored form (v, den, m) of an exact scalar c of the order: an int
+    over den at m = 1 if c is rational, else its row at its conductor.  The
+    one scalar entry of `Poly` and `QSeries`."""
+    if isinstance(c, int):
+        return c, 1, 1
+    if isinstance(c, Cyclo):
+        if c.order != order:
+            raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, c.order))
+        return (c._v[0] if c._m == 1 else c._v), c.den, c._m
+    c = c if isinstance(c, Fraction) else _exact(c)
+    return c.numerator, c.denominator, 1
 
 
 def _conv(a, b, m=1):

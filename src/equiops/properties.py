@@ -34,7 +34,7 @@ from .operators import (FormCoeff, d_operator, dd_deformation_h,
                         pre_schwarzian, rankin_cohen, schwarzian)
 from .parsing import parse_cyclo, parse_poly, parse_ratfn
 from .poly import Poly
-from .ratfn import RatFn
+from .ratfn import RatFn, _as_ratfn
 
 SUITES = ("identities", "klein", "dynamics", "qseries", "ncalg", "all")
 
@@ -167,7 +167,7 @@ def check_ramification(f):
 def check_critical_identity(alpha, k, order=DEFAULT_ORDER):
     """P7: -(k+1) (phi_alpha)' (alpha')^2 = [alpha, alpha]_2."""
     phi = phi_operator(alpha, k)
-    alpha_r = RatFn(alpha) if isinstance(alpha, Poly) else alpha
+    alpha_r = _as_ratfn(alpha, order)
     ap = alpha_r.derivative()
     lhs = phi.derivative() * ap * ap * rational(-(k + 1), order)
     rhs = rankin_cohen(alpha_r, k, alpha_r, k, 2)

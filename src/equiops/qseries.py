@@ -14,13 +14,13 @@ each one eta quotient c q^v prod (1 - q^(k s))^e(k) of the in-place kernel
 The coefficient store is that of `Poly`, (items, den, m) keyed by exponent:
 the term at q^(k/M) is items[k] / den, ints (m = 1) or rows of phi(m) ints
 on the power basis of Q(zeta_m) at the lcm m of the conductors (8 for the
-sqrt2 of level 3).  `poly` normalises and reads the values and checks field
-orders; this module keeps exponents, truncation and the conductor operands
-meet at.  Products run `series.mul` on ints and `series.mul_rows` on rows.
-A quotient, reciprocals included, is one triangular pass of
-`series.div_ints`, after multiplying both operands by the numerator of the
-inverse of an irrational lead, which makes that lead an int.  `Cyclo`
-values appear only in the `coeffs` and `dense` views.
+sqrt2 of level 3).  `poly` enters scalars, lifts items to the conductor
+operands meet at, normalises and reads the values and checks field orders;
+this module keeps exponents and truncation.  Products run `series.mul` on
+ints and `series.mul_rows` on rows.  A quotient, reciprocals included, is
+one triangular pass of `series.div_ints`, after multiplying both operands
+by the numerator of the inverse of an irrational lead, which makes that
+lead an int.  `Cyclo` values appear only in the `coeffs` and `dense` views.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import series
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _lift, _mul_vec,
-                         rational, sqrt2)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _mul_vec, rational,
+                         sqrt2)
 from .parsing import cyclo_literal
-from .poly import _item, _ratio_of, _same_field, _store
+from .poly import _entered, _item, _lifted, _same_field, _store
 
 _INF = Fraction(10**9)
 
@@ -69,9 +69,8 @@ class QSeries(_Field, _Immutable):
 
     @staticmethod
     def constant(c, trunc, M=1, order=DEFAULT_ORDER):
-        r = _ratio_of(c, order)
-        items, den, m = ({0: c._v}, c.den, c._m) if r is None else ({0: r[0]}, r[1], 1)
-        return _canonical(M, items, den, m, Fraction(trunc), order)
+        v, den, m = _entered(c, order)
+        return _canonical(M, {0: v}, den, m, Fraction(trunc), order)
 
     @staticmethod
     def q_power(e, trunc, order=DEFAULT_ORDER):
@@ -121,15 +120,9 @@ class QSeries(_Field, _Immutable):
         if a._m == b._m:
             return a, b
         m = math.lcm(a._m, b._m)
-        return a._lifted(m), b._lifted(m)
-
-    def _lifted(self, m):
-        """Same series with its items as rows at conductor m, a multiple of its own."""
-        k = self._m
-        if m == k:
-            return self
-        items = {e: tuple(_lift((v,) if k == 1 else v, k, m)) for e, v in self._items.items()}
-        return _make(self.M, items, self._den, m, self.trunc, self.order)
+        return [s if s._m == m else
+                _make(M, dict(zip(s._items, _lifted(s._items.values(), s._m, m))), s._den, m,
+                      s.trunc, s.order) for s in (a, b)]
 
     @property
     def valuation(self):
@@ -480,18 +473,22 @@ def rr_equals_j5(trunc, order=DEFAULT_ORDER):
 
 def series_eval(s, tau, tail_bound=1e-12):
     """Evaluate at q = exp(2 pi i tau), Im tau > 0, with a geometric tail
-    estimate from the last retained terms; a series known exactly has none."""
+    from the last term, of ratio per step 1/M the larger of |q|^(1/M) and
+    that of the last two terms; a series known exactly has none."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     q = cmath.exp(2j * cmath.pi * tau)
-    terms = [complex(c) * cmath.exp(complex(e) * cmath.log(q)) for e, c in s._terms()]
+    terms = [(e, complex(c) * cmath.exp(complex(e) * cmath.log(q))) for e, c in s._terms()]
     r = abs(q) ** (1.0 / s.M)
-    last = abs(terms[-1]) if terms else 0.0
+    if len(terms) > 1 and terms[-2][1]:
+        (e0, t0), (e1, t1) = terms[-2:]
+        r = max(r, (abs(t1) / abs(t0)) ** (1.0 / float((e1 - e0) * s.M)))
+    last = abs(terms[-1][1]) if terms else 0.0
     tail = 0.0 if s.trunc >= _INF else last * r / (1 - r) if r < 1 else float("inf")
     if tail > tail_bound:
         raise ValueError("tail estimate %.3g above bound %.3g; extend the series"
                          % (tail, tail_bound))
-    return sum(terms, 0.0)
+    return sum([t for _, t in terms], 0.0)
 
 
 def heins_value(tau, terms=40, tail_bound=1e-8, order=DEFAULT_ORDER):

@@ -32,6 +32,11 @@ is the one public constructor and always reduces; results already known to
 be reduced are only rescaled, by `_canonical`.  Every composition, by a
 rational map or a Moebius map, substitutes into the binary forms of num and
 den with `Poly.substitute`.
+
+Every value enters one way, `_ratfn_of`: a RatFn as it is, a Poly over 1,
+an exact scalar as a constant, None for anything else.  It is `_coerce`,
+and `_as_ratfn`, raising TypeError for None, takes every RatFn argument of
+`operators`, `dynamics`, `properties`, `moebius` and `ncalg`.
 """
 
 from __future__ import annotations
@@ -54,12 +59,8 @@ class RatFn(_Field, _Immutable):
     __slots__ = ("num", "den", "order", "_ops")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.constant(num) if not isinstance(num, (list, tuple)) else Poly(num)
-        if den is None:
-            den = Poly.one(num.order)
-        elif not isinstance(den, Poly):
-            den = Poly.constant(den, num.order) if not isinstance(den, (list, tuple)) else Poly(den, num.order)
+        num = num if isinstance(num, Poly) else Poly.constant(num)
+        den = den if isinstance(den, Poly) else Poly.constant(1 if den is None else den, num.order)
         if num.is_zero and den.is_zero:
             raise ZeroDivisionError("0/0 is not a rational function")
         _, num, den = _cancel(num, den)
@@ -77,7 +78,8 @@ class RatFn(_Field, _Immutable):
 
     @staticmethod
     def constant(c, order=DEFAULT_ORDER):
-        return _canonical(Poly.constant(c, order), Poly.one(order))
+        num = Poly.constant(c, order)  # at the order of a Cyclo c
+        return _canonical(num, Poly.one(num.order))
 
     @staticmethod
     def infinity(order=DEFAULT_ORDER):
@@ -132,13 +134,7 @@ class RatFn(_Field, _Immutable):
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, Poly):
-            return _canonical(other, Poly.one(other.order))
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return RatFn.constant(other, self.order)
-        return None
+        return _ratfn_of(other, self.order)
 
     def _check_finite(self, o=None):
         if self.is_infinity or (o is not None and o.is_infinity):
@@ -299,6 +295,24 @@ def _normal(num, den):
         return num.scale(Fraction(d, ints[-1])), den.monic()
     inv = den.leading.inverse()
     return num.scale(inv), den.scale(inv)
+
+
+def _ratfn_of(value, order):
+    """value as a RatFn, with no gcd: an exact scalar (int, Fraction, Cyclo)
+    at `order`, a Cyclo at its own; None for anything else."""
+    if isinstance(value, RatFn):
+        return value
+    if isinstance(value, (int, Fraction, Cyclo)):
+        value = Poly.constant(value, order)
+    return _canonical(value, Poly.one(value.order)) if isinstance(value, Poly) else None
+
+
+def _as_ratfn(value, order=DEFAULT_ORDER):
+    """`_ratfn_of`, raising TypeError where it gives None."""
+    f = _ratfn_of(value, order)
+    if f is None:
+        raise TypeError("not a rational function, polynomial or exact scalar: %r" % (value,))
+    return f
 
 
 def _canonical(num, den):

@@ -5,7 +5,9 @@ inside a function, names a standard-library module.  Every module but
 immutability guard of the value types, `cyclotomic._Immutable`, is the only
 definition of `__setattr__` or `__delattr__`.  The operator protocol of the
 six ring types is defined once, beside the guard, and only the hashable
-types define `__hash__`."""
+types define `__hash__`.  So is each way into an exact value: the one
+conversion to `RatFn`, the one scalar entry and the one conductor lift of
+the coefficient store, and its one normaliser."""
 
 import ast
 import sys
@@ -121,3 +123,16 @@ def test_only_the_hashable_types_define_hash():
     # a class that defines __eq__ alone is unhashable already
     hashed = {name for name, (_, bound) in classes().items() if "__hash__" in bound}
     assert hashed == {"Cyclo", "Poly", "RatFn", "Moebius"}
+
+
+# ratfn._ratfn_of and _as_ratfn, poly._entered, _lifted and _store
+ONE_WAY_IN = ("_ratfn_of", "_as_ratfn", "_entered", "_lifted", "_store")
+
+
+@pytest.mark.parametrize("name", ONE_WAY_IN)
+def test_each_way_into_a_value_is_defined_once(name):
+    # a def of that name anywhere, a method included
+    found = ["%s:%d" % (path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(parsed(path))
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(found) == 1, "%s is defined at %s" % (name, ", ".join(found) or "no line")

@@ -117,6 +117,17 @@ def test_taylor_on_ints_matches_the_cyclo_path(text, point):
     assert g.taylor(p, 6) == taylor_reference(g, p, 6)
 
 
+def test_a_constant_takes_the_field_of_its_cyclo():
+    # the den of zeta_60 as a constant is built at 60, not at the default 120
+    c = RatFn.constant(zeta(60))
+    assert c.order == c.num.order == c.den.order == 60
+    z = RatFn.x(60)
+    assert c * z == z * c == parse_ratfn("zeta*z", 60)
+    assert c + z == parse_ratfn("z + zeta", 60)
+    assert z / c == parse_ratfn("zeta^59*z", 60)
+    assert c == RatFn(Poly.constant(zeta(60))) == RatFn(zeta(60))
+
+
 def test_product_with_a_zero_factor_is_zero_over_one(monkeypatch):
     f = parse_ratfn("(z^2 + 3)/(2*z - 7)")
     zero = RatFn.constant(0)

@@ -110,6 +110,16 @@ def test_series_eval_of_an_exact_series_has_no_tail():
         series_eval(QSeries.of_poly(Poly([1, 2, 3]), 3), tau)
 
 
+def test_series_eval_tail_follows_growing_coefficients():
+    # j(i) = 1728; the terms of j shrink more slowly than |q| = e^(-2 pi), so
+    # the tail ratio is read from the last two terms: j to q^8 is 6e-8 off
+    # and is refused at 1e-8, j to q^10 is 1.2e-11 off and is accepted
+    assert abs(series_eval(j_series(8), 1j, 1) - 1728) > 1e-8
+    with pytest.raises(ValueError, match="tail estimate"):
+        series_eval(j_series(8), 1j, 1e-8)
+    assert abs(series_eval(j_series(10), 1j, 1e-8) - 1728) < 1e-8
+
+
 def test_heins_values():
     assert abs(heins_value(1j) + 1j) < 1e-8
 
