@@ -17,6 +17,14 @@ meets Q(zeta_m) in Z[zeta_m], so den is the same at every conductor and
 `_normal` brings one vector to this form; routed through `poly._store`,
 the normaliser of `Poly` and `QSeries` rows, a call took a third longer.
 
+Field keys.  The tables (`totient`, the reduction rows, the embeddings of
+`_lift`, the roots at split primes and the projector of `_in_subfield`)
+are keyed by one int: a conductor m for Q(zeta_m), or -m for its real
+subfield Q(zeta_m)+ on the power basis of theta = zeta_m + zeta_m^-1,
+reduced by theta's minimal polynomial Psi_m.  For m = 5 that is
+theta^2 + theta - 1, and sqrt(5) = 1 + 2 theta.  `Cyclo` is stored at
+conductors alone; the row store of `poly` uses both kinds of key.
+
 Inverse by a norm tower.  Gal(Q(zeta_m)/Q) is (Z/m)^*, sigma_k acting as
 zeta -> zeta^k.  Each conductor caches a chain of subgroups of prime index
 p per step, the step generated by one sigma_k.  An irrational element's
@@ -35,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 
 DEFAULT_ORDER = 120
 
@@ -60,19 +69,37 @@ def cyclotomic_polynomial(n):
     return tuple(poly)
 
 
-def totient(n):
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 @lru_cache(maxsize=None)
-def _zeta_powers(n):
-    """zeta^j for 0 <= j < n on the power basis, as sparse rows ((t, c), ...):
-    each is the last shifted up, a carry past zeta^(d-1) reduced by Phi_n."""
-    phi_n = cyclotomic_polynomial(n)
-    top = [-c for c in phi_n[:-1]]
+def _field_polynomial(k):
+    """The minimal polynomial of the generator of field key k: Phi_k for
+    k > 0; for k = -m, Psi_m, that of theta = zeta_m + zeta_m^-1.  Phi_m is
+    palindromic of degree 2h, x^-h Phi_m(x) = a_h + sum_(j>0) a_(h+j) D_j(theta)
+    for the Dickson polynomials D_j(x + 1/x) = x^j + x^-j."""
+    if k > 0:
+        return cyclotomic_polynomial(k)
+    a = cyclotomic_polynomial(-k)
+    h = len(a) // 2
+    psi, prev, cur = [a[h]] + [0] * h, [2], [0, 1]  # D_0, D_1
+    for j in range(1, h + 1):
+        for t, c in enumerate(cur):
+            psi[t] += a[h + j] * c
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return tuple(psi)
+
+
+def totient(n):
+    """The degree of field key n: phi(n), or phi(m) / 2 for n = -m."""
+    return len(_field_polynomial(n)) - 1
+
+
+def _powers_mod(poly, count):
+    """x^j for 0 <= j < count mod a monic int polynomial, as sparse rows
+    ((t, c), ...): each is the last shifted up, a carry past x^(d-1)
+    reduced by poly."""
+    top = [-c for c in poly[:-1]]
     cur = [1] + [0] * (len(top) - 1)
     rows = []
-    for _ in range(n):
+    for _ in range(count):
         rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
         carry = cur[-1]
         cur = [0] + cur[:-1]
@@ -82,10 +109,17 @@ def _zeta_powers(n):
 
 
 @lru_cache(maxsize=None)
+def _zeta_powers(n):
+    """zeta^j for 0 <= j < n on the power basis, as sparse rows."""
+    return _powers_mod(cyclotomic_polynomial(n), n)
+
+
+@lru_cache(maxsize=None)
 def _reduction_rows(n):
-    """Sparse rows of zeta^k, for k = deg .. 2*deg-2 (needed after products)."""
+    """Sparse rows of the generator's powers k = deg .. 2*deg-2 at field key
+    n (needed after products)."""
     d = totient(n)
-    return tuple(_zeta_powers(n)[k % n] for k in range(d, 2 * d - 1))
+    return _powers_mod(_field_polynomial(n), 2 * d - 1)[d:]
 
 
 def _is_prime(n):
@@ -109,9 +143,11 @@ def _is_prime(n):
 
 
 @lru_cache(maxsize=None)
-def _split_prime(m, i):
-    """The i-th largest prime p = 1 (mod m) below 2^31, found when first
-    asked for: Phi_m has phi(m) distinct roots mod p."""
+def _split_prime(k, i):
+    """The i-th largest prime p = 1 (mod m) below 2^31 for field key k = m
+    or -m, found when first asked for: the field polynomial has distinct
+    roots mod p."""
+    m = abs(k)
     p = (2 ** 31 - 2) // m * m + 1 if i == 0 else _split_prime(m, i - 1) - m
     while not _is_prime(p):
         p -= m
@@ -119,21 +155,25 @@ def _split_prime(m, i):
 
 
 @lru_cache(maxsize=None)
-def _split_roots(m, p):
-    """(powers, lagrange) for the roots w_k of Phi_m mod a split prime p:
-    powers[k] is (w_k^0, ..., w_k^(phi(m)-1)), so a row's value at w_k is
-    its dot product with it, and lagrange[t] holds coordinate t of the
-    Lagrange basis Phi_m / ((x - w_k) Phi_m'(w_k)) for each k, so a row is
-    the dot product of lagrange[t] with its values."""
-    phi = [c % p for c in cyclotomic_polynomial(m)]
+def _split_roots(k, p):
+    """(powers, lagrange) for the roots r of the field polynomial P of key k
+    mod a split prime p, w^j for a primitive m-th root w and j prime to m,
+    or w^j + w^-j, j <= m / 2, for k = -m: powers[i] is (r^0, ..., r^(d-1))
+    for the i-th root, so a row's value there is its dot product with it,
+    and lagrange[t] holds coordinate t of the Lagrange basis
+    P / ((x - r) P'(r)) for each r, so a row is the dot product of
+    lagrange[t] with its values."""
+    m, phi = abs(k), [c % p for c in _field_polynomial(k)]
     d, primes = len(phi) - 1, [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
     w = next(w for w in (pow(g, (p - 1) // m, p) for g in range(2, p))
              if all(pow(w, m // q, p) != 1 for q in primes))
+    roots = ([pow(w, j, p) for j in range(1, m + 1) if gcd(j, m) == 1] if k > 0 else
+             [(pow(w, j, p) + pow(w, -j, p)) % p for j in range(1, m // 2 + 1) if gcd(j, m) == 1])
     powers, columns = [], []
-    for r in (pow(w, k, p) for k in range(1, m + 1) if gcd(k, m) == 1):
+    for r in roots:
         powers.append(tuple(pow(r, t, p) for t in range(d)))
         col, c = [0] * d, 0
-        for t in range(d, 0, -1):  # Phi_m / (x - r), top down
+        for t in range(d, 0, -1):  # P / (x - r), top down
             col[t - 1] = c = (phi[t] + c * r) % p
         s = pow(sum(x * y for x, y in zip(col, powers[-1])), -1, p)
         columns.append([x * s % p for x in col])
@@ -205,19 +245,45 @@ def _conjugate(a, k, n):
     return _accumulate([0] * len(a), a, _power_rows(n, k, len(a)))
 
 
+@lru_cache(maxsize=None)
+def _embedding(k, n):
+    """The sparse rows at field key n of the basis of a subfield of key k:
+    the powers of zeta_k, or of theta = zeta_m + zeta_m^-1 for k = -m, which
+    is zeta^r + zeta^-r at a conductor n = r m; at a real key n, the rows at
+    the conductor -n read on its basis."""
+    if k > 0 and n > 0:
+        return _power_rows(n, n // k, totient(k))
+    if k == 1:
+        return ((0, 1),),
+    if n < 0:
+        w = totient(-n)
+        return tuple(tuple(_sparse(_in_subfield(_accumulate([0] * w, [1], [row]), n, -n)))
+                     for row in _embedding(k, -n))
+    d, r = totient(n), n // -k
+    gen = _accumulate([0] * d, [1, 1], [_zeta_powers(n)[r], _zeta_powers(n)[-r]])
+    rows = [[1] + [0] * (d - 1)]
+    for _ in range(totient(k) - 1):
+        rows.append(_mul_vec(rows[-1], gen, n))
+    return tuple(tuple(_sparse(r)) for r in rows)
+
+
 def _lift(v, m, n):
-    """The vector v at conductor m as a vector at conductor n, for m | n."""
-    return v if m == n else _accumulate([0] * totient(n), v, _power_rows(n, n // m, len(v)))
+    """The vector v at field key m as a vector at key n, a field holding it:
+    for conductors, m | n."""
+    return v if m == n else _accumulate([0] * totient(n), v, _embedding(m, n))
 
 
 @lru_cache(maxsize=None)
 def _projector(d, m):
-    """(cols, rows, D): an element of Q(zeta_d) with vector x at m has the
-    vector v = x[cols] T at d, T = rows / D: Gauss-Jordan takes [E | I], E
-    the embedding, to [R | T] with R = T E the identity on cols."""
+    """(checks, columns, D) for the subfield of key d at key m, as rows over
+    the vector x at m: x lies in the subfield iff x . f = 0 for every f of
+    checks, and coordinate j of its vector at d is then x . columns[j] / D.
+    Gauss-Jordan takes [E | I], E the embedding, to [R | T] with R = T E the
+    identity on the pivot columns: x in the subfield is x[cols] R, its
+    vector x[cols] T."""
     w = totient(m)
     rows = [{t: Fraction(c) for t, c in row} | {w + j: Fraction(1)}
-            for j, row in enumerate(_power_rows(m, m // d, totient(d)))]
+            for j, row in enumerate(_embedding(d, m))]
     cols = []
     for row in rows:
         c = min(t for t, x in row.items() if x)  # below w: E has full rank
@@ -229,9 +295,29 @@ def _projector(d, m):
                 for t, x in row.items():
                     other[t] = other.get(t, 0) - f * x
         cols.append(c)
-    t_rows = [[(t - w, x) for t, x in row.items() if t >= w and x] for row in rows]
-    big = lcm(*[x.denominator for row in t_rows for _, x in row])
-    return tuple(cols), tuple(tuple((j, int(x * big)) for j, x in row) for row in t_rows), big
+    big = lcm(*[x.denominator for row in rows for x in row.values()])
+    rows = [{t: int(x * big) for t, x in row.items() if x} for row in rows]
+
+    def spread(t, own=None):  # column t of big [R | T] read off x[cols], less big x[own]
+        f = [0] * w
+        for c, row in zip(cols, rows):
+            f[c] = row.get(t, 0)
+        if own is not None:
+            f[own] -= big
+        return tuple(f)
+    return (tuple(spread(c, c) for c in range(w) if c not in cols),
+            tuple(spread(w + j) for j in range(len(rows))), big)
+
+
+def _in_subfield(x, d, m):
+    """The vector at key d of the vector x at key m, or None unless x lies
+    in the subfield of key d: the one projection, for the least conductor of
+    `Cyclo` and the real keys of `poly`."""
+    checks, columns, big = _projector(d, m)
+    for f in checks:
+        if sum(map(mul, x, f)):
+            return None
+    return [sum(map(mul, x, t)) // big for t in columns]
 
 
 class _Immutable:
@@ -520,9 +606,8 @@ def _sized(c):
     x, m = c._v, c._m
     for p in [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]:
         while m % p == 0:
-            cols, rows, big = _projector(m // p, m)
-            v = [a // big for a in _accumulate([0] * len(cols), [x[i] for i in cols], rows)]
-            if list(_lift(v, m // p, m)) != list(x):  # the division was not exact
+            v = _in_subfield(x, m // p, m)
+            if v is None:
                 break
             x, m = v, m // p
     return c if m == c._m else _make(c.order, m, tuple(x), c.den)

@@ -3,25 +3,32 @@
 Storage.  Every polynomial has one layout, `(items, den, m)`: coefficient i
 is items[i] / den, low degree first with no trailing zeros; zero is
 ((), 1, 1).  With rational coefficients only, m = 1 and the items are ints,
-FLINT's fmpq_poly layout.  Otherwise each item is a row, the phi(m) ints of
-the coefficient on the power basis of Q(zeta_m), m | order the lcm of the
-coefficients' conductors, as ANTIC's nf_elem (Hart 2015) stores one field
-element.  Either way den > 0 is prime to all the ints.  `coeffs`, `leading`
-and `constant_value` are `Cyclo` views built on first use.  One normaliser,
-`_store`, brings every result to this layout, with ints for values that all
-come out rational, so equal values have equal storage up to the conductor:
-equality meets at the lcm, and a constant hashes like its value.  `QSeries`
-shares the store (items keyed by exponent, irrational ones as `Cyclo` views
-over 1): a scalar enters by `_entered`, items move to a conductor by
-`_lifted`, and `_store`, `_item` and `_same_field` serve both.
+FLINT's fmpq_poly layout.  Otherwise each item is a row, the ints of the
+coefficient on the power basis of the field of key m (see `cyclotomic`), as
+ANTIC's nf_elem (Hart 2015) stores one field element: phi(m) ints on that
+of Q(zeta_m) for a conductor m | order, or phi(m) / 2 on that of
+theta = zeta_m + zeta_m^-1 for the real key -m.  A `Cyclo` at a conductor
+m > 4 that complex conjugation fixes enters at -m, so Q(sqrt5) data is two
+ints a coefficient, not four; `_item` embeds such a row back at m for the
+`Cyclo` views.  Operands meet at the join of their keys (`_join`), the lcm
+of the conductors, a real key only if both are real.  Either way den > 0
+is prime to all the ints.  `coeffs`, `leading` and `constant_value` are
+`Cyclo` views built on first use.  One normaliser, `_store`, brings every
+result to this layout, with ints for values that all come out rational, so
+equal values have equal storage up to the key: equality meets at the join,
+and a constant hashes like its value.  `QSeries` shares the store (items
+keyed by exponent, irrational ones as `Cyclo` views over 1): a scalar
+enters by `_entered`, items move to a key by `_lifted`, and `_join`,
+`_store`, `_item` and `_same_field` serve both.
 
 One path per operation, a branch for ints and one for rows.  Add, neg,
 scale, mul, derivative and substitute read and write (items, den, m) alone,
-operands meeting at the lcm of their conductors, so no `Cyclo` is built; a
-coefficient of a product of rows is summed unreduced and reduced mod Phi_m
-once.  A pseudo-division serves divmod and the gcd: for a rational lead l
-it scales the remainder by l / gcd(top, l), no more than exact division
-needs, and divmod makes an irrational divisor monic first.
+operands meeting at the join of their keys, so no `Cyclo` is built; a
+coefficient of a product of rows is summed unreduced and reduced once by
+the field polynomial of the key.  A pseudo-division serves divmod and the
+gcd: for a rational lead l it scales the remainder by l / gcd(top, l), no
+more than exact division needs, and divmod makes an irrational divisor
+monic first.  Divmod and the gcd take an exact scalar as `//` and `%` do.
 
 Gcd.  `gcd_cofactors(b)` gives (g, a / g, b / g), g monic, and every
 reduction by a gcd goes through it; `gcd` is its first part.  Over Z it is
@@ -34,13 +41,15 @@ tries the gcd is a primitive remainder sequence (Brown-Collins; Knuth,
 TAOCP vol. 2, 4.6.1).  Over Q(zeta_m) it is a modular gcd (Langemyr and
 McCallum 1989; Encarnacion 1995) at the primes p = 1 (mod m), largest
 first, where Phi_m has phi(m) roots w and zeta -> w maps Z[zeta_m] onto
-F_p.  At each root the images of the integer rows have a monic gcd by
+F_p; on the real key -m, Psi_m has the phi(m) / 2 roots w + 1/w and
+theta -> w + 1/w maps Z[theta] onto F_p, so each prime takes half the
+images.  At each root the images of the integer rows have a monic gcd by
 Euclid mod p; a prime at which a lead vanishes is skipped.  Both leads
 being units there, g has coefficients integral at the prime and reduces to
 a divisor of every image gcd: an image of degree 0 proves the operands
 coprime, and none has degree below deg g.  An image of the degree of an
 operand x makes x / lead(x) the candidate, taken if it divides the other.
-Otherwise images of one degree at all phi(m) roots give the rows of g mod
+Otherwise images of one degree at all the roots give the rows of g mod
 p by Lagrange interpolation, primes are joined by CRT, and rational
 reconstruction over one common denominator gives a candidate, taken only
 if it divides both operands, those quotients being the cofactors.  Images
@@ -59,9 +68,9 @@ from itertools import count, repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _dot, _lift,
-                         _exact, _normal, _power, _reduction_rows, _sparse, _split_prime,
-                         _split_roots, rational)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _conjugate, _dot,
+                         _exact, _in_subfield, _lift, _normal, _power, _reduction_rows, _sparse,
+                         _split_prime, _split_roots, rational)
 
 
 class Poly(_Ring):
@@ -179,6 +188,14 @@ class Poly(_Ring):
             return Poly.constant(other, self.order)
         return None
 
+    def _operand(self, other):
+        """The argument of divmod and the gcd as a `Poly`, as `//` and `%`
+        take it: TypeError for a float or a foreign type."""
+        o = other if isinstance(other, Poly) else self._coerce(other)
+        if o is None:
+            raise TypeError("a Poly operand must be exact, not %s" % type(other).__name__)
+        return o
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -239,6 +256,7 @@ class Poly(_Ring):
 
     def divmod(self, other):
         """Quotient and remainder; requires other nonzero."""
+        other = self._operand(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
@@ -329,6 +347,7 @@ class Poly(_Ring):
     def gcd(self, other):
         """The monic gcd: the first part of `gcd_cofactors`, or the other
         operand made monic when one is zero."""
+        other = self._operand(other)
         if self.degree < 0 or other.degree < 0:
             return (other if self.degree < 0 else self).monic()
         return self.gcd_cofactors(other)[0]
@@ -337,6 +356,7 @@ class Poly(_Ring):
         """(g, self / g, other / g) for the monic gcd g of two polynomials,
         not both zero: GCDHEU over Z, the modular kernel over Q(zeta), each
         dividing out the cofactors in its check."""
+        other = self._operand(other)
         if self.degree < 0 or other.degree < 0:
             g = self.gcd(other)
             return (g, self, other) if g.degree == 0 else (g, self.exact_div(g), other.exact_div(g))
@@ -423,31 +443,50 @@ def _store(values, den, m=1):
 
 def _rows(values, den):
     """(rows, den, m) for values / den, ints and `Cyclo` elements: the rows
-    at the lcm m of their conductors over one den (ints if m = 1)."""
-    cs = [c for c in values if isinstance(c, Cyclo)]
-    m, d = _int_lcm(*[c._m for c in cs]), _int_lcm(*[c.den for c in cs])
-    rows = [[x * (d // c.den) for x in _lift(c._v, c._m, m)] if isinstance(c, Cyclo)
-            else _lift((c * d,), 1, m) for c in values]
-    return (rows if m != 1 else [r[0] for r in rows]), den * d, m
+    at the join m of their keys over one den (ints if m = 1)."""
+    entered = [_entered(c, c.order) if isinstance(c, Cyclo) else (c, 1, 1) for c in values]
+    m, d = 1, _int_lcm(*[e for _, e, _ in entered])
+    for _, _, k in entered:
+        if k != m:
+            m = _join(m, k)
+    if m == 1:
+        return [v * (d // e) for v, e, _ in entered], den * d, 1
+    rows = [_lift((v,) if k == 1 else v, k, m) for v, _, k in entered]
+    return [r if e == d else [x * (d // e) for x in r]
+            for r, (_, e, _) in zip(rows, entered)], den * d, m
 
 
 def _item(v, den, m, order):
-    """The stored value v (an int for m = 1, else a row at conductor m) over
-    den as a `Cyclo`: the item view of `Poly` and `QSeries`."""
-    return Cyclo._ratio(order, v, den) if m == 1 else _normal(order, m, v, den)
+    """The stored value v (an int for m = 1, else a row at field key m) over
+    den as a `Cyclo`, a real-key row embedded at its conductor: the item view
+    of `Poly` and `QSeries`."""
+    if m == 1:
+        return Cyclo._ratio(order, v, den)
+    return _normal(order, m, v, den) if m > 0 else _normal(order, -m, _lift(v, m, -m), den)
+
+
+def _join(k, l):
+    """The key of the least field of the store holding the fields of keys k
+    and l: a real key -m only if both are real (or rational)."""
+    if k == l or l == 1:
+        return k
+    if k == 1:
+        return l
+    m = _int_lcm(abs(k), abs(l))
+    return -m if k < 0 and l < 0 else m
 
 
 def _aligned(a, b):
-    """(x, y, m): the items of two polynomials at the lcm m of their
-    conductors, ints if m = 1, else tuple rows."""
-    m = _int_lcm(a._m, b._m)
+    """(x, y, m): the items of two polynomials at the join m of their keys,
+    ints if m = 1, else tuple rows."""
+    m = _join(a._m, b._m)
     x, y = [p._items if p._m == m else _lifted(p._items, p._m, m) for p in (a, b)]
     return x, y, m
 
 
 def _lifted(values, k, m):
-    """Stored values at conductor k (ints if k = 1, else rows) as tuple rows
-    at conductor m, a multiple of k: the one conductor lift of the store."""
+    """Stored values at field key k (ints if k = 1, else rows) as tuple rows
+    at key m, a field holding k's: the one lift of the store."""
     return [tuple(_lift((v,) if k == 1 else v, k, m)) for v in values]
 
 
@@ -462,8 +501,14 @@ def _monic(items, m, order):
     lead = items[-1]
     if m == 1 or not any(lead[1:]):
         return _canonical(items, lead if m == 1 else lead[0], m, order)
-    inv = _item(lead, 1, m, order).inverse()
-    return _canonical(_conv(items, [_lift(inv._v, inv._m, m)], m), inv.den, m, order)
+    inv, den = _inverse(lead, m, order)
+    return _canonical(_conv(items, [inv], m), den, m, order)
+
+
+def _inverse(v, m, order):
+    """(row, den): 1 / v for an irrational row v at key m, as a row at m over den."""
+    w, den, k = _entered(_item(v, 1, m, order).inverse(), order)
+    return _lifted([w], k, m)[0], den
 
 
 def _same_field(a, b):
@@ -474,14 +519,20 @@ def _same_field(a, b):
 
 def _entered(c, order):
     """The stored form (v, den, m) of an exact scalar c of the order: an int
-    over den at m = 1 if c is rational, else its row at its conductor.  The
-    one scalar entry of `Poly` and `QSeries`."""
+    over den at m = 1 if c is rational, else its row at its conductor m, or
+    at the real key -m on the powers of zeta_m + zeta_m^-1 if complex
+    conjugation fixes it.  The one scalar entry of `Poly` and `QSeries`."""
     if isinstance(c, int):
         return c, 1, 1
     if isinstance(c, Cyclo):
         if c.order != order:
             raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, c.order))
-        return (c._v[0] if c._m == 1 else c._v), c.den, c._m
+        v, m = c._v, c._m
+        if m == 1:
+            return v[0], c.den, 1
+        if m > 4 and _conjugate(v, m - 1, m) == list(v):  # Q(zeta_m)+ = Q for m <= 4
+            return tuple(_in_subfield(v, -m, m)), c.den, -m
+        return v, c.den, m
     c = c if isinstance(c, Fraction) else _exact(c)
     return c.numerator, c.denominator, 1
 
@@ -652,7 +703,7 @@ def _modular_gcd(a, b):
                 tried, g = True, x.monic()
                 q = _exact_quotient(y, g)
                 if q is not None:
-                    c = Poly.constant(x.leading, x.order)
+                    c = _canonical([x._items[-1]], x._den, x._m, x.order)  # lead(x)
                     return (g, c, q) if x is a else (g, q, c)
                 bound = d - 1
                 break

@@ -12,11 +12,11 @@ each one eta quotient c q^v prod (1 - q^(k s))^e(k) of the in-place kernel
 `eta_product`, with no series power or quotient.
 
 The coefficient store is that of `Poly`, (items, den, m) keyed by exponent:
-the term at q^(k/M) is items[k] / den, ints (m = 1) or rows of phi(m) ints
-on the power basis of Q(zeta_m) at the lcm m of the conductors (8 for the
-sqrt2 of level 3).  `poly` enters scalars, lifts items to the conductor
-operands meet at, normalises and reads the values and checks field orders;
-this module keeps exponents and truncation.  Products run `series.mul` on
+the term at q^(k/M) is items[k] / den, ints (m = 1) or rows at the field
+key m (see `poly`), the join of the keys of the terms: the real key -8,
+two ints a row, for the sqrt2 of level 3.  `poly` enters scalars, lifts
+items to the key operands meet at, normalises and reads the values and
+checks field orders; this module keeps exponents and truncation.  Products run `series.mul` on
 ints and `series.mul_rows` on rows.  A quotient, reciprocals included, is
 one triangular pass of `series.div_ints`, after multiplying both operands
 by the numerator of the inverse of an irrational lead, which makes that
@@ -34,7 +34,7 @@ from . import series
 from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _mul_vec, rational,
                          sqrt2)
 from .parsing import cyclo_literal
-from .poly import _entered, _item, _lifted, _same_field, _store
+from .poly import _entered, _inverse, _item, _join, _lifted, _same_field, _store
 
 _INF = Fraction(10**9)
 
@@ -119,7 +119,7 @@ class QSeries(_Field, _Immutable):
         a, b = self.rescaled(M), other.rescaled(M)
         if a._m == b._m:
             return a, b
-        m = math.lcm(a._m, b._m)
+        m = _join(a._m, b._m)
         return [s if s._m == m else
                 _make(M, dict(zip(s._items, _lifted(s._items.values(), s._m, m))), s._den, m,
                       s.trunc, s.order) for s in (a, b)]
@@ -214,7 +214,7 @@ class QSeries(_Field, _Immutable):
         x, m = {k - sa: v for k, v in a._items.items()}, a._m
         y = {j - sb: v for j, v in b._items.items()}
         if m != 1 and any(y[0][1:]):  # an irrational lead: times the numerator r
-            r = _item(y[0], 1, m, a.order).inverse()._v  # of 1 / lead at m, lead r an int
+            r = _inverse(y[0], m, a.order)[0]  # of 1 / lead at m, lead r an int
             x, y = ({k: _mul_vec(v, r, m) for k, v in s.items()} for s in (x, y))
         if b._den != 1:
             x = series.scaled(x, repeat(b._den), m)

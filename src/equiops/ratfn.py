@@ -293,8 +293,8 @@ def _normal(num, den):
     if den.is_rational:  # the int path of monic(), with no Cyclo inverse
         ints, d = den.as_ints()
         return num.scale(Fraction(d, ints[-1])), den.monic()
-    inv = den.leading.inverse()
-    return num.scale(inv), den.scale(inv)
+    inv = Poly.constant(den.leading.inverse())  # entered once for both
+    return num * inv, den * inv
 
 
 def _ratfn_of(value, order):

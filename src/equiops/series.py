@@ -1,15 +1,16 @@
 """Truncated power series: one product and one division.
 
 A series is a sparse dict {exponent: nonzero coefficient}, cut below
-`limit`, its coefficients ints or rows (the phi(m) ints of an element of
-Q(zeta_m)); `QSeries` keeps no `Cyclo` in its store, so none reaches the
-kernel.  `mul` and `div` take ints, and the division needs a divisor with
-constant term 1.
+`limit`, its coefficients ints or rows (the ints of an element of the field
+of key m, see `cyclotomic`); `QSeries` keeps no `Cyclo` in its store, so
+none reaches the kernel.  `mul` and `div` take ints, and the division needs
+a divisor with constant term 1.
 
 Exact data needs no field inverse: `div_ints` divides series of ints, or of
 rows whose divisor has an int constant term, by a substitution that makes
-that term 1, and returns the quotient over one denominator.  On rows, `mul_rows` and the division sum
-each coefficient's row products unreduced and reduce them mod Phi_m once
+that term 1, and returns the quotient over one denominator.  On rows,
+`mul_rows` and the division sum each coefficient's row products unreduced
+and reduce them once by the field polynomial of the key
 (`cyclotomic._dot`), as `poly._conv` does.
 
 Callers: `QSeries` products and quotients (so `RatFn` Taylor series and the

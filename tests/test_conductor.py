@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from equiops.cyclotomic import (Cyclo, CycloError, _conjugate, _galois_tower,
                                 _mul_vec, _zeta_powers, imag_unit, rational,
-                                sqrt5, totient, zeta)
+                                sqrt2, sqrt3, sqrt5, totient, zeta)
 from equiops.divisors import Divisor, Place, ramification_divisor
 from equiops.lift import legendrian_lift_series
 from equiops.moebius import load_group_config
@@ -124,22 +124,26 @@ def assert_matches(c, ref):
     assert c.is_rational == ref.is_rational
 
 
-# generator steps k of zeta_120^k: Q(i), Q(zeta_5) (and sqrt5), Q(zeta_20),
-# Q(zeta_24) and Q(zeta_120) itself
+# generator steps k of zeta_120^k: Q(i), Q(zeta_5), Q(zeta_20), Q(zeta_24)
+# and Q(zeta_120) itself
 FIELDS = {"i": 30, "zeta5": 24, "zeta20": 6, "zeta24": 5, "zeta120": 1}
+# real quadratic fields: the generator and its terms (sign, k) of zeta_120^k
+REAL = {"sqrt5": (sqrt5, ((1, 24), (-1, 48), (-1, 72), (1, 96))),
+        "sqrt2": (sqrt2, ((1, 15), (1, 105))), "sqrt3": (sqrt3, ((1, 10), (1, 110)))}
 
 
 @st.composite
 def elements(draw):
     """(Cyclo, Ref) for a0 + a1 g + a2 g^2 + a3 g^3 over den, g = zeta^k of
-    one of FIELDS, or a + b sqrt5; the Cyclo built by arithmetic or by the
-    public constructor on the raw vector."""
-    kind = draw(st.sampled_from(sorted(FIELDS) + ["sqrt5"]))
+    one of FIELDS, or a + b g for g = sqrt5, sqrt2 or sqrt3; the Cyclo built
+    by arithmetic or by the public constructor on the raw vector."""
+    kind = draw(st.sampled_from(sorted(FIELDS) + sorted(REAL)))
     coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
     den = draw(st.integers(1, 9))
-    if kind == "sqrt5":
-        gen, vec = sqrt5(), [a - b - c + d for a, b, c, d in zip(_row(24), _row(48), _row(72), _row(96))]
-        gens = [(rational(1), _row(0)), (gen, vec)]
+    if kind in REAL:
+        gen, terms = REAL[kind]
+        vec = [sum(sign * _row(k)[t] for sign, k in terms) for t in range(D)]
+        gens = [(rational(1), _row(0)), (gen(), vec)]
     else:
         k = FIELDS[kind]
         gens = [(zeta(N, k * j), _row(k * j)) for j in range(4)]
@@ -170,6 +174,14 @@ def test_every_operation_matches_the_raw_reference(x, y, k):
             a.inverse()
         with pytest.raises(ZeroDivisionError):
             b / a
+    # the same through the store of Poly: each operand enters on its key, a
+    # real subfield's on its real key, and the two meet at the join
+    p, q = Poly([a, b, 1]), Poly([b, 1])  # (a + b z + z^2)(b + z)
+    assert [(c.order, c.num, c.den) for c in (p * q).coeffs] == \
+        [(N, r.num, r.den) for r in (ra * rb, ra + rb * rb, rb + rb, Ref(_row(0)))]
+    assert [(c.num, c.den) for c in (p + q).coeffs] == \
+        [(r.num, r.den) for r in (ra + rb, rb + Ref(_row(0)), Ref(_row(0)))]
+    assert (Poly.constant(a) == Poly.constant(b)) == (ra == rb)
 
 
 def test_a_product_in_a_subfield_is_stored_there():

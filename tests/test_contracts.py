@@ -4,7 +4,8 @@ equiops decides its identities by comparing exact values, so every verdict
 rests on these holding for `Cyclo`, `Poly`, `RatFn`, `QSeries`, `Moebius`,
 `NCPoly`, `MatFn` and `GenMoebius`:
 
-* `==` agrees with `hash`, also for one value stored at two conductors;
+* `==` agrees with `hash`, also for one value stored at two conductors, or
+  on a real key and at a conductor;
   the types compared under truncation or entrywise as matrices (`QSeries`,
   `NCPoly`, `MatFn`, `GenMoebius`) refuse to hash, as each defines
   `__eq__` and no `__hash__`;
@@ -24,7 +25,12 @@ reflected `/` and `**`, from one protocol base, `cyclotomic._Ring` or
 `_Field`; `tests/test_imports.py` checks that no type copies them.
 
 Each value is built from four coefficients drawn by hypothesis: nonzero
-rationals, or a + b zeta_c^u with b != 0 at conductors c = 4, 5, 8 and 120.
+rationals, or a + b zeta_c^u with b != 0 at conductors c = 4, 5, 8 and 120,
+or a + b (zeta_c^u + zeta_c^-u) in the real subfields for c = 5, 8 and 12,
+which `Poly` and `QSeries` store on the real keys -5, -8 and -12.
+
+`Poly.divmod`, `exact_div`, `gcd` and `gcd_cofactors` take an exact scalar
+as `//` and `%` do, and raise TypeError for a float or a foreign value.
 """
 
 import copy
@@ -36,7 +42,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from equiops.cyclotomic import CycloError, rational, zeta
+from equiops.cyclotomic import CycloError, imag_unit, rational, sqrt5, zeta
 from equiops.moebius import Moebius
 from equiops.ncalg import GenMoebius, MatFn, NCPoly, _form_of
 from equiops.operators import pre_schwarzian
@@ -71,16 +77,18 @@ FOREIGN = (1.5, None, "a", (1, 2))
 # the constants of the ring types, and values that neither group type takes
 GROUP_FOREIGN = (3, rational(3), Moebius.identity(), MatFn([[1]]))
 
-CONDUCTORS = (4, 5, 8, 120)
+# a negative c stands for the real a + b (zeta_|c|^u + zeta_|c|^-u)
+CONDUCTORS = (4, 5, 8, 120, -5, -8, -12)
 FRACTIONS = sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)})
 small = st.sampled_from([f for f in FRACTIONS if f])
 
 
 @st.composite
 def irrational(draw, conductors):
-    """(a, b, c, u): a + b zeta_c^u with b != 0 and u a unit mod c."""
+    """(a, b, c, u): a + b zeta_c^u with b != 0 and u a unit mod c, or
+    a + b (zeta_m^u + zeta_m^-u) for c = -m."""
     c = draw(st.sampled_from(conductors))
-    u = draw(st.sampled_from([u for u in range(1, c) if gcd(u, c) == 1]))
+    u = draw(st.sampled_from([u for u in range(1, abs(c)) if gcd(u, c) == 1]))
     return draw(st.sampled_from(FRACTIONS)), draw(small), c, u
 
 
@@ -97,9 +105,11 @@ def samples():
 
 
 def coefficients(data, order=N):
-    """a + b zeta_c^u for each (a, b, c, u) of data."""
-    return [rational(a, order) + rational(b, order) * zeta(order, u * order // c)
-            for a, b, c, u in data]
+    """a + b zeta_c^u for each (a, b, c, u) of data, and
+    a + b (zeta_m^u + zeta_m^-u) for c = -m."""
+    return [rational(a, order) + rational(b, order) * (
+        zeta(order, u * order // c) if c > 0 else
+        zeta(order, -u * order // c) + zeta(order, u * order // c)) for a, b, c, u in data]
 
 
 def build(kind, data, order=N):
@@ -111,6 +121,14 @@ def lifted(kind, data):
     their conductor and 3: x w / w, w = zeta_3, keeps the lcm for an irrational x."""
     w = zeta(N, N // 3)
     return BUILD[kind]([x * w / w for x in coefficients(data)], N)
+
+
+def at_conductor(x):
+    """x times i times 1 / i: a ring value whose stored rows keep the join of
+    their key with i's conductor 4, so a value on a real key moves to a
+    conductor."""
+    i = imag_unit()
+    return x * i * i.inverse()
 
 
 def slots(value):
@@ -129,6 +147,12 @@ def test_equality_agrees_with_hash(kind, data, other):
     bumped = build(kind, [(data[0][0] + 1,) + data[0][1:]] + data[1:])
     assert x == same and same == x and not x != same
     assert repr(x) == repr(same)
+    if kind not in INVERTIBLE:
+        moved = at_conductor(x)
+        assert x == moved and moved == x and not x != moved and repr(x) == repr(moved)
+        assert moved != bumped
+        if kind in HASHABLE:
+            assert hash(x) == hash(moved)
     assert x != bumped and bumped != x and not x == bumped
     assert (x == y) == (y == x) != (x != y)
     if kind in HASHABLE:
@@ -229,6 +253,12 @@ def test_pickle_and_deepcopy_round_trip(kind, data):
             assert back._ops == {}
         if kind == "MatFn":
             assert back._form is None
+    if kind not in INVERTIBLE:  # the value at the other storage
+        moved = at_conductor(x)
+        back = pickle.loads(pickle.dumps(moved))
+        assert back == x and x == back and repr(back) == repr(x)
+        if kind in HASHABLE:
+            assert hash(back) == hash(x)
 
 
 # one rational and one irrational sample of each type, at conductors 4, 5, 8 and 120
@@ -260,3 +290,27 @@ def test_deletion_is_refused(kind):
             with pytest.raises(AttributeError, match="is immutable"):
                 delattr(x, name)
         assert repr(x) == before
+
+
+# -- divmod and the gcd of Poly take an exact scalar ---------------------------
+
+SCALARS = {"int": 2, "fraction": Fraction(-1, 2), "rational": rational(3), "sqrt5": sqrt5(),
+           "golden": sqrt5() / 2 + 1, "zeta7": zeta(N, 7)}
+
+
+@pytest.mark.parametrize("scalar", SCALARS.values(), ids=SCALARS.keys())
+def test_poly_division_and_gcd_take_an_exact_scalar(scalar):
+    p, c = Poly([2, 4]), Poly.constant(scalar)
+    quo, rem = p.divmod(scalar)
+    assert (quo, rem) == p.divmod(c) and quo == p // scalar and rem == p % scalar
+    assert rem.is_zero and p.exact_div(scalar) == quo and quo * scalar == p
+    assert p.gcd(scalar) == p.gcd(c) == 1
+    assert p.gcd_cofactors(scalar) == p.gcd_cofactors(c) == (Poly.one(), p, c)
+    assert Poly.zero().gcd_cofactors(scalar) == (Poly.one(), Poly.zero(), c)
+
+
+@pytest.mark.parametrize("value", FOREIGN + (1j,), ids=repr)
+def test_poly_division_and_gcd_refuse_a_float_or_a_foreign_value(value):
+    for name in ("divmod", "exact_div", "gcd", "gcd_cofactors"):
+        with pytest.raises(TypeError):
+            getattr(Poly([2, 4]), name)(value)

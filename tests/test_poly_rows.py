@@ -1,6 +1,8 @@
 """Row storage of `Poly` over Q(zeta): every kernel against per-coefficient
 `Cyclo` arithmetic, on seeded coefficient lists that mix ints with elements
-at conductors 3, 4, 5, 8, 12, 24, 60 and 120.
+at conductors 3, 4, 5, 8, 12, 24, 60 and 120, and with elements of the real
+subfields Q(sqrt5), Q(sqrt2) and Q(sqrt3), stored on the real keys -5, -8
+and -12.
 
 The references below use nothing of `Poly` but its `coeffs` view: a
 schoolbook product, a field long division, a monic Euclid, a primitive
@@ -19,13 +21,18 @@ from fractions import Fraction
 import pytest
 
 import equiops.poly as poly_module
-from equiops.cyclotomic import (Cyclo, CycloError, _is_prime, _split_prime, _split_roots,
-                                imag_unit, rational, sqrt2, sqrt5, totient, zeta)
+from equiops.cyclotomic import (Cyclo, CycloError, _field_polynomial, _is_prime, _split_prime,
+                                _split_roots, imag_unit, rational, sqrt2, sqrt3, sqrt5, totient,
+                                zeta)
 from equiops.poly import Poly
 from equiops.qseries import QSeries
+from equiops.ratfn import RatFn
 
 N = 120
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 60, 120)
+# the real keys -m and the generator of each: Q(zeta_m)+ on the powers of
+# zeta_m + zeta_m^-1
+REAL_FIELDS = {-5: sqrt5, -8: sqrt2, -12: sqrt3}
 ZERO = rational(0)
 
 
@@ -43,10 +50,20 @@ def element(rng):
                                                                  rng.choice((1, 1, 2))))
 
 
-def coefficient_list(rng, degree):
-    cs = [element(rng) for _ in range(degree + 1)]
+def real_element(rng):
+    """An int, or a + b g with b != 0 for g = sqrt5, sqrt2 or sqrt3: an
+    element of one real subfield."""
+    if rng.random() < 0.2:
+        return rng.randint(-4, 4)
+    gen = REAL_FIELDS[rng.choice(sorted(REAL_FIELDS))]()
+    return rational(rng.randint(-3, 3)) + gen * rational(Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                  rng.choice((1, 1, 2))))
+
+
+def coefficient_list(rng, degree, draw=element):
+    cs = [draw(rng) for _ in range(degree + 1)]
     while not cs[-1]:
-        cs[-1] = element(rng)
+        cs[-1] = draw(rng)
     return cs
 
 
@@ -153,7 +170,7 @@ def ref_substitute(a, p, q, degree):
 def assert_canonical(p):
     """The storage invariants of (items, den, m)."""
     items, den, m = p._items, p._den, p._m
-    assert den > 0 and N % m == 0
+    assert den > 0 and N % abs(m) == 0 and m not in (-1, -2, -3, -4)
     assert not items or (items[-1] if m == 1 else any(items[-1]))
     if m == 1:
         assert all(type(v) is int for v in items)
@@ -173,16 +190,22 @@ def assert_matches(p, ref):
 
 
 SEEDS = range(40)
+# the seeds past SEEDS draw a from the real subfields and b from either kind,
+# so the operands meet at the join of a real key with a conductor
+REAL_SEEDS = range(40, 64)
 
 
 def pair(seed):
     rng = random.Random("rows:%d" % seed)
-    a = coefficient_list(rng, rng.randint(0, 6))
-    b = coefficient_list(rng, rng.randint(0, 6))
+    first = element if seed in SEEDS else real_element
+    second = element if seed in SEEDS else lambda r: (element if r.random() < 0.5
+                                                      else real_element)(r)
+    a = coefficient_list(rng, rng.randint(0, 6), first)
+    b = coefficient_list(rng, rng.randint(0, 6), second)
     return Poly(a), Poly(b), [cyclo(c) for c in a], [cyclo(c) for c in b], rng
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *REAL_SEEDS])
 def test_ring_operations_match_the_cyclo_reference(seed):
     p, q, ra, rb, rng = pair(seed)
     assert_matches(p, ra)
@@ -198,7 +221,7 @@ def test_ring_operations_match_the_cyclo_reference(seed):
         assert_matches(p.monic(), ref_monic(ra))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *REAL_SEEDS])
 def test_divmod_matches_field_long_division(seed):
     p, q, ra, rb, _ = pair(seed)
     if not rb:
@@ -213,11 +236,13 @@ def test_divmod_matches_field_long_division(seed):
     assert rem.is_zero and (p * q).exact_div(q) == p
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(40))
 def test_gcd_cofactors_match_monic_euclid(seed):
+    # seeds from 24 on: g and a in the real subfields, b of either kind
     rng = random.Random("rows-gcd:%d" % seed)
-    g, a, b = (Poly(coefficient_list(rng, rng.randint(lo, hi)))
-               for lo, hi in ((1, 2), (0, 2), (0, 2)))
+    draws = (element,) * 3 if seed < 24 else (real_element, real_element, element)
+    g, a, b = (Poly(coefficient_list(rng, rng.randint(lo, hi), draw))
+               for (lo, hi), draw in zip(((1, 2), (0, 2), (0, 2)), draws))
     pa, pb = a * g, b * g
     h, u, v = pa.gcd_cofactors(pb)
     ref = ref_gcd(list(pa.coeffs), list(pb.coeffs))
@@ -277,6 +302,45 @@ def test_one_value_at_two_conductors_is_equal():
     assert lifted == p and p == lifted and hash(lifted) == hash(p)
     assert lifted != p + 1 and p + 1 != lifted
     assert Poly.constant(i) == i and hash(Poly.constant(i)) == hash(i)
+    # a real value on its real key and at a conductor, by a product that
+    # keeps the join of the keys
+    for gen, key in ((sqrt5(), -5), (sqrt2(), -8), (sqrt3(), -12)):
+        real = Poly([gen, 1, gen / 2])
+        at_conductor = real * Poly.constant(i) * Poly.constant(i.inverse())
+        assert (real._m, at_conductor._m) == (key, math.lcm(-key, 4))
+        assert totient(key) == 2 and all(len(r) == 2 for r in real._items)
+        for x, y in ((real, at_conductor), (at_conductor, real)):
+            assert x == y and hash(x) == hash(y) and x.coeffs == y.coeffs
+            assert x != y + 1 and repr(x) == repr(y)
+            back = pickle.loads(pickle.dumps(x))
+            assert back._m == x._m and back == y and hash(back) == hash(y)
+        assert Poly.constant(gen) == gen and hash(Poly.constant(gen)) == hash(gen)
+
+
+def field_poly(rng, degree):
+    """A polynomial over Q(sqrt5) of the shape of the `field` benchmark pool:
+    every coefficient a + b sqrt5, -3 <= a <= 3 and b in {-2, -1, 1, 2}."""
+    return Poly([rational(rng.randint(-3, 3)) + sqrt5() * rational(rng.choice((-2, -1, 1, 2)))
+                 for _ in range(degree + 1)])
+
+
+def test_golden_ratio_data_is_stored_on_two_int_rows():
+    """Q(sqrt5) data stays on the real key -5, two ints a coefficient, through
+    products, gcds, the reduction of a RatFn and the store of QSeries."""
+    rng = random.Random("two-int-rows")
+    for _ in range(6):
+        g, a, b = field_poly(rng, 1), field_poly(rng, 2), field_poly(rng, 2)
+        ga, gb = g * a, g * b
+        h, u, v = ga.gcd_cofactors(gb)
+        f = RatFn(ga, gb)
+        stored = [g, a, b, ga, gb, h, u, v, f.num, f.den, ga.monic(), ga.divmod(b)[0],
+                  ga.derivative()]
+        for p in stored:
+            assert p.is_rational or (p._m == -5 and all(len(r) == 2 for r in p._items))
+        assert all(p._m == -5 for p in (g, a, b, ga, gb, u, v))
+        s = QSeries.of_poly(ga, 4)
+        assert s._m == -5 and all(len(r) == 2 for r in s._items.values())
+        assert (s * s)._m == -5 and (s / QSeries.of_poly(g, 4))._m == -5
 
 
 def test_rational_products_of_rows_are_ints():
@@ -306,10 +370,11 @@ def test_mixed_field_orders_are_rejected():
 
 
 def assert_row_store(s):
-    """An irrational series in the store of Poly: rows of phi(m) ints at
-    m > 1, one of them irrational, over den > 0 prime to all the ints."""
+    """An irrational series in the store of Poly: rows of totient(m) ints at
+    a field key m != 1 (a conductor, or -m for a real subfield), one of them
+    irrational, over den > 0 prime to all the ints."""
     rows = list(s._items.values())
-    assert s._m > 1 and s._den > 0 and any(any(r[1:]) for r in rows)
+    assert s._m != 1 and s._den > 0 and any(any(r[1:]) for r in rows)
     assert all(type(r) is tuple and len(r) == totient(s._m) for r in rows)
     assert math.gcd(s._den, *[x for r in rows for x in r]) == 1
 
@@ -421,7 +486,43 @@ def modgcd_cases(c):
     return out
 
 
-MODGCD_CASES = [(c, name, a, b) for c in CONDUCTORS for name, a, b in modgcd_cases(c)]
+def real_poly(rng, key, degree):
+    """A polynomial of the degree whose coefficients are ints or a + b g,
+    for the generator g of the real key, at least one of them irrational."""
+    gen = REAL_FIELDS[key]()
+
+    def coeff():
+        if rng.random() < 0.25:
+            return rng.randint(-4, 4)
+        return rational(rng.randint(-3, 3)) + gen * rational(Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                      rng.choice((1, 1, 2))))
+    while True:
+        cs = [coeff() for _ in range(degree)] + [coeff() or 1]
+        if any(isinstance(x, Cyclo) and not x.is_rational for x in cs):
+            return Poly(cs)
+
+
+def real_modgcd_cases(key):
+    """(name, a, b) pairs on the real key for every case of the kernel, and
+    pairs that meet a conductor or another real key at their join."""
+    rng = random.Random("modgcd:%d" % key)
+    a, b, g = (real_poly(rng, key, 2) for _ in range(3))
+    out = [("coprime", a, b)]
+    for d in (1, 2):
+        h = real_poly(rng, key, d)
+        out.append(("common-%d" % d, a * h, b * h))
+    other = -8 if key != -8 else -5
+    h = real_poly(rng, key, 1)
+    out += [("divides", g, a * g), ("divided", a * g, g),
+            ("associates", a, a.scale(real_poly(rng, key, 0).leading)),
+            ("constant", real_poly(rng, key, 0), a), ("rational-constant", a, Poly([3])),
+            ("joined-conductor", a * h, conductor_poly(rng, 4, 1) * h),
+            ("joined-real", a * h, real_poly(rng, other, 1) * h)]
+    return out
+
+
+MODGCD_CASES = ([(c, name, a, b) for c in CONDUCTORS for name, a, b in modgcd_cases(c)]
+                + [(k, name, a, b) for k in REAL_FIELDS for name, a, b in real_modgcd_cases(k)])
 
 
 @pytest.mark.parametrize("c, name, a, b", MODGCD_CASES,
@@ -438,6 +539,8 @@ def test_modular_gcd_matches_the_zeta_remainder_sequence(c, name, a, b):
         assert p.gcd(q) == g
     if name.startswith("common"):
         assert g.degree >= int(name[-1])
+    if name.startswith("joined"):
+        assert g.degree >= 1
 
 
 def test_split_primes_and_root_tables():
@@ -456,6 +559,23 @@ def test_split_primes_and_root_tables():
         row = [rng.randrange(p) for _ in range(d)]
         values = [sum(x * y for x, y in zip(row, w)) % p for w in powers]
         assert [sum(x * y for x, y in zip(t, values)) % p for t in lagrange] == row
+    # the real keys -m: the roots of Psi_m are w + 1/w for the roots w of
+    # Phi_m, one for each pair {w, 1/w}, and the Lagrange rows invert the
+    # table of powers
+    for m in (5, 8, 12, 24, 60, 120):
+        p = _split_prime(-m, 0)
+        assert p == _split_prime(m, 0) and [_split_prime(-m, i) for i in range(3)] == \
+            [_split_prime(m, i) for i in range(3)]
+        zetas = [w[1] for w in _split_roots(m, p)[0]]
+        powers, lagrange = _split_roots(-m, p)
+        d, psi = totient(-m), _field_polynomial(-m)
+        roots = [w[1] if d > 1 else w[0] for w in powers]
+        assert d == len(psi) - 1 == totient(m) // 2 == len(powers) == len(set(roots))
+        assert sorted(roots) == sorted({(w + pow(w, -1, p)) % p for w in zetas})
+        assert all(sum(c * pow(r, t, p) for t, c in enumerate(psi)) % p == 0 for r in roots)
+        assert all(w == tuple(pow(r, t, p) for t in range(d)) for w, r in zip(powers, roots))
+        assert [[sum(x * w[s] for x, w in zip(t, powers)) % p for s in range(d)]
+                for t in lagrange] == [[int(s == t) for s in range(d)] for t in range(d)]
     assert [n for n in range(2, 400) if _is_prime(n)] == [
         n for n in range(2, 400) if all(n % q for q in range(2, n))]
     # strong pseudoprimes to some of the bases, and Carmichael numbers

@@ -3,7 +3,9 @@ arithmetic on the `coeffs` views, and `eta_product`'s in-place factors
 against a factor-by-factor product.
 
 The seeded series mix ints, Fractions and elements at conductors 3, 4, 5,
-8, 12, 24, 60 and 120, at exponent denominators 1, 2, 3 and 6.  The
+8, 12, 24, 60 and 120, at exponent denominators 1, 2, 3 and 6; the seeds
+past SEEDS draw the first operand from the real subfields Q(sqrt5), Q(sqrt2)
+and Q(sqrt3) (real keys -5, -8 and -12), and the second from either.  The
 references use nothing of `QSeries` but `coeffs`, `M`, `trunc` and
 `valuation`, and the plain product and quotient of `series_oracle` on dicts
 of `Cyclo`.
@@ -23,13 +25,18 @@ from series_oracle import product, quotient
 
 N = 120
 CONDUCTORS = (3, 4, 5, 8, 12, 24, 60, 120)
+REAL_KEYS = (-5, -8, -12)
 ZERO = rational(0)
 
 
 def irrational(rng, conductor):
-    """a + b zeta_c^k with b != 0: irrational at the conductor c."""
-    k = rng.choice([k for k in range(1, conductor) if math.gcd(k, conductor) == 1])
-    gen = zeta(N, k * (N // conductor))
+    """a + b zeta_c^k with b != 0: irrational at the conductor c; for c = -m,
+    a + b (zeta_m^k + zeta_m^-k), real."""
+    m = abs(conductor)
+    k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
+    gen = zeta(N, k * (N // m))
+    if conductor < 0:
+        gen = gen + gen.inverse()
     return rational(rng.randint(-3, 3)) + gen * rational(
         Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 1, 2))))
 
@@ -115,11 +122,18 @@ def assert_matches(got, want):
     assert_store(got)
     assert (got.M, got.trunc) == (M, trunc)
     assert got.coeffs == coeffs
-    # the rows sit at a multiple of every coefficient's conductor
-    assert got._m % math.lcm(1, *[c._m for c in coeffs.values()]) == 0
+    # the rows sit at a field key whose conductor is a multiple of every
+    # coefficient's conductor
+    assert abs(got._m) % math.lcm(1, *[c._m for c in coeffs.values()]) == 0
 
 
 SEEDS = range(24)
+REAL_SEEDS = range(24, 36)
+
+
+def first_conductors(seed):
+    """The conductors the first operand draws from: the real keys past SEEDS."""
+    return CONDUCTORS if seed in SEEDS else REAL_KEYS
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -140,11 +154,11 @@ def test_sums_and_differences(seed):
     assert (a - a).is_zero and (a - a)._m == 1
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *REAL_SEEDS])
 def test_products(seed):
     rng = random.Random(100 + seed)
-    a = random_series(rng, [rng.choice(CONDUCTORS)])
-    b = random_series(rng, [rng.choice(CONDUCTORS), rng.choice(CONDUCTORS)])
+    a = random_series(rng, [rng.choice(first_conductors(seed))])
+    b = random_series(rng, [rng.choice(first_conductors(seed)), rng.choice(CONDUCTORS)])
     assert_matches(a * b, ref_product(a, b))
     assert_matches(b * a, ref_product(a, b))
     assert_matches(a * a, ref_product(a, a))
@@ -152,12 +166,12 @@ def test_products(seed):
     assert_matches(a * rational_series, ref_product(a, rational_series))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *REAL_SEEDS])
 @pytest.mark.parametrize("lead", ["irrational", "rational"])
 def test_quotients(seed, lead):
     rng = random.Random(200 + seed)
-    a = random_series(rng, [rng.choice(CONDUCTORS)])
-    conductors = [rng.choice(CONDUCTORS), rng.choice(CONDUCTORS)]
+    a = random_series(rng, [rng.choice(first_conductors(seed))])
+    conductors = [rng.choice(first_conductors(seed)), rng.choice(CONDUCTORS)]
     first = (irrational(rng, conductors[0]) if lead == "irrational"
              else rng.choice((2, -3, Fraction(5, 4))))
     b = random_series(rng, conductors, lead=first)
@@ -172,10 +186,10 @@ def test_quotients(seed, lead):
     assert_matches(a / c, ref_quotient(a, QSeries.constant(c, a.trunc)))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", [*SEEDS, *REAL_SEEDS])
 def test_powers(seed):
     rng = random.Random(300 + seed)
-    a = random_series(rng, [rng.choice(CONDUCTORS)], M=rng.choice((1, 2)))
+    a = random_series(rng, [rng.choice(first_conductors(seed))], M=rng.choice((1, 2)))
     square = ref_product(a, a)
     square_series = QSeries(square[0], square[1], square[2])
     assert_matches(a ** 2, square)
@@ -219,9 +233,9 @@ def test_of_poly_takes_the_rows(seed):
 def test_rational_results_leave_the_rows():
     s2 = sqrt2()
     root = QSeries(1, {0: s2, 1: 3}, 5)
-    assert root._m == 8
+    assert root._m == -8  # on the real subfield of Q(zeta_8)
     square = root * root  # 2 + 6 sqrt2 q + 9 q^2
-    assert square._m == 8
+    assert square._m == -8
     assert ((root - s2) * (root - s2))._m == 1
     assert (root / root)._m == 1 and root / root == 1
 
