@@ -26,14 +26,16 @@ theta^2 + theta - 1, and sqrt(5) = 1 + 2 theta.  `Cyclo` is stored at
 conductors alone; the row store of `poly` uses both kinds of key.
 
 Inverse by a norm tower.  Gal(Q(zeta_m)/Q) is (Z/m)^*, sigma_k acting as
-zeta -> zeta^k.  Each conductor caches a chain of subgroups of prime index
-p per step, the step generated by one sigma_k.  An irrational element's
-integer vector b goes down the chain: a step with sigma_k(b) == b is
-skipped (b lies in the smaller fixed field already), otherwise the cofactor
+zeta -> zeta^k, and Gal(Q(zeta_m)+/Q) is (Z/m)^* / {1, -1}.  Each field key
+caches a chain of subgroups of prime index p per step, the step generated
+by one sigma_k.  An irrational element's integer vector b goes down the
+chain (`_norm`): a step with sigma_k(b) == b is skipped (b lies in the
+smaller fixed field already), otherwise the cofactor
 c = sigma_k(b) ... sigma_k^(p-1)(b) is collected and b becomes b*c.  At the
 bottom b is the rational norm, and the inverse is the product of the
-cofactors over it.  Conjugates, products, embeddings and `zeta_pow` all
-read one cached table of zeta^j, 0 <= j < m.
+cofactors over it.  `Cyclo.inverse` takes it at the conductor, the row
+store of `poly` at the key of its rows.  Conjugates, products, embeddings
+and `zeta_pow` all read one cached table of zeta^j, 0 <= j < m.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
-from operator import mul
 
 DEFAULT_ORDER = 120
 
@@ -182,23 +183,44 @@ def _split_roots(k, p):
 
 @lru_cache(maxsize=None)
 def _galois_tower(n):
-    """Steps (k, p) of a chain {1} = H_0 < ... < H_r = (Z/n)^*: H_(i+1) is
-    generated by H_i and sigma_k, and has prime index p over H_i."""
-    sub = {1 % n}
+    """Steps (k, p) of a chain H_0 < ... < H_r = (Z/m)^* for field key n, m
+    = |n|: H_0 = {1} for a conductor n = m, {1, -1} (which fixes the real
+    subfield) for n = -m; H_(i+1) is generated by H_i and sigma_k, and has
+    prime index p over H_i."""
+    m = abs(n)
+    sub = {1 % m, -1 % m} if n < 0 else {1 % m}
     steps = []
-    for g in range(2, n):
-        if gcd(g, n) != 1:
+    for g in range(2, m):
+        if gcd(g, m) != 1:
             continue
         while g not in sub:
-            m, x = 1, g
+            e, x = 1, g
             while x not in sub:
-                x = x * g % n
-                m += 1
-            p = next(q for q in range(2, m + 1) if m % q == 0)
-            k = pow(g, m // p, n)
-            sub = {s * pow(k, i, n) % n for s in sub for i in range(p)}
+                x = x * g % m
+                e += 1
+            p = next(q for q in range(2, e + 1) if e % q == 0)
+            k = pow(g, e // p, m)
+            sub = {s * pow(k, i, m) % m for s in sub for i in range(p)}
             steps.append((k, p))
     return tuple(steps)
+
+
+def _norm(v, n):
+    """(c, N) with v c = N, a nonzero int, for an irrational integer vector
+    v at field key n: down each step (k, p) of the Galois chain b <- b c,
+    with c = sigma_k(b) ... sigma_k^(p-1)(b), to the rational norm b."""
+    b, cof = list(v), None
+    for k, p in _galois_tower(n):
+        s = _conjugate(b, k, n)
+        if s == b:
+            continue  # b already lies in the fixed field of the next step
+        c = s
+        for _ in range(p - 2):
+            s = _conjugate(s, k, n)
+            c = _mul_vec(c, s, n)
+        cof = c if cof is None else _mul_vec(cof, c, n)
+        b = _mul_vec(b, c, n)
+    return cof, b[0]
 
 
 def _accumulate(out, v, rows):
@@ -212,20 +234,34 @@ def _accumulate(out, v, rows):
 
 @lru_cache(maxsize=None)
 def _power_rows(n, k, count):
-    """The rows of zeta_n^(j k), j < count: sigma_k, or the embedding of
-    Q(zeta_(n/k)) for k | n."""
-    return tuple(_zeta_powers(n)[j * k % n] for j in range(count))
+    """The rows at field key n of g^j, j < count: for a conductor n,
+    g = zeta_n^k (sigma_k, or the embedding of Q(zeta_(n/k)) for k | n); for
+    n = -m, g = zeta_m^k + zeta_m^-k, sigma_k(theta) on the real subfield."""
+    if n > 0:
+        return tuple(_zeta_powers(n)[j * k % n] for j in range(count))
+    z = _zeta_powers(-n)
+    return _powers_of(_in_subfield(_accumulate([0] * totient(-n), [1, 1], [z[k], z[-k]]), n, -n),
+                      n, count)
+
+
+def _powers_of(g, n, count):
+    """The sparse rows of g^j, j < count, for a vector g at field key n."""
+    rows = [[1] + [0] * (len(g) - 1)]
+    for _ in range(count - 1):
+        rows.append(_mul_vec(rows[-1], g, n))
+    return tuple(tuple(_sparse(r)) for r in rows)
 
 
 def _mul_vec(a, b, n):
-    """The product of two power-basis integer vectors of Q(zeta_n), b of
-    length phi(n)."""
+    """The product of two integer vectors at field key n, b of length
+    totient(n)."""
     return _dot([0] * len(b), [(_sparse(a), _sparse(b))], n)
 
 
 def _dot(v, pairs, n):
-    """v plus the products x y of pairs of sparse vectors ((t, c), ...) of
-    Q(zeta_n), v of length phi(n): summed unreduced, reduced mod Phi_n once."""
+    """v plus the products x y of pairs of sparse vectors ((t, c), ...) at
+    field key n, v of length totient(n): summed unreduced, reduced once by
+    the field polynomial of the key."""
     d = len(v)
     acc = [*v, *[0] * (d - 1)]
     for x, y in pairs:
@@ -241,7 +277,8 @@ def _sparse(v):
 
 
 def _conjugate(a, k, n):
-    """sigma_k(a) for the automorphism zeta -> zeta^k, on an integer vector."""
+    """sigma_k(a) for the automorphism zeta -> zeta^k, on an integer vector
+    at field key n."""
     return _accumulate([0] * len(a), a, _power_rows(n, k, len(a)))
 
 
@@ -253,18 +290,12 @@ def _embedding(k, n):
     the conductor -n read on its basis."""
     if k > 0 and n > 0:
         return _power_rows(n, n // k, totient(k))
-    if k == 1:
-        return ((0, 1),),
     if n < 0:
         w = totient(-n)
         return tuple(tuple(_sparse(_in_subfield(_accumulate([0] * w, [1], [row]), n, -n)))
                      for row in _embedding(k, -n))
-    d, r = totient(n), n // -k
-    gen = _accumulate([0] * d, [1, 1], [_zeta_powers(n)[r], _zeta_powers(n)[-r]])
-    rows = [[1] + [0] * (d - 1)]
-    for _ in range(totient(k) - 1):
-        rows.append(_mul_vec(rows[-1], gen, n))
-    return tuple(tuple(_sparse(r)) for r in rows)
+    z, r = _zeta_powers(n), n // -k
+    return _powers_of(_accumulate([0] * totient(n), [1, 1], [z[r], z[-r]]), n, totient(k))
 
 
 def _lift(v, m, n):
@@ -275,8 +306,8 @@ def _lift(v, m, n):
 
 @lru_cache(maxsize=None)
 def _projector(d, m):
-    """(checks, columns, D) for the subfield of key d at key m, as rows over
-    the vector x at m: x lies in the subfield iff x . f = 0 for every f of
+    """(checks, columns, D) for the subfield of key d at key m, as sparse
+    rows over the vector x at m: x lies in the subfield iff x . f = 0 for every f of
     checks, and coordinate j of its vector at d is then x . columns[j] / D.
     Gauss-Jordan takes [E | I], E the embedding, to [R | T] with R = T E the
     identity on the pivot columns: x in the subfield is x[cols] R, its
@@ -304,7 +335,7 @@ def _projector(d, m):
             f[c] = row.get(t, 0)
         if own is not None:
             f[own] -= big
-        return tuple(f)
+        return tuple(_sparse(f))
     return (tuple(spread(c, c) for c in range(w) if c not in cols),
             tuple(spread(w + j) for j in range(len(rows))), big)
 
@@ -315,9 +346,9 @@ def _in_subfield(x, d, m):
     `Cyclo` and the real keys of `poly`."""
     checks, columns, big = _projector(d, m)
     for f in checks:
-        if sum(map(mul, x, f)):
+        if sum([x[t] * c for t, c in f]):
             return None
-    return [sum(map(mul, x, t)) // big for t in columns]
+    return [sum([x[t] * c for t, c in f]) // big for f in columns]
 
 
 class _Immutable:
@@ -496,20 +527,8 @@ class Cyclo(_Field, _Immutable):
             if not self._v[0]:
                 raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
             return Cyclo._ratio(self.order, self.den, self._v[0])
-        # down each step (k, p) of the Galois chain b <- b c, with
-        # c = sigma_k(b) ... sigma_k^(p-1)(b), to the rational norm b
-        b, cof = list(self._v), None
-        for k, p in _galois_tower(n):
-            s = _conjugate(b, k, n)
-            if s == b:
-                continue  # b already lies in the fixed field of the next step
-            c = s
-            for _ in range(p - 2):
-                s = _conjugate(s, k, n)
-                c = _mul_vec(c, s, n)
-            cof = c if cof is None else _mul_vec(cof, c, n)
-            b = _mul_vec(b, c, n)
-        return _normal(self.order, n, [self.den * c for c in cof], b[0])
+        cof, norm = _norm(self._v, n)
+        return _normal(self.order, n, [self.den * c for c in cof], norm)
 
     def __truediv__(self, other):
         o = other if isinstance(other, int) else self._coerce(other)

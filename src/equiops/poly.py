@@ -28,7 +28,9 @@ coefficient of a product of rows is summed unreduced and reduced once by
 the field polynomial of the key.  A pseudo-division serves divmod and the
 gcd: for a rational lead l it scales the remainder by l / gcd(top, l), no
 more than exact division needs, and divmod makes an irrational divisor
-monic first.  Divmod and the gcd take an exact scalar as `//` and `%` do.
+monic first.  An irrational lead is inverted on its key by the norm tower
+of `cyclotomic._norm`, with no `Cyclo` built.  Divmod and the gcd take an
+exact scalar as `//` and `%` do.
 
 Gcd.  `gcd_cofactors(b)` gives (g, a / g, b / g), g monic, and every
 reduction by a gcd goes through it; `gcd` is its first part.  Over Z it is
@@ -69,15 +71,15 @@ from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
 from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _conjugate, _dot,
-                         _exact, _in_subfield, _lift, _normal, _power, _reduction_rows, _sparse,
-                         _split_prime, _split_roots, rational)
+                         _exact, _in_subfield, _lift, _norm, _normal, _power, _reduction_rows,
+                         _sparse, _split_prime, _split_roots, rational)
 
 
 class Poly(_Ring):
     """A polynomial over Q(zeta_order), canonical: equal values have equal
-    storage at one conductor."""
+    storage at one field key."""
 
-    # coefficient i is _items[i] / _den at conductor _m, see the module
+    # coefficient i is _items[i] / _den at field key _m, see the module
     # docstring; _coeffs caches the Cyclo tuple
     __slots__ = ("_items", "_den", "_m", "_coeffs", "order", "degree")
 
@@ -170,7 +172,7 @@ class Poly(_Ring):
         # rational data compares by value in any field order, like Cyclo
         if self.order != o.order and not (self.is_rational and o.is_rational):
             _same_field(self, o)
-        a, b, _ = _aligned(self, o)  # a value may be stored at two conductors
+        a, b, _ = _aligned(self, o)  # a value may be stored at two keys
         return self._den == o._den and tuple(a) == tuple(b)
 
     def __hash__(self):
@@ -264,8 +266,9 @@ class Poly(_Ring):
         _same_field(self, other)
         fa, fb, m = _aligned(self, other)
         if m != 1 and any(fb[-1][1:]):  # an irrational lead: divide by other / lead
-            q, rem = self.divmod(other.monic())
-            return q.scale(other.leading.inverse()), rem
+            inv = _lead_inverse(other)
+            q, rem = self.divmod(other * inv)
+            return q * inv, rem
         q, rem, scale = _pseudo_divmod(fa, fb) if m == 1 else _row_divmod(fa, fb, m)
         db, den = other._den, self._den * scale
         return (_canonical(_scaled(q, repeat(db), m), den, m, self.order),
@@ -407,7 +410,7 @@ def _make(items, den, m, order):
 
 def _canonical(items, den, m, order):
     """The polynomial items / den, for ints and `Cyclo` elements of the order
-    (m = 1) or rows at conductor m (a list, or a tuple without trailing
+    (m = 1) or rows at field key m (a list, or a tuple without trailing
     zeros) and an int den != 0."""
     while items and not (items[-1] if m == 1 else any(items[-1])):
         items.pop()
@@ -428,7 +431,7 @@ def _store(values, den, m=1):
     if m == 1:
         try:
             g = _int_gcd(den, *values)
-        except TypeError:  # Cyclo values entering: rows at their lcm conductor
+        except TypeError:  # Cyclo values entering: rows at the join of their keys
             return _store(*_rows(values, den))
         g = -g if den < 0 else g
         return ([v // g for v in values], den // g, 1) if g != 1 else (values, den, 1)
@@ -497,18 +500,22 @@ def _scaled(items, cs, m):
 
 
 def _monic(items, m, order):
-    """The monic polynomial of a nonzero item list at conductor m."""
+    """The monic polynomial of a nonzero item list at field key m."""
     lead = items[-1]
     if m == 1 or not any(lead[1:]):
         return _canonical(items, lead if m == 1 else lead[0], m, order)
-    inv, den = _inverse(lead, m, order)
-    return _canonical(_conv(items, [inv], m), den, m, order)
+    c, norm = _norm(lead, m)  # lead c = norm
+    return _canonical(_conv(items, [c], m), norm, m, order)
 
 
-def _inverse(v, m, order):
-    """(row, den): 1 / v for an irrational row v at key m, as a row at m over den."""
-    w, den, k = _entered(_item(v, 1, m, order).inverse(), order)
-    return _lifted([w], k, m)[0], den
+def _lead_inverse(p):
+    """The constant polynomial 1 / lead(p) for a nonzero p: den c / N for an
+    irrational lead v / den at p's key, v c = N its norm there."""
+    v, den, m = p._items[-1], p._den, p._m
+    if m == 1 or not any(v[1:]):
+        return _canonical([den], v if m == 1 else v[0], 1, p.order)
+    c, norm = _norm(v, m)
+    return _canonical([[den * x for x in c]], norm, m, p.order)
 
 
 def _same_field(a, b):
@@ -538,7 +545,7 @@ def _entered(c, order):
 
 
 def _conv(a, b, m=1):
-    """The product of two nonzero item lists: ints, or rows at conductor m
+    """The product of two nonzero item lists: ints, or rows at field key m
     whose products are summed unreduced and reduced once per coefficient."""
     if len(a) < len(b):
         a, b = b, a
@@ -598,7 +605,7 @@ def _pseudo_divmod(fa, fb):
 
 
 def _row_divmod(fa, fb, n):
-    """`_pseudo_divmod` of rows at conductor n, for fb with a rational lead;
+    """`_pseudo_divmod` of rows at field key n, for fb with a rational lead;
     the divisor's rows are made sparse once, each product reduced once."""
     lead, k0, low = fb[-1][0], len(fb) - 1, [_sparse(r) for r in fb[:-1]]
     rem, q, scale = list(fa), [], 1
@@ -675,8 +682,8 @@ def _gcd_prs(fa, fb):
 
 
 def _modular_gcd(a, b):
-    """`gcd_cofactors` of two nonzero polynomials over Q(zeta_m), m > 1 the
-    lcm of their conductors, from images at split primes (see the module
+    """`gcd_cofactors` of two nonzero polynomials over the field of key
+    m != 1, the join of their keys, from images at split primes (see the module
     docstring)."""
     fa, fb, m = _aligned(a, b)
     low = min(a.degree, b.degree)

@@ -31,10 +31,10 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import series
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _mul_vec, rational,
-                         sqrt2)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _mul_vec, _norm,
+                         rational, sqrt2)
 from .parsing import cyclo_literal
-from .poly import _entered, _inverse, _item, _join, _lifted, _same_field, _store
+from .poly import _entered, _item, _join, _lifted, _same_field, _store
 
 _INF = Fraction(10**9)
 
@@ -46,7 +46,7 @@ class QSeries(_Field, _Immutable):
     coeff * q^(k/M); exponents >= trunc are unknown.
     """
 
-    # the term at k/M is _items[k] / _den at conductor _m, see the module
+    # the term at k/M is _items[k] / _den at field key _m, see the module
     # docstring
     __slots__ = ("M", "_items", "_den", "_m", "trunc", "order")
 
@@ -113,7 +113,7 @@ class QSeries(_Field, _Immutable):
                      self._m, self.trunc, self.order)
 
     def _common(self, other):
-        """Both operands at one exponent denominator and conductor, in one field."""
+        """Both operands at one exponent denominator and field key, in one field."""
         _same_field(self, other)
         M = math.lcm(self.M, other.M)
         a, b = self.rescaled(M), other.rescaled(M)
@@ -213,8 +213,8 @@ class QSeries(_Field, _Immutable):
         # ignore exponents below 0); a's den goes to the result
         x, m = {k - sa: v for k, v in a._items.items()}, a._m
         y = {j - sb: v for j, v in b._items.items()}
-        if m != 1 and any(y[0][1:]):  # an irrational lead: times the numerator r
-            r = _inverse(y[0], m, a.order)[0]  # of 1 / lead at m, lead r an int
+        if m != 1 and any(y[0][1:]):  # an irrational lead: times r, lead r its norm
+            r = _norm(y[0], m)[0]
             x, y = ({k: _mul_vec(v, r, m) for k, v in s.items()} for s in (x, y))
         if b._den != 1:
             x = series.scaled(x, repeat(b._den), m)
@@ -285,7 +285,7 @@ def _make(M, items, den, m, trunc, order):
 
 def _canonical(M, items, den, m, trunc, order):
     """The series sum items[k] / den q^(k/M) + O(q^trunc), for a dict of ints
-    and `Cyclo` elements (m = 1) or rows at conductor m, and an int den != 0."""
+    and `Cyclo` elements (m = 1) or rows at field key m, and an int den != 0."""
     limit = _limit(trunc, M)
     return _normalised(M, {k: v for k, v in items.items()
                            if (v if m == 1 else any(v)) and k < limit}, den, m, trunc, order)

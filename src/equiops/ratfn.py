@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import DEFAULT_ORDER, Cyclo, _Field, _Immutable, rational
-from .poly import Poly
+from .poly import Poly, _lead_inverse
 
 INF = "inf"
 
@@ -293,7 +293,7 @@ def _normal(num, den):
     if den.is_rational:  # the int path of monic(), with no Cyclo inverse
         ints, d = den.as_ints()
         return num.scale(Fraction(d, ints[-1])), den.monic()
-    inv = Poly.constant(den.leading.inverse())  # entered once for both
+    inv = _lead_inverse(den)
     return num * inv, den * inv
 
 

@@ -39,7 +39,7 @@ def mul(a, b, limit):
 
 
 def mul_rows(a, b, limit, m):
-    """`mul` for series of rows at conductor m."""
+    """`mul` for series of rows at field key m."""
     pairs, zero = {}, [0] * totient(m)
     b = sorted((j, _sparse(v)) for j, v in b.items())
     for i, ai in a.items():
@@ -95,7 +95,7 @@ def _walk(a, tail, limit, found):
 
 
 def _div_rows(a, b, limit, m):
-    """`div` for series of rows at conductor m, b[0] = 1."""
+    """`div` for series of rows at field key m, b[0] = 1."""
     zero = [0] * totient(m)
     tail = sorted((j, [(t, -x) for t, x in enumerate(v) if x]) for j, v in b.items() if j > 0)
     out, found = {}, {}
@@ -108,7 +108,7 @@ def _div_rows(a, b, limit, m):
 
 def div_ints(a, b, limit, m=1):
     """(c, d) with a / b = c / d below `limit`, for series a and b of ints
-    (m = 1) or of rows at conductor m, b[0] a nonzero int (a row with a zero
+    (m = 1) or of rows at field key m, b[0] a nonzero int (a row with a zero
     tail): c a series of the same kind and d a nonzero int.
 
     With g the content of b and b0 = b[0] / g, the substitution x = b0 t

@@ -21,9 +21,9 @@ from fractions import Fraction
 import pytest
 
 import equiops.poly as poly_module
-from equiops.cyclotomic import (Cyclo, CycloError, _field_polynomial, _is_prime, _split_prime,
-                                _split_roots, imag_unit, rational, sqrt2, sqrt3, sqrt5, totient,
-                                zeta)
+from equiops.cyclotomic import (Cyclo, CycloError, _conjugate, _field_polynomial, _galois_tower,
+                                _is_prime, _lift, _mul_vec, _norm, _split_prime, _split_roots,
+                                imag_unit, rational, sqrt2, sqrt3, sqrt5, totient, zeta)
 from equiops.poly import Poly
 from equiops.qseries import QSeries
 from equiops.ratfn import RatFn
@@ -580,6 +580,29 @@ def test_split_primes_and_root_tables():
         n for n in range(2, 400) if all(n % q for q in range(2, n))]
     # strong pseudoprimes to some of the bases, and Carmichael numbers
     assert not any(map(_is_prime, (561, 1105, 1729, 2047, 25326001, 3215031751)))
+
+
+def test_norms_and_conjugates_on_every_key():
+    """sigma_k on a real key is sigma_k at its conductor read back, the
+    Galois chain of -m climbs from {1, -1} to (Z/m)^*, and the norm
+    cofactor c of an irrational v makes v c a nonzero int on either key."""
+    rng = random.Random("norms")
+    for m in (5, 8, 12, 24, 60, 120):
+        steps, d = _galois_tower(-m), totient(-m)
+        assert math.prod(p for _, p in steps) == d
+        for _ in range(4):
+            v = [rng.randint(-3, 3) for _ in range(d)]
+            v[rng.randrange(1, d) if d > 1 else 0] = rng.choice((-2, -1, 1, 2))
+            at_m = _lift(v, -m, m)
+            for k in (k for k in range(2, m) if math.gcd(k, m) == 1):
+                assert _lift(_conjugate(v, k, -m), -m, m) == _conjugate(at_m, k, m)
+            if d == 1 or not any(v[1:]):
+                continue
+            for w, key in ((v, -m), (at_m, m)):
+                c, norm = _norm(w, key)
+                assert norm and _mul_vec(w, c, key) == [norm] + [0] * (len(w) - 1)
+    x = rational(2) + sqrt5() * rational(3)
+    assert x.inverse() * x == 1 and Poly.constant(x)._m == -5
 
 
 def test_no_table_is_built_at_import():
