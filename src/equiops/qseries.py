@@ -16,11 +16,12 @@ the term at q^(k/M) is items[k] / den, ints (m = 1) or rows at the field
 key m (see `poly`), the join of the keys of the terms: the real key -8,
 two ints a row, for the sqrt2 of level 3.  `poly` enters scalars, lifts
 items to the key operands meet at, normalises and reads the values and
-checks field orders; this module keeps exponents and truncation.  Products run `series.mul` on
-ints and `series.mul_rows` on rows.  A quotient, reciprocals included, is
-one triangular pass of `series.div_ints`, after multiplying both operands
-by the numerator of the inverse of an irrational lead, which makes that
-lead an int.  `Cyclo` values appear only in the `coeffs` and `dense` views.
+checks field orders; this module keeps exponents and truncation.  Products
+run `series.mul` on ints and `series.mul_rows` on rows.  A quotient,
+reciprocals included, is one triangular pass of `series.div_ints`, after
+multiplying both operands by the norm cofactor of an irrational lead on its
+key (`cyclotomic._norm`), which makes that lead an int.  `Cyclo` values
+appear only in the `coeffs` and `dense` views.
 """
 
 from __future__ import annotations
