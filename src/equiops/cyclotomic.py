@@ -307,8 +307,9 @@ def _lift(v, m, n):
 @lru_cache(maxsize=None)
 def _projector(d, m):
     """(checks, columns, D) for the subfield of key d at key m, as sparse
-    rows over the vector x at m: x lies in the subfield iff x . f = 0 for every f of
-    checks, and coordinate j of its vector at d is then x . columns[j] / D.
+    rows over the vector x at m: x lies in the subfield iff x . f = 0 for
+    every f of checks, and coordinate j of its vector at d is then
+    x . columns[j] / D.
     Gauss-Jordan takes [E | I], E the embedding, to [R | T] with R = T E the
     identity on the pivot columns: x in the subfield is x[cols] R, its
     vector x[cols] T."""
