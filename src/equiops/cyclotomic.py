@@ -1,29 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Conductor storage.  An element of Q(zeta_N) is stored at a conductor m | N:
-phi(m) ints on the power basis of Q(zeta_m), zeta_m = zeta_N^(N/m), over
-one positive denominator prime to their content.  `order` is N, the field
-the user works in, and operands of different orders are rejected.  Operands
-of different conductors are embedded into their lcm, and a result keeps
-that conductor with no search, except that a zero tail makes it rational:
-the rational lane is the case m = 1, n/d stored as (n,) over d, so +, -, *,
-/ and inverse of rationals are one gcd.  The least conductor is searched
-for only where data enters, the public constructor `Cyclo(order, num, den)`
-and the parser's constants, one prime at a time; `zeta_pow` knows it.  At
-N = 120, i, sqrt(2), sqrt(3), sqrt(5) and zeta_3 live at conductors 4, 8,
-12, 5 and 3.  `num` is the vector at N, built on first read; Z[zeta_N]
-meets Q(zeta_m) in Z[zeta_m], so den is the same at every conductor and
-(order, num, den) is canonical: hashing, equality and printing use it.
-`_normal` brings one vector to this form; routed through `poly._store`,
-the normaliser of `Poly` and `QSeries` rows, a call took a third longer.
-
-Field keys.  The tables (`totient`, the reduction rows, the embeddings of
-`_lift`, the roots at split primes and the projector of `_in_subfield`)
-are keyed by one int: a conductor m for Q(zeta_m), or -m for its real
-subfield Q(zeta_m)+ on the power basis of theta = zeta_m + zeta_m^-1,
-reduced by theta's minimal polynomial Psi_m.  For m = 5 that is
-theta^2 + theta - 1, and sqrt(5) = 1 + 2 theta.  `Cyclo` is stored at
-conductors alone; the row store of `poly` uses both kinds of key.
+Field keys.  An element of Q(zeta_N) is stored on one int key, over one
+positive denominator prime to its ints: a conductor m | N, phi(m) ints on
+the power basis of zeta_m = zeta_N^(N/m), or -m for the real subfield
+Q(zeta_m)+, phi(m) / 2 ints on the power basis of theta = zeta_m +
+zeta_m^-1 reduced by theta's minimal polynomial Psi_m (theta^2 + theta - 1
+for m = 5, where sqrt(5) = 1 + 2 theta).  The row store of `poly` uses the
+same keys, and the tables (`totient`, the reduction rows, the embeddings
+of `_lift`, the roots at split primes, the projector of `_in_subfield`)
+are keyed on them.  `order` is N, the field the user works in; operands
+of different orders are rejected, and operands of different keys meet at
+their join (`_join`).  A result keeps that key with no search, except that
+a zero tail makes it rational: the rational lane is the key 1, n/d stored
+as (n,) over d, so +, -, *, / and inverse of rationals are one gcd.  The
+key is decided only where data enters (`_sized`, for `Cyclo(order, num,
+den)` and the parser's constants): the least conductor, a prime at a time,
+then the real key if complex conjugation fixes the value.  At N = 120, i,
+sqrt(2), sqrt(3), sqrt(5) and zeta_3 live on the keys 4, -8, -12, -5 and
+3.  `num` is the vector at N, built on first read.  Z[zeta_N] meets
+Q(zeta_m) in Z[zeta_m], and Z[theta] is the ring of integers of
+Q(zeta_m)+, so den is the same on every key and (order, num, den) is
+canonical: hashing, equality and printing use it.  `_normal` brings one
+vector to this form; routed through `poly._store`, the normaliser of
+`Poly` and `QSeries` rows, a call took a third longer.
 
 Inverse by a norm tower.  Gal(Q(zeta_m)/Q) is (Z/m)^*, sigma_k acting as
 zeta -> zeta^k, and Gal(Q(zeta_m)+/Q) is (Z/m)^* / {1, -1}.  Each field key
@@ -33,9 +32,9 @@ chain (`_norm`): a step with sigma_k(b) == b is skipped (b lies in the
 smaller fixed field already), otherwise the cofactor
 c = sigma_k(b) ... sigma_k^(p-1)(b) is collected and b becomes b*c.  At the
 bottom b is the rational norm, and the inverse is the product of the
-cofactors over it.  `Cyclo.inverse` takes it at the conductor, the row
-store of `poly` at the key of its rows.  Conjugates, products, embeddings
-and `zeta_pow` all read one cached table of zeta^j, 0 <= j < m.
+cofactors over it.  `Cyclo.inverse` and the row store of `poly` take it on
+the key of the value.  Conjugates, products, embeddings and `zeta_pow` all
+read one cached table of zeta^j, 0 <= j < m.
 """
 
 from __future__ import annotations
@@ -343,8 +342,8 @@ def _projector(d, m):
 
 def _in_subfield(x, d, m):
     """The vector at key d of the vector x at key m, or None unless x lies
-    in the subfield of key d: the one projection, for the least conductor of
-    `Cyclo` and the real keys of `poly`."""
+    in the subfield of key d: the one projection, for the key `_sized`
+    decides and the tables of the real keys."""
     checks, columns, big = _projector(d, m)
     for f in checks:
         if sum([x[t] * c for t, c in f]):
@@ -412,11 +411,11 @@ class _Field(_Ring):
 class Cyclo(_Field, _Immutable):
     """An element of Q(zeta_N), immutable and hashable."""
 
-    # the ints _v at conductor _m over den; _num caches `num`
+    # the ints _v at field key _m over den; _num caches `num`
     __slots__ = ("order", "_m", "_v", "den", "_num")
 
     def __new__(cls, order, num, den=1):
-        num, d = list(num), totient(order)
+        num, d = list(num), totient(_positive(order))
         if len(num) > d:
             raise ValueError("coefficient vector longer than phi(N)")
         if den == 0:
@@ -460,7 +459,7 @@ class Cyclo(_Field, _Immutable):
     @staticmethod
     def zeta_pow(k, order=DEFAULT_ORDER):
         """zeta_N^k as a field element, at its conductor."""
-        g = gcd(k, order)
+        g = gcd(k, _positive(order))
         m, sign = order // g, 1
         j = k // g % m
         if m % 4 == 2:  # zeta_m^j = -zeta_(m/2)^((j + m/2)/2), j odd
@@ -593,7 +592,7 @@ _set_order, _set_m, _set_v, _set_den, _set_num = (
 
 
 def _make(order, m, v, den):
-    """The element of a stored form: the tuple v at conductor m over den."""
+    """The element of a stored form: the tuple v at field key m over den."""
     c = _new(Cyclo)
     _set_order(c, order)
     _set_m(c, m)
@@ -603,7 +602,7 @@ def _make(order, m, v, den):
 
 
 def _normal(order, m, vec, den):
-    """The element vec / den at conductor m (ints, den != 0) in lowest
+    """The element vec / den at field key m (ints, den != 0) in lowest
     terms; a zero tail makes it rational (m = 1)."""
     if not any(vec[1:]):
         return Cyclo._ratio(order, vec[0], den)
@@ -620,9 +619,10 @@ def _normal(order, m, vec, den):
 
 
 def _sized(c):
-    """c at the least conductor m that holds it, the search for data entering.
-    The conductors that hold an element are closed under gcd, so a prime p
-    for which m / p fails fails at every smaller m as well."""
+    """c on the least field key that holds it, decided for data entering:
+    the least conductor m, then -m if complex conjugation fixes c.  The
+    conductors holding an element are closed under gcd, so a prime p for
+    which m / p fails fails at every smaller m as well."""
     x, m = c._v, c._m
     for p in [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]:
         while m % p == 0:
@@ -630,14 +630,27 @@ def _sized(c):
             if v is None:
                 break
             x, m = v, m // p
+    if m > 4 and _conjugate(x, m - 1, m) == list(x):  # Q(zeta_m)+ = Q for m <= 4
+        x, m = _in_subfield(x, -m, m), -m
     return c if m == c._m else _make(c.order, m, tuple(x), c.den)
 
 
+def _join(k, l):
+    """The key of the least field holding the fields of keys k and l: the
+    lcm of the conductors, a real key only if both are real (or rational)."""
+    if k == l or l == 1:
+        return k
+    if k == 1:
+        return l
+    m = lcm(abs(k), abs(l))
+    return -m if k < 0 and l < 0 else m
+
+
 def _common(x, y):
-    """(a, b, m): the stored vectors of x and y at the lcm m of their conductors."""
+    """(a, b, m): the stored vectors of x and y at the join m of their keys."""
     if x._m == y._m:
         return x._v, y._v, x._m
-    m = lcm(x._m, y._m)
+    m = _join(x._m, y._m)
     return _lift(x._v, x._m, m), _lift(y._v, y._m, m), m
 
 
@@ -670,6 +683,15 @@ def _power(base, k):
     return result
 
 
+def _positive(n, name="the order of Q(zeta_N)"):
+    """n, refused unless a positive int: the order N of a field (a negative
+    int is a field key, not an order), or the exponent denominator of a
+    series."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("%s must be a positive int, not %r" % (name, n))
+    return n
+
+
 def _exact(value):
     """The Fraction of an exact rational number that is neither an int nor a
     Fraction; a float raises TypeError, as it does in +, -, * and /."""
@@ -686,29 +708,26 @@ def zeta(order=DEFAULT_ORDER, power=1):
     return Cyclo.zeta_pow(power, order)
 
 
-def _twice_real(q, order, name):
-    """zeta_q + zeta_q^-1 in Q(zeta_N), which is sqrt(2) for q = 8 and sqrt(3) for q = 12."""
-    if order % q:
+def _real_key(q, v, order, name):
+    """The element v on the powers of theta = zeta_q + zeta_q^-1, key -q."""
+    if _positive(order) % q:
         raise CycloError("%s requires %d | N" % (name, q))
-    return Cyclo.zeta_pow(order // q, order) + Cyclo.zeta_pow(-order // q, order)
+    return _make(order, -q, v, 1)
 
 
 def sqrt2(order=DEFAULT_ORDER):
-    return _twice_real(8, order, "sqrt(2)")
+    return _real_key(8, (0, 1), order, "sqrt(2)")  # theta^2 = 2
 
 
 def sqrt3(order=DEFAULT_ORDER):
-    return _twice_real(12, order, "sqrt(3)")
+    return _real_key(12, (0, 1), order, "sqrt(3)")  # theta^2 = 3
 
 
 def sqrt5(order=DEFAULT_ORDER):
-    if order % 5:
-        raise CycloError("sqrt(5) requires 5 | N")
-    z = Cyclo.zeta_pow(order // 5, order)
-    return z - z * z - z ** 3 + z ** 4
+    return _real_key(5, (1, 2), order, "sqrt(5)")  # theta^2 + theta = 1
 
 
 def imag_unit(order=DEFAULT_ORDER):
-    if order % 4:
+    if _positive(order) % 4:
         raise CycloError("i requires 4 | N")
     return Cyclo.zeta_pow(order // 4, order)

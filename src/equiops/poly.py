@@ -7,19 +7,20 @@ FLINT's fmpq_poly layout.  Otherwise each item is a row, the ints of the
 coefficient on the power basis of the field of key m (see `cyclotomic`), as
 ANTIC's nf_elem (Hart 2015) stores one field element: phi(m) ints on that
 of Q(zeta_m) for a conductor m | order, or phi(m) / 2 on that of
-theta = zeta_m + zeta_m^-1 for the real key -m.  A `Cyclo` at a conductor
-m > 4 that complex conjugation fixes enters at -m, so Q(sqrt5) data is two
-ints a coefficient, not four; `_item` embeds such a row back at m for the
-`Cyclo` views.  Operands meet at the join of their keys (`_join`), the lcm
-of the conductors, a real key only if both are real.  Either way den > 0
-is prime to all the ints.  `coeffs`, `leading` and `constant_value` are
-`Cyclo` views built on first use.  One normaliser, `_store`, brings every
-result to this layout, with ints for values that all come out rational, so
-equal values have equal storage up to the key: equality meets at the join,
-and a constant hashes like its value.  `QSeries` shares the store (items
-keyed by exponent, irrational ones as `Cyclo` views over 1): a scalar
-enters by `_entered`, items move to a key by `_lifted`, and `_join`,
-`_store`, `_item` and `_same_field` serve both.
+theta = zeta_m + zeta_m^-1 for the real key -m.  These are the keys of
+`Cyclo`, decided once where a value enters (`cyclotomic._sized`), so a
+`Cyclo` enters the store on its own key and a row is read back as a `Cyclo`
+on the same key, with no test or change of key either way: Q(sqrt5) data
+is two ints a coefficient, not four.  Operands meet at the join of their
+keys (`cyclotomic._join`), the lcm of the conductors, a real key only if
+both are real.  Either way den > 0 is prime to all the ints.  `coeffs`,
+`leading` and `constant_value` are `Cyclo` views built on first use.  One
+normaliser, `_store`, brings every result to this layout, with ints for
+values that all come out rational, so equal values have equal storage up
+to the key: equality meets at the join, and a constant hashes like its
+value.  `QSeries` shares the store (items keyed by exponent, irrational
+ones as `Cyclo` views over 1): a scalar enters by `_entered`, items move
+to a key by `_lifted`, and `_store`, `_item` and `_same_field` serve both.
 
 One path per operation, a branch for ints and one for rows.  Add, neg,
 scale, mul, derivative and substitute read and write (items, den, m) alone,
@@ -70,9 +71,9 @@ from itertools import count, repeat
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _conjugate, _dot,
-                         _exact, _in_subfield, _lift, _norm, _normal, _power, _reduction_rows,
-                         _sparse, _split_prime, _split_roots, rational)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Ring, _accumulate, _dot, _exact, _join,
+                         _lift, _norm, _normal, _power, _reduction_rows, _sparse, _split_prime,
+                         _split_roots, rational)
 
 
 class Poly(_Ring):
@@ -461,22 +462,8 @@ def _rows(values, den):
 
 def _item(v, den, m, order):
     """The stored value v (an int for m = 1, else a row at field key m) over
-    den as a `Cyclo`, a real-key row embedded at its conductor: the item view
-    of `Poly` and `QSeries`."""
-    if m == 1:
-        return Cyclo._ratio(order, v, den)
-    return _normal(order, m, v, den) if m > 0 else _normal(order, -m, _lift(v, m, -m), den)
-
-
-def _join(k, l):
-    """The key of the least field of the store holding the fields of keys k
-    and l: a real key -m only if both are real (or rational)."""
-    if k == l or l == 1:
-        return k
-    if k == 1:
-        return l
-    m = _int_lcm(abs(k), abs(l))
-    return -m if k < 0 and l < 0 else m
+    den as a `Cyclo` on the same key: the item view of `Poly` and `QSeries`."""
+    return Cyclo._ratio(order, v, den) if m == 1 else _normal(order, m, v, den)
 
 
 def _aligned(a, b):
@@ -526,20 +513,15 @@ def _same_field(a, b):
 
 def _entered(c, order):
     """The stored form (v, den, m) of an exact scalar c of the order: an int
-    over den at m = 1 if c is rational, else its row at its conductor m, or
-    at the real key -m on the powers of zeta_m + zeta_m^-1 if complex
-    conjugation fixes it.  The one scalar entry of `Poly` and `QSeries`."""
+    over den at m = 1 if c is rational, else its row on its key m, which
+    `Cyclo` decided where it entered.  The one scalar entry of `Poly` and
+    `QSeries`."""
     if isinstance(c, int):
         return c, 1, 1
     if isinstance(c, Cyclo):
         if c.order != order:
             raise CycloError("mismatched cyclotomic orders: %d vs %d" % (order, c.order))
-        v, m = c._v, c._m
-        if m == 1:
-            return v[0], c.den, 1
-        if m > 4 and _conjugate(v, m - 1, m) == list(v):  # Q(zeta_m)+ = Q for m <= 4
-            return tuple(_in_subfield(v, -m, m)), c.den, -m
-        return v, c.den, m
+        return (c._v[0], c.den, 1) if c._m == 1 else (c._v, c.den, c._m)
     c = c if isinstance(c, Fraction) else _exact(c)
     return c.numerator, c.denominator, 1
 

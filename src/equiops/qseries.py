@@ -13,15 +13,16 @@ each one eta quotient c q^v prod (1 - q^(k s))^e(k) of the in-place kernel
 
 The coefficient store is that of `Poly`, (items, den, m) keyed by exponent:
 the term at q^(k/M) is items[k] / den, ints (m = 1) or rows at the field
-key m (see `poly`), the join of the keys of the terms: the real key -8,
-two ints a row, for the sqrt2 of level 3.  `poly` enters scalars, lifts
-items to the key operands meet at, normalises and reads the values and
-checks field orders; this module keeps exponents and truncation.  Products
-run `series.mul` on ints and `series.mul_rows` on rows.  A quotient,
-reciprocals included, is one triangular pass of `series.div_ints`, after
-multiplying both operands by the norm cofactor of an irrational lead on its
-key (`cyclotomic._norm`), which makes that lead an int.  `Cyclo` values
-appear only in the `coeffs` and `dense` views.
+key m (see `poly`), the join of the keys of the terms, each that of its
+`Cyclo`: the real key -8, two ints a row, for the sqrt2 of level 3.
+`poly` enters scalars, lifts items to the key operands meet at
+(`cyclotomic._join`), normalises and reads the values and checks field
+orders; this module keeps exponents, int keys over a positive int M, and
+truncation.  Products run `series.mul` on ints and `series.mul_rows` on
+rows.  A quotient, reciprocals included, is one triangular pass of
+`series.div_ints`, after multiplying both operands by the norm cofactor of
+an irrational lead on its key (`cyclotomic._norm`), which makes that lead
+an int.  `Cyclo` values appear only in the `coeffs` and `dense` views.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import series
-from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _mul_vec, _norm,
-                         rational, sqrt2)
+from .cyclotomic import (DEFAULT_ORDER, Cyclo, CycloError, _Field, _Immutable, _join, _mul_vec,
+                         _norm, _positive, rational, sqrt2)
 from .parsing import cyclo_literal
-from .poly import _entered, _item, _join, _lifted, _same_field, _store
+from .poly import Poly, _entered, _item, _lifted, _same_field, _store
 
 _INF = Fraction(10**9)
 
@@ -52,11 +53,13 @@ class QSeries(_Field, _Immutable):
     __slots__ = ("M", "_items", "_den", "_m", "trunc", "order")
 
     def __new__(cls, M, coeffs, trunc, order=DEFAULT_ORDER):
+        if not all(isinstance(k, int) for k in coeffs):
+            raise TypeError("the exponent keys of a series are ints, the numerators k of q^(k/M)")
         if any(isinstance(c, Cyclo) and c.order != order for c in coeffs.values()):
             raise CycloError("mismatched cyclotomic orders in one series")
         items = {k: c if isinstance(c, (int, Cyclo)) else rational(c, order)
                  for k, c in coeffs.items()}
-        return _canonical(M, items, 1, 1, Fraction(trunc), order)
+        return _canonical(_positive(M, "M"), items, 1, 1, Fraction(trunc), order)
 
     def __reduce__(self):
         # the stored form; the guard blocks slot restore
@@ -66,12 +69,12 @@ class QSeries(_Field, _Immutable):
 
     @staticmethod
     def zero(trunc, M=1, order=DEFAULT_ORDER):
-        return _make(M, {}, 1, 1, Fraction(trunc), order)
+        return _make(_positive(M, "M"), {}, 1, 1, Fraction(trunc), order)
 
     @staticmethod
     def constant(c, trunc, M=1, order=DEFAULT_ORDER):
         v, den, m = _entered(c, order)
-        return _canonical(M, {0: v}, den, m, Fraction(trunc), order)
+        return _canonical(_positive(M, "M"), {0: v}, den, m, Fraction(trunc), order)
 
     @staticmethod
     def q_power(e, trunc, order=DEFAULT_ORDER):
@@ -107,7 +110,7 @@ class QSeries(_Field, _Immutable):
         """Same series with exponent denominator M (a multiple of self.M)."""
         if M == self.M:
             return self
-        if M % self.M:
+        if _positive(M, "M") % self.M:
             raise ValueError("new denominator must be a multiple")
         r = M // self.M
         return _make(M, {k * r: v for k, v in self._items.items()}, self._den,
@@ -406,7 +409,8 @@ def j_relation_data(level, order=DEFAULT_ORDER):
     if level == 2:
         return rational(256, order), poly("z^2 - z + 1"), poly("z^2 - z")
     if level == 3:
-        return rational(-54, order) * sqrt2(order), poly("z^4 - 2*(zeta^15+zeta^105)*z"), poly("z^3 + (zeta^15+zeta^105)/4")
+        r2 = sqrt2(order)
+        return rational(-54, order) * r2, Poly([0, -2 * r2, 0, 0, 1]), Poly([r2 / 4, 0, 0, 1])
     if level == 4:
         return rational(16, order), poly("z^8 + 14*z^4 + 1"), poly("z^5 - z")
     if level == 5:

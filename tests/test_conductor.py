@@ -201,6 +201,15 @@ def test_one_value_at_two_conductors():
     assert hash(i_at_20) == hash(i_at_4)
     assert i_at_20.num == i_at_4.num and repr(i_at_20) == repr(i_at_4)
     assert i_at_20 != i_at_4 + 1 and i_at_20 != zeta(N, 6)
+    # a real value on its real key and at the join of that key with i's 4
+    i = imag_unit()
+    for gen, key, conductor in ((sqrt5, -5, 20), (sqrt2, -8, 8), (sqrt3, -12, 12)):
+        on_key, at_conductor = gen(), (gen() * i) / i
+        assert (on_key._m, at_conductor._m) == (key, conductor)
+        assert on_key == at_conductor and at_conductor == on_key
+        assert hash(on_key) == hash(at_conductor)
+        assert on_key.num == at_conductor.num and repr(on_key) == repr(at_conductor)
+        assert on_key != at_conductor + 1 and at_conductor != -on_key
 
 
 def test_mixed_orders_still_raise():
@@ -215,7 +224,9 @@ def test_mixed_orders_still_raise():
 
 @pytest.mark.parametrize("value", [rational(Fraction(-7, 3)), sqrt5() / 3, imag_unit() + 2,
                                    zeta(N, 1) * zeta(N, 24) + Fraction(1, 5),
-                                   (imag_unit() * zeta(N, 24)) / zeta(N, 24)])
+                                   (imag_unit() * zeta(N, 24)) / zeta(N, 24),
+                                   sqrt5(), (1 + sqrt5()) / 2, sqrt2() * sqrt3() - 1,
+                                   sqrt3() / 5 + sqrt2() / 7])
 def test_pickle_and_deepcopy_round_trips(value):
     for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert (back._m, back._v, back.den, back.order) == (value._m, value._v, value.den, value.order)
@@ -232,9 +243,10 @@ def _least_conductor(num):
 
 
 def test_conductors_found_where_data_enters():
-    assert (sqrt5()._m, imag_unit()._m, zeta(N, 2)._m) == (5, 4, 60)
+    assert (sqrt5()._m, imag_unit()._m, zeta(N, 2)._m) == (-5, 4, 60)
     assert (zeta(N, 20)._m, zeta(N, 60)._m, zeta(N, 0)._m) == (3, 1, 1)
     assert Cyclo(N, imag_unit().num)._m == 4
+    assert Cyclo(N, sqrt5().num)._m == -5
 
 
 @pytest.mark.parametrize("name,conductors", [("A4", {3, 24}), ("S4", {8}), ("A5", {5})])
@@ -244,7 +256,7 @@ def test_parsed_group_constants_are_at_their_conductors(name, conductors):
     assert {e._m for e in entries} == conductors
     for e in entries:
         assert e._m == _least_conductor(e.num)
-    assert parse_cyclo("zeta^15 + zeta^105")._m == 8  # sqrt2
+    assert parse_cyclo("zeta^15 + zeta^105")._m == -8  # sqrt2
     assert parse_poly("z^3 + (zeta^15+zeta^105)/4").leading.is_rational
 
 

@@ -27,10 +27,14 @@ reflected `/` and `**`, from one protocol base, `cyclotomic._Ring` or
 Each value is built from four coefficients drawn by hypothesis: nonzero
 rationals, or a + b zeta_c^u with b != 0 at conductors c = 4, 5, 8 and 120,
 or a + b (zeta_c^u + zeta_c^-u) in the real subfields for c = 5, 8 and 12,
-which `Poly` and `QSeries` store on the real keys -5, -8 and -12.
+which `Cyclo`, `Poly` and `QSeries` store on the real keys -5, -8 and -12.
 
 `Poly.divmod`, `exact_div`, `gcd` and `gcd_cofactors` take an exact scalar
 as `//` and `%` do, and raise TypeError for a float or a foreign value.
+
+The order N of Q(zeta_N) is a positive int: every way to a `Cyclo` from an
+order raises ValueError for any other value, a negative int included, which
+names a field key (-m for the real subfield of Q(zeta_m)) and not a field.
 """
 
 import copy
@@ -42,7 +46,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from equiops.cyclotomic import CycloError, imag_unit, rational, sqrt5, zeta
+from equiops.cyclotomic import Cyclo, CycloError, imag_unit, rational, sqrt2, sqrt3, sqrt5, zeta
 from equiops.moebius import Moebius
 from equiops.ncalg import GenMoebius, MatFn, NCPoly, _form_of
 from equiops.operators import pre_schwarzian
@@ -106,10 +110,12 @@ def samples():
 
 def coefficients(data, order=N):
     """a + b zeta_c^u for each (a, b, c, u) of data, and
-    a + b (zeta_m^u + zeta_m^-u) for c = -m."""
+    a + b (zeta_m^u + zeta_m^-u) for c = -m, the real generator entering by
+    the public constructor, which puts it on the real key -m."""
     return [rational(a, order) + rational(b, order) * (
         zeta(order, u * order // c) if c > 0 else
-        zeta(order, -u * order // c) + zeta(order, u * order // c)) for a, b, c, u in data]
+        Cyclo(order, (zeta(order, -u * order // c) + zeta(order, u * order // c)).num))
+        for a, b, c, u in data]
 
 
 def build(kind, data, order=N):
@@ -314,3 +320,17 @@ def test_poly_division_and_gcd_refuse_a_float_or_a_foreign_value(value):
     for name in ("divmod", "exact_div", "gcd", "gcd_cofactors"):
         with pytest.raises(TypeError):
             getattr(Poly([2, 4]), name)(value)
+
+
+# -- the order of a field is a positive int ------------------------------------
+
+ORDER_BUILDERS = {"Cyclo": lambda order: Cyclo(order, [0, 1]),
+                  "zeta_pow": lambda order: Cyclo.zeta_pow(1, order), "zeta": zeta,
+                  "imag_unit": imag_unit, "sqrt2": sqrt2, "sqrt3": sqrt3, "sqrt5": sqrt5}
+
+
+@pytest.mark.parametrize("order", [0, -4, -5, -120, 120.0, None], ids=repr)
+@pytest.mark.parametrize("name", ORDER_BUILDERS)
+def test_an_order_that_is_not_a_positive_int_is_refused(name, order):
+    with pytest.raises(ValueError, match="positive int"):
+        ORDER_BUILDERS[name](order)

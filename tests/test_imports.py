@@ -6,8 +6,10 @@ immutability guard of the value types, `cyclotomic._Immutable`, is the only
 definition of `__setattr__` or `__delattr__`.  The operator protocol of the
 six ring types is defined once, beside the guard, and only the hashable
 types define `__hash__`.  So is each way into an exact value: the one
-conversion to `RatFn`, the one scalar entry and the one conductor lift of
-the coefficient store, and its one normaliser."""
+conversion to `RatFn`, the one scalar entry and the one lift of the
+coefficient store, its one normaliser and the one join of two field keys.
+The field key of a value is decided in `cyclotomic` alone: no other module
+reads the conjugation test or the subfield projection."""
 
 import ast
 import sys
@@ -125,8 +127,9 @@ def test_only_the_hashable_types_define_hash():
     assert hashed == {"Cyclo", "Poly", "RatFn", "Moebius"}
 
 
-# ratfn._ratfn_of and _as_ratfn, poly._entered, _lifted and _store
-ONE_WAY_IN = ("_ratfn_of", "_as_ratfn", "_entered", "_lifted", "_store")
+# ratfn._ratfn_of and _as_ratfn, poly._entered, _lifted and _store, and
+# cyclotomic._join, where two field keys meet
+ONE_WAY_IN = ("_ratfn_of", "_as_ratfn", "_entered", "_lifted", "_store", "_join")
 
 
 @pytest.mark.parametrize("name", ONE_WAY_IN)
@@ -136,3 +139,18 @@ def test_each_way_into_a_value_is_defined_once(name):
              for node in ast.walk(parsed(path))
              if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(found) == 1, "%s is defined at %s" % (name, ", ".join(found) or "no line")
+
+
+# the conjugation test and the subfield projection that decide a field key
+KEY_DECISION = ("_conjugate", "_in_subfield")
+
+
+@pytest.mark.parametrize("name", KEY_DECISION)
+def test_the_field_key_is_decided_in_cyclotomic_alone(name):
+    # the name read, imported or taken as an attribute outside cyclotomic.py
+    found = ["%s:%d" % (path.name, node.lineno) for path in SOURCES
+             if path.name != "cyclotomic.py" for node in ast.walk(parsed(path))
+             if (isinstance(node, ast.Name) and node.id == name)
+             or (isinstance(node, ast.Attribute) and node.attr == name)
+             or (isinstance(node, ast.alias) and node.name == name)]
+    assert not found, "%s is referenced at %s" % (name, ", ".join(found))

@@ -344,6 +344,25 @@ def test_constructor_rejects_coefficients_of_another_field():
     assert s.order == 60 and s.coefficient(0) == sqrt5(60)
 
 
+def test_exponent_denominators_and_keys_are_checked():
+    # M is a positive int and the keys are the int numerators k of q^(k/M)
+    s = QSeries(1, {1: 1}, 3)
+    for bad in (0, -1, 2.0, Fraction(1, 2), None):
+        with pytest.raises(ValueError, match="positive int"):
+            QSeries(bad, {0: 1, 1: 2}, 3)
+        with pytest.raises(ValueError, match="positive int"):
+            QSeries.zero(3, bad)
+        with pytest.raises(ValueError, match="positive int"):
+            QSeries.constant(1, 3, bad)
+        with pytest.raises(ValueError, match="positive int"):
+            s.rescaled(bad)
+    for key in (Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(TypeError, match="exponent keys"):
+            QSeries(2, {0: 1, key: 1}, 3)
+    assert s.rescaled(1) is s and s.rescaled(2) == s and s.rescaled(2).M == 2
+    assert QSeries.zero(3, 2) + QSeries.constant(1, 3) == QSeries.constant(1, 3)
+
+
 def test_derivative_and_dense_view():
     # 3 q^-1 + q^(1/2)/2 + 5 q^2 + O(q^4)
     s = QSeries(2, {-2: 3, 1: Fraction(1, 2), 4: 5}, 4)

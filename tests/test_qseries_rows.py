@@ -31,12 +31,13 @@ ZERO = rational(0)
 
 def irrational(rng, conductor):
     """a + b zeta_c^k with b != 0: irrational at the conductor c; for c = -m,
-    a + b (zeta_m^k + zeta_m^-k), real."""
+    a + b (zeta_m^k + zeta_m^-k), real, the generator entering by the public
+    constructor, which puts it on the real key -m."""
     m = abs(conductor)
     k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
     gen = zeta(N, k * (N // m))
     if conductor < 0:
-        gen = gen + gen.inverse()
+        gen = Cyclo(N, (gen + gen.inverse()).num)
     return rational(rng.randint(-3, 3)) + gen * rational(
         Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 1, 2))))
 
