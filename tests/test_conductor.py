@@ -1,9 +1,9 @@
-"""Conductor storage of `Cyclo` against a raw reference on Q(zeta_120).
+"""Field-key storage of `Cyclo` against a raw reference on Q(zeta_120).
 
 The reference keeps every element as its full 32-entry integer vector on
 the power basis of Q(zeta_120) over one denominator, multiplies with
 `_mul_vec` at N = 120 and inverts with the norm tower at N = 120, so it
-never sees a conductor.  Every operation of `Cyclo` must give the same
+never sees a conductor or a real key.  Every operation of `Cyclo` must give the same
 vector, denominator, hash, equality, literal and complex value.
 """
 
