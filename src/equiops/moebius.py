@@ -150,12 +150,19 @@ def cross_ratio(a, b, c, d, order=DEFAULT_ORDER):
         x = _as_ratfn(x, order)
         return x.num, x.den
 
-    A, B, C, D = lift(a), lift(b), lift(c), lift(d)
+    return RatFn(*_cross_ratio_form(lift(a), lift(b), lift(c), lift(d)))
+
+
+def _cross_ratio_form(A, B, C, D):
+    """The unreduced (num, den) of the cross-ratio of four points of P^1
+    given as (num, den) pairs; (0, 0) is no point."""
+    if any(x.is_zero and y.is_zero for x, y in (A, B, C, D)):
+        raise ZeroDivisionError("0/0 is not a rational function")
     num = _det([A, C]) * _det([B, D])
     den = _det([A, D]) * _det([B, C])
     if num.is_zero and den.is_zero:
         raise ZeroDivisionError("degenerate quadruple")
-    return RatFn(num, den)
+    return num, den
 
 
 def form_invariance_check(alpha, weight, chi, m):

@@ -19,7 +19,11 @@ fdd/fd = L(D)/(A^2 W D), so phi = -L(D)/(2 A^2 W D); and as D L(N) - N L(D)
 of the Schwarzian (Ovsienko-Tabachnikov, Projective Differential Geometry
 Old and New, 2005).  Each operator builds its numerator and denominator as
 polynomials and reduces once with `RatFn(num, den)`; a reduced value is
-canonical, so it is the value of the chain of RatFn operations.  Klein's
+canonical, so it is the value of the chain of RatFn operations.  For D, S
+and the deformation the private builders `_d_form`, `_schwarzian_form` and
+`_deform_form` return that unreduced pair, and the public operator is its
+reduction, `RatFn(*builder(...))`; `properties` decides P1 and P5 on the
+pairs themselves.  Klein's
 vector field is the biweight phi-operator.  A constant value of D, of its
 deformation or of Klein's field (the constant infinity included) marks a
 degenerate input, read as `RatFn.degenerate`.
@@ -137,6 +141,11 @@ def schwarzian(f, theta=None):
     """S = X(phi) + phi^2, the theta-coefficient of the quadratic
     differential S theta^2: (-(2 W W'' - 3 W'^2 + 4 W (N''D' - N'D'')) A^2 B^2
     + (2 K' AB - 2 K (AB)' - K^2) W^2) / (4 A^4 W^2) in the module's forms."""
+    return RatFn(*_schwarzian_form(f, theta))
+
+
+def _schwarzian_form(f, theta=None):
+    """The unreduced (num, den) of S(f, theta)."""
     theta = _theta(theta, f.order)
     w = _wronskian(f, "pre-Schwarzian of a constant")
     n1, d1, w1 = f.num.derivative(), f.den.derivative(), w.derivative()
@@ -145,7 +154,7 @@ def schwarzian(f, theta=None):
     a, b = theta.alpha.num, theta.alpha.den
     k, ab, a2, w2 = theta.alpha.wronskian_poly(), a * b, a * a, w * w
     form_part = (k.derivative() * ab - k * ab.derivative()) * 2 - k * k
-    return RatFn(form_part * w2 - z_part * ab * ab, a2 * a2 * w2 * 4)
+    return form_part * w2 - z_part * ab * ab, a2 * a2 * w2 * 4
 
 
 @_kept_at_dz
@@ -157,9 +166,14 @@ def d_operator(f, theta=None):
     infinity; when the dual is any other constant the input is likewise
     degenerate; both cases are returned, not raised (`RatFn.degenerate`).
     """
+    return RatFn(*_d_form(f, theta))
+
+
+def _d_form(f, theta=None):
+    """The unreduced (L(N), L(D)) of D(f, theta)."""
     theta = _theta(theta, f.order)
     _, l = _operator_l(_wronskian(f, "D of a constant"), theta)
-    return RatFn(l(f.num), l(f.den))
+    return l(f.num), l(f.den)
 
 
 def deform_corollary(f, g, h):
@@ -169,6 +183,11 @@ def deform_corollary(f, g, h):
     h = 0 gives the D operator relative to dg; h ranges over functions of
     an absolute invariant in the equivariant application.
     """
+    return RatFn(*_deform_form(f, g, h))
+
+
+def _deform_form(f, g, h):
+    """The unreduced (c N - Hd L(N), c D - Hd L(D)) of deform_corollary."""
     theta = FormCoeff.d_of(g) if not isinstance(g, FormCoeff) else g
     h = _as_ratfn(h, f.order)
     w = _wronskian(f, "deformation of a constant")
@@ -176,7 +195,7 @@ def deform_corollary(f, g, h):
         raise ArithmeticError("arithmetic with the constant infinity")
     a, l = _operator_l(w, theta)
     c = a * a * w * h.num * 2
-    return RatFn(c * f.num - h.den * l(f.num), c * f.den - h.den * l(f.den))
+    return c * f.num - h.den * l(f.num), c * f.den - h.den * l(f.den)
 
 
 def dd_deformation_h(f, theta=None):

@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 
 from .cyclotomic import DEFAULT_ORDER, _sized, zeta
-from .ratfn import RatFn
+from .poly import Poly
+from .ratfn import RatFn, _canonical
 
 _TOKEN = re.compile(r"\s*(zeta|inf|z|\d+|\^|[()+\-*/])")
 
@@ -119,7 +120,9 @@ def parse_ratfn(text, order=DEFAULT_ORDER):
     node = p.expr()
     if p.peek() is not None:
         raise ParseError("trailing input from %r" % (p.peek(),))
-    return node
+    # num and den on the least field key holding them, as parse_cyclo's constants
+    return _canonical(*(x if x.is_rational else Poly([_sized(c) for c in x.coeffs], order)
+                        for x in (node.num, node.den)))
 
 
 def parse_poly(text, order=DEFAULT_ORDER):

@@ -3,6 +3,9 @@
 Each check returns (ok, detail) where detail is a short human-readable
 witness string.  The algebra is exact; randomness only selects inputs,
 and the dynamics and Heins checks compare floats against tolerances.
+P1 and P5 decide num/den = g as num g.den = den g.num (`_equals`), with no
+gcd, on unreduced forms, nonzero multiples of the reduced values; the tests
+check the reduced operator values against their definitions mod p.
 `suite_checks` lists the (check id, thunk) pairs of a named suite:
 
 - identities: P1-P7 (`IDENTITY_CHECKS`) on the seeded draws of
@@ -25,13 +28,13 @@ from . import qseries as qs
 from .cyclotomic import DEFAULT_ORDER, rational
 from .divisors import quadratic_differential_poles, ramification_divisor
 from .dynamics import CxMap, cycle_report, iteration_map, poly_roots
-from .moebius import (Moebius, cross_ratio, equivariance_check,
+from .moebius import (Moebius, _cross_ratio_form, equivariance_check,
                       form_invariance_check, moebius_apply)
 from .ncalg import (GenMoebius, MatFn, deform_family, gen_moebius_apply,
                     nc_d_operator, nc_eval, nc_phi_deform, s_poly)
-from .operators import (FormCoeff, d_operator, dd_deformation_h,
-                        deform_corollary, klein_vector_field, phi_operator,
-                        pre_schwarzian, rankin_cohen, schwarzian)
+from .operators import (FormCoeff, _d_form, _deform_form, _schwarzian_form,
+                        d_operator, dd_deformation_h, klein_vector_field,
+                        phi_operator, pre_schwarzian, rankin_cohen, schwarzian)
 from .parsing import parse_cyclo, parse_poly, parse_ratfn
 from .poly import Poly
 from .ratfn import RatFn, _as_ratfn
@@ -94,18 +97,26 @@ def identity_inputs(rng, f_degree):
     return IdentityInputs(f, w, m, h, alpha, k)
 
 
+def _equals(num, den, g):
+    """num/den == g for an unreduced pair, as num g.den == den g.num with no
+    gcd: a/b = c/d iff ad = bc for b, d != 0, and the constant infinity (1, 0)
+    meets only a pair (n, 0).  0/0 raises, as in RatFn(num, den)."""
+    if num.is_zero and den.is_zero:
+        raise ZeroDivisionError("0/0 is not a rational function")
+    return num * g.den == den * g.num
+
+
 def check_duality(f):
-    """P1: with fhat = D f and thetahat = (S f) dz, D recovers f and the
-    Schwarzian inverts."""
+    """P1: with fhat = D f and thetahat = (S f) dz, D recovers f (L(Nhat) D =
+    L(Dhat) N) and the Schwarzian inverts (S(fhat, thetahat) S f = 1)."""
     s = schwarzian(f)
     fhat = d_operator(f)
     if fhat.degenerate:
         return False, "degenerate dual"
     theta_hat = FormCoeff(s)
-    back = d_operator(fhat, theta_hat)
-    ok1 = back == f
-    shat = schwarzian(fhat, theta_hat)
-    ok2 = (shat * s) == RatFn.constant(rational(1, f.order), f.order)
+    ok1 = _equals(*_d_form(fhat, theta_hat), f)
+    num, den = _schwarzian_form(fhat, theta_hat)
+    ok2 = _equals(num * s.num, den * s.den, RatFn.constant(rational(1, f.order), f.order))
     return ok1 and ok2, "D-dual recovered=%s, S-inverse=%s" % (ok1, ok2)
 
 
@@ -140,14 +151,11 @@ def check_dd_identity(f):
 
 
 def check_inversion(f, h):
-    """P5: cross_ratio(f, Phi_0 f, Phi_1 f, Phi_h f) = h."""
+    """P5: cross_ratio(f, Phi_0 f, Phi_1 f, Phi_h f) = h, on the unreduced forms."""
     z = RatFn.x(f.order)
-    one = RatFn.constant(rational(1, f.order), f.order)
-    p0 = deform_corollary(f, z, RatFn.constant(rational(0, f.order), f.order))
-    p1 = deform_corollary(f, z, one)
-    ph = deform_corollary(f, z, h)
-    value = cross_ratio(f, p0, p1, ph, f.order)
-    return value == h, "cross-ratio equals h=%s" % (value == h)
+    forms = [_deform_form(f, z, c) for c in (0, 1, h)]
+    ok = _equals(*_cross_ratio_form((f.num, f.den), *forms), _as_ratfn(h, f.order))
+    return ok, "cross-ratio equals h=%s" % ok
 
 
 def check_ramification(f):

@@ -260,6 +260,18 @@ def test_parsed_group_constants_are_at_their_conductors(name, conductors):
     assert parse_poly("z^3 + (zeta^15+zeta^105)/4").leading.is_rational
 
 
+def test_parsed_polynomials_are_on_their_least_key():
+    # the A4 forms are Q(sqrt2) polynomials: 2-int rows on -8, not 4-int rows on 8
+    for form in load_group_config(config_path("A4")).forms:
+        assert form.poly._m == -8 and {len(row) for row in form.poly._items} == {2}
+        assert all(c._m in (1, -8) for c in form.poly.coeffs)
+    f = parse_ratfn("(z - zeta^30)/(z^2 + zeta^15 + zeta^105)")  # (z - i)/(z^2 + sqrt2)
+    assert (f.num._m, f.den._m) == (4, -8)
+    assert f == RatFn(Poly([-imag_unit(), rational(1)]), Poly([sqrt2(), rational(0), rational(1)]))
+    assert parse_poly("zeta^8*z + zeta^40")._m == 15  # zeta_15 and zeta_3
+    assert parse_poly("z^2 + 3/2").is_rational and parse_ratfn("inf").is_infinity
+
+
 # -- lift, period residues and divisors: outputs recorded with the former
 # two-cofactor splitting and the lift that recomputed the pre-Schwarzian ------
 

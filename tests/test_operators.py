@@ -201,6 +201,32 @@ def test_period_residues_over_q_zeta_are_unchanged_and_fast(key):
     assert seconds < 1.0
 
 
+# sha256 of repr(check(...)) for the checks P1 and P5 of
+# scripts/qzeta_residues.py on the same maps, P5 with its seeded h; recorded
+# when P1 and P5 compared reduced RatFn values, before they cross-multiplied
+# the unreduced forms
+QZETA_CHECK_DIGESTS = {
+    ("P1", 2, 1): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P1", 2, 2): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P1", 2, 3): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P1", 3, 1): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P1", 3, 2): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P1", 4, 1): "746ef6a7383c97e61333499555c1af051519affa50153ef2739197b7332f582e",
+    ("P5", 2, 1): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+    ("P5", 2, 2): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+    ("P5", 2, 3): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+    ("P5", 3, 1): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+    ("P5", 3, 2): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+    ("P5", 4, 1): "4164c646077845cefb013a99ff57099bbe4e292b5c26c76dacdeee9c01a432b7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(QZETA_CHECK_DIGESTS), ids="%s:%d:%d".__mod__)
+def test_p1_and_p5_over_q_zeta_are_unchanged(case):
+    check, degree, seed = case
+    assert _replay_script().run_one(degree, seed, check)[1] == QZETA_CHECK_DIGESTS[case]
+
+
 def _orders_of_derivative(f):
     """{order: product of the monic places where f' has that order}, from the
     Yun factors of the numerator (orders > 0) and denominator (< 0) of f'."""
