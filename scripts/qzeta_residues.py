@@ -69,7 +69,6 @@ def qzeta_h(degree, seed):
 def run_one(degree, seed, check=None):
     """(seconds, sha256) of one case: period_residues(f, D f) for check
     None, else the check of `CHECKS` on the map."""
-    from equiops import properties
     from equiops.operators import d_operator, period_residues
 
     f = qzeta_map(degree, seed)
@@ -78,6 +77,8 @@ def run_one(degree, seed, check=None):
         start = time.perf_counter()
         text = repr(period_residues(f, fhat))
     else:
+        from equiops import properties
+
         h = qzeta_h(degree, seed)
         start = time.perf_counter()
         text = repr(CHECKS[check](properties, f, h))

@@ -23,10 +23,9 @@ canonical, so it is the value of the chain of RatFn operations.  For D, S
 and the deformation the private builders `_d_form`, `_schwarzian_form` and
 `_deform_form` return that unreduced pair, and the public operator is its
 reduction, `RatFn(*builder(...))`; `properties` decides P1 and P5 on the
-pairs themselves.  Klein's
-vector field is the biweight phi-operator.  A constant value of D, of its
-deformation or of Klein's field (the constant infinity included) marks a
-degenerate input, read as `RatFn.degenerate`.
+pairs themselves.  Klein's vector field is the biweight phi-operator.  A
+constant value of D, of its deformation or of Klein's field (the constant
+infinity included) marks a degenerate input, read as `RatFn.degenerate`.
 
 Period residues take one path for every pole: Hermite reduction (Mack's
 linear version) leaves a part a/d with a squarefree denominator and the
